@@ -42,13 +42,8 @@ func main() {
 		par         = flag.Int("parallelism", 0, "thermal solver/estimator worker goroutines per run (0 = one per CPU, 1 = serial; results identical)")
 		replicas    = flag.Int("replicas", 1, "tempered annealing chains per run (replica exchange; >= 2 is a different deterministic walk than serial)")
 		speculate   = flag.Int("speculate", 1, "candidate moves evaluated concurrently per annealing step (>= 2 is a different deterministic walk than serial)")
-		fullCost    = flag.Bool("full-recompute", false, "disable the incremental cost evaluator (debug/reference; much slower)")
-		fullVolt    = flag.Bool("full-volt", false, "recompute the voltage assignment from scratch at every refresh instead of the incremental engine (debug/reference)")
-		fullEntropy = flag.Bool("full-entropy", false, "recompute the spatial entropy from scratch per dirty die instead of the incremental entropy cache (debug/reference)")
-		fullAdj     = flag.Bool("full-adj", false, "re-sweep module adjacency at every voltage refresh instead of the incremental adjacency index (debug/reference)")
-		fullSTA     = flag.Bool("full-sta", false, "run two full-design STA passes per annealing evaluation instead of the incremental timing caches (debug/reference)")
 		churnStats  = flag.Bool("churn-stats", false, "surface the exact-diff repack churn counters: print a per-run pack/fallback summary and include the pack_* fields in -json output")
-		checkCost   = flag.Bool("check-cost", false, "cross-check every incremental cost (and voltage refresh, entropy patch, adjacency update, STA patch) against a full recompute (debug; very slow)")
+		checkCost   = flag.Bool("check-cost", false, "cross-check every incremental cost (and voltage refresh, entropy patch, adjacency update) against a full recompute (debug; very slow)")
 		showVersion = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
@@ -89,11 +84,6 @@ func main() {
 		tscfp.WithParallelism(*par),
 		tscfp.WithReplicas(*replicas),
 		tscfp.WithSpeculation(*speculate),
-		tscfp.WithIncrementalCost(!*fullCost),
-		tscfp.WithIncrementalVoltage(!*fullVolt),
-		tscfp.WithIncrementalEntropy(!*fullEntropy),
-		tscfp.WithAdjacencyIndex(!*fullAdj),
-		tscfp.WithIncrementalSTA(!*fullSTA),
 		tscfp.WithCostCrossCheck(*checkCost),
 		tscfp.WithChurnStats(*churnStats),
 	}
@@ -147,16 +137,15 @@ func main() {
 		agg.RuntimeSec += mm.RuntimeSec
 		if *churnStats {
 			st := sr.Result.Stats
-			early, trips, bulk := 0.0, 0.0, 0.0
+			early, bulk := 0.0, 0.0
 			if st.PackDieDiffs > 0 {
 				early = 100 * float64(st.PackEarlyExits) / float64(st.PackDieDiffs)
 			}
 			if st.PackMoves > 0 {
-				trips = 100 * float64(st.STAGateTrips) / float64(st.PackMoves)
 				bulk = 100 * float64(st.AdjBulkFallbacks) / float64(st.PackMoves)
 			}
-			fmt.Printf("run %d churn: changed p50=%d p95=%d modules/move, early-exit %.1f%% of %d die diffs, sta gate trips %.1f%%, adj bulk fallbacks %.1f%%\n",
-				sr.Cell.Index, st.PackChangedP50, st.PackChangedP95, early, st.PackDieDiffs, trips, bulk)
+			fmt.Printf("run %d churn: changed p50=%d p95=%d modules/move, early-exit %.1f%% of %d die diffs, adj bulk fallbacks %.1f%%\n",
+				sr.Cell.Index, st.PackChangedP50, st.PackChangedP95, early, st.PackDieDiffs, bulk)
 		}
 	}
 	n := float64(*runs)

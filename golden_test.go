@@ -1,7 +1,7 @@
 // Golden end-to-end regression fixtures: fixed-seed tscfp runs serialized
 // as Result JSON under testdata/golden/, compared field-by-field with
 // tolerances. They pin the WHOLE incremental stack (cost, voltage, entropy,
-// adjacency caches — all default-on) plus the finalize/post-process stages
+// adjacency caches — all always on) plus the finalize/post-process stages
 // against the exact outputs recorded at review time: any change that shifts
 // an annealing decision, a metric, or the JSON schema shows up as a named
 // field diff here rather than as silent drift.

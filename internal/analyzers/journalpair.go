@@ -10,7 +10,7 @@ import (
 
 // JournalPairAnalyzer machine-checks the journaled-undo idiom the whole
 // incremental stack is built on (core's moveJournal, floorplan.PackDiff,
-// timing.STACache's patch journal, anneal's pending bookkeeping):
+// anneal's pending bookkeeping):
 //
 //  1. every journal/record container — a struct holding a field whose name
 //     marks it as a journal (journal, pending, undo, log, record(s),

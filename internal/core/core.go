@@ -165,54 +165,13 @@ type Config struct {
 	// Like Replicas, M >= 2 keeps the GOMAXPROCS-independence guarantee but
 	// is a different (still deterministic) walk than serial.
 	Speculation int
-	// IncrementalCost selects the caching annealing-loop evaluator that
-	// repacks only moved dies and patches per-net and per-die cost state
-	// (incremental.go). Nil defaults to true; the full-recompute path is
-	// kept for debugging and as the cross-check reference.
-	IncrementalCost *bool
-	// IncrementalVoltage selects the incremental voltage-volume refresh:
-	// the annealing loop holds a volt.Assigner that caches per-module
-	// feasible-level masks, adjacency lists, and per-root candidate trees,
-	// and each stride refresh regrows only the trees whose inputs changed
-	// since the previous refresh (the dirty set comes from the move
-	// journal). Nil defaults to true. Only effective together with
-	// IncrementalCost — the full-recompute evaluator has no move journal to
-	// derive dirtiness from, so it always runs the full volt.Assign.
-	IncrementalVoltage *bool
-	// IncrementalEntropy selects the incremental spatial-entropy refresh
-	// (TSC mode): each die holds a leakage.EntropyCache that patches the
-	// nested-means classification and the per-class Manhattan terms from
-	// the power-map diff instead of recomputing Eq. 3 from scratch on every
-	// dirty die. Nil defaults to true. Only effective together with
-	// IncrementalCost (the full-recompute evaluator has no patched maps to
-	// diff against).
-	IncrementalEntropy *bool
-	// AdjacencyIndex selects the churn-tolerant adjacency structure inside
-	// the incremental voltage engine: a floorplan.AdjacencyIndex patched
-	// per refresh from the move journal's dirty set, replacing the full
-	// adjacency re-sweep and all-rows diff. Nil defaults to true. Only
-	// effective together with IncrementalVoltage.
-	AdjacencyIndex *bool
-	// IncrementalSTA selects the incremental static-timing engine: the
-	// annealing loop holds two timing.STACache instances (the reference
-	// analysis feeding voltage refreshes and the delay-scaled one feeding
-	// the critical-delay cost term) that patch Arrive/Depart/Critical from
-	// each move's refreshed nets instead of re-running two full STA passes
-	// per evaluation, with journaled undo for rejected moves. Nil defaults
-	// to true. Only effective together with IncrementalCost — the caches
-	// are patched from its move journal's net list.
-	IncrementalSTA *bool
 	// CostCrossCheck re-evaluates every annealing move through the full
-	// recompute path and panics if the incremental cost drifts beyond
-	// 1e-9 (relative); with IncrementalVoltage it additionally pins every
-	// incremental voltage refresh against a fresh full volt.Assign
-	// (identical volumes, TotalPower within 1e-9), with AdjacencyIndex the
-	// cached adjacency rows against a fresh sweep (exact equality), with
-	// IncrementalEntropy every patched per-die entropy against a
-	// from-scratch leakage.SpatialEntropy (1e-9 relative), and with
-	// IncrementalSTA both cached analyses (Critical, Arrive, Depart,
-	// ModuleDelay, NetDelay) against a full AnalyzeFromNetDelays pass at
-	// 1e-9 on every evaluation. Debug aid: it forfeits the entire speedup.
+	// recompute path and panics if the incremental cost drifts beyond 1e-9
+	// (relative). It also pins every incremental voltage refresh against a
+	// fresh full volt.Assign (identical volumes, TotalPower within 1e-9),
+	// the adjacency index against a fresh sweep (exact equality), and every
+	// patched per-die entropy against a from-scratch leakage.SpatialEntropy
+	// (1e-9 relative). Debug aid: it forfeits the entire speedup.
 	CostCrossCheck bool
 	// Progress, when non-nil, receives per-stage events as the flow
 	// advances. The callback runs synchronously on the flow goroutine and
@@ -287,26 +246,6 @@ func (c *Config) defaults() {
 	if c.VoltTargetFactor == 0 {
 		c.VoltTargetFactor = 1.15
 	}
-	if c.IncrementalCost == nil {
-		inc := true
-		c.IncrementalCost = &inc
-	}
-	if c.IncrementalVoltage == nil {
-		inc := true
-		c.IncrementalVoltage = &inc
-	}
-	if c.IncrementalEntropy == nil {
-		inc := true
-		c.IncrementalEntropy = &inc
-	}
-	if c.AdjacencyIndex == nil {
-		inc := true
-		c.AdjacencyIndex = &inc
-	}
-	if c.IncrementalSTA == nil {
-		inc := true
-		c.IncrementalSTA = &inc
-	}
 	// Replica/speculation workers are the annealing loop's own use of the
 	// cores; defaulting the thermal fan-out to serial inside each worker
 	// avoids oversubscribing GOMAXPROCS with nested pools. An explicit
@@ -347,32 +286,24 @@ type EvalStats struct {
 	EntropyPatched     int
 	EntropyRebuilt     int
 	EntropyCrossChecks int
-	// AdjFullSweeps counts full adjacency re-sweeps inside the voltage
-	// engine (rebuilds, refreshes with the index disabled, and index
-	// updates that fell back to the bulk sweep-plus-diff path at high
-	// churn); AdjIncrementalUpdates counts stride refreshes served by the
-	// index's per-module probes. The index paths together reported
-	// AdjRowsChanged changed neighbour rows. AdjCrossChecks counts
-	// index-vs-sweep row comparisons (0 unless Config.CostCrossCheck was
-	// set).
+	// AdjFullSweeps counts full adjacency sweeps inside the voltage engine
+	// (rebuilds, and index updates that fell back to the bulk
+	// sweep-plus-diff path at high churn); AdjIncrementalUpdates counts
+	// stride refreshes served by the index's per-module probes. The index
+	// paths together reported AdjRowsChanged changed neighbour rows.
+	// AdjCrossChecks counts index-vs-sweep row comparisons (0 unless
+	// Config.CostCrossCheck was set).
 	AdjFullSweeps         int
 	AdjIncrementalUpdates int
 	AdjRowsChanged        int
 	AdjCrossChecks        int
-	// STAPatches counts per-move incremental patches applied across the two
-	// timing caches (reference + delay-scaled); STARebuilds their full STA
-	// passes (first use, voltage-scale changes, invalidations).
-	// STAModulesRecomputed totals the per-patch Arrive/Depart module
-	// recomputes (the caches' actual work, vs nModules per full pass) and
-	// STACritRescans the patches that re-derived the critical max with a
-	// flat scan because a module attaining it decreased. STACrossChecks
-	// counts cached-vs-full analysis comparisons (0 unless
-	// Config.CostCrossCheck was set).
-	STAPatches           int
-	STARebuilds          int
-	STAModulesRecomputed int
-	STACritRescans       int
-	STACrossChecks       int
+	// STARebuilds counts the annealing loop's full STA passes: one
+	// delay-scaled pass per evaluation plus a reference pass per voltage
+	// refresh. STAPatches is always 0 now that the loop has no incremental
+	// timing patch; both stay because the end-to-end benchmark
+	// (benchmark/cmd/tscfpbench) reads them for anneal.sta_rebuild_frac.
+	STAPatches  int
+	STARebuilds int
 	// DiesRepacked/DiesReused count per-die skyline packings run vs skipped.
 	DiesRepacked int
 	DiesReused   int
@@ -429,13 +360,10 @@ type EvalStats struct {
 	// bucket i counts moves that changed i modules, with the last bucket
 	// absorbing everything >= len-1. Percentiles via PackChangedPercentile.
 	PackChangedHist []int
-	// STAGateTrips counts moves whose changed-net count exceeded the STA
-	// patch budget (~nNets/16), dropping the timing caches to the lazy
-	// full-rebuild path; AdjBulkFallbacks counts adjacency-index updates
-	// that fell back to the bulk sweep (> n/8 moved modules). Both are the
-	// churn-gate trips the exact changed-placement contract is meant to
-	// keep at zero for single-module moves.
-	STAGateTrips     int
+	// AdjBulkFallbacks counts adjacency-index updates that fell back to the
+	// bulk sweep (> n/8 moved modules) — the churn-gate trip the exact
+	// changed-placement contract is meant to keep at zero for single-module
+	// moves.
 	AdjBulkFallbacks int
 }
 

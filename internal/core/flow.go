@@ -63,14 +63,7 @@ func RunContext(ctx context.Context, des *netlist.Design, cfg Config) (*Result, 
 		best, evStats = b, stats
 	} else {
 		fp := floorplan.NewRandom(des, rng)
-		ev := &evaluator{fp: fp, cfg: &cfg, fast: fast, check: cfg.CostCrossCheck}
-		if *cfg.IncrementalCost {
-			ev.incr = newIncrState()
-			ev.voltIncr = *cfg.IncrementalVoltage
-			ev.entropyIncr = *cfg.IncrementalEntropy
-			ev.adjIncr = *cfg.AdjacencyIndex
-			ev.staIncr = *cfg.IncrementalSTA
-		}
+		ev := &evaluator{fp: fp, cfg: &cfg, fast: fast, incr: newIncrState(), check: cfg.CostCrossCheck}
 		cfg.emit(ProgressEvent{Stage: StageAnneal, Total: cfg.SAIterations})
 		ares := anneal.Run(ev, anneal.Options{
 			Iterations: cfg.SAIterations,

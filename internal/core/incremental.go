@@ -31,11 +31,14 @@ import (
 //     estimator's per-source blur responses are recomputed only for dies
 //     whose map changed;
 //   - per-die spatial entropies (TSC mode) are served by
-//     leakage.EntropyCache when evaluator.entropyIncr is set: the cache
-//     diffs each dirty die's map against its own value mirror and patches
-//     the nested-means sort and the per-class histogram sums, reproducing
-//     the from-scratch SpatialEntropy bit for bit (see the entCaches field
-//     for the rollback story);
+//     leakage.EntropyCache: the cache diffs each dirty die's map against
+//     its own value mirror and patches the nested-means sort and the
+//     per-class histogram sums, reproducing the from-scratch SpatialEntropy
+//     bit for bit (see the entCaches field for the rollback story);
+//   - the reference and delay-scaled STA are full passes over the cached
+//     net delays (timing.AnalyzeFromNetDelaysInto into pooled buffers): a
+//     typical move changes the delay of hundreds of nets, past the point
+//     where an itemized timing patch beats the single pass;
 //   - every mutation this evaluation makes to the caches is journaled; the
 //     undo closure returned by Perturb rolls the journal back, so rejected
 //     moves restore the caches exactly (byte for byte — rejected moves
@@ -64,12 +67,12 @@ type incrState struct {
 	entropy   []float64      // per-die spatial entropy (TSC mode only)
 	mapsValid bool           // maps/resp/entropy reflect lay under current scales
 
-	// entCaches[d] incrementally maintains die d's spatial entropy
-	// (evaluator.entropyIncr, TSC mode). The caches are self-synchronizing —
-	// each Update diffs the grid against the cache's own value mirror — so
-	// rejected moves need no cache rollback: the journal restores the map
-	// bytes and the entropy values, and the next Update on a die
-	// re-converges exactly. Only the VALUES are journaled (oldEntropy).
+	// entCaches[d] incrementally maintains die d's spatial entropy (TSC
+	// mode). The caches are self-synchronizing — each Update diffs the grid
+	// against the cache's own value mirror — so rejected moves need no cache
+	// rollback: the journal restores the map bytes and the entropy values,
+	// and the next Update on a die re-converges exactly. Only the VALUES are
+	// journaled (oldEntropy).
 	entCaches []*leakage.EntropyCache
 
 	pending *floorplan.Move // applied to fp but not yet to the caches
@@ -83,11 +86,11 @@ type incrState struct {
 	packers  []*floorplan.DiePacker
 	diffPool []*floorplan.PackDiff
 
-	// Incremental voltage refresh (evaluator.voltIncr): vasg caches the
-	// voltage-volume candidate trees between stride refreshes; voltDirty
-	// marks the modules whose placement changed since the assigner last saw
-	// the layout (voltDirtyList is the same set in insertion order, handed
-	// to Refresh). voltAllDirty forces a full rebuild when the caches were
+	// Incremental voltage refresh: vasg caches the voltage-volume candidate
+	// trees between stride refreshes; voltDirty marks the modules whose
+	// placement changed since the assigner last saw the layout
+	// (voltDirtyList is the same set in insertion order, handed to
+	// Refresh). voltAllDirty forces a full rebuild when the caches were
 	// dropped wholesale (reset rollback). The dirty-set mutations are
 	// journaled like every other cache: a rejected move unmarks exactly the
 	// modules it marked, and a rejected move whose evaluation refreshed the
@@ -98,22 +101,6 @@ type incrState struct {
 	voltDirty     []bool
 	voltDirtyList []int
 	voltAllDirty  bool
-
-	// Incremental STA (evaluator.staIncr): staRefC tracks the reference
-	// analysis (delayScale nil, feeding the voltage refresh) and staScaledC
-	// the delay-scaled one (feeding the cost's critical-delay term), both
-	// patched per move from the journal's net list instead of re-running a
-	// full pass. The scaled cache is invalidated whenever the voltage
-	// scales change (stride refreshes) and rebuilt lazily. Patches are
-	// journaled inside the caches; the move journal records which caches
-	// were patched vs rebuilt so rollback can Revert or Invalidate exactly.
-	staRefC    *timing.STACache
-	staScaledC *timing.STACache
-	staNets    []int // per-move scratch: nets whose delay value changed
-	// staStatsBase folds in the counters of STA cache generations dropped
-	// by a wholesale geometry rebuild, so Result.Stats reports run totals
-	// like every other cache's counters do.
-	staStatsBase timing.STACacheStats
 
 	// Scratch, sized once.
 	netStamp []int
@@ -132,7 +119,7 @@ type incrState struct {
 
 	// Recycled buffers: the annealing loop runs one evaluation per move, so
 	// per-eval allocations are worth pooling. staRef/staScaled back the
-	// full-STA reference path (staIncr off).
+	// reference and delay-scaled STA passes.
 	staRef    *timing.Analysis
 	staScaled *timing.Analysis
 	temps     []*geom.Grid
@@ -234,22 +221,6 @@ type moveJournal struct {
 	// rollback can unmark exactly them (unless refreshed, which re-derives
 	// the set instead — see incrState.voltDirty).
 	voltAdded []int
-
-	// staRefPatched/staScaledPatched mark that applyMove patched the STA
-	// caches with this move's nets (rollback calls Revert);
-	// staRefRebuilt/staScaledRebuilt that a cache ran a full Rebuild during
-	// this evaluation, so its journal cannot restore the pre-move state and
-	// rollback must Invalidate it instead. Rebuilt wins over patched (a
-	// patched-then-rebuilt cache holds the rejected geometry wholesale).
-	// staScaleStable marks that this evaluation's voltage refresh
-	// reproduced the previous delay scales value-for-value, so a rejected
-	// refresh eval can still Revert the scaled cache (the surviving scales
-	// match what it was built under) instead of dropping it.
-	staRefPatched    bool
-	staScaledPatched bool
-	staRefRebuilt    bool
-	staScaledRebuilt bool
-	staScaleStable   bool
 }
 
 // newIncrState allocates an empty cache set; everything is built lazily on
@@ -317,16 +288,13 @@ func (ic *incrState) rollback() {
 		ic.mapsValid = false
 		ic.packers = nil
 		ic.checkRects, ic.checkDies = nil, nil
-		ic.invalidateSTA()
-		if ic.voltDirty != nil {
-			// The caches are gone wholesale; the assigner's snapshot no
-			// longer corresponds to anything we can diff against.
-			ic.voltAllDirty = true
-			ic.clearVoltDirty()
-		}
+		// The caches are gone wholesale; the assigner's snapshot no longer
+		// corresponds to anything we can diff against.
+		ic.voltAllDirty = true
+		ic.clearVoltDirty()
 		return
 	}
-	if ic.voltDirty != nil && j.refreshed {
+	if j.refreshed {
 		// The assigner refreshed on the rejected geometry: relative to its
 		// snapshot, exactly the modules this rollback is about to revert
 		// are dirty — and j.mods IS that set (every listed module changed,
@@ -353,7 +321,7 @@ func (ic *incrState) rollback() {
 			ic.checkDies[m] = j.dies[i]
 		}
 	}
-	if ic.voltDirty != nil && !j.refreshed {
+	if !j.refreshed {
 		// No refresh saw the move: unmark exactly what it marked.
 		for _, m := range j.voltAdded {
 			ic.voltDirty[m] = false
@@ -374,25 +342,6 @@ func (ic *incrState) rollback() {
 		ic.netCross[ni] = j.netCross[i]
 		ic.netWL[ni] = j.netWL[i]
 		ic.netDelay[ni] = j.netDelay[i]
-	}
-	// The STA caches mirror ic.netDelay: revert the per-move patch, unless
-	// the cache ran a full rebuild during the rejected evaluation (then the
-	// journal describes nothing restorable) or — for the scaled cache — the
-	// voltage scales changed (they survive rollback, so the cache must be
-	// rebuilt under them on the next evaluation either way).
-	if ic.staRefC != nil {
-		if j.staRefRebuilt {
-			ic.staRefC.Invalidate()
-		} else if j.staRefPatched {
-			ic.staRefC.Revert()
-		}
-	}
-	if ic.staScaledC != nil {
-		if j.staScaledRebuilt || (j.refreshed && !j.staScaleStable) {
-			ic.staScaledC.Invalidate()
-		} else if j.staScaledPatched {
-			ic.staScaledC.Revert()
-		}
 	}
 	if j.refreshed || j.mapsRebuilt {
 		// Either the scales changed (and survive rollback) or the maps were
@@ -443,26 +392,8 @@ func (e *evaluator) incrementalCost() float64 {
 		if ic.journal != nil {
 			ic.journal.refreshed = true
 		}
-		if ic.staScaledC != nil {
-			if ic.staScaledC.SameScale(e.delayScale) {
-				// A stable assignment reproduced the scales exactly: the
-				// cache stays live, and a rejected move may Revert it.
-				if ic.journal != nil {
-					ic.journal.staScaleStable = true
-				}
-			} else {
-				// The scales actually changed; rebuild lazily below.
-				ic.staScaledC.Invalidate()
-			}
-		}
 	}
 	t.delay = ic.scaledSTA(e).Critical
-	if e.staIncr {
-		ic.syncSTAStats(e)
-		if e.check {
-			e.crossCheckSTA()
-		}
-	}
 	t.power = e.scaledPower
 	t.volumes = float64(e.nVolumes)
 
@@ -489,125 +420,20 @@ func (e *evaluator) incrementalCost() float64 {
 	return cost
 }
 
-// refSTA returns the reference (unscaled) analysis over the cached net
-// delays: served by the incremental STA cache when enabled (rebuilt lazily
-// on first use or after an invalidation, otherwise already patched by
-// applyMove), else a full AnalyzeFromNetDelaysInto pass per call.
+// refSTA runs the reference (unscaled) STA pass over the cached net delays,
+// the timing input of the voltage refresh.
 func (ic *incrState) refSTA(e *evaluator) *timing.Analysis {
-	if !e.staIncr {
-		ic.staRef = timing.AnalyzeFromNetDelaysInto(ic.lay.Design, ic.netDelay, nil, ic.staRef)
-		return ic.staRef
-	}
-	if ic.staRefC == nil {
-		ic.staRefC = timing.NewSTACache(ic.lay.Design, ic.modNets)
-	}
-	if !ic.staRefC.Valid() {
-		ic.staRefC.Rebuild(ic.netDelay, nil)
-		if ic.journal != nil {
-			ic.journal.staRefRebuilt = true
-		}
-	}
-	return ic.staRefC.Analysis()
+	e.stats.STARebuilds++
+	ic.staRef = timing.AnalyzeFromNetDelaysInto(ic.lay.Design, ic.netDelay, nil, ic.staRef)
+	return ic.staRef
 }
 
 // scaledSTA is refSTA under the current voltage delay scales (the cost's
 // critical-delay term).
 func (ic *incrState) scaledSTA(e *evaluator) *timing.Analysis {
-	if !e.staIncr {
-		ic.staScaled = timing.AnalyzeFromNetDelaysInto(ic.lay.Design, ic.netDelay, e.delayScale, ic.staScaled)
-		return ic.staScaled
-	}
-	if ic.staScaledC == nil {
-		ic.staScaledC = timing.NewSTACache(ic.lay.Design, ic.modNets)
-	}
-	if !ic.staScaledC.Valid() {
-		ic.staScaledC.Rebuild(ic.netDelay, e.delayScale)
-		if ic.journal != nil {
-			ic.journal.staScaledRebuilt = true
-		}
-	}
-	return ic.staScaledC.Analysis()
-}
-
-// patchSTA brings the STA caches in line with the move's delay changes
-// (ic.staNets, collected by applyMove's net refresh). Churn gate: an
-// itemized patch recomputes every module incident to a changed net, and its
-// cost grows roughly linearly in the changed-net count while the full pass
-// it can save is flat — BenchmarkSTACachePatch puts the break-even near
-// nNets/11 on an ibm01-class design, so above nNets/16 (margin for the
-// rejected-move Revert) the move just drops the caches, falling back to the
-// lazy full rebuild at the next use, which is exactly the pre-cache cost.
-// An invalidated cache needs no rollback handling: a rejected move leaves
-// it invalid and the rebuild reads the reverted delays.
-func (ic *incrState) patchSTA(e *evaluator, j *moveJournal) {
-	budget := len(ic.netWL) / 16
-	if budget < 16 {
-		budget = 16
-	}
-	if len(ic.staNets) > budget {
-		e.stats.STAGateTrips++
-		ic.invalidateSTA()
-		return
-	}
-	if ic.staRefC != nil && ic.staRefC.Valid() {
-		ic.staRefC.Patch(ic.staNets, ic.netDelay)
-		j.staRefPatched = true
-	}
-	if ic.staScaledC != nil && ic.staScaledC.Valid() {
-		ic.staScaledC.Patch(ic.staNets, ic.netDelay)
-		j.staScaledPatched = true
-	}
-}
-
-// invalidateSTA drops both STA caches (wholesale geometry changes).
-func (ic *incrState) invalidateSTA() {
-	if ic.staRefC != nil {
-		ic.staRefC.Invalidate()
-	}
-	if ic.staScaledC != nil {
-		ic.staScaledC.Invalidate()
-	}
-}
-
-// syncSTAStats mirrors the caches' counters (plus any banked from dropped
-// cache generations) into the run stats.
-func (ic *incrState) syncSTAStats(e *evaluator) {
-	base := ic.staStatsBase
-	patches, rebuilds, mods, rescans := base.Patches, base.Rebuilds, base.ModulesRecomputed, base.CritRescans
-	for _, c := range []*timing.STACache{ic.staRefC, ic.staScaledC} {
-		if c == nil {
-			continue
-		}
-		st := c.Stats()
-		patches += st.Patches
-		rebuilds += st.Rebuilds
-		mods += st.ModulesRecomputed
-		rescans += st.CritRescans
-	}
-	e.stats.STAPatches = patches
-	e.stats.STARebuilds = rebuilds
-	e.stats.STAModulesRecomputed = mods
-	e.stats.STACritRescans = rescans
-}
-
-// crossCheckSTA pins both cached analyses against a from-scratch STA pass
-// over the same cached net delays: Critical, Arrive, Depart, ModuleDelay,
-// and the NetDelay mirror, each within 1e-9 relative. Debug aid behind
-// Config.CostCrossCheck, like crossCheck.
-func (e *evaluator) crossCheckSTA() {
-	ic := e.incr
-	check := func(c *timing.STACache, scale []float64, label string) {
-		if c == nil || !c.Valid() {
-			return
-		}
-		e.stats.STACrossChecks++
-		want := timing.AnalyzeFromNetDelays(ic.lay.Design, ic.netDelay, scale)
-		if err := timing.EquivalentAnalyses(c.Analysis(), want, 1e-9); err != nil {
-			panic(fmt.Sprintf("core: incremental %s STA diverged from full pass: %v", label, err))
-		}
-	}
-	check(ic.staRefC, nil, "reference")
-	check(ic.staScaledC, e.delayScale, "scaled")
+	e.stats.STARebuilds++
+	ic.staScaled = timing.AnalyzeFromNetDelaysInto(ic.lay.Design, ic.netDelay, e.delayScale, ic.staScaled)
+	return ic.staScaled
 }
 
 // crossCheck re-evaluates the current floorplan through the full-recompute
@@ -689,25 +515,12 @@ func (ic *incrState) initGeometry(e *evaluator) {
 	for ni, n := range des.Nets {
 		ic.refreshNet(ni, n, e.cfg.TimingParams)
 	}
-	// The STA caches hold the previous modNets table; drop them so they are
-	// recreated against the fresh one (they rebuild lazily at first use),
-	// banking their counters so the run's stats keep accumulating.
-	for _, c := range []*timing.STACache{ic.staRefC, ic.staScaledC} {
-		if c != nil {
-			st := c.Stats()
-			ic.staStatsBase.Patches += st.Patches
-			ic.staStatsBase.Rebuilds += st.Rebuilds
-			ic.staStatsBase.ModulesRecomputed += st.ModulesRecomputed
-			ic.staStatsBase.CritRescans += st.CritRescans
-		}
-	}
-	ic.staRefC, ic.staScaledC = nil, nil
 
 	ic.maps = make([]*geom.Grid, ic.lay.Dies)
 	ic.resp = make([][]*geom.Grid, ic.lay.Dies)
 	ic.entropy = make([]float64, ic.lay.Dies)
 	ic.mapsValid = false
-	if e.cfg.Mode == TSCAware && e.entropyIncr && ic.entCaches == nil {
+	if e.cfg.Mode == TSCAware && ic.entCaches == nil {
 		ic.entCaches = make([]*leakage.EntropyCache, ic.lay.Dies)
 		for d := range ic.entCaches {
 			c, err := leakage.NewEntropyCache(leakage.EntropyOptions{})
@@ -721,7 +534,7 @@ func (ic *incrState) initGeometry(e *evaluator) {
 	ic.netStamp = make([]int, nNets)
 	ic.dieMark = make([]bool, ic.lay.Dies)
 
-	if e.voltIncr && ic.voltDirty == nil {
+	if ic.voltDirty == nil {
 		ic.voltDirty = make([]bool, nMods)
 	}
 
@@ -827,17 +640,14 @@ func (ic *incrState) applyMove(e *evaluator) {
 
 	// Accumulate the changed modules into the voltage-assigner dirty set,
 	// journaling the newly marked ones for rollback.
-	if ic.voltDirty != nil {
-		for _, m := range j.mods {
-			if !ic.voltDirty[m] {
-				ic.markVoltDirty(m)
-				j.voltAdded = append(j.voltAdded, m)
-			}
+	for _, m := range j.mods {
+		if !ic.voltDirty[m] {
+			ic.markVoltDirty(m)
+			j.voltAdded = append(j.voltAdded, m)
 		}
 	}
 
 	// Patch the nets touching a changed module; mark their dies map-dirty.
-	ic.staNets = ic.staNets[:0]
 	ic.stamp++
 	recomputed := 0
 	for i := range ic.dieMark {
@@ -851,28 +661,17 @@ func (ic *incrState) applyMove(e *evaluator) {
 				continue
 			}
 			ic.netStamp[ni] = ic.stamp
-			old := ic.netDelay[ni]
 			j.nets = append(j.nets, ni)
 			j.netLen = append(j.netLen, ic.netLen[ni])
 			j.netCross = append(j.netCross, ic.netCross[ni])
 			j.netWL = append(j.netWL, ic.netWL[ni])
-			j.netDelay = append(j.netDelay, old)
+			j.netDelay = append(j.netDelay, ic.netDelay[ni])
 			ic.refreshNet(ni, ic.lay.Design.Nets[ni], e.cfg.TimingParams)
-			//lint:floateq change detection against a stored copy: unchanged values are bit-identical, not recomputed
-			if e.staIncr && ic.netDelay[ni] != old {
-				ic.staNets = append(ic.staNets, ni)
-			}
 			recomputed++
 		}
 	}
 	e.stats.NetsRecomputed += recomputed
 	e.stats.NetsReused += len(ic.netWL) - recomputed
-
-	// Update the STA caches from the refreshed nets, or drop them when the
-	// move churned too much for a patch to pay (see patchSTA).
-	if e.staIncr {
-		ic.patchSTA(e, j)
-	}
 
 	ic.dirty = ic.dirty[:0]
 	for d, marked := range ic.dieMark {
@@ -943,14 +742,11 @@ func (ic *incrState) updateMaps(e *evaluator, powers []float64) {
 	ic.dirty = ic.dirty[:0]
 }
 
-// dieEntropy returns die d's spatial entropy under the current maps: served
-// by the incremental entropy cache when enabled, otherwise the from-scratch
-// Eq. 3 evaluation. With the cross-check active every cached value is pinned
-// against the full recompute at 1e-9 (relative).
+// dieEntropy returns die d's spatial entropy under the current maps, served
+// by the incremental entropy cache. With the cross-check active every cached
+// value is pinned against the from-scratch Eq. 3 evaluation at 1e-9
+// (relative).
 func (ic *incrState) dieEntropy(e *evaluator, d int) float64 {
-	if ic.entCaches == nil {
-		return leakage.SpatialEntropy(ic.maps[d], leakage.EntropyOptions{})
-	}
 	ent, patched := ic.entCaches[d].Update(ic.maps[d])
 	if patched {
 		e.stats.EntropyPatched++
@@ -993,9 +789,7 @@ func (ic *incrState) clearVoltDirty() {
 // volt.Assign on the current layout, which the check path verifies.
 func (ic *incrState) refreshVoltAssignment(e *evaluator, ref *timing.Analysis) *volt.Assignment {
 	if ic.vasg == nil {
-		cfg := e.voltConfig()
-		cfg.FullAdjacency = !e.adjIncr
-		ic.vasg = volt.NewAssigner(cfg)
+		ic.vasg = volt.NewAssigner(e.voltConfig())
 	}
 	if ic.voltAllDirty {
 		ic.vasg.Invalidate()

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/floorplan"
+	"repro/internal/netlist"
 	"repro/internal/thermal"
 )
 
@@ -22,10 +23,6 @@ func makeEval(t *testing.T, mode Mode, incremental bool, seed int64) *evaluator 
 	ev := &evaluator{fp: floorplan.NewRandom(des, rng), cfg: &cfg, fast: fast}
 	if incremental {
 		ev.incr = newIncrState()
-		ev.voltIncr = *cfg.IncrementalVoltage
-		ev.entropyIncr = *cfg.IncrementalEntropy
-		ev.adjIncr = *cfg.AdjacencyIndex
-		ev.staIncr = *cfg.IncrementalSTA
 	}
 	return ev
 }
@@ -100,6 +97,38 @@ func TestCostCrossCheckFlag(t *testing.T) {
 	}
 }
 
+// TestIncrementalCostCrossCheckOverJournaledRun is the acceptance contract
+// for the incremental cost over a long journaled run: 1k perturb/cost/undo
+// moves with the cross-check enabled must keep every incremental cost within
+// 1e-9 of the full recompute and the cached layout and changed set exact
+// (crossCheck panics otherwise), while the loop's critical-delay term comes
+// from a full STA pass over the cached net delays on every evaluation.
+func TestIncrementalCostCrossCheckOverJournaledRun(t *testing.T) {
+	ev := makeEval(t, TSCAware, true, 51)
+	ev.check = true
+	rng := rand.New(rand.NewSource(12))
+	dec := rand.New(rand.NewSource(13))
+	ev.Cost()
+	for i := 0; i < 1000; i++ {
+		undo := ev.Perturb(rng)
+		ev.Cost()
+		if dec.Float64() < 0.5 {
+			undo()
+		}
+	}
+	st := ev.stats
+	if st.CrossChecks != st.Evals {
+		t.Fatalf("cross-checked %d of %d evaluations", st.CrossChecks, st.Evals)
+	}
+	if st.STARebuilds != st.Evals+st.VoltRefreshes || st.STAPatches != 0 {
+		t.Fatalf("STA passes %d (patches %d), want one per evaluation plus one per voltage refresh: %+v",
+			st.STARebuilds, st.STAPatches, st)
+	}
+	if st.MaxCrossCheckError > 1e-9 {
+		t.Fatalf("cost cross-check error too large: %g", st.MaxCrossCheckError)
+	}
+}
+
 // TestUndoBeforeCostIsSafe covers the protocol corner where a move is undone
 // without an intervening Cost call: the caches must not go stale.
 func TestUndoBeforeCostIsSafe(t *testing.T) {
@@ -118,49 +147,85 @@ func TestUndoBeforeCostIsSafe(t *testing.T) {
 	}
 }
 
-// TestFlowIncrementalMatchesFull is the end-to-end determinism criterion:
-// for a fixed seed, the flow must produce the identical best floorplan with
-// the incremental evaluator on and off.
-func TestFlowIncrementalMatchesFull(t *testing.T) {
-	des := bench.MustGenerate("n100")
-	run := func(incremental bool) *Result {
-		inc := incremental
-		post := false
-		res, err := Run(des, Config{
-			Mode:            TSCAware,
-			GridN:           16,
-			SAIterations:    400,
-			Seed:            3,
-			PostProcess:     &post,
-			IncrementalCost: &inc,
-		})
-		if err != nil {
-			t.Fatal(err)
+// degenerateNetDesign is a hand-built stack whose netlist contains the
+// degenerate shapes Design.Validate rejects — a single-pin net and an empty
+// net — alongside real nets and a terminal net. The evaluators must agree
+// on it anyway: degenerate nets carry zero WL and zero delay in both paths.
+func degenerateNetDesign() *netlist.Design {
+	mod := func(name string, w, h, p, d float64) *netlist.Module {
+		return &netlist.Module{Name: name, Kind: netlist.Hard, W: w, H: h, Power: p, IntrinsicDelay: d}
+	}
+	return &netlist.Design{
+		Name: "degenerate", Dies: 2, OutlineW: 400, OutlineH: 400,
+		Modules: []*netlist.Module{
+			mod("a", 80, 60, 0.4, 0.2),
+			mod("b", 60, 90, 0.6, 0.3),
+			mod("c", 70, 70, 0.5, 0.25),
+			mod("d", 90, 50, 0.3, 0.15),
+			mod("e", 50, 50, 0.2, 0.1),
+			mod("f", 60, 60, 0.7, 0.35),
+		},
+		Nets: []*netlist.Net{
+			{Name: "ab", Modules: []int{0, 1}},
+			{Name: "bcd", Modules: []int{1, 2, 3}},
+			{Name: "ef", Modules: []int{4, 5}},
+			{Name: "af", Modules: []int{0, 5}},
+			{Name: "single", Modules: []int{2}},                    // degree 1: degenerate
+			{Name: "empty"},                                        // degree 0: degenerate
+			{Name: "term", Modules: []int{3}, Terminals: []int{0}}, // STA-skipped, real WL
+		},
+		Terminals: []*netlist.Terminal{{Name: "p0", X: 0, Y: 200}},
+	}
+}
+
+// TestDegenerateNetsAgreeAcrossEvaluators drives the full and incremental
+// evaluators over a design containing single-pin and empty nets: costs must
+// agree to 1e-9 throughout, the cached WL/delay of the degenerate nets must
+// be exactly zero, and no net may carry a negative delay (the un-guarded
+// Elmore model gave empty nets sinkPins = -1 and a negative delay).
+func TestDegenerateNetsAgreeAcrossEvaluators(t *testing.T) {
+	des := degenerateNetDesign()
+	build := func(incremental bool) *evaluator {
+		cfg := Config{Mode: TSCAware, GridN: 16, Seed: 1}
+		cfg.defaults()
+		fast := thermal.CalibrateFast(thermal.DefaultConfig(16, 16, des.OutlineW, des.OutlineH, des.Dies))
+		rng := rand.New(rand.NewSource(1))
+		ev := &evaluator{fp: floorplan.NewRandom(des, rng), cfg: &cfg, fast: fast}
+		if incremental {
+			ev.incr = newIncrState()
 		}
-		return res
+		return ev
 	}
-	fast := run(true)
-	full := run(false)
-	if len(fast.Layout.Rects) != len(full.Layout.Rects) {
-		t.Fatal("layouts differ in size")
+	full := build(false)
+	inc := build(true)
+	mrFull := rand.New(rand.NewSource(21))
+	mrInc := rand.New(rand.NewSource(21))
+	dec := rand.New(rand.NewSource(22))
+	if d := relDiff(inc.Cost(), full.Cost()); d > 1e-9 {
+		t.Fatalf("initial cost differs by %g", d)
 	}
-	for m := range fast.Layout.Rects {
-		if fast.Layout.Rects[m] != full.Layout.Rects[m] || fast.Layout.DieOf[m] != full.Layout.DieOf[m] {
-			t.Fatalf("module %d placed differently: %+v/die%d vs %+v/die%d", m,
-				fast.Layout.Rects[m], fast.Layout.DieOf[m], full.Layout.Rects[m], full.Layout.DieOf[m])
+	for i := 0; i < 200; i++ {
+		undoFull := full.Perturb(mrFull)
+		undoInc := inc.Perturb(mrInc)
+		cf, ci := full.Cost(), inc.Cost()
+		if d := relDiff(ci, cf); d > 1e-9 {
+			t.Fatalf("cycle %d: incremental %v vs full %v (rel diff %g)", i, ci, cf, d)
+		}
+		if dec.Float64() < 0.5 {
+			undoFull()
+			undoInc()
 		}
 	}
-	if fast.Metrics.PeakTempK != full.Metrics.PeakTempK || fast.Metrics.R1 != full.Metrics.R1 {
-		t.Fatalf("metrics differ: peak %v vs %v, r1 %v vs %v",
-			fast.Metrics.PeakTempK, full.Metrics.PeakTempK, fast.Metrics.R1, full.Metrics.R1)
-	}
-	if fast.EvalStats.IncrementalEvals == 0 {
-		t.Fatalf("incremental run never used the caches: %+v", fast.EvalStats)
-	}
-	if full.EvalStats.IncrementalEvals != 0 {
-		t.Fatalf("full run unexpectedly used caches: %+v", full.EvalStats)
-	}
-	if !fast.SolverStats.Converged || fast.SolverStats.Sweeps == 0 {
-		t.Fatalf("solver stats not recorded: %+v", fast.SolverStats)
+	ic := inc.incr
+	for ni, n := range des.Nets {
+		if n.Degree() < 2 {
+			if ic.netWL[ni] != 0 || ic.netDelay[ni] != 0 || ic.netLen[ni] != 0 {
+				t.Fatalf("degenerate net %q cached WL/delay not zero: wl=%v delay=%v",
+					n.Name, ic.netWL[ni], ic.netDelay[ni])
+			}
+		}
+		if ic.netDelay[ni] < 0 {
+			t.Fatalf("net %q has negative cached delay %v", n.Name, ic.netDelay[ni])
+		}
 	}
 }

@@ -38,15 +38,7 @@ func runParallelAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rn
 	swapSeed := rng.Int63()
 
 	newEval := func(fp *floorplan.Floorplan) *evaluator {
-		ev := &evaluator{fp: fp, cfg: cfg, fast: fast, check: cfg.CostCrossCheck}
-		if *cfg.IncrementalCost {
-			ev.incr = newIncrState()
-			ev.voltIncr = *cfg.IncrementalVoltage
-			ev.entropyIncr = *cfg.IncrementalEntropy
-			ev.adjIncr = *cfg.AdjacencyIndex
-			ev.staIncr = *cfg.IncrementalSTA
-		}
-		return ev
+		return &evaluator{fp: fp, cfg: cfg, fast: fast, incr: newIncrState(), check: cfg.CostCrossCheck}
 	}
 
 	reps := make([]anneal.Replica, k)
@@ -148,9 +140,6 @@ func addEvalStats(dst, src *EvalStats) {
 	dst.AdjCrossChecks += src.AdjCrossChecks
 	dst.STAPatches += src.STAPatches
 	dst.STARebuilds += src.STARebuilds
-	dst.STAModulesRecomputed += src.STAModulesRecomputed
-	dst.STACritRescans += src.STACritRescans
-	dst.STACrossChecks += src.STACrossChecks
 	dst.DiesRepacked += src.DiesRepacked
 	dst.DiesReused += src.DiesReused
 	dst.NetsRecomputed += src.NetsRecomputed
@@ -174,6 +163,5 @@ func addEvalStats(dst, src *EvalStats) {
 			dst.PackChangedHist[i] += c
 		}
 	}
-	dst.STAGateTrips += src.STAGateTrips
 	dst.AdjBulkFallbacks += src.AdjBulkFallbacks
 }

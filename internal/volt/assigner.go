@@ -56,15 +56,12 @@ type Assigner struct {
 	globalMean float64
 	target     float64
 
-	// Adjacency sweeps double-buffer their storage: the refresh diff needs
-	// the previous rows (adj, aliasing adjScratch[adjBuf]) while the new
-	// sweep fills the other scratch. With the churn-tolerant index enabled
-	// (Config.FullAdjacency unset), index owns the rows instead: Refresh
-	// patches only the rows the dirty modules touched and reports exactly
-	// the changed ones, replacing both the full sweep and the all-rows diff.
-	adjScratch [2]floorplan.AdjacencyScratch
-	adjBuf     int
-	index      *floorplan.AdjacencyIndex
+	// index owns the adjacency rows (adj aliases them): Refresh patches only
+	// the rows the dirty modules touched and reports exactly the changed
+	// ones. oneShot marks the throwaway engine of the package-level Assign,
+	// which never refreshes and takes its rows from one sweep instead.
+	index   *floorplan.AdjacencyIndex
+	oneShot bool
 
 	cands []candTree
 
@@ -106,11 +103,11 @@ type AssignerStats struct {
 	// trees served as-is vs regrown because a dependency changed.
 	CandidatesReused  int
 	CandidatesRegrown int
-	// AdjFullSweeps counts full adjacency re-sweeps: rebuilds, every
-	// refresh under Config.FullAdjacency, and index updates that fell back
-	// to the bulk sweep-plus-diff path at high churn. AdjIncrementalUpdates
-	// counts refreshes served by the index's per-module probes. The index
-	// paths together reported AdjRowsChanged changed neighbour rows.
+	// AdjFullSweeps counts full adjacency sweeps: rebuilds and index updates
+	// that fell back to the bulk sweep-plus-diff path at high churn.
+	// AdjIncrementalUpdates counts refreshes served by the index's
+	// per-module probes. The index paths together reported AdjRowsChanged
+	// changed neighbour rows.
 	// AdjBulkFallbacks counts only the high-churn index fallbacks (a subset
 	// of AdjFullSweeps) — the gate trips the packer diff contract is meant
 	// to avoid.
@@ -165,30 +162,16 @@ func (a *Assigner) Invalidate() {
 	}
 }
 
-// CheckAdjacency compares the engine's cached adjacency rows against a fresh
-// sweep of l and returns a description of the first divergence, or nil. The
-// flow's cross-check path uses it to pin the adjacency index; it forfeits
-// the index's speedup, so it is a debug aid only. A nil result on an engine
-// that has not been built yet is trivially nil.
+// CheckAdjacency compares the engine's adjacency index against a fresh sweep
+// of l and returns a description of the first divergence, or nil. The
+// flow's cross-check path uses it to pin the index; it forfeits the index's
+// speedup, so it is a debug aid only. An engine that has not been built yet
+// trivially passes.
 func (a *Assigner) CheckAdjacency(l *floorplan.Layout) error {
-	if !a.valid || a.adj == nil {
+	if !a.valid {
 		return nil
 	}
-	if a.index != nil && a.index.Valid() {
-		return a.index.CheckAgainst(l)
-	}
-	// FullAdjacency mode: a.adj aliases the double-buffered sweep scratch,
-	// so compare against a sweep into fresh storage.
-	want := l.AdjacentModulesInto(&floorplan.AdjacencyScratch{})
-	if len(want) != len(a.adj) {
-		return fmt.Errorf("volt: cached adjacency covers %d modules, layout has %d", len(a.adj), len(want))
-	}
-	for m := range want {
-		if !intsEqual(a.adj[m], want[m]) {
-			return fmt.Errorf("volt: module %d cached adjacency %v != fresh sweep %v", m, a.adj[m], want[m])
-		}
-	}
-	return nil
+	return a.index.CheckAgainst(l)
 }
 
 // Assign computes the full assignment, replacing every cache. It is
@@ -228,36 +211,23 @@ func (a *Assigner) Refresh(l *floorplan.Layout, ref *timing.Analysis, dirtyMods 
 	}
 	// Adjacency depends only on placement, so it is left untouched when
 	// nothing moved. A moved module may keep its adjacency (pure slide):
-	// both paths keep such moves from dirtying anything — the index by
-	// reporting only rows whose content changed, the sweep via the
-	// per-module diff.
+	// the index reports only rows whose content changed, so such moves
+	// dirty nothing.
 	if len(dirtyMods) > 0 {
-		if a.index != nil {
-			changed, bulk := a.index.Update(l, dirtyMods)
-			for _, m := range changed {
-				a.adjDirty[m] = true
-				anyDirty = true
-				a.stats.AdjRowsChanged++
-			}
-			a.adj = a.index.Rows()
-			if bulk {
-				// The index fell back to its sweep-plus-diff path: count it
-				// as a full sweep so the telemetry separates the regimes.
-				a.stats.AdjFullSweeps++
-				a.stats.AdjBulkFallbacks++
-			} else {
-				a.stats.AdjIncrementalUpdates++
-			}
-		} else {
-			adj2 := a.sweepAdjacency(l)
-			for m := range adj2 {
-				if !intsEqual(adj2[m], a.adj[m]) {
-					a.adjDirty[m] = true
-					anyDirty = true
-				}
-			}
-			a.adj = adj2
+		changed, bulk := a.index.Update(l, dirtyMods)
+		for _, m := range changed {
+			a.adjDirty[m] = true
+			anyDirty = true
+			a.stats.AdjRowsChanged++
+		}
+		a.adj = a.index.Rows()
+		if bulk {
+			// The index fell back to its sweep-plus-diff path: count it as a
+			// full sweep so the telemetry separates the regimes.
 			a.stats.AdjFullSweeps++
+			a.stats.AdjBulkFallbacks++
+		} else {
+			a.stats.AdjIncrementalUpdates++
 		}
 	}
 	if !anyDirty && a.last != nil {
@@ -329,8 +299,8 @@ func (a *Assigner) rebuild(l *floorplan.Layout, ref *timing.Analysis) *Assignmen
 		a.refreshMask(m, ref)
 	}
 	a.stats.AdjFullSweeps++
-	if a.cfg.FullAdjacency {
-		a.adj = a.sweepAdjacency(l)
+	if a.oneShot {
+		a.adj = l.AdjacentModules()
 	} else {
 		if a.index == nil {
 			a.index = floorplan.NewAdjacencyIndex()
@@ -344,13 +314,6 @@ func (a *Assigner) rebuild(l *floorplan.Layout, ref *timing.Analysis) *Assignmen
 	a.valid = true
 	a.last = a.partition(l)
 	return a.last
-}
-
-// sweepAdjacency runs the layout's adjacency sweep into the scratch buffer
-// NOT currently backing a.adj, so the caller can diff new rows against old.
-func (a *Assigner) sweepAdjacency(l *floorplan.Layout) [][]int {
-	a.adjBuf = 1 - a.adjBuf
-	return l.AdjacentModulesInto(&a.adjScratch[a.adjBuf])
 }
 
 // refreshMask re-derives module m's feasible-level mask from the reference

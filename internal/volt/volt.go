@@ -64,14 +64,6 @@ type Config struct {
 	// why TSC-aware floorplanning ends up with many more volumes
 	// (Table 2: +87%). Default 0.5.
 	DensityTolerance float64
-	// FullAdjacency disables the Assigner's churn-tolerant adjacency index
-	// (floorplan.AdjacencyIndex): every Refresh then re-sweeps the layout's
-	// adjacency from scratch and diffs all rows — the debugging reference
-	// the index is pinned against. Results are value-identical either way.
-	// The one-shot Assign forces it on (a throwaway engine could never
-	// amortize the index build); the index only pays off for a held
-	// Assigner refreshed over small layout changes.
-	FullAdjacency bool
 }
 
 func (c *Config) defaults() {
@@ -113,14 +105,16 @@ type Assignment struct {
 // must have been produced at the 1.0 V reference (delayScale nil).
 //
 // Assign is the one-shot form of the engine: it builds a throwaway Assigner
-// and runs a full rebuild. The adjacency index is forced off — a throwaway
-// engine could never amortize its build. Callers refreshing the assignment
-// repeatedly over small layout changes (the annealing loop) should hold an
-// Assigner and use Refresh, which reuses every candidate tree whose inputs
-// did not change.
+// and runs a full rebuild, taking the adjacency rows from one sweep of the
+// layout instead of building the adjacency index — a throwaway engine could
+// never amortize the index, and the sweep is the reference the index is
+// pinned against. Callers refreshing the assignment repeatedly over small
+// layout changes (the annealing loop) should hold an Assigner and use
+// Refresh, which reuses every candidate tree whose inputs did not change.
 func Assign(l *floorplan.Layout, ref *timing.Analysis, cfg Config) *Assignment {
-	cfg.FullAdjacency = true
-	return NewAssigner(cfg).Assign(l, ref)
+	a := NewAssigner(cfg)
+	a.oneShot = true
+	return a.Assign(l, ref)
 }
 
 // scoreVolume ranks a candidate for the greedy partition. levels is the

@@ -1,13 +1,8 @@
 // Performance benchmarks for the two hot paths this repo optimizes: the
-// annealing loop's cost evaluation (incremental caches vs full recompute)
-// and the detailed thermal solver (parallel red-black SOR vs serial). See
-// docs/BENCHMARKS.md for the reproducible workflow and recorded baselines;
-// scripts/bench.sh runs the suite and archives results.
-//
-// The anneal-loop legs share every post-PR optimization (swept adjacency,
-// prefix-resumed packing, shared-prefix entropy sums), so their ratio
-// isolates the incremental caching itself. The recorded pre-PR wall-clock
-// baselines in docs/BENCHMARKS.md capture the full speedup.
+// annealing loop's incremental cost evaluation and the detailed thermal
+// solver (parallel red-black SOR vs serial). See docs/BENCHMARKS.md for the
+// recorded baselines; the end-to-end regression benchmark is
+// `bash benchmark/run.sh`.
 package repro
 
 import (
@@ -21,105 +16,57 @@ import (
 	"repro/internal/thermal"
 )
 
-// annealLegConfig toggles the incremental stack one PR at a time, so the
-// legs bracket each optimization generation.
-type annealLegConfig struct {
-	label       string
-	incremental bool // PR 2: geometric/thermal caches
-	incrVolt    bool // PR 3: cached voltage engine
-	incrEntropy bool // PR 4: incremental spatial entropy
-	adjIndex    bool // PR 4: churn-tolerant adjacency index
-	incrSTA     bool // PR 5: incremental static-timing caches
-}
-
-// annealLoopRun executes the SA search (no post-processing) — the flow's
-// hot path — at a fixed budget so legs are comparable.
-func annealLoopRun(b *testing.B, name string, leg annealLegConfig, iters int) *core.Result {
-	b.Helper()
-	des := bench.MustGenerate(name)
-	post := false
-	inc, iv, ie, ai, is := leg.incremental, leg.incrVolt, leg.incrEntropy, leg.adjIndex, leg.incrSTA
-	res, err := core.Run(des, core.Config{
-		Mode:               core.TSCAware,
-		SAIterations:       iters,
-		Seed:               1,
-		PostProcess:        &post,
-		IncrementalCost:    &inc,
-		IncrementalVoltage: &iv,
-		IncrementalEntropy: &ie,
-		AdjacencyIndex:     &ai,
-		IncrementalSTA:     &is,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-// BenchmarkAnnealLoop times the annealing loop in six legs — the
-// full-recompute reference, the incremental geometric/thermal caches with
-// from-scratch voltage refreshes (the PR 2 configuration), the cached
-// voltage engine on top (PR 3), the incremental entropy cache on top of
-// that, the PR 4 stack including the adjacency index, and the full stack
-// with the incremental STA caches (the PR 5 default) — on a small (n100)
-// and a large (ibm01) benchmark. All legs must find the identical best
-// floorplan (asserted by TestFlowIncrementalMatchesFull,
-// TestFlowIncrementalVoltageMatchesFullVoltage,
-// TestFlowIncrementalEntropyAdjacencyMatchesFull, and
-// TestFlowIncrementalSTAMatchesFullSTA in internal/core).
+// BenchmarkAnnealLoop times the annealing loop — the SA search with the
+// incremental evaluator, no post-processing — at a fixed budget on a small
+// (n100) and a large (ibm01) benchmark.
 func BenchmarkAnnealLoop(b *testing.B) {
 	iters := benchIters()
 	for _, name := range []string{"n100", "ibm01"} {
-		for _, leg := range []annealLegConfig{
-			{label: "full-recompute"},
-			{label: "incremental", incremental: true},
-			{label: "incremental-volt", incremental: true, incrVolt: true},
-			{label: "incremental-entropy", incremental: true, incrVolt: true, incrEntropy: true},
-			{label: "incremental-all", incremental: true, incrVolt: true, incrEntropy: true, adjIndex: true},
-			{label: "incremental-sta", incremental: true, incrVolt: true, incrEntropy: true, adjIndex: true, incrSTA: true},
-		} {
-			b.Run(fmt.Sprintf("%s/%s", name, leg.label), func(b *testing.B) {
-				var st core.EvalStats
-				for i := 0; i < b.N; i++ {
-					st = annealLoopRun(b, name, leg, iters).EvalStats
+		b.Run(name, func(b *testing.B) {
+			des := bench.MustGenerate(name)
+			post := false
+			var st core.EvalStats
+			for i := 0; i < b.N; i++ {
+				res, err := core.Run(des, core.Config{
+					Mode:         core.TSCAware,
+					SAIterations: iters,
+					Seed:         1,
+					PostProcess:  &post,
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				if st.Evals > 0 {
-					b.ReportMetric(float64(st.NetsReused)/float64(st.Evals), "nets_reused/eval")
-					b.ReportMetric(float64(st.DiesReused)/float64(st.Evals), "dies_reused/eval")
-				}
-				if st.VoltCandidatesReused+st.VoltCandidatesRegrown > 0 {
-					b.ReportMetric(float64(st.VoltCandidatesReused)/
-						float64(st.VoltCandidatesReused+st.VoltCandidatesRegrown), "volt_cands_reused_frac")
-				}
-				if st.EntropyPatched+st.EntropyRebuilt > 0 {
-					b.ReportMetric(float64(st.EntropyPatched)/
-						float64(st.EntropyPatched+st.EntropyRebuilt), "entropy_patched_frac")
-				}
-				if st.AdjIncrementalUpdates > 0 {
-					b.ReportMetric(float64(st.AdjRowsChanged)/
-						float64(st.AdjIncrementalUpdates), "adj_rows_changed/update")
-				}
-				if st.STAPatches > 0 {
-					b.ReportMetric(float64(st.STAModulesRecomputed)/
-						float64(st.STAPatches), "sta_mods_recomputed/patch")
-					b.ReportMetric(float64(st.STACritRescans)/
-						float64(st.STAPatches), "sta_crit_rescan_frac")
-				}
-				// Churn report: how exact the diff packer's changed sets
-				// are at the default knobs, and how often the downstream
-				// engines' churn gates still trip into their fallbacks.
-				if st.PackMoves > 0 {
-					b.ReportMetric(float64(st.PackChangedPercentile(0.50)), "pack_changed_p50")
-					b.ReportMetric(float64(st.PackChangedPercentile(0.95)), "pack_changed_p95")
-					b.ReportMetric(float64(st.STAGateTrips)/float64(st.PackMoves), "sta_gate_trip_frac")
-					b.ReportMetric(float64(st.AdjBulkFallbacks)/float64(st.PackMoves), "adj_bulk_fallback_frac")
-				}
-				if st.PackDieDiffs > 0 {
-					b.ReportMetric(float64(st.PackEarlyExits)/float64(st.PackDieDiffs), "pack_early_exit_frac")
-					b.ReportMetric(float64(st.PackReplayedPositions)/float64(st.PackDieDiffs), "pack_replayed/diff")
-				}
-			})
-		}
+				st = res.EvalStats
+			}
+			if st.Evals > 0 {
+				b.ReportMetric(float64(st.NetsReused)/float64(st.Evals), "nets_reused/eval")
+				b.ReportMetric(float64(st.DiesReused)/float64(st.Evals), "dies_reused/eval")
+			}
+			if st.VoltCandidatesReused+st.VoltCandidatesRegrown > 0 {
+				b.ReportMetric(float64(st.VoltCandidatesReused)/
+					float64(st.VoltCandidatesReused+st.VoltCandidatesRegrown), "volt_cands_reused_frac")
+			}
+			if st.EntropyPatched+st.EntropyRebuilt > 0 {
+				b.ReportMetric(float64(st.EntropyPatched)/
+					float64(st.EntropyPatched+st.EntropyRebuilt), "entropy_patched_frac")
+			}
+			if st.AdjIncrementalUpdates > 0 {
+				b.ReportMetric(float64(st.AdjRowsChanged)/
+					float64(st.AdjIncrementalUpdates), "adj_rows_changed/update")
+			}
+			// Churn report: how exact the diff packer's changed sets are at
+			// the default knobs, and how often the adjacency index's churn
+			// gate still trips into its bulk fallback.
+			if st.PackMoves > 0 {
+				b.ReportMetric(float64(st.PackChangedPercentile(0.50)), "pack_changed_p50")
+				b.ReportMetric(float64(st.PackChangedPercentile(0.95)), "pack_changed_p95")
+				b.ReportMetric(float64(st.AdjBulkFallbacks)/float64(st.PackMoves), "adj_bulk_fallback_frac")
+			}
+			if st.PackDieDiffs > 0 {
+				b.ReportMetric(float64(st.PackEarlyExits)/float64(st.PackDieDiffs), "pack_early_exit_frac")
+				b.ReportMetric(float64(st.PackReplayedPositions)/float64(st.PackDieDiffs), "pack_replayed/diff")
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -109,6 +110,58 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	// Renderers work from the snapshot alone.
 	if hm, err := back.PowerHeatmap(0); err != nil || len(hm) == 0 {
 		t.Fatalf("decoded heatmap: %q, %v", hm, err)
+	}
+
+	// Stored artifacts written before the incremental timing cache was
+	// retired carry its five sta_* counters in stats, and a registry serves
+	// those bytes verbatim on dedupe hits: they must still decode.
+	data, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	stats := doc["stats"].(map[string]any)
+	for _, k := range []string{"sta_patches", "sta_rebuilds", "sta_modules_recomputed", "sta_crit_rescans", "sta_cross_checks"} {
+		stats[k] = 1
+	}
+	legacy, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := ReadResult(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("result with retired sta_* stats rejected: %v", err)
+	}
+	if err := old.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if old.Stats != res.Stats || old.Metrics.R1 != res.Metrics.R1 {
+		t.Fatal("retired sta_* keys disturbed the decoded result")
+	}
+}
+
+// TestNonFiniteOptionsRejected checks NaN and ±Inf float knobs fail at
+// NewFlow: JSON cannot carry them, so they would otherwise run a whole flow
+// and only fail when the Result is encoded.
+func TestNonFiniteOptionsRejected(t *testing.T) {
+	design := MustBenchmark("n100")
+	nanWeight := DefaultWeights(TSCAware)
+	nanWeight.Correlation = math.NaN()
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"activity sigma NaN", WithActivitySigma(math.NaN())},
+		{"volt target factor NaN", WithVoltTargetFactor(math.NaN())},
+		{"volt target factor +Inf", WithVoltTargetFactor(math.Inf(1))},
+		{"weight NaN", WithWeights(nanWeight)},
+	} {
+		if _, err := NewFlow(design, tc.opt); err == nil {
+			t.Errorf("%s: accepted by NewFlow", tc.name)
+		}
 	}
 }
 

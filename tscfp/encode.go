@@ -86,19 +86,6 @@ type RunStats struct {
 	AdjIncrementalUpdates int `json:"adj_incremental_updates"`
 	AdjRowsChanged        int `json:"adj_rows_changed"`
 	AdjCrossChecks        int `json:"adj_cross_checks"`
-	// STAPatches counts per-move incremental patches applied across the two
-	// timing caches (reference + delay-scaled), STARebuilds their full STA
-	// passes (first use, voltage-scale changes, invalidations),
-	// STAModulesRecomputed the per-patch Arrive/Depart module recomputes
-	// (the caches' actual work, vs one full design walk per pass),
-	// STACritRescans the patches that re-derived the critical max with a
-	// flat scan, and STACrossChecks the cached-vs-full analysis comparisons
-	// (0 unless WithCostCrossCheck).
-	STAPatches           int `json:"sta_patches"`
-	STARebuilds          int `json:"sta_rebuilds"`
-	STAModulesRecomputed int `json:"sta_modules_recomputed"`
-	STACritRescans       int `json:"sta_crit_rescans"`
-	STACrossChecks       int `json:"sta_cross_checks"`
 	// DiesRepacked/DiesReused count per-die skyline packings run vs skipped;
 	// NetsRecomputed/NetsReused the per-net wirelength+delay refreshes;
 	// ResponsesComputed/ResponsesReused the per-source thermal blurs.
@@ -138,12 +125,8 @@ type RunStats struct {
 	// positions actually re-placed. PackChangedModules totals the modules
 	// whose placement a move really changed — the exact dirty set every
 	// downstream cache consumes — with PackChangedP50/P95 the per-move
-	// distribution's percentiles. STAGateTrips counts moves whose changed
-	// nets overflowed the timing caches' patch budget (falling back to
-	// invalidation), AdjBulkFallbacks adjacency-index updates that fell
-	// back to the bulk sweep-plus-diff path; both fallbacks are rare under
-	// the exact contract and were the norm under the old pessimistic
-	// suffix diff.
+	// distribution's percentiles. AdjBulkFallbacks counts adjacency-index
+	// updates that fell back to the bulk sweep-plus-diff path.
 	PackMoves             int `json:"pack_moves,omitempty"`
 	PackDieDiffs          int `json:"pack_die_diffs,omitempty"`
 	PackEarlyExits        int `json:"pack_early_exits,omitempty"`
@@ -151,7 +134,6 @@ type RunStats struct {
 	PackChangedModules    int `json:"pack_changed_modules,omitempty"`
 	PackChangedP50        int `json:"pack_changed_p50,omitempty"`
 	PackChangedP95        int `json:"pack_changed_p95,omitempty"`
-	STAGateTrips          int `json:"sta_gate_trips,omitempty"`
 	AdjBulkFallbacks      int `json:"adj_bulk_fallbacks,omitempty"`
 }
 

@@ -2,6 +2,7 @@ package tscfp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 )
@@ -186,7 +187,13 @@ func WithActivitySamples(n int) Option {
 // WithActivitySigma sets the relative power sigma of the activity model
 // (the paper uses 0.10).
 func WithActivitySigma(sigma float64) Option {
-	return func(s *settings) { s.cfg.ActivitySigma = sigma }
+	return func(s *settings) {
+		if !finite(sigma) {
+			s.fail("non-finite activity sigma %v", sigma)
+			return
+		}
+		s.cfg.ActivitySigma = sigma
+	}
 }
 
 // WithPostProcess forces the dummy-TSV insertion stage on or off,
@@ -261,7 +268,13 @@ func WithVoltEvery(k int) Option {
 // WithVoltTargetFactor relaxes the timing target for voltage assignment.
 // Default 1.15.
 func WithVoltTargetFactor(f float64) Option {
-	return func(s *settings) { s.cfg.VoltTargetFactor = f }
+	return func(s *settings) {
+		if !finite(f) {
+			s.fail("non-finite voltage target factor %v", f)
+			return
+		}
+		s.cfg.VoltTargetFactor = f
+	}
 }
 
 // WithWeights overrides the multi-objective cost weights. The zero value of
@@ -269,10 +282,22 @@ func WithVoltTargetFactor(f float64) Option {
 // from DefaultWeights when adjusting a single knob.
 func WithWeights(w Weights) Option {
 	return func(s *settings) {
+		for _, v := range []float64{w.OutlineViolation, w.Wirelength, w.CriticalDelay,
+			w.PeakTemp, w.Power, w.VoltageVolumes, w.Correlation, w.SpatialEntropy, w.DesignRule} {
+			if !finite(v) {
+				s.fail("non-finite cost weight %v", v)
+				return
+			}
+		}
 		wc := w
 		s.weights = &wc
 	}
 }
+
+// finite reports whether v is neither NaN nor ±Inf. A non-finite knob would
+// run a whole flow and only fail when the Result is encoded, since JSON
+// cannot carry NaN or Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // DefaultWeights returns the mode's default cost weights. It also accepts
 // the ParseMode spellings ("pa", "tsc") and panics on an unknown mode — a
@@ -369,95 +394,13 @@ func WithSpeculation(m int) Option {
 	}
 }
 
-// WithIncrementalCost selects the annealing-loop cost evaluator. Enabled by
-// default: moves repack only the dies they touch and patch cached per-net
-// wirelength/delay and per-die thermal state, with the full-recompute path
-// kept as the debugging reference. Disabling it recomputes every term from
-// scratch on every move. Both evaluators find the identical best floorplan
-// for a fixed seed; their per-move costs agree to well within 1e-9.
-func WithIncrementalCost(enabled bool) Option {
-	return func(s *settings) {
-		v := enabled
-		s.cfg.IncrementalCost = &v
-	}
-}
-
-// WithIncrementalVoltage selects the incremental voltage-volume refresh.
-// Enabled by default: the annealing loop holds a cached assignment engine
-// (per-module feasible-level masks, adjacency lists, per-root candidate
-// trees) and each stride refresh regrows only the candidate trees whose
-// inputs changed since the previous refresh, with the dirty set derived from
-// the move journal. Disabling it recomputes the assignment from scratch at
-// every refresh. Both paths produce identical voltage volumes and scales for
-// a fixed seed (see WithCostCrossCheck); only effective together with
-// WithIncrementalCost, since the dirty set comes from its move journal.
-func WithIncrementalVoltage(enabled bool) Option {
-	return func(s *settings) {
-		v := enabled
-		s.cfg.IncrementalVoltage = &v
-	}
-}
-
-// WithIncrementalEntropy selects the incremental spatial-entropy refresh
-// (TSC mode). Enabled by default: each die holds an entropy cache that
-// maintains the nested-means value sort and evaluates the per-class
-// Manhattan terms of Eq. 3 from coordinate histograms, patching both from
-// the power-map diff of each move instead of recomputing the metric from
-// scratch per dirty die. Disabling it restores the from-scratch evaluation.
-// Both paths agree within 1e-9 per die (see WithCostCrossCheck) and produce
-// the identical best floorplan for a fixed seed; only effective together
-// with WithIncrementalCost, since the caches live in its move journal.
-func WithIncrementalEntropy(enabled bool) Option {
-	return func(s *settings) {
-		v := enabled
-		s.cfg.IncrementalEntropy = &v
-	}
-}
-
-// WithAdjacencyIndex selects the churn-tolerant adjacency structure inside
-// the incremental voltage engine. Enabled by default: the cached assigner
-// keeps a bucketed interval index of module adjacency and each stride
-// refresh patches only the neighbour rows the moved modules touched,
-// replacing the full adjacency re-sweep and all-rows diff. Disabling it
-// restores the re-sweep (the debugging reference the index is pinned
-// against). Row sets are exactly equal either way; only effective together
-// with WithIncrementalVoltage, which owns the assigner.
-func WithAdjacencyIndex(enabled bool) Option {
-	return func(s *settings) {
-		v := enabled
-		s.cfg.AdjacencyIndex = &v
-	}
-}
-
-// WithIncrementalSTA selects the incremental static-timing engine. Enabled
-// by default: the annealing loop holds two timing caches — the reference
-// analysis feeding voltage refreshes and the delay-scaled one feeding the
-// critical-delay cost term — that patch Arrive/Depart and the global
-// critical delay from each move's refreshed nets instead of re-running two
-// full-design STA passes per evaluation, with journaled undo for rejected
-// moves. Disabling it restores the per-evaluation full passes (the
-// debugging reference the caches are pinned against). Both paths agree
-// within 1e-9 on every analysis field (see WithCostCrossCheck) and produce
-// the identical best floorplan for a fixed seed; only effective together
-// with WithIncrementalCost, since the patches come from its move journal.
-func WithIncrementalSTA(enabled bool) Option {
-	return func(s *settings) {
-		v := enabled
-		s.cfg.IncrementalSTA = &v
-	}
-}
-
 // WithCostCrossCheck re-evaluates every annealing move through the full
 // recompute path and panics if the incremental cost drifts beyond 1e-9
-// (relative); with WithIncrementalVoltage it additionally pins every
-// incremental voltage refresh against a from-scratch assignment (identical
-// volumes, total power within 1e-9), with WithAdjacencyIndex the cached
-// adjacency rows against a fresh sweep (exact equality), with
-// WithIncrementalEntropy every patched per-die entropy against a
-// from-scratch recompute (1e-9 relative), and with WithIncrementalSTA both
-// cached timing analyses against a full STA pass on every evaluation (1e-9
-// on every field). Debug aid: it forfeits the entire incremental speedup.
-// It has no effect when WithIncrementalCost(false) is set.
+// (relative). It also pins every incremental voltage refresh against a
+// from-scratch assignment (identical volumes, total power within 1e-9), the
+// adjacency index against a fresh sweep (exact equality), and every patched
+// per-die entropy against a from-scratch recompute (1e-9 relative). Debug
+// aid: it forfeits the entire incremental speedup.
 func WithCostCrossCheck(enabled bool) Option {
 	return func(s *settings) { s.cfg.CostCrossCheck = enabled }
 }
@@ -465,10 +408,10 @@ func WithCostCrossCheck(enabled bool) Option {
 // WithChurnStats surfaces the exact-diff repack churn counters in
 // Result.Stats: the pack_* fields (moves through the diff packer, per-die
 // diffs, early exits, replayed positions, changed-module totals and p50/p95
-// per move) plus the sta_gate_trips and adj_bulk_fallbacks fallback-path
-// counters. The counters are always collected; this knob only controls
-// whether they appear on the wire, so the default JSON encoding stays
-// byte-identical to earlier releases. Default off.
+// per move) plus the adj_bulk_fallbacks fallback-path counter. The counters
+// are always collected; this knob only controls whether they appear on the
+// wire, so the default JSON encoding stays byte-identical to earlier
+// releases. Default off.
 func WithChurnStats(enabled bool) Option {
 	return func(s *settings) { s.churnStats = enabled }
 }

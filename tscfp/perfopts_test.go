@@ -12,15 +12,16 @@ func TestPerfOptionValidation(t *testing.T) {
 	if _, err := NewFlow(design, WithParallelism(-1)); err == nil {
 		t.Fatal("negative parallelism must fail")
 	}
-	if _, err := NewFlow(design, WithParallelism(0), WithIncrementalCost(true), WithCostCrossCheck(true)); err != nil {
+	if _, err := NewFlow(design, WithParallelism(0), WithCostCrossCheck(true)); err != nil {
 		t.Fatalf("valid perf options rejected: %v", err)
 	}
 }
 
 // TestIncrementalTogglesAgree pins the public determinism contract: for a
-// fixed seed the incremental and full-recompute evaluators, and every
-// parallelism setting, produce the identical result JSON (stats and runtime
-// aside).
+// fixed seed the default run and a cross-checked serial run — every
+// incremental cost, voltage refresh, entropy patch and adjacency update
+// pinned against its full recompute — produce the identical result JSON
+// (stats and runtime aside).
 func TestIncrementalTogglesAgree(t *testing.T) {
 	design := MustBenchmark("n100")
 	run := func(opts ...Option) *Result {
@@ -47,7 +48,7 @@ func TestIncrementalTogglesAgree(t *testing.T) {
 		}
 		return string(data)
 	}
-	inc := run(WithIncrementalCost(true), WithParallelism(0))
+	inc := run(WithParallelism(0))
 	if inc.Stats.IncrementalEvals == 0 || inc.Stats.Evals == 0 {
 		t.Fatalf("stats not recorded: %+v", inc.Stats)
 	}
@@ -60,22 +61,15 @@ func TestIncrementalTogglesAgree(t *testing.T) {
 	if inc.Stats.EntropyPatched == 0 || inc.Stats.AdjRowsChanged == 0 {
 		t.Fatalf("default run never engaged the entropy/adjacency caches: %+v", inc.Stats)
 	}
-	if inc.Stats.STAPatches == 0 || inc.Stats.STAModulesRecomputed == 0 {
-		t.Fatalf("default run never engaged the STA caches: %+v", inc.Stats)
-	}
 	if !inc.Stats.SolverConverged || inc.Stats.SolverSweeps == 0 {
 		t.Fatalf("solver stats not recorded: %+v", inc.Stats)
 	}
-	full := run(WithIncrementalCost(false), WithParallelism(1))
-	if full.Stats.IncrementalEvals != 0 {
-		t.Fatalf("full run used caches: %+v", full.Stats)
-	}
-	if canon(inc) != canon(full) {
-		t.Fatal("incremental+parallel and full+serial runs disagree")
-	}
-	checked := run(WithIncrementalCost(true), WithCostCrossCheck(true))
+	checked := run(WithCostCrossCheck(true), WithParallelism(1))
 	if checked.Stats.Evals == 0 {
 		t.Fatal("cross-checked run recorded no evals")
+	}
+	if checked.Core().EvalStats.CrossChecks == 0 {
+		t.Fatalf("costs were not cross-checked: %+v", checked.Core().EvalStats)
 	}
 	if checked.Stats.VoltCrossChecks == 0 {
 		t.Fatalf("voltage refreshes were not cross-checked: %+v", checked.Stats)
@@ -83,32 +77,8 @@ func TestIncrementalTogglesAgree(t *testing.T) {
 	if checked.Stats.EntropyCrossChecks == 0 || checked.Stats.AdjCrossChecks == 0 {
 		t.Fatalf("entropy/adjacency caches were not cross-checked: %+v", checked.Stats)
 	}
-	if checked.Stats.STACrossChecks == 0 {
-		t.Fatalf("STA caches were not cross-checked: %+v", checked.Stats)
-	}
 	if canon(checked) != canon(inc) {
-		t.Fatal("cross-checked run disagrees")
-	}
-	fullVolt := run(WithIncrementalVoltage(false))
-	if fullVolt.Stats.VoltIncrementalRefreshes != 0 {
-		t.Fatalf("full-voltage run used the assigner: %+v", fullVolt.Stats)
-	}
-	if canon(fullVolt) != canon(inc) {
-		t.Fatal("incremental and full voltage refreshes disagree")
-	}
-	fullEntAdj := run(WithIncrementalEntropy(false), WithAdjacencyIndex(false))
-	if fullEntAdj.Stats.EntropyPatched != 0 || fullEntAdj.Stats.AdjRowsChanged != 0 {
-		t.Fatalf("disabled entropy/adjacency caches engaged: %+v", fullEntAdj.Stats)
-	}
-	if canon(fullEntAdj) != canon(inc) {
-		t.Fatal("incremental and full entropy/adjacency refreshes disagree")
-	}
-	fullSTA := run(WithIncrementalSTA(false))
-	if fullSTA.Stats.STAPatches != 0 || fullSTA.Stats.STARebuilds != 0 {
-		t.Fatalf("disabled STA caches engaged: %+v", fullSTA.Stats)
-	}
-	if canon(fullSTA) != canon(inc) {
-		t.Fatal("incremental and full STA passes disagree")
+		t.Fatal("cross-checked serial run disagrees with the default run")
 	}
 }
 

@@ -121,11 +121,6 @@ func newResult(res *core.Result, mode Mode, seed int64, churn bool) *Result {
 			AdjIncrementalUpdates:    res.EvalStats.AdjIncrementalUpdates,
 			AdjRowsChanged:           res.EvalStats.AdjRowsChanged,
 			AdjCrossChecks:           res.EvalStats.AdjCrossChecks,
-			STAPatches:               res.EvalStats.STAPatches,
-			STARebuilds:              res.EvalStats.STARebuilds,
-			STAModulesRecomputed:     res.EvalStats.STAModulesRecomputed,
-			STACritRescans:           res.EvalStats.STACritRescans,
-			STACrossChecks:           res.EvalStats.STACrossChecks,
 			DiesRepacked:             res.EvalStats.DiesRepacked,
 			DiesReused:               res.EvalStats.DiesReused,
 			NetsRecomputed:           res.EvalStats.NetsRecomputed,
@@ -154,7 +149,6 @@ func newResult(res *core.Result, mode Mode, seed int64, churn bool) *Result {
 		r.Stats.PackChangedModules = res.EvalStats.PackChangedModules
 		r.Stats.PackChangedP50 = res.EvalStats.PackChangedPercentile(0.50)
 		r.Stats.PackChangedP95 = res.EvalStats.PackChangedPercentile(0.95)
-		r.Stats.STAGateTrips = res.EvalStats.STAGateTrips
 		r.Stats.AdjBulkFallbacks = res.EvalStats.AdjBulkFallbacks
 	}
 	for mi, m := range res.Design.Modules {
