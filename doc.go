@@ -7,9 +7,11 @@
 // resolution, dummy-TSV post-processing, progress callbacks), Flow.Run(ctx)
 // executes the full TSC-aware floorplanning flow with cooperative
 // cancellation, and tscfp.Sweep fans a parameter grid (seeds × modes × grid
-// sizes) out over a worker pool. Results and designs serialize to stable
-// JSON; the same design, seed, and options reproduce a Result
-// byte-identically.
+// sizes) out over a worker pool. The knob options each set one field of
+// tscfp.RunOptions, the single knob set, which tscfp.RunOptions.Canonical
+// validates for NewFlow and for the tscfpd job API alike. Results and
+// designs serialize to stable JSON; the same design, seed, and options
+// reproduce a Result byte-identically.
 //
 //	design, _ := tscfp.Benchmark("n100")
 //	res, err := tscfp.Run(ctx, design,

@@ -220,3 +220,32 @@ func TestPropertyResizeAreaInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestValidateRejectsNonFinite checks every float field Validate guards
+// rejects NaN and ±Inf: a plain `v <= 0` check passes NaN, since every
+// comparison with NaN is false.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		set  func(d *Design)
+	}{
+		{"outline W NaN", func(d *Design) { d.OutlineW = nan }},
+		{"outline H +Inf", func(d *Design) { d.OutlineH = inf }},
+		{"module W NaN", func(d *Design) { d.Modules[0].W = nan }},
+		{"module H +Inf", func(d *Design) { d.Modules[0].H = inf }},
+		{"power NaN", func(d *Design) { d.Modules[1].Power = nan }},
+		{"power +Inf", func(d *Design) { d.Modules[1].Power = inf }},
+		{"intrinsic delay NaN", func(d *Design) { d.Modules[2].IntrinsicDelay = nan }},
+		{"intrinsic delay -Inf", func(d *Design) { d.Modules[2].IntrinsicDelay = -inf }},
+		{"soft min aspect NaN", func(d *Design) { d.Modules[1].MinAspect = nan }},
+		{"soft max aspect +Inf", func(d *Design) { d.Modules[1].MaxAspect = inf }},
+		{"hard aspect NaN", func(d *Design) { d.Modules[0].MaxAspect = nan }},
+	} {
+		d := smallDesign()
+		tc.set(d)
+		if err := d.Validate(); err == nil {
+			t.Errorf("%s: accepted by Validate", tc.name)
+		}
+	}
+}

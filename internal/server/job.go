@@ -60,9 +60,10 @@ type JobRequest struct {
 	Sweep    *SweepSpec `json:"sweep,omitempty"`
 }
 
-// normalize resolves the request's design, canonicalizes option spellings
-// in place, and fail-fasts option validation through NewFlow, so a bad
-// submission is a 400 at admission instead of a failed job later.
+// normalize resolves the request's design, validates the options and
+// canonicalizes them in place through RunOptions.Canonical, then builds the
+// flow with NewFlow, so a bad submission is a 400 at admission instead of a
+// failed job later.
 func (r *JobRequest) normalize() (*tscfp.Design, error) {
 	if r.Benchmark != "" && r.Design != nil {
 		return nil, errors.New("benchmark and design are mutually exclusive")

@@ -473,7 +473,7 @@ func (s *Server) runSweep(j *job) (string, error) {
 	outs := make([]sweepCell, len(cells))
 	allCached := true
 	for i, c := range cells {
-		keys[i], err = contentKey(j.design, cellOptions(j.req.Options, c), nil)
+		keys[i], err = contentKey(j.design, c.Overlay(j.req.Options), nil)
 		if err != nil {
 			return "", err
 		}
@@ -538,22 +538,6 @@ func (s *Server) runSweep(j *job) (string, error) {
 		return "", err
 	}
 	return j.key, nil
-}
-
-// cellOptions overlays one sweep cell onto the job's base options, mirroring
-// tscfp.Cell.Options so the cell's content address equals the address of an
-// equivalent single-run submission.
-func cellOptions(base tscfp.RunOptions, c tscfp.Cell) tscfp.RunOptions {
-	o := base
-	o.Seed = c.Seed
-	o.Mode = string(c.Mode)
-	if c.GridN > 0 {
-		o.GridN = c.GridN
-	}
-	if c.Iterations > 0 {
-		o.Iterations = c.Iterations
-	}
-	return o
 }
 
 // ---- lifecycle handlers ----

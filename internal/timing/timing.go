@@ -76,24 +76,19 @@ func Analyze(l *floorplan.Layout, delayScale []float64, p Params) *Analysis {
 	return AnalyzeFromNetDelaysInto(l.Design, netDelay, delayScale, &Analysis{NetDelay: netDelay})
 }
 
-// AnalyzeFromNetDelays runs the STA pass over precomputed per-net Elmore
+// AnalyzeFromNetDelaysInto runs the STA pass over precomputed per-net Elmore
 // delays (in ns), bypassing the geometric estimation. Given the delays
 // Analyze would compute, it returns an identical Analysis — this is the
 // entry point for the incremental cost evaluator, which keeps the per-net
 // delays cached across annealing moves and recomputes only the nets touched
-// by a move. netDelay is copied, not retained.
-func AnalyzeFromNetDelays(des *netlist.Design, netDelay []float64, delayScale []float64) *Analysis {
-	return AnalyzeFromNetDelaysInto(des, netDelay, delayScale, nil)
-}
-
-// AnalyzeFromNetDelaysInto is AnalyzeFromNetDelays reusing the slices of a
-// previous Analysis (nil allocates a fresh one) — the annealing loop runs
-// one to two STA passes per move, so the buffers are worth recycling. The
-// returned Analysis is `into` when provided; its previous contents are
-// overwritten. netDelay is copied into the Analysis, never aliased: the
-// incremental cost evaluator patches its cached per-net delays in place on
-// every annealing move, and an Analysis retained past the call (a report, a
-// snapshot in a Result) must not drift with those patches.
+// by a move. It reuses the slices of a previous Analysis (nil allocates a
+// fresh one) — the annealing loop runs one to two STA passes per move, so
+// the buffers are worth recycling. The returned Analysis is `into` when
+// provided; its previous contents are overwritten. netDelay is copied into
+// the Analysis, never aliased: the incremental cost evaluator patches its
+// cached per-net delays in place on every annealing move, and an Analysis
+// retained past the call (a report, a snapshot in a Result) must not drift
+// with those patches.
 func AnalyzeFromNetDelaysInto(des *netlist.Design, netDelay []float64, delayScale []float64, into *Analysis) *Analysis {
 	nMod := len(des.Modules)
 	a := into

@@ -115,7 +115,6 @@ func TestAnalysisDoesNotAliasNetDelay(t *testing.T) {
 		name string
 		a    *Analysis
 	}{
-		{"AnalyzeFromNetDelays", AnalyzeFromNetDelays(des, src, nil)},
 		{"AnalyzeFromNetDelaysInto-nil", AnalyzeFromNetDelaysInto(des, src, nil, nil)},
 		{"AnalyzeFromNetDelaysInto-reused", AnalyzeFromNetDelaysInto(des, src, nil, &Analysis{})},
 	} {

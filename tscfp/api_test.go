@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -144,8 +145,9 @@ func TestResultJSONRoundTrip(t *testing.T) {
 }
 
 // TestNonFiniteOptionsRejected checks NaN and ±Inf float knobs fail at
-// NewFlow: JSON cannot carry them, so they would otherwise run a whole flow
-// and only fail when the Result is encoded.
+// NewFlow and at Canonical: JSON cannot carry them, so they would otherwise
+// run a whole flow and only fail when the Result is encoded. Canonical's
+// error must name the knob.
 func TestNonFiniteOptionsRejected(t *testing.T) {
 	design := MustBenchmark("n100")
 	nanWeight := DefaultWeights(TSCAware)
@@ -161,6 +163,23 @@ func TestNonFiniteOptionsRejected(t *testing.T) {
 	} {
 		if _, err := NewFlow(design, tc.opt); err == nil {
 			t.Errorf("%s: accepted by NewFlow", tc.name)
+		}
+	}
+
+	infWeight := DefaultWeights(PowerAware)
+	infWeight.DesignRule = math.Inf(-1)
+	for _, tc := range []struct {
+		knob string
+		o    RunOptions
+	}{
+		{"activity_sigma", RunOptions{ActivitySigma: math.Inf(1)}},
+		{"volt_target_factor", RunOptions{VoltTargetFactor: math.NaN()}},
+		{"weights.correlation", RunOptions{Weights: &nanWeight}},
+		{"weights.design_rule", RunOptions{Mode: "pa", Weights: &infWeight}},
+	} {
+		_, err := tc.o.Canonical()
+		if err == nil || !strings.Contains(err.Error(), tc.knob) {
+			t.Errorf("%s: Canonical returned %v, want an error naming the knob", tc.knob, err)
 		}
 	}
 }

@@ -1,19 +1,25 @@
 package tscfp
 
-import "fmt"
+import (
+	"fmt"
+	"math"
 
-// RunOptions is the JSON-decodable knob set accepted by out-of-process
-// callers (the tscfpd job API, config files). It mirrors the functional
-// options of this package one field per knob; the zero value of every field
-// selects the same default as omitting the corresponding option, so a
-// decoded `{}` behaves exactly like NewFlow(design) with no options.
+	"repro/internal/core"
+)
+
+// RunOptions is the knob set of a flow: the one place every knob is
+// stored. The With* options of this package each set one of its fields,
+// and it is also the JSON-decodable form accepted by out-of-process callers
+// (the tscfpd job API, config files). The zero value of every field selects
+// the knob's default, so a decoded `{}` behaves exactly like
+// NewFlow(design) with no options.
 //
 // Strings follow the CLI spellings: Mode accepts the ParseMode forms
 // ("pa", "power-aware", "tsc", "tsc-aware") and PostCriterion accepts
 // "bottom-die" or "all-dies". Marshaling is deterministic (fields in
 // declaration order, omitempty throughout), which serving layers rely on
-// when content-addressing a submission — normalize Mode via Canonical
-// before hashing so "tsc" and "tsc-aware" address the same artifact.
+// when content-addressing a submission — normalize via Canonical before
+// hashing so "tsc" and "tsc-aware" address the same artifact.
 type RunOptions struct {
 	Mode              string   `json:"mode,omitempty"`
 	Seed              int64    `json:"seed,omitempty"`
@@ -37,10 +43,16 @@ type RunOptions struct {
 	Speculation int `json:"speculation,omitempty"`
 }
 
-// Canonical returns a normalized copy: mode and criterion spellings are
-// expanded to their full forms ("tsc" becomes "tsc-aware"). Two RunOptions
-// that configure the same flow canonicalize to identical JSON, making the
-// result a safe content-address component.
+// Canonical validates the knob set and returns a normalized copy. It is
+// the one validator of the knobs: NewFlow, Options and tscfpd's admission
+// all go through it. It rejects unknown mode and criterion spellings,
+// negative counts and NaN/±Inf floats (which JSON cannot carry, so a flow
+// would run to completion and only fail to encode its Result), naming the
+// knob in each error. It expands spellings to their full forms ("tsc"
+// becomes "tsc-aware") and normalizes Replicas and Speculation 1 to 0, the
+// other spelling of the serial path. Two RunOptions that configure the same
+// flow canonicalize to identical JSON, making the result a safe
+// content-address component.
 func (o RunOptions) Canonical() (RunOptions, error) {
 	if o.Mode != "" {
 		m, err := ParseMode(o.Mode)
@@ -54,14 +66,39 @@ func (o RunOptions) Canonical() (RunOptions, error) {
 	default:
 		return RunOptions{}, fmt.Errorf("tscfp: unknown post criterion %q", o.PostCriterion)
 	}
-	// 1 and 0 both select the serial annealing path and must hash the same;
-	// negatives would otherwise canonicalize silently and only fail later in
-	// NewFlow, after a dedupe key was already derived from them.
-	if o.Replicas < 0 {
-		return RunOptions{}, fmt.Errorf("tscfp: negative replica count %d", o.Replicas)
+	par := 0
+	if o.Parallelism != nil {
+		par = *o.Parallelism
 	}
-	if o.Speculation < 0 {
-		return RunOptions{}, fmt.Errorf("tscfp: negative speculation width %d", o.Speculation)
+	for _, k := range []struct {
+		name string
+		n    int
+	}{
+		{"iterations", o.Iterations}, {"grid_n", o.GridN},
+		{"activity_samples", o.ActivitySamples}, {"max_dummy_groups", o.MaxDummyGroups},
+		{"dummy_vias_per_group", o.DummyViasPerGroup}, {"volt_every", o.VoltEvery},
+		{"parallelism", par}, {"replicas", o.Replicas}, {"speculation", o.Speculation},
+	} {
+		if k.n < 0 {
+			return RunOptions{}, fmt.Errorf("tscfp: negative %s %d", k.name, k.n)
+		}
+	}
+	type knob struct {
+		name string
+		v    float64
+	}
+	floats := []knob{{"activity_sigma", o.ActivitySigma}, {"volt_target_factor", o.VoltTargetFactor}}
+	if w := o.Weights; w != nil {
+		floats = append(floats, knob{"weights.outline_violation", w.OutlineViolation},
+			knob{"weights.wirelength", w.Wirelength}, knob{"weights.critical_delay", w.CriticalDelay},
+			knob{"weights.peak_temp", w.PeakTemp}, knob{"weights.power", w.Power},
+			knob{"weights.voltage_volumes", w.VoltageVolumes}, knob{"weights.correlation", w.Correlation},
+			knob{"weights.spatial_entropy", w.SpatialEntropy}, knob{"weights.design_rule", w.DesignRule})
+	}
+	for _, k := range floats {
+		if math.IsNaN(k.v) || math.IsInf(k.v, 0) {
+			return RunOptions{}, fmt.Errorf("tscfp: non-finite %s %v", k.name, k.v)
+		}
 	}
 	if o.Replicas == 1 {
 		o.Replicas = 0
@@ -72,67 +109,53 @@ func (o RunOptions) Canonical() (RunOptions, error) {
 	return o, nil
 }
 
-// Options lowers the decoded knobs into functional options for NewFlow.
-// Only knobs that differ from their zero value are emitted, so flow
-// defaults stay owned by the options themselves. Spelling errors (unknown
-// mode or criterion) surface here; range errors (negative budgets, bad
-// weights) surface from NewFlow exactly as they would for a direct caller.
+// Options returns the knob set as flow options for NewFlow: one Option
+// that sets every knob to its canonical value. Because it sets every knob,
+// it must come before any option that overrides one of them; an option
+// placed before it is overwritten. Spelling and range errors (unknown mode
+// or criterion, negative counts, NaN/±Inf floats) surface here, from
+// Canonical.
 func (o RunOptions) Options() ([]Option, error) {
 	c, err := o.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	var opts []Option
-	if c.Mode != "" {
-		opts = append(opts, WithMode(Mode(c.Mode)))
+	return []Option{func(s *settings) { s.RunOptions = c }}, nil
+}
+
+// config lowers a canonical knob set into the flow configuration, field
+// for field. Zero fields stay zero, so core fills in every default; slices
+// and pointed-to values are copied, so a Flow shares no memory with the
+// options it was built from.
+func (o RunOptions) config() core.Config {
+	cfg := core.Config{
+		Mode:              Mode(o.Mode).core(),
+		Seed:              o.Seed,
+		SAIterations:      o.Iterations,
+		GridN:             o.GridN,
+		ActivitySamples:   o.ActivitySamples,
+		ActivitySigma:     o.ActivitySigma,
+		ProtectModules:    append([]int(nil), o.ProtectedModules...),
+		MaxDummyGroups:    o.MaxDummyGroups,
+		DummyViasPerGroup: o.DummyViasPerGroup,
+		VoltEvery:         o.VoltEvery,
+		VoltTargetFactor:  o.VoltTargetFactor,
+		Replicas:          o.Replicas,
+		Speculation:       o.Speculation,
 	}
-	if c.Seed != 0 {
-		opts = append(opts, WithSeed(c.Seed))
+	if PostCriterion(o.PostCriterion) == AllDies {
+		cfg.PostCriterion = core.AllDies
 	}
-	if c.Iterations != 0 {
-		opts = append(opts, WithIterations(c.Iterations))
+	if o.PostProcess != nil {
+		pp := *o.PostProcess
+		cfg.PostProcess = &pp
 	}
-	if c.GridN != 0 {
-		opts = append(opts, WithGridN(c.GridN))
+	if o.Weights != nil {
+		w := core.Weights(*o.Weights)
+		cfg.Weights = &w
 	}
-	if c.ActivitySamples != 0 {
-		opts = append(opts, WithActivitySamples(c.ActivitySamples))
+	if o.Parallelism != nil {
+		cfg.Parallelism = *o.Parallelism
 	}
-	if c.ActivitySigma != 0 {
-		opts = append(opts, WithActivitySigma(c.ActivitySigma))
-	}
-	if c.PostProcess != nil {
-		opts = append(opts, WithPostProcess(*c.PostProcess))
-	}
-	if c.PostCriterion != "" {
-		opts = append(opts, WithPostCriterion(PostCriterion(c.PostCriterion)))
-	}
-	if len(c.ProtectedModules) > 0 {
-		opts = append(opts, WithProtectedModules(c.ProtectedModules...))
-	}
-	if c.MaxDummyGroups != 0 {
-		opts = append(opts, WithMaxDummyGroups(c.MaxDummyGroups))
-	}
-	if c.DummyViasPerGroup != 0 {
-		opts = append(opts, WithDummyViasPerGroup(c.DummyViasPerGroup))
-	}
-	if c.VoltEvery != 0 {
-		opts = append(opts, WithVoltEvery(c.VoltEvery))
-	}
-	if c.VoltTargetFactor != 0 {
-		opts = append(opts, WithVoltTargetFactor(c.VoltTargetFactor))
-	}
-	if c.Weights != nil {
-		opts = append(opts, WithWeights(*c.Weights))
-	}
-	if c.Parallelism != nil {
-		opts = append(opts, WithParallelism(*c.Parallelism))
-	}
-	if c.Replicas != 0 {
-		opts = append(opts, WithReplicas(c.Replicas))
-	}
-	if c.Speculation != 0 {
-		opts = append(opts, WithSpeculation(c.Speculation))
-	}
-	return opts, nil
+	return cfg
 }

@@ -66,6 +66,26 @@ func TestRunOptionsCanonical(t *testing.T) {
 	}
 }
 
+// flowOf builds an n100 flow, failing the test on an option error.
+func flowOf(t *testing.T, opts ...Option) *Flow {
+	t.Helper()
+	f, err := NewFlow(MustBenchmark("n100"), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// loweredFlow builds the flow a RunOptions lowers to.
+func loweredFlow(t *testing.T, o RunOptions) *Flow {
+	t.Helper()
+	opts, err := o.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flowOf(t, opts...)
+}
+
 // TestRunOptionsZeroIsDefault: decoding `{}` configures exactly the same
 // flow as passing no options at all.
 func TestRunOptionsZeroIsDefault(t *testing.T) {
@@ -73,12 +93,8 @@ func TestRunOptionsZeroIsDefault(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{}`), &o); err != nil {
 		t.Fatal(err)
 	}
-	opts, err := o.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opts) != 0 {
-		t.Fatalf("zero RunOptions produced %d options, want 0", len(opts))
+	if got, want := loweredFlow(t, o), flowOf(t); !reflect.DeepEqual(got, want) {
+		t.Fatalf("zero RunOptions lowered to %+v, want the no-option flow %+v", got, want)
 	}
 }
 
@@ -140,23 +156,13 @@ func TestRunOptionsReplicaCanonical(t *testing.T) {
 	if c.Replicas != 4 || c.Speculation != 2 {
 		t.Fatalf("explicit parallel shape not preserved: %+v", c)
 	}
-	opts, err := RunOptions{Replicas: 4, Speculation: 2}.Options()
-	if err != nil {
-		t.Fatal(err)
+	got := loweredFlow(t, RunOptions{Replicas: 4, Speculation: 2})
+	if want := flowOf(t, WithReplicas(4), WithSpeculation(2)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replica+speculation lowered to %+v, want %+v", got, want)
 	}
-	if len(opts) != 2 {
-		t.Fatalf("replica+speculation lowered to %d options, want 2", len(opts))
-	}
-	if _, err := NewFlow(MustBenchmark("n100"), opts...); err != nil {
-		t.Fatal(err)
-	}
-	// Normalized-away serial spellings lower to no options at all.
-	opts, err = RunOptions{Replicas: 1, Speculation: 1}.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opts) != 0 {
-		t.Fatalf("serial spellings lowered to %d options, want 0", len(opts))
+	// Normalized-away serial spellings lower to the default flow.
+	if got, want := loweredFlow(t, RunOptions{Replicas: 1, Speculation: 1}), flowOf(t); !reflect.DeepEqual(got, want) {
+		t.Fatalf("serial spellings lowered to %+v, want the default flow %+v", got, want)
 	}
 
 	if _, err := (RunOptions{Replicas: -1}).Canonical(); err == nil {
@@ -167,8 +173,10 @@ func TestRunOptionsReplicaCanonical(t *testing.T) {
 	}
 }
 
-// TestRunOptionsAllKnobs checks every field lowers into an option that
-// NewFlow accepts, and that invalid ranges still surface from NewFlow.
+// TestRunOptionsAllKnobs checks every field reaches the flow: the full
+// struct builds the same flow as the equivalent With* calls, zeroing any
+// single field changes the lowered config (so config maps every knob), and
+// range errors surface from Options as they do from NewFlow.
 func TestRunOptionsAllKnobs(t *testing.T) {
 	pp := true
 	par := 2
@@ -176,30 +184,43 @@ func TestRunOptionsAllKnobs(t *testing.T) {
 	full := RunOptions{
 		Mode: "pa", Seed: 3, Iterations: 10, GridN: 8,
 		ActivitySamples: 2, ActivitySigma: 0.2,
-		PostProcess: &pp, PostCriterion: "bottom-die",
+		PostProcess: &pp, PostCriterion: "all-dies",
 		ProtectedModules: []int{0, 1}, MaxDummyGroups: 2, DummyViasPerGroup: 4,
 		VoltEvery: 5, VoltTargetFactor: 1.2,
 		Weights: &w, Parallelism: &par,
 		Replicas: 2, Speculation: 3,
 	}
-	opts, err := full.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reflect.TypeOf(full).NumField()
-	if len(opts) != want {
-		t.Fatalf("%d options from %d fields", len(opts), want)
-	}
-	if _, err := NewFlow(MustBenchmark("n100"), opts...); err != nil {
-		t.Fatal(err)
+	direct := flowOf(t,
+		WithMode(PowerAware), WithSeed(3), WithIterations(10), WithGridN(8),
+		WithActivitySamples(2), WithActivitySigma(0.2),
+		WithPostProcess(true), WithPostCriterion(AllDies),
+		WithProtectedModules(0, 1), WithMaxDummyGroups(2), WithDummyViasPerGroup(4),
+		WithVoltEvery(5), WithVoltTargetFactor(1.2),
+		WithWeights(w), WithParallelism(2),
+		WithReplicas(2), WithSpeculation(3))
+	if got := loweredFlow(t, full); !reflect.DeepEqual(got, direct) {
+		t.Fatalf("full RunOptions lowered to %+v, want the With* flow %+v", got, direct)
 	}
 
-	bad := RunOptions{Iterations: -5}
-	opts, err = bad.Options()
+	canon, err := full.Canonical()
 	if err != nil {
-		t.Fatal(err) // spelling is fine; the range error belongs to NewFlow
+		t.Fatal(err)
 	}
-	if _, err := NewFlow(MustBenchmark("n100"), opts...); err == nil {
+	want := canon.config()
+	v := reflect.ValueOf(canon)
+	for i := 0; i < v.NumField(); i++ {
+		zeroed := canon
+		f := reflect.ValueOf(&zeroed).Elem().Field(i)
+		f.Set(reflect.Zero(f.Type()))
+		if reflect.DeepEqual(zeroed.config(), want) {
+			t.Errorf("zeroing %s does not change the lowered config", v.Type().Field(i).Name)
+		}
+	}
+
+	if _, err := (RunOptions{Iterations: -5}).Options(); err == nil {
+		t.Fatal("negative iterations accepted by Options")
+	}
+	if _, err := NewFlow(MustBenchmark("n100"), WithIterations(-5)); err == nil {
 		t.Fatal("negative iterations accepted by NewFlow")
 	}
 }

@@ -2,7 +2,6 @@ package tscfp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 )
@@ -21,15 +20,13 @@ const (
 	TSCAware Mode = "tsc-aware"
 )
 
-func (m Mode) core() (core.Mode, error) {
-	switch m {
-	case PowerAware:
-		return core.PowerAware, nil
-	case TSCAware:
-		return core.TSCAware, nil
-	default:
-		return 0, fmt.Errorf("tscfp: unknown mode %q", string(m))
+// core maps a canonical mode onto the flow's enum. The empty mode is the
+// default, TSCAware.
+func (m Mode) core() core.Mode {
+	if m == PowerAware {
+		return core.PowerAware
 	}
+	return core.TSCAware
 }
 
 // ParseMode accepts the common spellings ("pa", "power-aware", "tsc",
@@ -104,35 +101,34 @@ type Event struct {
 	Cost  float64 `json:"cost"`
 }
 
-// settings accumulates option values before a Flow is built.
+// settings accumulates option values before a Flow is built: the knob set
+// every With* option writes, plus the callback and the two debug switches
+// that have no wire form.
 type settings struct {
-	mode        Mode
-	cfg         core.Config
-	postProcess *bool
-	weights     *Weights
-	progress    func(Event)
-	parSet      bool // WithParallelism was given explicitly
-	churnStats  bool // WithChurnStats: surface pack_* churn counters
-	err         error
+	RunOptions
+	progress   func(Event)
+	crossCheck bool  // WithCostCrossCheck
+	churnStats bool  // WithChurnStats: surface pack_* churn counters
+	err        error // WithMode's eager spelling check
 }
 
 // Option configures a Flow (and, through Grid.Options, every Sweep cell).
+// Each option sets one field of the RunOptions knob set, except
+// WithProgress, WithCostCrossCheck and WithChurnStats, which have no wire
+// form. NewFlow then validates the knob set through RunOptions.Canonical,
+// so a negative count or a NaN/±Inf float fails there, naming the knob.
 type Option func(*settings)
 
-func (s *settings) fail(format string, args ...any) {
-	if s.err == nil {
-		s.err = fmt.Errorf("tscfp: "+format, args...)
-	}
-}
-
-// WithMode selects power-aware or TSC-aware floorplanning. Default TSCAware.
+// WithMode selects power-aware or TSC-aware floorplanning, in any ParseMode
+// spelling ("pa" and "tsc" included). Default TSCAware. Unlike the other
+// options it checks its argument at once: an explicit empty mode is an
+// error at NewFlow, not the default, since it would mislabel results.
 func WithMode(m Mode) Option {
 	return func(s *settings) {
-		if _, err := m.core(); err != nil {
-			s.fail("%v", err)
-			return
+		if _, err := ParseMode(string(m)); err != nil && s.err == nil {
+			s.err = err
 		}
-		s.mode = m
+		s.Mode = string(m)
 	}
 }
 
@@ -144,185 +140,94 @@ func WithMode(m Mode) Option {
 // (byte-identical JSON, runtime aside) on every run, independent of other
 // goroutines, of previous runs, and of Sweep worker scheduling.
 func WithSeed(seed int64) Option {
-	return func(s *settings) { s.cfg.Seed = seed }
+	return func(s *settings) { s.Seed = seed }
 }
 
 // WithIterations sets the simulated-annealing budget. Zero selects the
 // default of 3000 (it does not disable annealing).
 func WithIterations(n int) Option {
-	return func(s *settings) {
-		if n < 0 {
-			s.fail("negative iteration budget %d", n)
-			return
-		}
-		s.cfg.SAIterations = n
-	}
+	return func(s *settings) { s.Iterations = n }
 }
 
 // WithGridN sets the lateral resolution of the thermal and leakage grids.
 // Zero selects the default of 32.
 func WithGridN(n int) Option {
-	return func(s *settings) {
-		if n < 0 {
-			s.fail("negative grid resolution %d", n)
-			return
-		}
-		s.cfg.GridN = n
-	}
+	return func(s *settings) { s.GridN = n }
 }
 
 // WithActivitySamples sets m of Eq. 2 (the paper uses 100). Zero selects
 // the default of 100 (it does not skip the sampling stage; use
 // WithPostProcess(false) for that).
 func WithActivitySamples(n int) Option {
-	return func(s *settings) {
-		if n < 0 {
-			s.fail("negative activity sample count %d", n)
-			return
-		}
-		s.cfg.ActivitySamples = n
-	}
+	return func(s *settings) { s.ActivitySamples = n }
 }
 
 // WithActivitySigma sets the relative power sigma of the activity model
 // (the paper uses 0.10).
 func WithActivitySigma(sigma float64) Option {
-	return func(s *settings) {
-		if !finite(sigma) {
-			s.fail("non-finite activity sigma %v", sigma)
-			return
-		}
-		s.cfg.ActivitySigma = sigma
-	}
+	return func(s *settings) { s.ActivitySigma = sigma }
 }
 
 // WithPostProcess forces the dummy-TSV insertion stage on or off,
 // replacing the default of on-in-TSC-mode, off-in-power-aware-mode.
 func WithPostProcess(enabled bool) Option {
-	return func(s *settings) {
-		v := enabled
-		s.postProcess = &v
-	}
+	return func(s *settings) { s.PostProcess = &enabled }
 }
 
 // WithPostCriterion selects the correlation watched by the dummy-TSV stop
-// rule. Default BottomDie.
+// rule. Default BottomDie; the empty criterion selects the default, as an
+// empty wire field does.
 func WithPostCriterion(c PostCriterion) Option {
-	return func(s *settings) {
-		switch c {
-		case BottomDie:
-			s.cfg.PostCriterion = core.BottomDie
-		case AllDies:
-			s.cfg.PostCriterion = core.AllDies
-		default:
-			s.fail("unknown post criterion %q", string(c))
-		}
-	}
+	return func(s *settings) { s.PostCriterion = string(c) }
 }
 
 // WithProtectedModules switches post-processing to the Sec. 7.1 adaptation:
 // dummy TSVs target only the bins covered by these (security-critical)
 // modules. Indices refer to Design.Modules.
 func WithProtectedModules(modules ...int) Option {
-	return func(s *settings) {
-		s.cfg.ProtectModules = append([]int(nil), modules...)
-	}
+	return func(s *settings) { s.ProtectedModules = modules }
 }
 
 // WithMaxDummyGroups bounds post-processing insertions. Zero selects the
 // default of 64; to disable insertions entirely use WithPostProcess(false).
 func WithMaxDummyGroups(n int) Option {
-	return func(s *settings) {
-		if n < 0 {
-			s.fail("negative dummy group bound %d", n)
-			return
-		}
-		s.cfg.MaxDummyGroups = n
-	}
+	return func(s *settings) { s.MaxDummyGroups = n }
 }
 
 // WithDummyViasPerGroup sets the island size of each inserted dummy group.
 // Zero selects the default of 8.
 func WithDummyViasPerGroup(n int) Option {
-	return func(s *settings) {
-		if n < 0 {
-			s.fail("negative dummy via count %d", n)
-			return
-		}
-		s.cfg.DummyViasPerGroup = n
-	}
+	return func(s *settings) { s.DummyViasPerGroup = n }
 }
 
 // WithVoltEvery re-runs voltage assignment every k-th accepted evaluation.
 // Zero selects the default of 10.
 func WithVoltEvery(k int) Option {
-	return func(s *settings) {
-		if k < 0 {
-			s.fail("negative voltage-assignment stride %d", k)
-			return
-		}
-		s.cfg.VoltEvery = k
-	}
+	return func(s *settings) { s.VoltEvery = k }
 }
 
 // WithVoltTargetFactor relaxes the timing target for voltage assignment.
 // Default 1.15.
 func WithVoltTargetFactor(f float64) Option {
-	return func(s *settings) {
-		if !finite(f) {
-			s.fail("non-finite voltage target factor %v", f)
-			return
-		}
-		s.cfg.VoltTargetFactor = f
-	}
+	return func(s *settings) { s.VoltTargetFactor = f }
 }
 
 // WithWeights overrides the multi-objective cost weights. The zero value of
 // any field is taken literally (a zero weight disables that term), so start
 // from DefaultWeights when adjusting a single knob.
 func WithWeights(w Weights) Option {
-	return func(s *settings) {
-		for _, v := range []float64{w.OutlineViolation, w.Wirelength, w.CriticalDelay,
-			w.PeakTemp, w.Power, w.VoltageVolumes, w.Correlation, w.SpatialEntropy, w.DesignRule} {
-			if !finite(v) {
-				s.fail("non-finite cost weight %v", v)
-				return
-			}
-		}
-		wc := w
-		s.weights = &wc
-	}
+	return func(s *settings) { s.Weights = &w }
 }
 
-// finite reports whether v is neither NaN nor ±Inf. A non-finite knob would
-// run a whole flow and only fail when the Result is encoded, since JSON
-// cannot carry NaN or Inf.
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// DefaultWeights returns the mode's default cost weights. It also accepts
-// the ParseMode spellings ("pa", "tsc") and panics on an unknown mode — a
-// silent fallback here would hand a caller the wrong tuning baseline.
+// DefaultWeights returns the mode's default cost weights. It accepts every
+// ParseMode spelling and panics on an unknown mode — a silent fallback here
+// would hand a caller the wrong tuning baseline.
 func DefaultWeights(m Mode) Weights {
-	cm, err := m.core()
+	pm, err := ParseMode(string(m))
 	if err != nil {
-		parsed, perr := ParseMode(string(m))
-		if perr != nil {
-			panic(err)
-		}
-		cm, _ = parsed.core()
+		panic(err)
 	}
-	w := core.DefaultWeights(cm)
-	return Weights{
-		OutlineViolation: w.OutlineViolation,
-		Wirelength:       w.Wirelength,
-		CriticalDelay:    w.CriticalDelay,
-		PeakTemp:         w.PeakTemp,
-		Power:            w.Power,
-		VoltageVolumes:   w.VoltageVolumes,
-		Correlation:      w.Correlation,
-		SpatialEntropy:   w.SpatialEntropy,
-		DesignRule:       w.DesignRule,
-	}
+	return Weights(core.DefaultWeights(pm.core()))
 }
 
 // WithProgress installs a per-stage progress callback. The callback runs
@@ -343,14 +248,7 @@ func WithProgress(fn func(Event)) Option {
 // fan-out under pool-level fan-out would oversubscribe it. An explicit
 // WithParallelism wins over that adjustment.
 func WithParallelism(n int) Option {
-	return func(s *settings) {
-		if n < 0 {
-			s.fail("negative parallelism %d", n)
-			return
-		}
-		s.cfg.Parallelism = n
-		s.parSet = true
-	}
+	return func(s *settings) { s.Parallelism = &n }
 }
 
 // WithReplicas runs k tempered annealing chains (replica exchange / parallel
@@ -367,13 +265,7 @@ func WithParallelism(n int) Option {
 // the per-run thermal Parallelism defaults to 1 (the chains are the
 // parallelism); an explicit WithParallelism wins.
 func WithReplicas(k int) Option {
-	return func(s *settings) {
-		if k < 0 {
-			s.fail("negative replica count %d", k)
-			return
-		}
-		s.cfg.Replicas = k
-	}
+	return func(s *settings) { s.Replicas = k }
 }
 
 // WithSpeculation evaluates m candidate moves per annealing step
@@ -385,13 +277,7 @@ func WithReplicas(k int) Option {
 // than serial. Composes with WithReplicas: every replica evaluates m
 // candidates per step.
 func WithSpeculation(m int) Option {
-	return func(s *settings) {
-		if m < 0 {
-			s.fail("negative speculation width %d", m)
-			return
-		}
-		s.cfg.Speculation = m
-	}
+	return func(s *settings) { s.Speculation = m }
 }
 
 // WithCostCrossCheck re-evaluates every annealing move through the full
@@ -402,7 +288,7 @@ func WithSpeculation(m int) Option {
 // per-die entropy against a from-scratch recompute (1e-9 relative). Debug
 // aid: it forfeits the entire incremental speedup.
 func WithCostCrossCheck(enabled bool) Option {
-	return func(s *settings) { s.cfg.CostCrossCheck = enabled }
+	return func(s *settings) { s.crossCheck = enabled }
 }
 
 // WithChurnStats surfaces the exact-diff repack churn counters in

@@ -18,7 +18,8 @@ type Flow struct {
 	mode     Mode
 	cfg      core.Config
 	progress func(Event)
-	// parSet records an explicit WithParallelism; Sweep respects it when
+	// parSet records that the knob set gave Parallelism explicitly
+	// (WithParallelism or RunOptions.Parallelism); Sweep respects it when
 	// defaulting pooled cells to serial per-run parallelism.
 	parSet bool
 	// churn surfaces the pack_* churn counters in Result.Stats
@@ -27,33 +28,31 @@ type Flow struct {
 }
 
 // NewFlow binds a design to a set of options. Option validation happens
-// here, not in Run, so a sweep over many cells fails fast on a bad knob.
+// here, not in Run, so a sweep over many cells fails fast on a bad knob:
+// the knobs the options set are checked by RunOptions.Canonical.
 func NewFlow(design *Design, opts ...Option) (*Flow, error) {
 	if design == nil || design.d == nil {
 		return nil, fmt.Errorf("tscfp: nil design")
 	}
-	s := settings{mode: TSCAware}
+	var s settings
 	for _, opt := range opts {
 		opt(&s)
 	}
 	if s.err != nil {
 		return nil, s.err
 	}
-	cm, err := s.mode.core()
+	c, err := s.RunOptions.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.cfg
-	cfg.Mode = cm
-	if s.postProcess != nil {
-		pp := *s.postProcess
-		cfg.PostProcess = &pp
+	cfg := c.config()
+	cfg.CostCrossCheck = s.crossCheck
+	mode := Mode(c.Mode)
+	if mode == "" {
+		mode = TSCAware
 	}
-	if s.weights != nil {
-		w := core.Weights(*s.weights)
-		cfg.Weights = &w
-	}
-	return &Flow{design: design, mode: s.mode, cfg: cfg, progress: s.progress, parSet: s.parSet, churn: s.churnStats}, nil
+	return &Flow{design: design, mode: mode, cfg: cfg, progress: s.progress,
+		parSet: c.Parallelism != nil, churn: s.churnStats}, nil
 }
 
 // Mode returns the flow's configured mode.

@@ -42,16 +42,25 @@ type Cell struct {
 }
 
 // Options returns the cell as flow options, to be appended after the grid's
-// shared options.
+// shared options: the cell's mode, checked as WithMode checks it, and
+// Overlay applied to the knobs the shared options set.
 func (c Cell) Options() []Option {
-	opts := []Option{WithSeed(c.Seed), WithMode(c.Mode)}
+	return []Option{WithMode(c.Mode), func(s *settings) { s.RunOptions = c.Overlay(s.RunOptions) }}
+}
+
+// Overlay returns base with the cell's axes applied: Seed and Mode always,
+// GridN and Iterations when positive (zero keeps the base's value). Options
+// applies the same overlay, so a cell's run and the RunOptions a serving
+// layer content-addresses the cell by come from this one function.
+func (c Cell) Overlay(base RunOptions) RunOptions {
+	base.Seed, base.Mode = c.Seed, string(c.Mode)
 	if c.GridN > 0 {
-		opts = append(opts, WithGridN(c.GridN))
+		base.GridN = c.GridN
 	}
 	if c.Iterations > 0 {
-		opts = append(opts, WithIterations(c.Iterations))
+		base.Iterations = c.Iterations
 	}
-	return opts
+	return base
 }
 
 // Cells enumerates the grid in deterministic order: seeds outermost, then
