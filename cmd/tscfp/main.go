@@ -137,15 +137,12 @@ func main() {
 		agg.RuntimeSec += mm.RuntimeSec
 		if *churnStats {
 			st := sr.Result.Stats
-			early, bulk := 0.0, 0.0
-			if st.PackDieDiffs > 0 {
-				early = 100 * float64(st.PackEarlyExits) / float64(st.PackDieDiffs)
-			}
+			bulk := 0.0
 			if st.PackMoves > 0 {
 				bulk = 100 * float64(st.AdjBulkFallbacks) / float64(st.PackMoves)
 			}
-			fmt.Printf("run %d churn: changed p50=%d p95=%d modules/move, early-exit %.1f%% of %d die diffs, adj bulk fallbacks %.1f%%\n",
-				sr.Cell.Index, st.PackChangedP50, st.PackChangedP95, early, st.PackDieDiffs, bulk)
+			fmt.Printf("run %d churn: changed p50=%d p95=%d modules/move, %d die diffs, adj bulk fallbacks %.1f%%\n",
+				sr.Cell.Index, st.PackChangedP50, st.PackChangedP95, st.PackDieDiffs, bulk)
 		}
 	}
 	n := float64(*runs)

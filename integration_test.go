@@ -6,7 +6,6 @@ package repro
 import (
 	"math"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -16,7 +15,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/leakage"
 	"repro/internal/noiseinject"
-	"repro/internal/report"
 	"repro/internal/thermal"
 	"repro/internal/timing"
 	"repro/internal/tsv"
@@ -131,26 +129,6 @@ func TestFlowVoltageVolumesPartition(t *testing.T) {
 	}
 	if math.Abs(res.Assignment.TotalPower-res.Metrics.PowerW) > 1e-9 {
 		t.Fatal("power bookkeeping mismatch")
-	}
-}
-
-// TestReportRoundTripFromFlow serializes a flow result and reloads it.
-func TestReportRoundTripFromFlow(t *testing.T) {
-	res := integResults(t)[core.TSCAware]
-	rep := report.FromResult(res, "TSC-aware")
-	if err := rep.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "res.json")
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := report.ReadJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Metrics.R1 != res.Metrics.R1 || len(back.Volumes) != len(res.Assignment.Volumes) {
-		t.Fatal("round trip lost data")
 	}
 }
 

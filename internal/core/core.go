@@ -133,7 +133,8 @@ type Config struct {
 	// to the paper's Sec. 7.1 adaptation: dummy TSVs target only the bins
 	// covered by these (security-critical) modules, the stop rule watches
 	// the correlation over those bins, and "more stable correlations
-	// elsewhere" are accepted. Module indices into Design.Modules.
+	// elsewhere" are accepted. Module indices into Design.Modules, each in
+	// [0, len(Design.Modules)) — tscfp.NewFlow rejects any other.
 	ProtectModules []int
 	// Weights override; zero value selects DefaultWeights(Mode).
 	Weights *Weights
@@ -345,15 +346,13 @@ type EvalStats struct {
 	SpecDiscarded int
 	// PackMoves counts moves applied through the diff-producing repack
 	// (PackDieFromDiff); PackDieDiffs the per-die diffs they ran (a move
-	// touches one or two dies); PackEarlyExits the diffs that stopped early
-	// because the resumed skyline re-converged with the pre-move snapshot;
-	// PackReplayedPositions the sequence positions actually replayed (vs
-	// whole-suffix under the old pessimistic contract); and
-	// PackChangedModules the modules whose placement actually changed —
-	// the exact churn every downstream engine gate now sees.
+	// touches one or two dies); PackReplayedPositions the sequence
+	// positions they replayed (each diff replays from its resume point to
+	// the die's end); and PackChangedModules the modules whose placement
+	// actually changed — the exact churn every downstream engine gate now
+	// sees.
 	PackMoves             int
 	PackDieDiffs          int
-	PackEarlyExits        int
 	PackReplayedPositions int
 	PackChangedModules    int
 	// PackChangedHist is a per-move histogram of exact changed-set sizes:

@@ -17,7 +17,8 @@ import (
 // contract with the annealer's Perturb/Cost/undo protocol:
 //
 //   - a floorplan.Move touches only the dies it names, so only those dies
-//     are repacked (floorplan.PackDie); every other module's rect is
+//     are repacked (floorplan.PackDieFromDiff, resuming from the move's
+//     first changed sequence position); every other module's rect is
 //     untouched, bit for bit;
 //   - per-net wirelength and Elmore delay are recomputed only for nets with
 //     a pin on a module whose placement actually changed — the values are
@@ -201,9 +202,8 @@ type moveJournal struct {
 	dies  []int
 
 	// packDiffs journal the per-die repacks: Rollback restores the layout
-	// and the packer's skyline snapshots byte-exactly (no invalidation, no
-	// suffix replay on the next move), Commit releases them when the move
-	// is accepted.
+	// and the packer's skyline snapshots byte-exactly, Commit releases them
+	// when the move is accepted.
 	packDiffs []*floorplan.PackDiff
 
 	nets     []int
@@ -306,9 +306,8 @@ func (ic *incrState) rollback() {
 	}
 	// Pack-diff rollback restores both the layout entries of j.mods and the
 	// packers' skyline snapshots byte-exactly (in reverse order, so a
-	// cross-die move unwinds destination before source) — the next repack
-	// resumes from live snapshots instead of replaying the whole suffix
-	// after an Invalidate.
+	// cross-die move unwinds destination before source), so the next
+	// repack resumes from the pre-move snapshots.
 	for i := len(j.packDiffs) - 1; i >= 0; i-- {
 		j.packDiffs[i].Rollback(ic.lay)
 	}
@@ -611,9 +610,8 @@ func (ic *incrState) applyMove(e *evaluator) {
 
 	// Partial repack: only the touched dies, each resuming from the move's
 	// first changed sequence position via the cached skyline snapshots.
-	// PackDieFromDiff stops as soon as the skyline re-converges with the
-	// pre-move snapshot and reports exactly the modules whose placement
-	// changed — j.mods is that set, not a touched-die population snapshot.
+	// PackDieFromDiff reports exactly the modules whose placement changed —
+	// j.mods is that set, not a touched-die population snapshot.
 	if ic.packers == nil {
 		ic.packers = make([]*floorplan.DiePacker, ic.lay.Dies)
 	}
@@ -628,10 +626,7 @@ func (ic *incrState) applyMove(e *evaluator) {
 		j.rects = append(j.rects, pd.OldRects...)
 		j.dies = append(j.dies, pd.OldDies...)
 		e.stats.PackDieDiffs++
-		if pd.Converged {
-			e.stats.PackEarlyExits++
-		}
-		e.stats.PackReplayedPositions += pd.Exit - pd.From
+		e.stats.PackReplayedPositions += pd.SeqLen - pd.From
 	}
 	e.stats.PackMoves++
 	e.stats.recordPackChanged(len(j.mods))

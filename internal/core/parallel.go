@@ -152,7 +152,6 @@ func addEvalStats(dst, src *EvalStats) {
 	}
 	dst.PackMoves += src.PackMoves
 	dst.PackDieDiffs += src.PackDieDiffs
-	dst.PackEarlyExits += src.PackEarlyExits
 	dst.PackReplayedPositions += src.PackReplayedPositions
 	dst.PackChangedModules += src.PackChangedModules
 	if src.PackChangedHist != nil {

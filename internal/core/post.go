@@ -202,11 +202,7 @@ func protectionMasks(res *Result, cfg *Config) [][]bool {
 	n := cfg.GridN
 	masks := make([][]bool, l.Dies)
 	outline := l.Outline()
-	ref := geom.NewGrid(n, n)
 	for _, mi := range cfg.ProtectModules {
-		if mi < 0 || mi >= len(l.Rects) {
-			continue
-		}
 		d := l.DieOf[mi]
 		if masks[d] == nil {
 			masks[d] = make([]bool, n*n)
@@ -226,6 +222,5 @@ func protectionMasks(res *Result, cfg *Config) [][]bool {
 			}
 		}
 	}
-	_ = ref
 	return masks
 }

@@ -170,8 +170,8 @@ func (fp *Floorplan) Pack() *Layout {
 // on that die. A die's packing depends only on its own sequence state, so
 // repacking exactly the dies named by a Move's Dies list (after the move, or
 // after its undo) restores the layout a full Pack would produce — module by
-// module, bit for bit. This is the partial-repack primitive behind the
-// incremental cost evaluator.
+// module, bit for bit. The incremental cost evaluator repacks through
+// PackDieFromDiff, which adds prefix resume and an exact placement diff.
 //
 // Callers repacking after a cross-die move must repack every die the move
 // touched; a module that left die d is only re-homed when its new die packs.
@@ -185,38 +185,19 @@ func (fp *Floorplan) PackDie(l *Layout, d int) {
 	}
 }
 
-// ModulesOnDie returns the modules currently sequenced on die d, in packing
-// order. The incremental evaluator diffs their rects before and after a
-// partial repack.
-func (fp *Floorplan) ModulesOnDie(d int) []int { return fp.seq[d] }
-
 // DiePacker caches one die's skyline states between repacks so a repack can
 // resume from the first changed sequence position instead of position 0. A
 // placement depends only on the sequence prefix before it, so replaying from
 // the snapshot taken before the first change reproduces the full repack bit
-// for bit while skipping the untouched prefix — the second half of the
-// incremental evaluator's partial-repack primitive.
+// for bit while skipping the untouched prefix. The zero value holds no rows,
+// so its first repack starts at position 0.
 type DiePacker struct {
 	// xs[i], ys[i] snapshot the skyline steps before placing sequence
-	// position i; position 0 is the empty skyline.
+	// position i of the last-packed sequence; position 0 is the empty
+	// skyline and the last row is the state after the final placement.
 	xs, ys [][]float64
-	// valid is the highest snapshot index consistent with the die's current
-	// sequence state (after an undo, snapshots past the undone move's start
-	// position describe a packing that no longer exists).
-	valid int
-	sky   skyline // reusable working skyline
-
-	// Mirror of the last-packed sequence: mods[i] is the module packed at
-	// position i, ws/hs its footprint and dirs its insertion preference at
-	// pack time. PackDieFromDiff aligns the new sequence tail against this
-	// mirror to find where the pre-move snapshots can prove the remaining
-	// suffix bit-identical (the early-exit).
-	mods                 []int
-	ws, hs               []float64
-	dirs                 []InsertDir
-	mirror               int         // mirror entries [0, mirror) describe the last-packed sequence
-	scratchXs, scratchYs [][]float64 // deferred-commit staging for PackDieFromDiff
-	spare                [][]float64 // recycled snapshot-row storage
+	sky    skyline     // reusable working skyline
+	spare  [][]float64 // recycled snapshot-row storage
 }
 
 // takeRow returns a recycled snapshot row (length 0) or nil (append
@@ -230,106 +211,20 @@ func (dp *DiePacker) takeRow() []float64 {
 	return nil
 }
 
-// recycleRow returns a snapshot row's backing to the bounded spare pool.
-func (dp *DiePacker) recycleRow(r []float64) {
+// recycleRows returns snapshot rows' backing to the bounded spare pool.
+func (dp *DiePacker) recycleRows(rows [][]float64) {
 	const spareCap = 128
-	if r != nil && len(dp.spare) < spareCap {
-		dp.spare = append(dp.spare, r)
-	}
-}
-
-// Invalidate marks snapshots at positions > pos stale. Call it when the
-// die's sequence state changed at position pos without a repack (i.e. on the
-// undo path, after the floorplan state has been restored).
-func (dp *DiePacker) Invalidate(pos int) {
-	if pos < dp.valid {
-		dp.valid = pos
-	}
-}
-
-// PackDieFrom repacks die d into the layout like PackDie, resuming from the
-// cached skyline snapshot at sequence position `from` (clamped to the last
-// valid snapshot). Placements before the resume point are untouched — they
-// are already correct in l — and the snapshots from the resume point on are
-// refreshed, so consecutive calls keep the cache consistent.
-func (fp *Floorplan) PackDieFrom(l *Layout, d, from int, dp *DiePacker) {
-	seq := fp.seq[d]
-	if from > dp.valid {
-		from = dp.valid
-	}
-	if from > len(seq) {
-		from = len(seq)
-	}
-	if need := len(seq) + 1; cap(dp.xs) < need {
-		xs := make([][]float64, need)
-		ys := make([][]float64, need)
-		copy(xs, dp.xs)
-		copy(ys, dp.ys)
-		dp.xs, dp.ys = xs, ys
-	} else {
-		dp.xs = dp.xs[:need]
-		dp.ys = dp.ys[:need]
-	}
-	dp.growMirror(len(seq))
-	sky := &dp.sky
-	sky.width = fp.Design.OutlineW
-	if from == 0 {
-		sky.xs = append(sky.xs[:0], 0)
-		sky.ys = append(sky.ys[:0], 0)
-	} else {
-		sky.xs = append(sky.xs[:0], dp.xs[from]...)
-		sky.ys = append(sky.ys[:0], dp.ys[from]...)
-	}
-	for i := from; i < len(seq); i++ {
-		dp.xs[i] = append(dp.xs[i][:0], sky.xs...)
-		dp.ys[i] = append(dp.ys[i][:0], sky.ys...)
-		mi := seq[i]
-		w, h := fp.footprint(mi)
-		dp.mods[i], dp.ws[i], dp.hs[i], dp.dirs[i] = mi, w, h, fp.dir[mi]
-		x, y := sky.place(w, h, fp.dir[mi])
-		l.Rects[mi] = geom.Rect{X: x, Y: y, W: w, H: h}
-		l.DieOf[mi] = d
-	}
-	dp.xs[len(seq)] = append(dp.xs[len(seq)][:0], sky.xs...)
-	dp.ys[len(seq)] = append(dp.ys[len(seq)][:0], sky.ys...)
-	dp.valid = len(seq)
-	dp.mirror = len(seq)
-}
-
-// growMirror sizes the sequence mirror for n positions, preserving existing
-// entries.
-func (dp *DiePacker) growMirror(n int) {
-	if cap(dp.mods) < n {
-		mods := make([]int, n)
-		ws := make([]float64, n)
-		hs := make([]float64, n)
-		dirs := make([]InsertDir, n)
-		copy(mods, dp.mods)
-		copy(ws, dp.ws)
-		copy(hs, dp.hs)
-		copy(dirs, dp.dirs)
-		dp.mods, dp.ws, dp.hs, dp.dirs = mods, ws, hs, dirs
-		return
-	}
-	dp.mods = dp.mods[:n]
-	dp.ws = dp.ws[:n]
-	dp.hs = dp.hs[:n]
-	dp.dirs = dp.dirs[:n]
-}
-
-// skylineEqual reports whether the working skyline's steps are bit-identical
-// to a cached snapshot.
-func skylineEqual(sky *skyline, xs, ys []float64) bool {
-	if len(sky.xs) != len(xs) {
-		return false
-	}
-	for i := range xs {
-		//lint:floateq bit-identity against a snapshot is the contract: both sides are copies, not recomputations
-		if sky.xs[i] != xs[i] || sky.ys[i] != ys[i] {
-			return false
+	for _, r := range rows {
+		if r != nil && len(dp.spare) < spareCap {
+			dp.spare = append(dp.spare, r)
 		}
 	}
-	return true
+}
+
+// snapshot appends a copy of the working skyline as the next row.
+func (dp *DiePacker) snapshot() {
+	dp.xs = append(dp.xs, append(dp.takeRow(), dp.sky.xs...))
+	dp.ys = append(dp.ys, append(dp.takeRow(), dp.sky.ys...))
 }
 
 // PackDiff records the exact effect of one PackDieFromDiff call: the modules
@@ -342,28 +237,19 @@ type PackDiff struct {
 	Die int
 	// Changed lists the modules whose placed rect or die assignment changed,
 	// in replay order; OldRects/OldDies hold their pre-move placements.
-	// Modules that reproduce their previous placement verbatim — including
-	// the whole suffix past a skyline re-convergence — are not listed.
+	// Replayed modules that reproduce their previous placement verbatim are
+	// not listed.
 	Changed  []int
 	OldRects []geom.Rect
 	OldDies  []int
-	// From/Exit bound the replayed window [From, Exit) of the new sequence;
-	// SeqLen is the new sequence length. Converged reports that the resumed
-	// skyline re-converged with a pre-move snapshot at Exit, proving the
-	// remaining suffix bit-identical without replaying it.
-	From, Exit, SeqLen int
-	Converged          bool
+	// From is the first replayed position and SeqLen the new sequence
+	// length: the call replayed positions [From, SeqLen).
+	From, SeqLen int
 
-	// Rollback record: the displaced snapshot rows and mirror values of old
-	// positions [From, oexit), plus the pre-call watermarks.
+	// Rollback record: the packer's snapshot rows [From:] displaced by the
+	// replay.
 	dp           *DiePacker
-	oldLen       int // mirror length before the call
-	oldValid     int
-	delta        int // oldLen - SeqLen
 	oldXs, oldYs [][]float64
-	jMods        []int
-	jWs, jHs     []float64
-	jDirs        []InsertDir
 	settled      bool // Commit or Rollback already ran
 }
 
@@ -374,87 +260,27 @@ func (pd *PackDiff) Reset() {
 	pd.OldDies = pd.OldDies[:0]
 	pd.oldXs = pd.oldXs[:0]
 	pd.oldYs = pd.oldYs[:0]
-	pd.jMods = pd.jMods[:0]
-	pd.jWs = pd.jWs[:0]
-	pd.jHs = pd.jHs[:0]
-	pd.jDirs = pd.jDirs[:0]
 	pd.dp = nil
-	pd.Converged = false
 	pd.settled = false
 }
 
-// PackDieFromDiff is PackDieFrom producing an exact placement diff. It
-// repacks die d resuming from the cached skyline snapshot at position `from`
-// like PackDieFrom, with two refinements that make the dirty-set contract
-// exact instead of suffix-pessimistic:
+// PackDieFromDiff repacks die d into the layout like PackDie, resuming from
+// the packer's snapshot row at sequence position `from` (clamped to the rows
+// dp holds) and replaying to the die's end. Placements before the resume
+// point are untouched — they are already correct in l. pd.Changed lists
+// precisely the modules whose (x, y, w, h) or die assignment differs from
+// before the call; replayed positions that reproduce their previous
+// placement verbatim are not reported.
 //
-//   - Early exit: before placing each position it aligns the remaining new
-//     sequence tail against the packer's mirror of the last-packed sequence
-//     (same modules, footprints, and insertion preferences, allowing a
-//     constant index shift for insertions/removals) and compares the working
-//     skyline against the pre-move snapshot at the aligned position. On a
-//     bit-identical match the remaining suffix must repack to its previous
-//     placements by construction, so the replay stops there.
-//   - Exact changed set: pd.Changed lists precisely the modules whose
-//     (x, y, w, h) or die assignment differs from before the call — replayed
-//     positions that reproduce their previous placement verbatim are not
-//     reported.
-//
-// The packer's snapshot and mirror state is updated under a journal held in
-// pd: pd.Rollback restores the packer AND the layout's changed placements
-// byte-exactly (the rejected-move path), pd.Commit releases the journal
-// (the accepted-move path). pd must be Reset (or zero) on entry.
+// The displaced snapshot rows are journaled in pd: pd.Rollback restores the
+// packer AND the layout's changed placements byte-exactly (the
+// rejected-move path), pd.Commit releases the journal (the accepted-move
+// path). pd must be Reset (or zero) on entry.
 func (fp *Floorplan) PackDieFromDiff(l *Layout, d, from int, dp *DiePacker, pd *PackDiff) {
 	seq := fp.seq[d]
-	newLen := len(seq)
-	oldLen := dp.mirror
-	if from > dp.valid {
-		from = dp.valid
-	}
-	if from > newLen {
-		from = newLen
-	}
-	if from > oldLen {
-		from = oldLen // unreachable when valid <= mirror; defensive
-	}
-	delta := oldLen - newLen
+	from = min(from, len(seq), max(len(dp.xs)-1, 0))
+	pd.Die, pd.From, pd.SeqLen, pd.dp = d, from, len(seq), dp
 
-	pd.Die = d
-	pd.dp = dp
-	pd.oldLen = oldLen
-	pd.oldValid = dp.valid
-	pd.delta = delta
-	pd.From = from
-	pd.SeqLen = newLen
-
-	// Tail alignment: t is the smallest new position such that every
-	// position i >= t packs the same module with the same footprint and
-	// insertion preference as old position i+delta. Only at i >= t can a
-	// skyline match prove the remaining suffix identical. An invalidated
-	// mirror tail (valid < mirror: snapshots were dropped without a repack)
-	// cannot be trusted, so alignment is disabled there and the call
-	// degrades to a full journaled replay.
-	t := newLen
-	if dp.valid == dp.mirror {
-		for i := newLen - 1; i >= from; i-- {
-			o := i + delta
-			if o < 0 {
-				break
-			}
-			mi := seq[i]
-			w, h := fp.footprint(mi)
-			//lint:floateq prefix-resume compares cached inputs for bit-identity; any drift must invalidate the prefix
-			if dp.mods[o] != mi || dp.dirs[o] != fp.dir[mi] || dp.ws[o] != w || dp.hs[o] != h {
-				break
-			}
-			t = i
-		}
-	}
-
-	// Resume and replay, staging new snapshots in scratch so the pre-move
-	// snapshots stay readable for the convergence compares (with delta < 0
-	// an in-place write at position i would clobber old position i+delta
-	// before the replay reads it).
 	sky := &dp.sky
 	sky.width = fp.Design.OutlineW
 	if from == 0 {
@@ -464,18 +290,11 @@ func (fp *Floorplan) PackDieFromDiff(l *Layout, d, from int, dp *DiePacker, pd *
 		sky.xs = append(sky.xs[:0], dp.xs[from]...)
 		sky.ys = append(sky.ys[:0], dp.ys[from]...)
 	}
-	dp.scratchXs = dp.scratchXs[:0]
-	dp.scratchYs = dp.scratchYs[:0]
-	exit := newLen
-	converged := false
-	for i := from; i < newLen; i++ {
-		if i >= t && skylineEqual(sky, dp.xs[i+delta], dp.ys[i+delta]) {
-			exit, converged = i, true
-			break
-		}
-		dp.scratchXs = append(dp.scratchXs, append(dp.takeRow(), sky.xs...))
-		dp.scratchYs = append(dp.scratchYs, append(dp.takeRow(), sky.ys...))
-		mi := seq[i]
+	pd.oldXs = append(pd.oldXs, dp.xs[from:]...)
+	pd.oldYs = append(pd.oldYs, dp.ys[from:]...)
+	dp.xs, dp.ys = dp.xs[:from], dp.ys[:from]
+	for _, mi := range seq[from:] {
+		dp.snapshot()
 		w, h := fp.footprint(mi)
 		x, y := sky.place(w, h, fp.dir[mi])
 		r := geom.Rect{X: x, Y: y, W: w, H: h}
@@ -487,98 +306,7 @@ func (fp *Floorplan) PackDieFromDiff(l *Layout, d, from int, dp *DiePacker, pd *
 			l.DieOf[mi] = d
 		}
 	}
-	if !converged {
-		// Final snapshot (state after the last placement).
-		dp.scratchXs = append(dp.scratchXs, append(dp.takeRow(), sky.xs...))
-		dp.scratchYs = append(dp.scratchYs, append(dp.takeRow(), sky.ys...))
-	}
-	pd.Exit = exit
-	pd.Converged = converged
-
-	// Commit: journal the displaced old state, shift the surviving suffix
-	// snapshots/mirror to their new positions, and install the staged rows.
-	oexit := exit + delta // first surviving old position (converged only)
-	snapHi := oexit       // old snapshot indices [from, snapHi) are displaced
-	if !converged {
-		// The old final snapshot is displaced too; a fresh or never-packed
-		// packer has fewer rows than oldLen+1, so clamp to what exists.
-		snapHi = min(oldLen+1, len(dp.xs))
-	}
-	if snapHi < from {
-		snapHi = from
-	}
-	pd.oldXs = append(pd.oldXs, dp.xs[from:snapHi]...)
-	pd.oldYs = append(pd.oldYs, dp.ys[from:snapHi]...)
-	pd.jMods = append(pd.jMods, dp.mods[from:min(oexit, oldLen)]...)
-	pd.jWs = append(pd.jWs, dp.ws[from:min(oexit, oldLen)]...)
-	pd.jHs = append(pd.jHs, dp.hs[from:min(oexit, oldLen)]...)
-	pd.jDirs = append(pd.jDirs, dp.dirs[from:min(oexit, oldLen)]...)
-
-	need := newLen + 1
-	if cap(dp.xs) < need {
-		// Reallocate: direct placement, no overlap concerns.
-		nxs := make([][]float64, need)
-		nys := make([][]float64, need)
-		copy(nxs, dp.xs[:from])
-		copy(nys, dp.ys[:from])
-		if converged {
-			copy(nxs[exit:], dp.xs[oexit:oldLen+1])
-			copy(nys[exit:], dp.ys[oexit:oldLen+1])
-		}
-		dp.xs, dp.ys = nxs, nys
-	} else if converged && delta != 0 {
-		if delta < 0 { // die grew: shift survivors up, descending
-			dp.xs = dp.xs[:need]
-			dp.ys = dp.ys[:need]
-			for j := newLen; j >= exit; j-- {
-				dp.xs[j] = dp.xs[j+delta]
-				dp.ys[j] = dp.ys[j+delta]
-			}
-		} else { // die shrank: shift survivors down, ascending
-			for j := exit; j <= newLen; j++ {
-				dp.xs[j] = dp.xs[j+delta]
-				dp.ys[j] = dp.ys[j+delta]
-			}
-		}
-	}
-	if len(dp.xs) > need {
-		// Drop vacated trailing headers so a later regrowth cannot
-		// resurrect stale rows aliasing surviving backing arrays.
-		for j := need; j < len(dp.xs); j++ {
-			dp.xs[j] = nil
-			dp.ys[j] = nil
-		}
-	}
-	dp.xs = dp.xs[:need]
-	dp.ys = dp.ys[:need]
-	for k, row := range dp.scratchXs {
-		dp.xs[from+k] = row
-		dp.ys[from+k] = dp.scratchYs[k]
-	}
-	dp.scratchXs = dp.scratchXs[:0]
-	dp.scratchYs = dp.scratchYs[:0]
-
-	// Mirror: same shift for the surviving values, then the replayed window.
-	dp.growMirror(max(newLen, oldLen))
-	if converged && delta != 0 {
-		if delta < 0 {
-			for j := newLen - 1; j >= exit; j-- {
-				dp.mods[j], dp.ws[j], dp.hs[j], dp.dirs[j] = dp.mods[j+delta], dp.ws[j+delta], dp.hs[j+delta], dp.dirs[j+delta]
-			}
-		} else {
-			for j := exit; j < newLen; j++ {
-				dp.mods[j], dp.ws[j], dp.hs[j], dp.dirs[j] = dp.mods[j+delta], dp.ws[j+delta], dp.hs[j+delta], dp.dirs[j+delta]
-			}
-		}
-	}
-	for i := from; i < exit; i++ {
-		mi := seq[i]
-		w, h := fp.footprint(mi)
-		dp.mods[i], dp.ws[i], dp.hs[i], dp.dirs[i] = mi, w, h, fp.dir[mi]
-	}
-	dp.growMirror(newLen)
-	dp.valid = newLen
-	dp.mirror = newLen
+	dp.snapshot() // state after the last placement
 }
 
 // Commit releases a PackDiff's rollback journal (the accepted-move path),
@@ -589,101 +317,29 @@ func (pd *PackDiff) Commit() {
 		return
 	}
 	pd.settled = true
-	for _, r := range pd.oldXs {
-		pd.dp.recycleRow(r)
-	}
-	for _, r := range pd.oldYs {
-		pd.dp.recycleRow(r)
-	}
+	pd.dp.recycleRows(pd.oldXs)
+	pd.dp.recycleRows(pd.oldYs)
 }
 
 // Rollback undoes a PackDieFromDiff call byte-exactly: the layout entries of
-// pd.Changed revert to their pre-move values, and the packer's snapshots,
-// mirror, and validity watermark are restored so the next repack resumes
-// from the same state as if the move never happened — no Invalidate, no
-// suffix replay. Call after the floorplan's own undo closure has restored
-// the sequences.
+// pd.Changed revert to their pre-move values and the packer's displaced
+// snapshot rows are reinstated, so the next repack resumes from the same
+// state as if the move never happened. Call after the floorplan's own undo
+// closure has restored the sequences.
 func (pd *PackDiff) Rollback(l *Layout) {
 	if pd.settled || pd.dp == nil {
 		return
 	}
 	pd.settled = true
-	dp := pd.dp
 	for k, m := range pd.Changed {
 		l.Rects[m] = pd.OldRects[k]
 		l.DieOf[m] = pd.OldDies[k]
 	}
-
-	from, exit, newLen, oldLen, delta := pd.From, pd.Exit, pd.SeqLen, pd.oldLen, pd.delta
-	oexit := exit + delta
-	// Recycle the staged rows installed by the replay.
-	hi := exit
-	if !pd.Converged {
-		hi = newLen + 1 // includes the new final snapshot
-	}
-	for j := from; j < hi; j++ {
-		dp.recycleRow(dp.xs[j])
-		dp.recycleRow(dp.ys[j])
-		dp.xs[j] = nil
-		dp.ys[j] = nil
-	}
-	// Un-shift the surviving suffix back to its old positions.
-	need := oldLen + 1
-	if cap(dp.xs) < need { // defensive; commit never shrinks capacity below this
-		nxs := make([][]float64, need)
-		nys := make([][]float64, need)
-		copy(nxs, dp.xs)
-		copy(nys, dp.ys)
-		dp.xs, dp.ys = nxs, nys
-	}
-	if pd.Converged && delta != 0 {
-		if delta > 0 { // commit shifted down; move back up, descending
-			dp.xs = dp.xs[:need]
-			dp.ys = dp.ys[:need]
-			for j := oldLen; j >= oexit; j-- {
-				dp.xs[j] = dp.xs[j-delta]
-				dp.ys[j] = dp.ys[j-delta]
-			}
-		} else { // commit shifted up; move back down, ascending
-			for j := oexit; j <= oldLen; j++ {
-				dp.xs[j] = dp.xs[j-delta]
-				dp.ys[j] = dp.ys[j-delta]
-			}
-		}
-	}
-	if len(dp.xs) > need {
-		for j := need; j < len(dp.xs); j++ {
-			dp.xs[j] = nil
-			dp.ys[j] = nil
-		}
-	}
-	dp.xs = dp.xs[:need]
-	dp.ys = dp.ys[:need]
-	// Reinstate the journaled old rows.
-	for k, row := range pd.oldXs {
-		dp.xs[from+k] = row
-		dp.ys[from+k] = pd.oldYs[k]
-	}
-
-	// Mirror values: un-shift survivors, reinstate the journaled window.
-	dp.growMirror(max(newLen, oldLen))
-	if pd.Converged && delta != 0 {
-		if delta > 0 {
-			for j := oldLen - 1; j >= oexit; j-- {
-				dp.mods[j], dp.ws[j], dp.hs[j], dp.dirs[j] = dp.mods[j-delta], dp.ws[j-delta], dp.hs[j-delta], dp.dirs[j-delta]
-			}
-		} else {
-			for j := oexit; j < oldLen; j++ {
-				dp.mods[j], dp.ws[j], dp.hs[j], dp.dirs[j] = dp.mods[j-delta], dp.ws[j-delta], dp.hs[j-delta], dp.dirs[j-delta]
-			}
-		}
-	}
-	for k, m := range pd.jMods {
-		dp.mods[from+k], dp.ws[from+k], dp.hs[from+k], dp.dirs[from+k] = m, pd.jWs[k], pd.jHs[k], pd.jDirs[k]
-	}
-	dp.growMirror(oldLen)
-	dp.valid = pd.oldValid
-	dp.mirror = oldLen
+	dp := pd.dp
+	dp.recycleRows(dp.xs[pd.From:])
+	dp.recycleRows(dp.ys[pd.From:])
+	dp.xs = append(dp.xs[:pd.From], pd.oldXs...)
+	dp.ys = append(dp.ys[:pd.From], pd.oldYs...)
 }
 
 // skyline tracks the upper contour of a packing as a list of steps.

@@ -2,6 +2,7 @@ package floorplan
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -39,23 +40,22 @@ func fuzzDesign(rng *rand.Rand) *netlist.Design {
 	return des
 }
 
-// FuzzPackDieFrom drives the prefix-resumed skyline packer (PackDieFrom +
-// DiePacker snapshots) through random move sequences with rejections and
-// cost-less undos interleaved, and requires the incrementally maintained
-// layout to stay bit-identical to a from-scratch Pack after every event —
-// the exact contract the annealing loop's incremental evaluator builds on.
+// FuzzPackDieFrom drives the prefix-resumed skyline packer (PackDieFromDiff
+// + DiePacker snapshots) through random move sequences with rejections and
+// cost-less undos interleaved, and checks the exact-diff contract the
+// annealing loop's incremental evaluator builds on after every event:
 //
-// A second layout is maintained in lockstep through PackDieFromDiff and
-// checks the exact-diff contract on every event: the returned changed set
-// must equal a brute-force placement compare against the pre-move layout
-// (so the early-exited suffix is byte-identical by the same compare), and
-// PackDiff.Rollback must restore both the layout and the packer state
-// byte-exactly on rejected moves — no Invalidate, no replay.
+//   - the incrementally maintained layout stays bit-identical to a
+//     from-scratch Pack;
+//   - each PackDiff's changed set equals a brute-force placement compare
+//     against the pre-move layout;
+//   - PackDiff.Rollback restores both the layout and the packer's snapshot
+//     rows byte-exactly on rejected moves.
 //
 // The script bytes steer the protocol per move: bit 0 rejects the move after
-// the partial repack (undo + invalidate + repack, the journal-rollback
-// path), bit 1 undoes it before any repack (the undo-before-Cost path).
-// The seed drives the design shape and the move randomness.
+// the partial repack (undo + journal rollback), bit 1 undoes it before any
+// repack (the undo-before-Cost path: the packers never see the move). The
+// seed drives the design shape and the move randomness.
 func FuzzPackDieFrom(f *testing.F) {
 	f.Add(int64(1), []byte{0x00, 0x01, 0x02, 0x03})
 	f.Add(int64(7), []byte{0x01, 0x01, 0x01, 0x01, 0x01, 0x01})
@@ -70,45 +70,25 @@ func FuzzPackDieFrom(f *testing.F) {
 		des := fuzzDesign(rng)
 		fp := NewRandom(des, rng)
 		lay := fp.Pack()
-		dlay := fp.Pack() // diff-path layout, maintained via PackDieFromDiff
 		packers := make([]*DiePacker, des.Dies)
-		dpackers := make([]*DiePacker, des.Dies)
 		for d := range packers {
 			packers[d] = &DiePacker{}
-			dpackers[d] = &DiePacker{}
 		}
-		repack := func(mv Move) {
-			for i, d := range mv.Dies {
-				fp.PackDieFrom(lay, d, mv.Starts[i], packers[d])
-			}
-		}
-		invalidate := func(mv Move) {
-			for i, d := range mv.Dies {
-				packers[d].Invalidate(mv.Starts[i])
-			}
-		}
-		// Pre-move placement snapshot for the brute-force diff compare.
-		preRects := make([]geom.Rect, len(dlay.Rects))
-		preDies := make([]int, len(dlay.DieOf))
+		// Pre-move placement and packer-row snapshots for the brute-force
+		// diff and rollback compares.
+		preRects := make([]geom.Rect, len(lay.Rects))
+		preDies := make([]int, len(lay.DieOf))
+		preRows := make([][][]float64, des.Dies)
 		diffs := make([]*PackDiff, 0, 2)
-		repackDiff := func(mv Move) {
-			copy(preRects, dlay.Rects)
-			copy(preDies, dlay.DieOf)
+		repack := func(mv Move) {
+			copy(preRects, lay.Rects)
+			copy(preDies, lay.DieOf)
 			diffs = diffs[:0]
 			for i, d := range mv.Dies {
+				preRows[d] = packerRows(packers[d])
 				pd := &PackDiff{}
-				fp.PackDieFromDiff(dlay, d, mv.Starts[i], dpackers[d], pd)
+				fp.PackDieFromDiff(lay, d, mv.Starts[i], packers[d], pd)
 				diffs = append(diffs, pd)
-			}
-		}
-		rollbackDiff := func() {
-			for i := len(diffs) - 1; i >= 0; i-- {
-				diffs[i].Rollback(dlay)
-			}
-		}
-		commitDiff := func() {
-			for _, pd := range diffs {
-				pd.Commit()
 			}
 		}
 		check := func(step int, what string) {
@@ -119,14 +99,10 @@ func FuzzPackDieFrom(f *testing.F) {
 					t.Fatalf("step %d (%s): module %d incremental %+v/die%d != full %+v/die%d",
 						step, what, m, lay.Rects[m], lay.DieOf[m], want.Rects[m], want.DieOf[m])
 				}
-				if dlay.Rects[m] != want.Rects[m] || dlay.DieOf[m] != want.DieOf[m] {
-					t.Fatalf("step %d (%s): module %d diff-path %+v/die%d != full %+v/die%d",
-						step, what, m, dlay.Rects[m], dlay.DieOf[m], want.Rects[m], want.DieOf[m])
-				}
 			}
 		}
 		// checkDiffExact pins each PackDiff's changed set against a
-		// brute-force compare of dlay vs the pre-move snapshot: every
+		// brute-force compare of lay vs the pre-move snapshot: every
 		// reported module really changed, every real change is reported,
 		// and no module is reported twice.
 		checkDiffExact := func(step int) {
@@ -144,8 +120,8 @@ func FuzzPackDieFrom(f *testing.F) {
 					}
 				}
 			}
-			for m := range dlay.Rects {
-				changed := dlay.Rects[m] != preRects[m] || dlay.DieOf[m] != preDies[m]
+			for m := range lay.Rects {
+				changed := lay.Rects[m] != preRects[m] || lay.DieOf[m] != preDies[m]
 				if changed != reported[m] {
 					t.Fatalf("step %d: module %d brute-force changed=%v but reported=%v",
 						step, m, changed, reported[m])
@@ -157,38 +133,51 @@ func FuzzPackDieFrom(f *testing.F) {
 			mv, undo := fp.PerturbMove(rng)
 			if b&2 != 0 {
 				// Undo before any repack (the evaluator's undo-before-Cost
-				// corner): the floorplan reverts, the stale layout must still
-				// equal a fresh Pack, and the untouched snapshots stay valid.
+				// corner): the floorplan reverts, so the untouched layout and
+				// packer snapshots describe it again.
 				undo()
-				invalidate(mv)
 				check(step, "undo-before-repack")
 				continue
 			}
 			repack(mv)
-			repackDiff(mv)
 			checkDiffExact(step)
 			check(step, "apply")
-			if b&1 != 0 {
-				// Rejection: the legacy path undoes, drops the snapshots past
-				// the move's resume points, and repacks; the diff path rolls
-				// the journal back instead — both must revert bit for bit.
-				undo()
-				invalidate(mv)
-				repack(mv)
-				rollbackDiff()
-				for m := range dlay.Rects {
-					if dlay.Rects[m] != preRects[m] || dlay.DieOf[m] != preDies[m] {
-						t.Fatalf("step %d: rollback left module %d at %+v/die%d, want %+v/die%d",
-							step, m, dlay.Rects[m], dlay.DieOf[m], preRects[m], preDies[m])
-					}
+			if b&1 == 0 {
+				for _, pd := range diffs {
+					pd.Commit()
 				}
-				check(step, "reject")
-			} else {
-				commitDiff()
+				continue
 			}
+			// Rejection: undo the floorplan, then roll the journals back in
+			// reverse — layout and packer rows must revert bit for bit.
+			undo()
+			for i := len(diffs) - 1; i >= 0; i-- {
+				diffs[i].Rollback(lay)
+			}
+			for m := range lay.Rects {
+				if lay.Rects[m] != preRects[m] || lay.DieOf[m] != preDies[m] {
+					t.Fatalf("step %d: rollback left module %d at %+v/die%d, want %+v/die%d",
+						step, m, lay.Rects[m], lay.DieOf[m], preRects[m], preDies[m])
+				}
+			}
+			for _, d := range mv.Dies {
+				if got := packerRows(packers[d]); !reflect.DeepEqual(got, preRows[d]) {
+					t.Fatalf("step %d: rollback left die %d packer rows %v, want %v", step, d, got, preRows[d])
+				}
+			}
+			check(step, "reject")
 		}
 		if !fp.CheckInvariants() {
 			t.Fatal("floorplan invariants violated")
 		}
 	})
+}
+
+// packerRows deep-copies a packer's snapshot rows, xs rows then ys rows.
+func packerRows(dp *DiePacker) [][]float64 {
+	var rows [][]float64
+	for _, r := range append(append([][]float64(nil), dp.xs...), dp.ys...) {
+		rows = append(rows, append([]float64(nil), r...))
+	}
+	return rows
 }

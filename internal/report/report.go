@@ -1,165 +1,15 @@
-// Package report serializes floorplanning results for downstream tooling:
-// a stable JSON schema covering the layout, TSV plan, voltage assignment,
-// and metrics, plus terminal-friendly ASCII heatmaps of power and thermal
-// grids (the closest a CLI gets to the paper's Figure 2/4 map plots).
+// Package report renders floorplanning results as terminal-friendly ASCII
+// art: heatmaps of power and thermal grids with optional TSV overlays, and
+// per-die floorplan drawings (the closest a CLI gets to the paper's Figure
+// 2/4 map plots). The JSON result schema is tscfp.Result.
 package report
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/tsv"
 )
-
-// Report is the serializable snapshot of a core.Result.
-type Report struct {
-	Benchmark string  `json:"benchmark"`
-	Mode      string  `json:"mode"`
-	OutlineW  float64 `json:"outline_w_um"`
-	OutlineH  float64 `json:"outline_h_um"`
-	Dies      int     `json:"dies"`
-
-	Modules []ModuleReport `json:"modules"`
-	TSVs    []TSVReport    `json:"tsvs"`
-	Volumes []VolumeReport `json:"voltage_volumes"`
-
-	Metrics core.Metrics `json:"metrics"`
-
-	// Maps are row-major grids; PowerMaps in W per cell, TempMaps in K.
-	GridN     int         `json:"grid_n"`
-	PowerMaps [][]float64 `json:"power_maps"`
-	TempMaps  [][]float64 `json:"temp_maps"`
-}
-
-// ModuleReport is one placed module.
-type ModuleReport struct {
-	Name      string  `json:"name"`
-	Die       int     `json:"die"`
-	X         float64 `json:"x_um"`
-	Y         float64 `json:"y_um"`
-	W         float64 `json:"w_um"`
-	H         float64 `json:"h_um"`
-	PowerW    float64 `json:"power_w"`
-	VoltageV  float64 `json:"voltage_v"`
-	Sensitive bool    `json:"sensitive,omitempty"`
-}
-
-// TSVReport is one TSV (or TSV group).
-type TSVReport struct {
-	Kind  string  `json:"kind"`
-	X     float64 `json:"x_um"`
-	Y     float64 `json:"y_um"`
-	Net   int     `json:"net"`
-	Count int     `json:"count"`
-}
-
-// VolumeReport is one voltage volume.
-type VolumeReport struct {
-	Modules []int   `json:"modules"`
-	Voltage float64 `json:"voltage_v"`
-}
-
-// FromResult builds the serializable snapshot. mode is a human-readable
-// label ("power-aware", "TSC-aware").
-func FromResult(res *core.Result, mode string) *Report {
-	r := &Report{
-		Benchmark: res.Design.Name,
-		Mode:      mode,
-		OutlineW:  res.Layout.OutlineW,
-		OutlineH:  res.Layout.OutlineH,
-		Dies:      res.Layout.Dies,
-		Metrics:   res.Metrics,
-		GridN:     res.PowerMaps[0].NX,
-	}
-	for mi, m := range res.Design.Modules {
-		rect := res.Layout.Rects[mi]
-		r.Modules = append(r.Modules, ModuleReport{
-			Name: m.Name, Die: res.Layout.DieOf[mi],
-			X: rect.X, Y: rect.Y, W: rect.W, H: rect.H,
-			PowerW:    m.Power * res.Assignment.PowerScale[mi],
-			VoltageV:  res.Assignment.LevelOf[mi].V,
-			Sensitive: m.Sensitive,
-		})
-	}
-	for _, v := range res.TSVs.TSVs {
-		r.TSVs = append(r.TSVs, TSVReport{
-			Kind: v.Kind.String(), X: v.Pos.X, Y: v.Pos.Y, Net: v.Net, Count: v.Count,
-		})
-	}
-	for _, v := range res.Assignment.Volumes {
-		r.Volumes = append(r.Volumes, VolumeReport{Modules: v.Modules, Voltage: v.Level.V})
-	}
-	for d := 0; d < res.Layout.Dies; d++ {
-		r.PowerMaps = append(r.PowerMaps, append([]float64(nil), res.PowerMaps[d].Data...))
-		r.TempMaps = append(r.TempMaps, append([]float64(nil), res.TempMaps[d].Data...))
-	}
-	return r
-}
-
-// WriteJSON writes the report to path with indentation.
-func (r *Report) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return fmt.Errorf("report: marshal: %w", err)
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// ReadJSON loads a report written by WriteJSON.
-func ReadJSON(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("report: unmarshal %s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// Validate checks the report's structural consistency.
-func (r *Report) Validate() error {
-	if r.Dies < 1 {
-		return fmt.Errorf("report: bad die count %d", r.Dies)
-	}
-	if len(r.PowerMaps) != r.Dies || len(r.TempMaps) != r.Dies {
-		return fmt.Errorf("report: map count mismatch")
-	}
-	want := r.GridN * r.GridN
-	for d := 0; d < r.Dies; d++ {
-		if len(r.PowerMaps[d]) != want || len(r.TempMaps[d]) != want {
-			return fmt.Errorf("report: die %d map size %d, want %d", d, len(r.PowerMaps[d]), want)
-		}
-	}
-	for _, m := range r.Modules {
-		if m.Die < 0 || m.Die >= r.Dies {
-			return fmt.Errorf("report: module %s on die %d", m.Name, m.Die)
-		}
-	}
-	return nil
-}
-
-// Grid reconstructs die d's map of the given kind ("power" or "temp").
-func (r *Report) Grid(kind string, d int) (*geom.Grid, error) {
-	if d < 0 || d >= r.Dies {
-		return nil, fmt.Errorf("report: die %d out of range", d)
-	}
-	g := geom.NewGrid(r.GridN, r.GridN)
-	switch kind {
-	case "power":
-		copy(g.Data, r.PowerMaps[d])
-	case "temp":
-		copy(g.Data, r.TempMaps[d])
-	default:
-		return nil, fmt.Errorf("report: unknown map kind %q", kind)
-	}
-	return g, nil
-}
 
 // shades orders ASCII density characters light to dark.
 const shades = " .:-=+*#%@"

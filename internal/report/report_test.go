@@ -1,112 +1,12 @@
 package report
 
 import (
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
-	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/tsv"
 )
-
-var (
-	resOnce sync.Once
-	testRes *core.Result
-)
-
-func result(t *testing.T) *core.Result {
-	t.Helper()
-	resOnce.Do(func() {
-		des := bench.MustGenerate("n100")
-		r, err := core.Run(des, core.Config{
-			Mode: core.TSCAware, GridN: 16, SAIterations: 100,
-			ActivitySamples: 6, MaxDummyGroups: 4, Seed: 11,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		testRes = r
-	})
-	return testRes
-}
-
-func TestFromResultComplete(t *testing.T) {
-	res := result(t)
-	r := FromResult(res, "TSC-aware")
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Modules) != 100 {
-		t.Fatalf("modules %d", len(r.Modules))
-	}
-	if r.Benchmark != "n100" || r.Mode != "TSC-aware" || r.Dies != 2 {
-		t.Fatalf("header wrong: %+v", r)
-	}
-	if len(r.TSVs) == 0 || len(r.Volumes) == 0 {
-		t.Fatal("missing TSVs or volumes")
-	}
-	for _, m := range r.Modules {
-		if m.VoltageV != 0.8 && m.VoltageV != 1.0 && m.VoltageV != 1.2 {
-			t.Fatalf("module %s voltage %v", m.Name, m.VoltageV)
-		}
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	res := result(t)
-	r := FromResult(res, "TSC-aware")
-	path := filepath.Join(t.TempDir(), "r.json")
-	if err := r.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if back.Benchmark != r.Benchmark || len(back.Modules) != len(r.Modules) {
-		t.Fatal("round trip lost data")
-	}
-	if back.Metrics.R1 != r.Metrics.R1 {
-		t.Fatal("metrics lost")
-	}
-	g1, err := back.Grid("temp", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1.Max() != res.TempMaps[0].Max() {
-		t.Fatal("temp map lost")
-	}
-}
-
-func TestReadJSONMissingFile(t *testing.T) {
-	if _, err := ReadJSON("/nonexistent/file.json"); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestGridUnknownKind(t *testing.T) {
-	r := FromResult(result(t), "x")
-	if _, err := r.Grid("nope", 0); err == nil {
-		t.Fatal("expected error")
-	}
-	if _, err := r.Grid("power", 9); err == nil {
-		t.Fatal("expected die range error")
-	}
-}
-
-func TestValidateCatchesCorruption(t *testing.T) {
-	r := FromResult(result(t), "x")
-	r.PowerMaps[0] = r.PowerMaps[0][:3]
-	if err := r.Validate(); err == nil {
-		t.Fatal("expected size error")
-	}
-}
 
 func TestHeatmapShape(t *testing.T) {
 	g := geom.NewGrid(8, 4)

@@ -137,12 +137,18 @@ type job struct {
 	id       string
 	seq      uint64
 	priority int
-	req      JobRequest
-	design   *tscfp.Design
-	key      string
-	events   *broadcaster
-	ctx      context.Context
-	cancel   context.CancelFunc
+	// req is the normalized submission with its Design dropped, and design
+	// the resolved design, held only while the job can still run: the
+	// worker or a queued cancel clears it (under mu) when the record turns
+	// terminal, so a retained record pins no decoded or synthesized
+	// netlist. designName outlives it for JobStatus.
+	req        JobRequest
+	design     *tscfp.Design
+	designName string
+	key        string
+	events     *broadcaster
+	ctx        context.Context
+	cancel     context.CancelFunc
 
 	mu        sync.Mutex
 	state     State
@@ -185,7 +191,7 @@ func (j *job) status() JobStatus {
 		ID:         j.id,
 		State:      j.state,
 		Priority:   j.priority,
-		Design:     j.design.Name(),
+		Design:     j.designName,
 		Benchmark:  j.req.Benchmark,
 		Sweep:      j.req.Sweep != nil,
 		Submitted:  j.submitted,

@@ -244,14 +244,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	req.Design = nil
 	j := &job{
-		priority:  req.Priority,
-		req:       req,
-		design:    design,
-		key:       key,
-		events:    newBroadcaster(),
-		submitted: time.Now(),
-		state:     StateQueued,
+		priority:   req.Priority,
+		req:        req,
+		designName: design.Name(),
+		key:        key,
+		events:     newBroadcaster(),
+		submitted:  time.Now(),
+		state:      StateQueued,
 	}
 	s.mu.Lock()
 	s.seq++
@@ -279,6 +280,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	j.design = design
 	j.ctx, j.cancel = context.WithCancel(s.baseCtx)
 	s.register(j)
 	if err := s.queue.push(j); err != nil {
@@ -381,6 +383,7 @@ func (s *Server) run(j *job) {
 
 	j.mu.Lock()
 	j.finished = time.Now()
+	j.design = nil
 	switch {
 	case err == nil:
 		j.state = StateDone
@@ -624,6 +627,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 			j.mu.Lock()
 			j.state = StateCancelled
 			j.finished = now
+			j.design = nil
 			j.errMsg = "cancelled before start"
 			j.mu.Unlock()
 			s.metrics.jobCancelledQueued()

@@ -423,6 +423,45 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestTerminalJobsDropDesign checks that retained job records do not pin
+// designs: a done job, a deduped job and a queued-then-cancelled job each
+// hold no *tscfp.Design, and each still reports the design name. The
+// deduped and cancelled submissions carry inline designs, so the decoded
+// netlist of the request is covered as well as the resolved design.
+func TestTerminalJobsDropDesign(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	design, _ := json.Marshal(tscfp.MustBenchmark("n100"))
+	inline := func(seed int) string {
+		return fmt.Sprintf(`{"design": %s, "options": {"mode": "tsc", "seed": %d,
+			"iterations": 100, "grid_n": 12, "activity_samples": 4, "max_dummy_groups": 2}}`, design, seed)
+	}
+
+	done, _ := submit(t, ts, testJobBody)
+	waitState(t, ts, done.ID, StateDone)
+	deduped, resp := submit(t, ts, inline(42))
+	if resp.StatusCode != http.StatusOK || !deduped.Deduped {
+		t.Fatalf("inline duplicate: status %d, %+v", resp.StatusCode, deduped)
+	}
+	blocker, _ := submit(t, ts, `{"benchmark": "n100", "options": {"iterations": 100000000, "grid_n": 12}}`)
+	waitState(t, ts, blocker.ID, StateRunning)
+	queued, _ := submit(t, ts, inline(7))
+	cancelJob(t, ts, queued.ID)
+	cancelJob(t, ts, blocker.ID)
+
+	for name, id := range map[string]string{"done": done.ID, "deduped": deduped.ID, "cancelled": queued.ID} {
+		j := s.lookup(id)
+		j.mu.Lock()
+		pinned := j.design != nil || j.req.Design != nil
+		j.mu.Unlock()
+		if pinned {
+			t.Errorf("%s job record still holds a *tscfp.Design", name)
+		}
+		if st := getStatus(t, ts, id); !st.State.Terminal() || st.Design != "n100" {
+			t.Errorf("%s job status = %s, design %q; want terminal, design n100", name, st.State, st.Design)
+		}
+	}
+}
+
 // TestQueueBoundsAndValidation exercises admission control: a full queue
 // returns 503 with Retry-After, and malformed submissions return 400/413.
 func TestQueueBoundsAndValidation(t *testing.T) {
@@ -448,6 +487,7 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		"bad mode":             `{"benchmark": "n100", "options": {"mode": "fast"}}`,
 		"bad criterion":        `{"benchmark": "n100", "options": {"post_criterion": "top"}}`,
 		"negative iterations":  `{"benchmark": "n100", "options": {"iterations": -1}}`,
+		"protected module":     `{"benchmark": "n100", "options": {"protected_modules": [5000]}}`,
 		"unknown field":        `{"benchmark": "n100", "bogus": 1}`,
 		"truncated":            `{"benchmark": "n1`,
 	} {

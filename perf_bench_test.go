@@ -63,7 +63,6 @@ func BenchmarkAnnealLoop(b *testing.B) {
 				b.ReportMetric(float64(st.AdjBulkFallbacks)/float64(st.PackMoves), "adj_bulk_fallback_frac")
 			}
 			if st.PackDieDiffs > 0 {
-				b.ReportMetric(float64(st.PackEarlyExits)/float64(st.PackDieDiffs), "pack_early_exit_frac")
 				b.ReportMetric(float64(st.PackReplayedPositions)/float64(st.PackDieDiffs), "pack_replayed/diff")
 			}
 		})

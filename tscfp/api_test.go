@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -235,6 +236,26 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := Benchmark("nope"); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+// TestProtectedModulesRange checks NewFlow rejects a protected-module index
+// outside the design, naming it, instead of silently watching no bins.
+func TestProtectedModulesRange(t *testing.T) {
+	design := MustBenchmark("n100")
+	n := design.NumModules()
+	for _, tc := range []struct {
+		modules []int
+		want    string // error substring naming the bad index; "" = accepted
+	}{
+		{[]int{0, -1}, "index -1 "},
+		{[]int{n}, fmt.Sprintf("index %d ", n)},
+		{[]int{0, n - 1}, ""},
+	} {
+		_, err := NewFlow(design, WithProtectedModules(tc.modules...))
+		if (tc.want == "") != (err == nil) || err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("protected modules %v: NewFlow returned %v, want error %q", tc.modules, err, tc.want)
+		}
 	}
 }
 

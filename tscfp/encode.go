@@ -119,17 +119,16 @@ type RunStats struct {
 	// The pack_* churn counters describe the exact-diff repack contract
 	// (WithChurnStats; omitted otherwise so default encodings stay
 	// byte-identical). PackMoves counts moves evaluated through the
-	// diff-producing packer, PackDieDiffs the per-die diffs they ran,
-	// PackEarlyExits the diffs that stopped at skyline re-convergence
-	// before the die's end, and PackReplayedPositions the sequence
-	// positions actually re-placed. PackChangedModules totals the modules
-	// whose placement a move really changed — the exact dirty set every
-	// downstream cache consumes — with PackChangedP50/P95 the per-move
-	// distribution's percentiles. AdjBulkFallbacks counts adjacency-index
-	// updates that fell back to the bulk sweep-plus-diff path.
+	// diff-producing packer, PackDieDiffs the per-die diffs they ran, and
+	// PackReplayedPositions the sequence positions re-placed (each diff
+	// replays from its resume point to the die's end). PackChangedModules
+	// totals the modules whose placement a move really changed — the exact
+	// dirty set every downstream cache consumes — with PackChangedP50/P95
+	// the per-move distribution's percentiles. AdjBulkFallbacks counts
+	// adjacency-index updates that fell back to the bulk sweep-plus-diff
+	// path.
 	PackMoves             int `json:"pack_moves,omitempty"`
 	PackDieDiffs          int `json:"pack_die_diffs,omitempty"`
-	PackEarlyExits        int `json:"pack_early_exits,omitempty"`
 	PackReplayedPositions int `json:"pack_replayed_positions,omitempty"`
 	PackChangedModules    int `json:"pack_changed_modules,omitempty"`
 	PackChangedP50        int `json:"pack_changed_p50,omitempty"`

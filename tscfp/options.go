@@ -183,7 +183,8 @@ func WithPostCriterion(c PostCriterion) Option {
 
 // WithProtectedModules switches post-processing to the Sec. 7.1 adaptation:
 // dummy TSVs target only the bins covered by these (security-critical)
-// modules. Indices refer to Design.Modules.
+// modules. Indices refer to Design.Modules; NewFlow rejects any outside
+// [0, NumModules).
 func WithProtectedModules(modules ...int) Option {
 	return func(s *settings) { s.ProtectedModules = modules }
 }
@@ -293,8 +294,8 @@ func WithCostCrossCheck(enabled bool) Option {
 
 // WithChurnStats surfaces the exact-diff repack churn counters in
 // Result.Stats: the pack_* fields (moves through the diff packer, per-die
-// diffs, early exits, replayed positions, changed-module totals and p50/p95
-// per move) plus the adj_bulk_fallbacks fallback-path counter. The counters
+// diffs, replayed positions, changed-module totals and p50/p95 per move)
+// plus the adj_bulk_fallbacks fallback-path counter. The counters
 // are always collected; this knob only controls whether they appear on the
 // wire, so the default JSON encoding stays byte-identical to earlier
 // releases. Default off.

@@ -29,7 +29,8 @@ type Flow struct {
 
 // NewFlow binds a design to a set of options. Option validation happens
 // here, not in Run, so a sweep over many cells fails fast on a bad knob:
-// the knobs the options set are checked by RunOptions.Canonical.
+// the knobs the options set are checked by RunOptions.Canonical, and the
+// protected-module indices against the design.
 func NewFlow(design *Design, opts ...Option) (*Flow, error) {
 	if design == nil || design.d == nil {
 		return nil, fmt.Errorf("tscfp: nil design")
@@ -44,6 +45,11 @@ func NewFlow(design *Design, opts ...Option) (*Flow, error) {
 	c, err := s.RunOptions.Canonical()
 	if err != nil {
 		return nil, err
+	}
+	for _, mi := range c.ProtectedModules {
+		if mi < 0 || mi >= design.NumModules() {
+			return nil, fmt.Errorf("tscfp: protected_modules index %d outside [0, %d)", mi, design.NumModules())
+		}
 	}
 	cfg := c.config()
 	cfg.CostCrossCheck = s.crossCheck
@@ -143,7 +149,6 @@ func newResult(res *core.Result, mode Mode, seed int64, churn bool) *Result {
 	if churn {
 		r.Stats.PackMoves = res.EvalStats.PackMoves
 		r.Stats.PackDieDiffs = res.EvalStats.PackDieDiffs
-		r.Stats.PackEarlyExits = res.EvalStats.PackEarlyExits
 		r.Stats.PackReplayedPositions = res.EvalStats.PackReplayedPositions
 		r.Stats.PackChangedModules = res.EvalStats.PackChangedModules
 		r.Stats.PackChangedP50 = res.EvalStats.PackChangedPercentile(0.50)
