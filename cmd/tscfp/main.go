@@ -8,15 +8,19 @@
 //
 //	tscfp -bench n100 -mode tsc -runs 3 -iters 3000
 //	tscfp -bench ibm01 -mode pa -runs 8 -workers 4
+//	tscfp -bench ibm01 -iters 300 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 
 	"repro/internal/version"
 	"repro/tscfp"
@@ -25,7 +29,12 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tscfp: ")
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
 
+func run() (err error) {
 	var (
 		benchName   = flag.String("bench", "n100", "benchmark name (n100 n200 n300 ibm01 ibm03 ibm07)")
 		mode        = flag.String("mode", "tsc", "floorplanning mode: pa (power-aware) or tsc (TSC-aware)")
@@ -44,27 +53,35 @@ func main() {
 		speculate   = flag.Int("speculate", 1, "candidate moves evaluated concurrently per annealing step (>= 2 is a different deterministic walk than serial)")
 		churnStats  = flag.Bool("churn-stats", false, "surface the exact-diff repack churn counters: print a per-run pack/fallback summary and include the pack_* fields in -json output")
 		checkCost   = flag.Bool("check-cost", false, "cross-check every incremental cost (and voltage refresh, entropy patch, adjacency update) against a full recompute (debug; very slow)")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 		showVersion = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
 	if *showVersion {
 		fmt.Println("tscfp " + version.String())
-		return
+		return nil
 	}
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	design, err := tscfp.Benchmark(*benchName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	m, err := tscfp.ParseMode(*mode)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *runs < 1 {
-		log.Fatalf("-runs must be >= 1, got %d", *runs)
+		return fmt.Errorf("-runs must be >= 1, got %d", *runs)
 	}
 
 	ow, oh := design.Outline()
@@ -106,7 +123,7 @@ func main() {
 		Options: opts,
 	}, tscfp.WithWorkers(*workers))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var agg tscfp.Metrics
@@ -114,7 +131,7 @@ func main() {
 	lastIndex := -1
 	for sr := range results {
 		if sr.Err != nil {
-			log.Fatal(sr.Err)
+			return sr.Err
 		}
 		if sr.Cell.Index > lastIndex {
 			last, lastIndex = sr.Result, sr.Cell.Index
@@ -171,11 +188,11 @@ func main() {
 		for d := 0; d < last.Dies; d++ {
 			pm, err := last.PowerHeatmap(d)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			tm, err := last.TempHeatmap(d)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			fmt.Printf("\ndie %d power map (TSVs overlaid):\n%s", d, pm)
 			fmt.Printf("\ndie %d thermal map:\n%s", d, tm)
@@ -183,8 +200,58 @@ func main() {
 	}
 	if *jsonOut != "" && last != nil {
 		if err := last.WriteJSONFile(*jsonOut); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("\nresult written to %s\n", *jsonOut)
 	}
+	return nil
+}
+
+// startProfiles starts a CPU profile into cpuPath and returns the function
+// that ends it and writes an allocation profile into memPath; an empty path
+// skips that profile. run defers stop, so the profiles are written on every
+// exit path, errors included, and stop reports each failed create, write or
+// close.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			return nil, errors.Join(fmt.Errorf("cpu profile: %w", err), cpu.Close())
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				errs = append(errs, fmt.Errorf("cpu profile: %w", err))
+			}
+		}
+		if memPath != "" {
+			errs = append(errs, writeAllocProfile(memPath))
+		}
+		return errors.Join(errs...)
+	}, nil
+}
+
+// writeAllocProfile writes the allocation profile (the view `go test
+// -memprofile` writes, alloc_space by default in `go tool pprof`) to path.
+func writeAllocProfile(path string) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("mem profile: %w", err)
+	}
+	defer func() {
+		if cerr := f.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("mem profile: %w", cerr)
+		}
+	}()
+	runtime.GC() // flush the allocations of the last cycle into the profile
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		return fmt.Errorf("mem profile: %w", err)
+	}
+	return nil
 }

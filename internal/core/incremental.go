@@ -29,8 +29,8 @@ import (
 //     the full path's PowerMap — an additive subtract/re-add patch would
 //     leave ulp-level round-off that the discontinuous nested-means entropy
 //     classification can amplify past the 1e-9 contract), and the fast
-//     estimator's per-source blur responses are recomputed only for dies
-//     whose map changed;
+//     estimator's per-source blur responses are recomputed (ResponseInto)
+//     only for dies whose map changed;
 //   - per-die spatial entropies (TSC mode) are served by
 //     leakage.EntropyCache: the cache diffs each dirty die's map against
 //     its own value mirror and patches the nested-means sort and the
@@ -42,8 +42,14 @@ import (
 //     where an itemized timing patch beats the single pass;
 //   - every mutation this evaluation makes to the caches is journaled; the
 //     undo closure returned by Perturb rolls the journal back, so rejected
-//     moves restore the caches exactly (byte for byte — rejected moves
-//     restore cloned pre-move maps, not re-derived ones).
+//     moves restore the caches exactly (byte for byte — a patched die's
+//     map and responses are written into its spare buffers, and a rejected
+//     move swaps the pre-move ones back in rather than re-deriving them).
+//
+// A steady-state move allocates nothing in these caches: the journal, the
+// per-die pack-diff records, the map and response double buffers and the
+// blur scratch are owned here and reused move after move (see
+// docs/ARCHITECTURE.md, "Per-move memory").
 //
 // Voltage scales are deliberately NOT journaled: the full evaluator keeps
 // scales computed during a rejected evaluation too (they are not part of the
@@ -64,9 +70,17 @@ type incrState struct {
 	netDelay []float64 // per-net Elmore delay in ns
 
 	maps      []*geom.Grid   // per-die voltage-scaled power maps
-	resp      [][]*geom.Grid // resp[s] = fast.Response(maps[s], s)
+	resp      [][]*geom.Grid // resp[s] = fast.ResponseInto(maps[s], s, ...)
 	entropy   []float64      // per-die spatial entropy (TSC mode only)
 	mapsValid bool           // maps/resp/entropy reflect lay under current scales
+
+	// spareMaps[d] and spareResp[d] are die d's second buffers: a patch
+	// swaps them with maps[d] and resp[d] and writes the new values there,
+	// so the journal holds the pre-move ones without copying, and a
+	// rollback swaps them back. blur is the fast estimator's scratch grid.
+	spareMaps []*geom.Grid
+	spareResp [][]*geom.Grid
+	blur      *geom.Grid
 
 	// entCaches[d] incrementally maintains die d's spatial entropy (TSC
 	// mode). The caches are self-synchronizing — each Update diffs the grid
@@ -77,15 +91,16 @@ type incrState struct {
 	entCaches []*leakage.EntropyCache
 
 	pending *floorplan.Move // applied to fp but not yet to the caches
-	journal *moveJournal    // rollback record of the last evaluated move
+	journal *moveJournal    // rollback record of the last evaluated move, or nil
+	jbuf    moveJournal     // the journal's storage, reused for every move
 	dirty   []int           // dies whose maps need patching this evaluation
 
 	// packers[d] caches die d's skyline states so repacks resume from the
-	// move's first changed sequence position. diffPool recycles the
-	// floorplan.PackDiff records that journal each repack (one or two per
-	// move, settled when the journal is superseded or rolled back).
-	packers  []*floorplan.DiePacker
-	diffPool []*floorplan.PackDiff
+	// move's first changed sequence position; diffs[d] journals die d's
+	// repack (a move repacks each touched die once, and the record is
+	// settled when the journal is superseded or rolled back).
+	packers []floorplan.DiePacker
+	diffs   []floorplan.PackDiff
 
 	// Incremental voltage refresh: vasg caches the voltage-volume candidate
 	// trees between stride refreshes; voltDirty marks the modules whose
@@ -125,58 +140,6 @@ type incrState struct {
 	staScaled *timing.Analysis
 	temps     []*geom.Grid
 	powers    []float64
-	pool      []*geom.Grid
-}
-
-// grabGrid returns a pooled grid of the cache's dimensions (contents
-// undefined) or allocates one.
-func (ic *incrState) grabGrid(nx, ny int) *geom.Grid {
-	for n := len(ic.pool); n > 0; n = len(ic.pool) {
-		g := ic.pool[n-1]
-		ic.pool = ic.pool[:n-1]
-		if g.NX == nx && g.NY == ny {
-			return g
-		}
-	}
-	return geom.NewGrid(nx, ny)
-}
-
-// releaseGrid returns a superseded grid to the pool (bounded — the
-// steady-state working set is a handful of grids; anything beyond that is
-// left to the garbage collector). Only call when dropping the last
-// reference.
-func (ic *incrState) releaseGrid(g *geom.Grid) {
-	const poolCap = 64
-	if g != nil && len(ic.pool) < poolCap {
-		ic.pool = append(ic.pool, g)
-	}
-}
-
-// releaseGrids is releaseGrid over a slice.
-func (ic *incrState) releaseGrids(gs []*geom.Grid) {
-	for _, g := range gs {
-		ic.releaseGrid(g)
-	}
-}
-
-// grabDiff returns a cleared pack-diff record from the pool or allocates one.
-func (ic *incrState) grabDiff() *floorplan.PackDiff {
-	if n := len(ic.diffPool); n > 0 {
-		pd := ic.diffPool[n-1]
-		ic.diffPool = ic.diffPool[:n-1]
-		pd.Reset()
-		return pd
-	}
-	return &floorplan.PackDiff{}
-}
-
-// releaseDiff returns a settled pack-diff record to the pool (bounded — a
-// move journals at most two).
-func (ic *incrState) releaseDiff(pd *floorplan.PackDiff) {
-	const diffPoolCap = 8
-	if len(ic.diffPool) < diffPoolCap {
-		ic.diffPool = append(ic.diffPool, pd)
-	}
 }
 
 // moveJournal records every cache mutation of one evaluated move so a
@@ -202,7 +165,7 @@ type moveJournal struct {
 	dies  []int
 
 	// packDiffs journal the per-die repacks: Rollback restores the layout
-	// and the packer's skyline snapshots byte-exactly, Commit releases them
+	// and the packer's skyline snapshots byte-exactly, Commit settles them
 	// when the move is accepted.
 	packDiffs []*floorplan.PackDiff
 
@@ -212,15 +175,28 @@ type moveJournal struct {
 	netWL    []float64
 	netDelay []float64
 
+	// mapDies lists the patched dies, whose pre-move maps and responses
+	// sit in the spare buffers; oldEntropy holds their pre-move entropies
+	// (TSC mode).
 	mapDies    []int
-	oldMaps    []*geom.Grid
-	oldResp    [][]*geom.Grid
 	oldEntropy []float64
 
 	// voltAdded lists the modules this move newly marked volt-dirty, so a
 	// rollback can unmark exactly them (unless refreshed, which re-derives
 	// the set instead — see incrState.voltDirty).
 	voltAdded []int
+}
+
+// begin clears the journal for a new record, keeping its storage.
+func (j *moveJournal) begin() *moveJournal {
+	j.reset, j.refreshed, j.mapsRebuilt = false, false, false
+	j.mods, j.rects, j.dies = j.mods[:0], j.rects[:0], j.dies[:0]
+	j.packDiffs = j.packDiffs[:0]
+	j.nets, j.netLen, j.netCross = j.nets[:0], j.netLen[:0], j.netCross[:0]
+	j.netWL, j.netDelay = j.netWL[:0], j.netDelay[:0]
+	j.mapDies, j.oldEntropy = j.mapDies[:0], j.oldEntropy[:0]
+	j.voltAdded = j.voltAdded[:0]
+	return j
 }
 
 // newIncrState allocates an empty cache set; everything is built lazily on
@@ -249,23 +225,19 @@ func (ic *incrState) perturb(e *evaluator, rng *rand.Rand) func() {
 		}
 	}
 	// The previous move's journal is superseded: once the annealer moves
-	// on without undoing, that move is committed and its pre-move grid
-	// snapshots and pack-diff journals can be recycled.
+	// on without undoing, that move is committed and its pack diffs are
+	// settled (its pre-move maps stay in the spare buffers, to be
+	// overwritten by the next patch).
 	if j := ic.journal; j != nil {
-		ic.releaseGrids(j.oldMaps)
-		for _, r := range j.oldResp {
-			ic.releaseGrids(r)
-		}
 		for _, pd := range j.packDiffs {
 			pd.Commit()
-			ic.releaseDiff(pd)
 		}
 		ic.journal = nil
 	}
 	ic.pending = &mv
 	return func() {
 		undo()
-		ic.rollback()
+		ic.rollback(e)
 		// The folded-in move survives the undo: it is still applied to the
 		// floorplan and still unseen by the caches, so it stays pending.
 		ic.pending = prev
@@ -274,7 +246,7 @@ func (ic *incrState) perturb(e *evaluator, rng *rand.Rand) func() {
 
 // rollback reverts the cache mutations of the last evaluated move. Called
 // after the floorplan undo has already restored the sequences.
-func (ic *incrState) rollback() {
+func (ic *incrState) rollback(e *evaluator) {
 	ic.pending = nil
 	ic.dirty = ic.dirty[:0]
 	ic.movedEval = false
@@ -311,9 +283,6 @@ func (ic *incrState) rollback() {
 	for i := len(j.packDiffs) - 1; i >= 0; i-- {
 		j.packDiffs[i].Rollback(ic.lay)
 	}
-	for _, pd := range j.packDiffs {
-		ic.releaseDiff(pd)
-	}
 	if ic.checkRects != nil {
 		for i, m := range j.mods {
 			ic.checkRects[m] = j.rects[i]
@@ -345,16 +314,16 @@ func (ic *incrState) rollback() {
 	if j.refreshed || j.mapsRebuilt {
 		// Either the scales changed (and survive rollback) or the maps were
 		// rebuilt wholesale under the now-undone geometry; both ways they
-		// must be rebuilt on the next evaluation rather than restored.
+		// must be rebuilt on the next evaluation rather than restored. The
+		// spare buffers keep their grids for the rebuild's next patch.
 		ic.mapsValid = false
 		return
 	}
+	tsc := e.cfg.Mode == TSCAware
 	for i, d := range j.mapDies {
-		ic.releaseGrids(ic.resp[d])
-		ic.releaseGrid(ic.maps[d])
-		ic.maps[d] = j.oldMaps[i]
-		ic.resp[d] = j.oldResp[i]
-		if j.oldEntropy != nil {
+		ic.maps[d], ic.spareMaps[d] = ic.spareMaps[d], ic.maps[d]
+		ic.resp[d], ic.spareResp[d] = ic.spareResp[d], ic.resp[d]
+		if tsc {
 			ic.entropy[d] = j.oldEntropy[i]
 		}
 	}
@@ -517,6 +486,9 @@ func (ic *incrState) initGeometry(e *evaluator) {
 
 	ic.maps = make([]*geom.Grid, ic.lay.Dies)
 	ic.resp = make([][]*geom.Grid, ic.lay.Dies)
+	ic.spareMaps = make([]*geom.Grid, ic.lay.Dies)
+	ic.spareResp = make([][]*geom.Grid, ic.lay.Dies)
+	ic.blur = geom.NewGrid(e.cfg.GridN, e.cfg.GridN)
 	ic.entropy = make([]float64, ic.lay.Dies)
 	ic.mapsValid = false
 	if e.cfg.Mode == TSCAware && ic.entCaches == nil {
@@ -532,6 +504,11 @@ func (ic *incrState) initGeometry(e *evaluator) {
 
 	ic.netStamp = make([]int, nNets)
 	ic.dieMark = make([]bool, ic.lay.Dies)
+	// A move journals each net at most once: sizing the journal's per-net
+	// slices here keeps their growth out of the anneal loop.
+	j := &ic.jbuf
+	j.nets, j.netLen, j.netCross = make([]int, 0, nNets), make([]float64, 0, nNets), make([]bool, 0, nNets)
+	j.netWL, j.netDelay = make([]float64, 0, nNets), make([]float64, 0, nNets)
 
 	if ic.voltDirty == nil {
 		ic.voltDirty = make([]bool, nMods)
@@ -541,7 +518,8 @@ func (ic *incrState) initGeometry(e *evaluator) {
 		// The move is folded into this full build; there is no itemized
 		// rollback record, so an undo must drop the caches entirely.
 		ic.pending = nil
-		ic.journal = &moveJournal{reset: true}
+		ic.journal = ic.jbuf.begin()
+		ic.journal.reset = true
 	}
 }
 
@@ -604,7 +582,7 @@ func (ic *incrState) refreshNet(ni int, n *netlist.Net, p *timing.Params) {
 func (ic *incrState) applyMove(e *evaluator) {
 	mv := ic.pending
 	ic.pending = nil
-	j := &moveJournal{}
+	j := ic.jbuf.begin()
 	ic.journal = j
 	ic.movedEval = true
 
@@ -613,14 +591,13 @@ func (ic *incrState) applyMove(e *evaluator) {
 	// PackDieFromDiff reports exactly the modules whose placement changed —
 	// j.mods is that set, not a touched-die population snapshot.
 	if ic.packers == nil {
-		ic.packers = make([]*floorplan.DiePacker, ic.lay.Dies)
+		ic.packers = make([]floorplan.DiePacker, ic.lay.Dies)
+		ic.diffs = make([]floorplan.PackDiff, ic.lay.Dies)
 	}
 	for i, d := range mv.Dies {
-		if ic.packers[d] == nil {
-			ic.packers[d] = &floorplan.DiePacker{}
-		}
-		pd := ic.grabDiff()
-		e.fp.PackDieFromDiff(ic.lay, d, mv.Starts[i], ic.packers[d], pd)
+		pd := &ic.diffs[d]
+		pd.Reset()
+		e.fp.PackDieFromDiff(ic.lay, d, mv.Starts[i], &ic.packers[d], pd)
 		j.packDiffs = append(j.packDiffs, pd)
 		j.mods = append(j.mods, pd.Changed...)
 		j.rects = append(j.rects, pd.OldRects...)
@@ -679,18 +656,19 @@ func (ic *incrState) applyMove(e *evaluator) {
 // updateMaps brings the per-die power maps, fast-estimator responses, and
 // entropy cache in line with the current layout and voltage scales: a full
 // rebuild when the scales changed (or on first use), otherwise a patch of
-// only the dirty dies.
+// only the dirty dies. Both write into the grids the caches already hold.
 func (ic *incrState) updateMaps(e *evaluator, powers []float64) {
 	n := e.cfg.GridN
 	tsc := e.cfg.Mode == TSCAware
 	if !ic.mapsValid {
 		for d := 0; d < ic.lay.Dies; d++ {
-			ic.releaseGrid(ic.maps[d])
-			ic.releaseGrids(ic.resp[d])
-			ic.maps[d] = ic.lay.PowerMap(d, n, n, powers)
+			if ic.maps[d] == nil {
+				ic.maps[d] = geom.NewGrid(n, n)
+			}
+			ic.lay.PowerMapInto(d, powers, ic.maps[d])
 		}
 		for s := 0; s < ic.lay.Dies; s++ {
-			ic.resp[s] = e.fast.Response(ic.maps[s], s)
+			ic.resp[s] = e.fast.ResponseInto(ic.maps[s], s, ic.resp[s], ic.blur)
 			if tsc {
 				ic.entropy[s] = ic.dieEntropy(e, s)
 			}
@@ -709,10 +687,14 @@ func (ic *incrState) updateMaps(e *evaluator, powers []float64) {
 	}
 	j := ic.journal
 	for _, d := range ic.dirty {
+		// The pre-move map and responses move to the spare buffers (the
+		// journal's record of them); the new ones overwrite the old spares.
 		j.mapDies = append(j.mapDies, d)
-		snap := ic.grabGrid(n, n)
-		copy(snap.Data, ic.maps[d].Data)
-		j.oldMaps = append(j.oldMaps, snap)
+		ic.maps[d], ic.spareMaps[d] = ic.spareMaps[d], ic.maps[d]
+		ic.resp[d], ic.spareResp[d] = ic.spareResp[d], ic.resp[d]
+		if ic.maps[d] == nil {
+			ic.maps[d] = geom.NewGrid(n, n)
+		}
 		// Re-rasterize the dirty die from scratch rather than subtracting
 		// the moved modules' old footprints and re-adding the new ones: the
 		// additive patch leaves a few ulps of round-off on every touched
@@ -725,8 +707,7 @@ func (ic *incrState) updateMaps(e *evaluator, powers []float64) {
 		ic.lay.PowerMapInto(d, powers, ic.maps[d])
 	}
 	for _, d := range ic.dirty {
-		j.oldResp = append(j.oldResp, ic.resp[d])
-		ic.resp[d] = e.fast.Response(ic.maps[d], d)
+		ic.resp[d] = e.fast.ResponseInto(ic.maps[d], d, ic.resp[d], ic.blur)
 		if tsc {
 			j.oldEntropy = append(j.oldEntropy, ic.entropy[d])
 			ic.entropy[d] = ic.dieEntropy(e, d)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -147,6 +149,42 @@ func TestUndoBeforeCostIsSafe(t *testing.T) {
 	}
 }
 
+// TestResetJournalRollback covers the reset journal: a move perturbed in
+// before the first Cost folds into the initial full build, so undoing it
+// drops the caches wholesale, and the next Cost must rebuild them to agree
+// with the full evaluator — as must the journaled moves after it.
+func TestResetJournalRollback(t *testing.T) {
+	inc := makeEval(t, TSCAware, true, 61)
+	full := makeEval(t, TSCAware, false, 61)
+	rngInc := rand.New(rand.NewSource(4))
+	rngFull := rand.New(rand.NewSource(4))
+	agree := func(what string) {
+		t.Helper()
+		if d := relDiff(inc.Cost(), full.Cost()); d > 1e-9 {
+			t.Fatalf("%s: cost differs by %g", what, d)
+		}
+	}
+	undoInc, undoFull := inc.Perturb(rngInc), full.Perturb(rngFull)
+	agree("first build with the move folded in")
+	if !inc.incr.journal.reset {
+		t.Fatal("first build after a Perturb did not record a reset journal")
+	}
+	undoInc()
+	undoFull()
+	if inc.incr.lay != nil {
+		t.Fatal("reset rollback kept the cached layout")
+	}
+	agree("rebuild after the reset rollback")
+	for i := 0; i < 40; i++ {
+		undoInc, undoFull = inc.Perturb(rngInc), full.Perturb(rngFull)
+		agree(fmt.Sprintf("move %d", i))
+		if i%2 == 1 {
+			undoInc()
+			undoFull()
+		}
+	}
+}
+
 // degenerateNetDesign is a hand-built stack whose netlist contains the
 // degenerate shapes Design.Validate rejects — a single-pin net and an empty
 // net — alongside real nets and a terminal net. The evaluators must agree
@@ -226,6 +264,50 @@ func TestDegenerateNetsAgreeAcrossEvaluators(t *testing.T) {
 		}
 		if ic.netDelay[ni] < 0 {
 			t.Fatalf("net %q has negative cached delay %v", n.Name, ic.netDelay[ni])
+		}
+	}
+}
+
+// TestIncrementalMoveAllocations pins the anneal loop's allocation diet: a
+// warmed incremental evaluator (TSC mode, grid 32, serial blur) allocates
+// under 8 KB per perturb/Cost move, with every other move undone. The
+// packer rows, pack diffs, move journal, map and response buffers and blur
+// scratch are all reused, so what remains is the move record and the undo
+// closures. VoltEvery is set past the measured window: the voltage
+// assigner, whose refresh allocates, runs only on the first evaluation.
+func TestIncrementalMoveAllocations(t *testing.T) {
+	const gridN, warm, moves, budget = 32, 100, 200, 8 << 10
+	for _, name := range []string{"n100", "ibm01"} {
+		des := bench.MustGenerate(name)
+		cfg := Config{Mode: TSCAware, GridN: gridN, Seed: 1, VoltEvery: 1 << 30}
+		cfg.defaults()
+		fast := thermal.CalibrateFastWorkers(thermal.DefaultConfig(gridN, gridN, des.OutlineW, des.OutlineH, des.Dies), 1)
+		rng := rand.New(rand.NewSource(1))
+		ev := &evaluator{fp: floorplan.NewRandom(des, rng), cfg: &cfg, fast: fast, incr: newIncrState()}
+		move := func(i int) {
+			undo := ev.Perturb(rng)
+			ev.Cost()
+			if i%2 == 1 {
+				undo()
+			}
+		}
+		ev.Cost()
+		for i := 0; i < warm; i++ {
+			move(i)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < moves; i++ {
+			move(i)
+		}
+		runtime.ReadMemStats(&after)
+		if ev.stats.VoltRefreshes != 1 {
+			t.Fatalf("%s: %d voltage refreshes, want only the first evaluation's", name, ev.stats.VoltRefreshes)
+		}
+		perMove := (after.TotalAlloc - before.TotalAlloc) / moves
+		t.Logf("%s: %d bytes allocated per move", name, perMove)
+		if perMove > budget {
+			t.Errorf("%s: %d bytes allocated per move, want at most %d", name, perMove, budget)
 		}
 	}
 }

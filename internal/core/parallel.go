@@ -62,7 +62,11 @@ func runParallelAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rn
 			Problems: probs,
 			RNG:      rrng,
 			OnBest: func(float64) {
-				bests[r] = evs[r][0].fp.Clone()
+				if bests[r] == nil {
+					bests[r] = evs[r][0].fp.Clone()
+				} else {
+					bests[r].CopyFrom(evs[r][0].fp)
+				}
 			},
 		}
 	}

@@ -36,8 +36,13 @@ const (
 )
 
 // Floorplan is a mutable 3D floorplan state: a die assignment plus per-die
-// packing sequences. It references (and resizes) the modules of its design
-// clone; construct with New or NewRandom.
+// packing sequences, with per-module rotation, aspect and insertion
+// direction. Construct with New or NewRandom.
+//
+// The design is immutable once a floorplan holds it: every footprint change
+// (rotation, soft-module reshaping) lives in the floorplan's own state and
+// is applied by footprint, never written back to the modules. Clone and
+// CopyFrom rely on this and share the design instead of copying it.
 type Floorplan struct {
 	Design *netlist.Design
 
@@ -93,17 +98,29 @@ func NewRandom(des *netlist.Design, rng *rand.Rand) *Floorplan {
 	return fp
 }
 
-// Clone returns an independent deep copy.
+// Clone returns an independent copy of the floorplan state. The copy shares
+// the (immutable) design.
 func (fp *Floorplan) Clone() *Floorplan {
-	c := &Floorplan{Design: fp.Design.Clone()}
-	c.seq = make([][]int, len(fp.seq))
-	for d := range fp.seq {
-		c.seq[d] = append([]int(nil), fp.seq[d]...)
-	}
-	c.dir = append([]InsertDir(nil), fp.dir...)
-	c.rot = append([]bool(nil), fp.rot...)
-	c.aspect = append([]float64(nil), fp.aspect...)
+	c := &Floorplan{}
+	c.CopyFrom(fp)
 	return c
+}
+
+// CopyFrom overwrites fp with src's state, reusing fp's storage: once fp
+// has held a state of src's shape, the copy allocates nothing. fp then
+// shares src's (immutable) design. The annealing loop snapshots every new
+// best state this way.
+func (fp *Floorplan) CopyFrom(src *Floorplan) {
+	fp.Design = src.Design
+	if len(fp.seq) != len(src.seq) {
+		fp.seq = make([][]int, len(src.seq))
+	}
+	for d := range src.seq {
+		fp.seq[d] = append(fp.seq[d][:0], src.seq[d]...)
+	}
+	fp.dir = append(fp.dir[:0], src.dir...)
+	fp.rot = append(fp.rot[:0], src.rot...)
+	fp.aspect = append(fp.aspect[:0], src.aspect...)
 }
 
 // DieOf returns the die index currently holding module mi, or -1.
@@ -185,53 +202,47 @@ func (fp *Floorplan) PackDie(l *Layout, d int) {
 	}
 }
 
+// rowStride is the spacing, in sequence positions, of a DiePacker's
+// snapshot rows. A repack resumes from the last row at or before its first
+// changed position and re-places the fewer than rowStride positions in
+// between, which reproduce their placements unchanged. Keeping every 8th
+// skyline instead of every one stores an eighth of the rows of a large die
+// (ibm01 holds ~455 positions per die) for at most 7 extra placements per
+// repack.
+const rowStride = 8
+
 // DiePacker caches one die's skyline states between repacks so a repack can
-// resume from the first changed sequence position instead of position 0. A
+// resume near the first changed sequence position instead of position 0. A
 // placement depends only on the sequence prefix before it, so replaying from
-// the snapshot taken before the first change reproduces the full repack bit
+// a snapshot taken before the first change reproduces the full repack bit
 // for bit while skipping the untouched prefix. The zero value holds no rows,
 // so its first repack starts at position 0.
 type DiePacker struct {
-	// xs[i], ys[i] snapshot the skyline steps before placing sequence
-	// position i of the last-packed sequence; position 0 is the empty
-	// skyline and the last row is the state after the final placement.
-	xs, ys [][]float64
-	sky    skyline     // reusable working skyline
-	spare  [][]float64 // recycled snapshot-row storage
-}
-
-// takeRow returns a recycled snapshot row (length 0) or nil (append
-// allocates).
-func (dp *DiePacker) takeRow() []float64 {
-	if n := len(dp.spare); n > 0 {
-		r := dp.spare[n-1]
-		dp.spare = dp.spare[:n-1]
-		return r[:0]
-	}
-	return nil
-}
-
-// recycleRows returns snapshot rows' backing to the bounded spare pool.
-func (dp *DiePacker) recycleRows(rows [][]float64) {
-	const spareCap = 128
-	for _, r := range rows {
-		if r != nil && len(dp.spare) < spareCap {
-			dp.spare = append(dp.spare, r)
-		}
-	}
+	// Row r snapshots the skyline steps before placing sequence position
+	// r*rowStride of the last-packed sequence, for every such position up
+	// to its length n (position n being the state after the final
+	// placement): xs[off[r]:off[r+1]] and ys[off[r]:off[r+1]]. Row 0 is
+	// the empty skyline. The rows live in the two flat arenas xs and ys,
+	// so a warmed packer snapshots without allocating.
+	xs, ys []float64
+	off    []int   // row offsets into xs/ys; empty or rows+1 long, off[0] == 0
+	n      int     // length of the last-packed sequence; 0 for the zero value
+	sky    skyline // reusable working skyline
 }
 
 // snapshot appends a copy of the working skyline as the next row.
 func (dp *DiePacker) snapshot() {
-	dp.xs = append(dp.xs, append(dp.takeRow(), dp.sky.xs...))
-	dp.ys = append(dp.ys, append(dp.takeRow(), dp.sky.ys...))
+	dp.xs = append(dp.xs, dp.sky.xs...)
+	dp.ys = append(dp.ys, dp.sky.ys...)
+	dp.off = append(dp.off, len(dp.xs))
 }
 
 // PackDiff records the exact effect of one PackDieFromDiff call: the modules
 // whose placement actually changed (with their pre-move values), how much of
 // the sequence was replayed, and the packer-state journal needed to undo the
 // call byte-exactly. Exactly one of Commit or Rollback must be called before
-// the record is reused; Reset clears it for the next move.
+// the record is reused; Reset clears it for the next move. The record keeps
+// its storage across Resets, so a reused record journals without allocating.
 type PackDiff struct {
 	// Die is the repacked die.
 	Die int
@@ -242,14 +253,17 @@ type PackDiff struct {
 	Changed  []int
 	OldRects []geom.Rect
 	OldDies  []int
-	// From is the first replayed position and SeqLen the new sequence
-	// length: the call replayed positions [From, SeqLen).
+	// From is the first position the call may have changed and SeqLen the
+	// new sequence length: the call recomputed positions [From, SeqLen).
+	// The replay itself starts at the snapshot row at or before From.
 	From, SeqLen int
 
-	// Rollback record: the packer's snapshot rows [From:] displaced by the
-	// replay.
+	// Rollback record: the packer's length and copies of its snapshot rows
+	// [row:] displaced by the replay (arena data and row end offsets).
 	dp           *DiePacker
-	oldXs, oldYs [][]float64
+	row, oldN    int
+	oldXs, oldYs []float64
+	oldOff       []int
 	settled      bool // Commit or Rollback already ran
 }
 
@@ -260,41 +274,53 @@ func (pd *PackDiff) Reset() {
 	pd.OldDies = pd.OldDies[:0]
 	pd.oldXs = pd.oldXs[:0]
 	pd.oldYs = pd.oldYs[:0]
+	pd.oldOff = pd.oldOff[:0]
 	pd.dp = nil
 	pd.settled = false
 }
 
 // PackDieFromDiff repacks die d into the layout like PackDie, resuming from
-// the packer's snapshot row at sequence position `from` (clamped to the rows
-// dp holds) and replaying to the die's end. Placements before the resume
-// point are untouched — they are already correct in l. pd.Changed lists
-// precisely the modules whose (x, y, w, h) or die assignment differs from
-// before the call; replayed positions that reproduce their previous
-// placement verbatim are not reported.
+// the packer's last snapshot row at or before sequence position `from`
+// (clamped to the sequence dp last packed) and replaying to the die's end.
+// Placements before the resume point are untouched — they are already
+// correct in l. pd.Changed lists precisely the modules whose (x, y, w, h)
+// or die assignment differs from before the call; replayed positions that
+// reproduce their previous placement verbatim are not reported.
 //
 // The displaced snapshot rows are journaled in pd: pd.Rollback restores the
 // packer AND the layout's changed placements byte-exactly (the
-// rejected-move path), pd.Commit releases the journal (the accepted-move
+// rejected-move path), pd.Commit settles the record (the accepted-move
 // path). pd must be Reset (or zero) on entry.
 func (fp *Floorplan) PackDieFromDiff(l *Layout, d, from int, dp *DiePacker, pd *PackDiff) {
 	seq := fp.seq[d]
-	from = min(from, len(seq), max(len(dp.xs)-1, 0))
-	pd.Die, pd.From, pd.SeqLen, pd.dp = d, from, len(seq), dp
+	from = min(from, len(seq), dp.n)
+	row := from / rowStride // held: dp last packed positions [0, dp.n]
+	pd.Die, pd.From, pd.SeqLen = d, from, len(seq)
+	pd.dp, pd.row, pd.oldN = dp, row, dp.n
 
 	sky := &dp.sky
 	sky.width = fp.Design.OutlineW
-	if from == 0 {
+	if row == 0 {
 		sky.xs = append(sky.xs[:0], 0)
 		sky.ys = append(sky.ys[:0], 0)
 	} else {
-		sky.xs = append(sky.xs[:0], dp.xs[from]...)
-		sky.ys = append(sky.ys[:0], dp.ys[from]...)
+		lo, hi := dp.off[row], dp.off[row+1]
+		sky.xs = append(sky.xs[:0], dp.xs[lo:hi]...)
+		sky.ys = append(sky.ys[:0], dp.ys[lo:hi]...)
 	}
-	pd.oldXs = append(pd.oldXs, dp.xs[from:]...)
-	pd.oldYs = append(pd.oldYs, dp.ys[from:]...)
-	dp.xs, dp.ys = dp.xs[:from], dp.ys[:from]
-	for _, mi := range seq[from:] {
-		dp.snapshot()
+	if len(dp.off) == 0 {
+		dp.off = append(dp.off, 0)
+	}
+	base := dp.off[row]
+	pd.oldXs = append(pd.oldXs, dp.xs[base:]...)
+	pd.oldYs = append(pd.oldYs, dp.ys[base:]...)
+	pd.oldOff = append(pd.oldOff, dp.off[row+1:]...)
+	dp.xs, dp.ys, dp.off, dp.n = dp.xs[:base], dp.ys[:base], dp.off[:row+1], len(seq)
+	for p := row * rowStride; p < len(seq); p++ {
+		if p%rowStride == 0 {
+			dp.snapshot()
+		}
+		mi := seq[p]
 		w, h := fp.footprint(mi)
 		x, y := sky.place(w, h, fp.dir[mi])
 		r := geom.Rect{X: x, Y: y, W: w, H: h}
@@ -306,19 +332,16 @@ func (fp *Floorplan) PackDieFromDiff(l *Layout, d, from int, dp *DiePacker, pd *
 			l.DieOf[mi] = d
 		}
 	}
-	dp.snapshot() // state after the last placement
+	if len(seq)%rowStride == 0 {
+		dp.snapshot() // state after the last placement
+	}
 }
 
-// Commit releases a PackDiff's rollback journal (the accepted-move path),
-// recycling the displaced snapshot rows. Idempotent with Rollback: the first
-// of the two settles the record.
+// Commit settles a PackDiff on the accepted-move path: the replayed rows
+// stay in the packer and the journal is dropped. Idempotent with Rollback:
+// the first of the two settles the record.
 func (pd *PackDiff) Commit() {
-	if pd.settled || pd.dp == nil {
-		return
-	}
 	pd.settled = true
-	pd.dp.recycleRows(pd.oldXs)
-	pd.dp.recycleRows(pd.oldYs)
 }
 
 // Rollback undoes a PackDieFromDiff call byte-exactly: the layout entries of
@@ -336,10 +359,11 @@ func (pd *PackDiff) Rollback(l *Layout) {
 		l.DieOf[m] = pd.OldDies[k]
 	}
 	dp := pd.dp
-	dp.recycleRows(dp.xs[pd.From:])
-	dp.recycleRows(dp.ys[pd.From:])
-	dp.xs = append(dp.xs[:pd.From], pd.oldXs...)
-	dp.ys = append(dp.ys[:pd.From], pd.oldYs...)
+	base := dp.off[pd.row]
+	dp.xs = append(dp.xs[:base], pd.oldXs...)
+	dp.ys = append(dp.ys[:base], pd.oldYs...)
+	dp.off = append(dp.off[:pd.row+1], pd.oldOff...)
+	dp.n = pd.oldN
 }
 
 // skyline tracks the upper contour of a packing as a list of steps.
@@ -388,31 +412,26 @@ func (s *skyline) spanHeight(x, w float64) float64 {
 }
 
 // place finds a corner for a w x h module per the direction preference,
-// commits it to the skyline, and returns the lower-left position.
+// commits it to the skyline, and returns the lower-left position. The
+// candidates are the fitting step starts, scanned left to right; the first
+// is the running best and each later one replaces it when better.
 func (s *skyline) place(w, h float64, dir InsertDir) (float64, float64) {
-	type cand struct{ x, y float64 }
-	var cands []cand
-	for i := range s.xs {
-		x := s.xs[i]
+	bx, by, found := 0.0, 0.0, false
+	for _, x := range s.xs {
 		if x+w > s.width+1e-9 {
 			continue
 		}
-		cands = append(cands, cand{x, s.spanHeight(x, w)})
-	}
-	var best cand
-	if len(cands) == 0 {
-		// Module wider than the outline or no fitting corner: clamp left.
-		best = cand{0, s.spanHeight(0, math.Min(w, s.width))}
-	} else {
-		best = cands[0]
-		for _, c := range cands[1:] {
-			if better(c.x, c.y, best.x, best.y, dir) {
-				best = c
-			}
+		y := s.spanHeight(x, w)
+		if !found || better(x, y, bx, by, dir) {
+			bx, by, found = x, y, true
 		}
 	}
-	s.commit(best.x, w, best.y+h)
-	return best.x, best.y
+	if !found {
+		// Module wider than the outline or no fitting corner: clamp left.
+		bx, by = 0, s.spanHeight(0, math.Min(w, s.width))
+	}
+	s.commit(bx, w, by+h)
+	return bx, by
 }
 
 func better(x, y, bx, by float64, dir InsertDir) bool {

@@ -3,6 +3,7 @@ package floorplan
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bench"
@@ -220,6 +221,38 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestCopyFromSharesDesign pins the best-state snapshot contract: Clone and
+// CopyFrom copy the floorplan state but share the design, perturbing the
+// source leaves the copies' packing unchanged, and a CopyFrom into a
+// floorplan that already held a state of the same shape allocates nothing.
+func TestCopyFromSharesDesign(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	src := NewRandom(fuzzDesign(rng), rng)
+	clone := src.Clone()
+	var dst Floorplan
+	dst.CopyFrom(src)
+	want := src.Pack()
+	for i := 0; i < 50; i++ {
+		src.Perturb(rng)
+	}
+	for name, c := range map[string]*Floorplan{"Clone": clone, "CopyFrom": &dst} {
+		if c.Design != src.Design {
+			t.Fatalf("%s: copy does not share the source's design", name)
+		}
+		got := c.Pack()
+		if !reflect.DeepEqual(got.Rects, want.Rects) || !reflect.DeepEqual(got.DieOf, want.DieOf) {
+			t.Fatalf("%s: perturbing the source changed the copy's packing", name)
+		}
+	}
+	dst.CopyFrom(src)
+	if got, want := dst.Pack(), src.Pack(); !reflect.DeepEqual(got.Rects, want.Rects) || !reflect.DeepEqual(got.DieOf, want.DieOf) {
+		t.Fatal("CopyFrom into a used floorplan does not reproduce the source's packing")
+	}
+	if n := testing.AllocsPerRun(100, func() { dst.CopyFrom(src) }); n != 0 {
+		t.Fatalf("CopyFrom allocates %v times per call, want 0", n)
+	}
+}
+
 func TestLayoutClone(t *testing.T) {
 	l := New(tinyDesign()).Pack()
 	c := l.Clone()
@@ -332,6 +365,7 @@ func TestPackDiffResetReuse(t *testing.T) {
 			}
 			if cycle%2 == 0 {
 				pd.Commit()
+				pd.Rollback(lay) // the record is settled: a no-op
 				copy(pre.Rects, lay.Rects)
 				copy(pre.DieOf, lay.DieOf)
 			} else {
@@ -360,6 +394,66 @@ func TestPackDiffResetReuse(t *testing.T) {
 					t.Fatalf("cycle %d: rejected layout diverged at module %d", cycle, m)
 				}
 			}
+		}
+	}
+}
+
+// TestPackDieFromDiffAllocFree pins the packer's allocation diet: once a
+// DiePacker and a PackDiff record have seen a die's packing, a repack that
+// commits and one that rolls back allocate nothing — the snapshot rows live
+// in the packer's arenas and the journal in the record's own buffers.
+func TestPackDieFromDiffAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fp := NewRandom(fuzzDesign(rng), rng)
+	lay := fp.Pack()
+	const d = 0
+	dp, pd := &DiePacker{}, &PackDiff{}
+	fp.PackDieFromDiff(lay, d, 0, dp, pd)
+	pd.Commit()
+	// Pick a mid-sequence module whose direction flip moves something, so
+	// both settle paths journal real changes.
+	pos := -1
+	for i := 1; i < len(fp.seq[d]) && pos < 0; i++ {
+		fp.dir[fp.seq[d][i]] ^= 1
+		pd.Reset()
+		fp.PackDieFromDiff(lay, d, i, dp, pd)
+		if len(pd.Changed) > 0 {
+			pos = i
+		}
+		fp.dir[fp.seq[d][i]] ^= 1
+		pd.Rollback(lay)
+	}
+	if pos < 0 {
+		t.Fatal("no direction flip on die 0 changes the packing")
+	}
+	mi := fp.seq[d][pos]
+	for _, tc := range []struct {
+		name   string
+		repack func()
+	}{
+		{"Commit", func() {
+			fp.dir[mi] ^= 1
+			pd.Reset()
+			fp.PackDieFromDiff(lay, d, pos, dp, pd)
+			pd.Commit()
+		}},
+		{"Rollback", func() {
+			fp.dir[mi] ^= 1
+			pd.Reset()
+			fp.PackDieFromDiff(lay, d, pos, dp, pd)
+			fp.dir[mi] ^= 1
+			pd.Rollback(lay)
+		}},
+	} {
+		for i := 0; i < 4; i++ {
+			tc.repack()
+		}
+		if n := testing.AllocsPerRun(100, tc.repack); n != 0 {
+			t.Errorf("PackDieFromDiff+%s allocates %v times per repack, want 0", tc.name, n)
+		}
+		want := fp.Pack()
+		if !reflect.DeepEqual(lay.Rects, want.Rects) || !reflect.DeepEqual(lay.DieOf, want.DieOf) {
+			t.Fatalf("PackDieFromDiff+%s: layout diverged from a full Pack", tc.name)
 		}
 	}
 }

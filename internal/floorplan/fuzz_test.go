@@ -12,9 +12,11 @@ import (
 // fuzzDesign synthesizes a small stacked design whose module mix (hard and
 // soft, varied shapes) is derived from the fuzz seed, so the packer sees
 // different geometry regimes — tight packings, overhangs, skinny modules —
-// across the corpus without depending on the benchmark generator.
+// across the corpus without depending on the benchmark generator. Up to 35
+// modules over 2–3 dies puts well over rowStride positions on many dies, so
+// repacks resume from snapshot rows past the first.
 func fuzzDesign(rng *rand.Rand) *netlist.Design {
-	nMods := 6 + rng.Intn(10)
+	nMods := 6 + rng.Intn(30)
 	des := &netlist.Design{
 		Name:     "fuzz",
 		Dies:     2 + rng.Intn(2),
@@ -173,11 +175,15 @@ func FuzzPackDieFrom(f *testing.F) {
 	})
 }
 
-// packerRows deep-copies a packer's snapshot rows, xs rows then ys rows.
+// packerRows deep-copies a packer's state: its packed length as a
+// one-element row, then its snapshot rows out of the arenas, xs rows then
+// ys rows.
 func packerRows(dp *DiePacker) [][]float64 {
-	var rows [][]float64
-	for _, r := range append(append([][]float64(nil), dp.xs...), dp.ys...) {
-		rows = append(rows, append([]float64(nil), r...))
+	rows := [][]float64{{float64(dp.n)}}
+	for _, arena := range [][]float64{dp.xs, dp.ys} {
+		for i := 0; i+1 < len(dp.off); i++ {
+			rows = append(rows, append([]float64(nil), arena[dp.off[i]:dp.off[i+1]]...))
+		}
 	}
 	return rows
 }

@@ -29,6 +29,7 @@ type metrics struct {
 	completed    int
 	failed       int
 	cancelled    int
+	panics       int // jobs whose worker recovered a panic (also counted failed)
 	cellsDeduped int // sweep cells served from the store (job-level dedupe aside)
 	writeErrors  int // response/SSE writes that failed (dead clients)
 	jobsGCed     int // terminal job records pruned from the job table
@@ -92,6 +93,13 @@ func (m *metrics) jobFinished(state State) {
 	}
 }
 
+// jobPanicked counts a job whose flow panicked on its worker goroutine.
+func (m *metrics) jobPanicked() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.panics++
+}
+
 // cellDeduped counts one sweep cell served from the store.
 func (m *metrics) cellDeduped() {
 	m.mu.Lock()
@@ -145,6 +153,7 @@ func (m *metrics) handler(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&buf, "tscfpd_jobs_completed_total %d\n", m.completed)
 	fmt.Fprintf(&buf, "tscfpd_jobs_failed_total %d\n", m.failed)
 	fmt.Fprintf(&buf, "tscfpd_jobs_cancelled_total %d\n", m.cancelled)
+	fmt.Fprintf(&buf, "tscfpd_job_panics_total %d\n", m.panics)
 	fmt.Fprintf(&buf, "tscfpd_jobs_gced_total %d\n", m.jobsGCed)
 	fmt.Fprintf(&buf, "tscfpd_sweep_cells_deduped_total %d\n", m.cellsDeduped)
 	fmt.Fprintf(&buf, "tscfpd_write_errors_total %d\n", m.writeErrors)

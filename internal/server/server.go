@@ -33,8 +33,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -199,6 +201,11 @@ func (s *Server) GC() {
 	s.gcLocked(time.Now())
 }
 
+// worker serves queued jobs until the queue closes. A panic inside a job
+// fails that job, not the daemon: execute recovers it on this goroutine and
+// the worker goes on serving. Goroutines a flow spawns itself (replica
+// chains, sweep cells, the parallel SOR) are outside that recover; a panic
+// there still ends the process.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -373,13 +380,7 @@ func (s *Server) run(j *job) {
 	s.metrics.jobStarted()
 	j.events.publish("state", "state", j.status())
 
-	var artifact string
-	var err error
-	if j.req.Sweep != nil {
-		artifact, err = s.runSweep(j)
-	} else {
-		artifact, err = s.runSingle(j)
-	}
+	artifact, err := s.execute(j)
 
 	j.mu.Lock()
 	j.finished = time.Now()
@@ -401,6 +402,23 @@ func (s *Server) run(j *job) {
 	s.metrics.jobFinished(state)
 	j.events.publish("state", "state", j.status())
 	j.events.close()
+}
+
+// execute runs the job's flow. A panic on this goroutine becomes the job's
+// error (so the job ends failed with the panic value in its message): the
+// stack is logged once and tscfpd_job_panics_total counts it.
+func (s *Server) execute(j *job) (artifact string, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			log.Printf("job %s panicked: %v\n%s", j.id, v, debug.Stack())
+			s.metrics.jobPanicked()
+			artifact, err = "", fmt.Errorf("job panicked: %v", v)
+		}
+	}()
+	if j.req.Sweep != nil {
+		return s.runSweep(j)
+	}
+	return s.runSingle(j)
 }
 
 // runSingle executes one flow and stores its Result under the job's

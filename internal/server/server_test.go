@@ -10,9 +10,11 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/registry"
 	"repro/tscfp"
 )
 
@@ -460,6 +462,42 @@ func TestTerminalJobsDropDesign(t *testing.T) {
 			t.Errorf("%s job status = %s, design %q; want terminal, design n100", name, st.State, st.Design)
 		}
 	}
+}
+
+// panicStore is an in-memory Store whose first Put panics, standing in for
+// any fault that panics on a worker goroutine mid-job.
+type panicStore struct {
+	*memStore
+	tripped atomic.Bool
+}
+
+func (p *panicStore) Put(id string, data []byte, jobID string, jobSeq uint64) (registry.Artifact, bool, error) {
+	if p.tripped.CompareAndSwap(false, true) {
+		panic("injected store fault")
+	}
+	return p.memStore.Put(id, data, jobID, jobSeq)
+}
+
+// TestWorkerPanicFailsJob: a panic on the worker goroutine fails that job
+// with the panic value in its error, counts on /metrics, and leaves the
+// single worker serving — the resubmitted job completes.
+func TestWorkerPanicFailsJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Store: &panicStore{memStore: newMemStore()}})
+
+	first, _ := submit(t, ts, testJobBody)
+	waitState(t, ts, first.ID, StateFailed)
+	if st := getStatus(t, ts, first.ID); !strings.Contains(st.Error, "injected store fault") {
+		t.Fatalf("panicked job error = %q, want the panic value", st.Error)
+	}
+	metrics := fetch(t, ts, "/metrics")
+	for _, want := range []string{"tscfpd_job_panics_total 1\n", "tscfpd_jobs_failed_total 1\n"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, metrics)
+		}
+	}
+
+	second, _ := submit(t, ts, testJobBody)
+	waitState(t, ts, second.ID, StateDone)
 }
 
 // TestQueueBoundsAndValidation exercises admission control: a full queue

@@ -18,10 +18,13 @@ type FastEstimator struct {
 	nx, ny  int
 	dies    int
 	ambient float64
-	// amp[s][t] and sigma[s][t]: peak response (K per W) and spatial spread
-	// (in cells) on target die t for a unit impulse on source die s.
-	amp   [][]float64
-	sigma [][]float64
+	// amp[s][t] is the peak response (K per W) on target die t for a unit
+	// impulse on source die s, and kernel[s][t] the normalized Gaussian of
+	// that response's spatial spread sigma[s][t] (in cells), computed once
+	// at calibration. Both are read-only afterwards, so goroutines may share
+	// one estimator.
+	amp    [][]float64
+	kernel [][][]float64
 	// workers bounds the goroutines fanned out per convolution pass;
 	// 0 selects GOMAXPROCS, 1 forces the serial path. Blur outputs are
 	// byte-identical for every worker count (each output cell is computed
@@ -51,14 +54,14 @@ func CalibrateFastWorkers(cfg Config, workers int) *FastEstimator {
 	fe := &FastEstimator{
 		nx: cfg.NX, ny: cfg.NY, dies: cfg.Dies, ambient: cfg.Ambient,
 		amp:     make([][]float64, cfg.Dies),
-		sigma:   make([][]float64, cfg.Dies),
+		kernel:  make([][][]float64, cfg.Dies),
 		workers: workers,
 	}
 	stack := NewStack(cfg)
 	ci, cj := cfg.NX/2, cfg.NY/2
 	for src := 0; src < cfg.Dies; src++ {
 		fe.amp[src] = make([]float64, cfg.Dies)
-		fe.sigma[src] = make([]float64, cfg.Dies)
+		fe.kernel[src] = make([][]float64, cfg.Dies)
 		// Unit impulse: 1 W in the center cell of the source die.
 		for d := 0; d < cfg.Dies; d++ {
 			stack.SetDiePower(d, geom.NewGrid(cfg.NX, cfg.NY))
@@ -96,30 +99,45 @@ func CalibrateFastWorkers(cfg Config, workers int) *FastEstimator {
 				sig = 0.5
 			}
 			fe.amp[src][tgt] = peak
-			fe.sigma[src][tgt] = sig
+			fe.kernel[src][tgt] = gaussianKernel(sig)
 		}
 	}
 	return fe
 }
 
-// Response returns source die s's scaled contribution to every target die's
-// temperature map for the given power map: Response(p, s)[t] =
-// amp[s][t] * blur(p, sigma[s][t]). It is the unit of work the incremental
-// cost evaluator caches — when only one die's power map changes between
+// ResponseInto returns source die s's scaled contribution to every target
+// die's temperature map for the given power map: out[t] = amp[s][t] *
+// blur(power, sigma[s][t]). It is the unit of work the incremental cost
+// evaluator caches — when only one die's power map changes between
 // annealing moves, the other sources' responses are reused verbatim.
-func (fe *FastEstimator) Response(power *geom.Grid, s int) []*geom.Grid {
-	out := make([]*geom.Grid, fe.dies)
-	for t := 0; t < fe.dies; t++ {
-		b := gaussianBlur(power, fe.sigma[s][t], fe.workers)
-		b.ScaleBy(fe.amp[s][t])
-		out[t] = b
+//
+// out is reused when it holds a grid per die of power's dimensions (nil, or
+// any other shape, allocates fresh grids); scratch backs the blur's
+// horizontal pass (nil allocates one). The scratch grid belongs to the
+// caller because the estimator is shared read-only, e.g. by replica
+// goroutines. With both supplied and a serial blur, the call allocates
+// nothing.
+func (fe *FastEstimator) ResponseInto(power *geom.Grid, s int, out []*geom.Grid, scratch *geom.Grid) []*geom.Grid {
+	nx, ny := power.NX, power.NY
+	if len(out) != fe.dies {
+		out = make([]*geom.Grid, fe.dies)
+	}
+	if scratch == nil || scratch.NX != nx || scratch.NY != ny {
+		scratch = geom.NewGrid(nx, ny)
+	}
+	for t := range out {
+		if out[t] == nil || out[t].NX != nx || out[t].NY != ny {
+			out[t] = geom.NewGrid(nx, ny)
+		}
+		blurInto(out[t], power, scratch, fe.kernel[s][t], fe.workers)
+		out[t].ScaleBy(fe.amp[s][t])
 	}
 	return out
 }
 
-// Combine sums per-source responses (as returned by Response, indexed
+// Combine sums per-source responses (as returned by ResponseInto, indexed
 // resp[source][target]) plus the ambient offset into per-die temperature
-// maps. Estimate(power) == Combine over each source's Response — byte for
+// maps. Estimate(power) == Combine over each source's ResponseInto — byte for
 // byte, which is what lets cached and freshly-computed responses mix.
 func (fe *FastEstimator) Combine(resp [][]*geom.Grid) []*geom.Grid {
 	return fe.CombineInto(resp, nil)
@@ -157,22 +175,11 @@ func (fe *FastEstimator) Estimate(power []*geom.Grid) []*geom.Grid {
 		panic("thermal: power map count must equal die count")
 	}
 	resp := make([][]*geom.Grid, fe.dies)
-	for s := 0; s < fe.dies; s++ {
-		resp[s] = fe.Response(power[s], s)
+	scratch := geom.NewGrid(fe.nx, fe.ny)
+	for s := range resp {
+		resp[s] = fe.ResponseInto(power[s], s, nil, scratch)
 	}
 	return fe.Combine(resp)
-}
-
-// EstimateDie is Estimate restricted to one target die.
-func (fe *FastEstimator) EstimateDie(power []*geom.Grid, target int) *geom.Grid {
-	g := geom.NewGrid(fe.nx, fe.ny)
-	g.Fill(fe.ambient)
-	for s := 0; s < fe.dies; s++ {
-		blurred := gaussianBlur(power[s], fe.sigma[s][target], fe.workers)
-		blurred.ScaleBy(fe.amp[s][target])
-		g.AddGrid(blurred)
-	}
-	return g
 }
 
 // Adjoint applies the transpose of the estimator's linear operator to a set
@@ -189,7 +196,9 @@ func (fe *FastEstimator) Adjoint(residuals []*geom.Grid) []*geom.Grid {
 	for s := 0; s < fe.dies; s++ {
 		g := geom.NewGrid(fe.nx, fe.ny)
 		for t := 0; t < fe.dies; t++ {
-			b := gaussianBlur(residuals[t], fe.sigma[s][t], fe.workers)
+			r := residuals[t]
+			b := geom.NewGrid(r.NX, r.NY)
+			blurInto(b, r, geom.NewGrid(r.NX, r.NY), fe.kernel[s][t], fe.workers)
 			b.ScaleBy(fe.amp[s][t])
 			g.AddGrid(b)
 		}
@@ -213,13 +222,12 @@ func (fe *FastEstimator) Rises(power []*geom.Grid) []*geom.Grid {
 // Dies returns the estimator's die count.
 func (fe *FastEstimator) Dies() int { return fe.dies }
 
-// gaussianBlur applies a separable normalized Gaussian of the given sigma
-// (in cells) with reflective boundaries. The two passes fan their rows
-// across `workers` goroutines (0 = GOMAXPROCS); every output cell is
-// computed independently, so the result does not depend on the fan-out.
-func gaussianBlur(g *geom.Grid, sigma float64, workers int) *geom.Grid {
+// gaussianKernel returns the normalized Gaussian of the given sigma (in
+// cells), truncated at radius ceil(3*sigma) >= 1. A non-positive sigma gives
+// the identity kernel.
+func gaussianKernel(sigma float64) []float64 {
 	if sigma <= 0 {
-		return g.Clone()
+		return []float64{1}
 	}
 	radius := int(math.Ceil(3 * sigma))
 	if radius < 1 {
@@ -235,37 +243,55 @@ func gaussianBlur(g *geom.Grid, sigma float64, workers int) *geom.Grid {
 	for i := range kernel {
 		kernel[i] /= sum
 	}
-	nx, ny := g.NX, g.NY
-	workers = blurWorkers(workers, nx, ny, radius)
-	tmp := geom.NewGrid(nx, ny)
-	// Horizontal pass.
-	par.For(workers, ny, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			for i := 0; i < nx; i++ {
-				acc := 0.0
-				for k := -radius; k <= radius; k++ {
-					ii := reflect(i+k, nx)
-					acc += kernel[k+radius] * g.At(ii, j)
-				}
-				tmp.Set(i, j, acc)
+	return kernel
+}
+
+// blurInto writes src convolved with the separable kernel (odd length,
+// reflective boundaries) into dst, using tmp for the horizontal pass; all
+// three grids share src's dimensions and dst and tmp are fully
+// overwritten. The two passes fan their rows across `workers` goroutines
+// (0 = GOMAXPROCS); every output cell is computed independently, so the
+// result does not depend on the fan-out. A serial blur allocates nothing.
+func blurInto(dst, src, tmp *geom.Grid, kernel []float64, workers int) {
+	radius := len(kernel) / 2
+	workers = blurWorkers(workers, src.NX, src.NY, radius)
+	if workers <= 1 {
+		blurRows(tmp, src, kernel, 0, src.NY)
+		blurCols(dst, tmp, kernel, 0, src.NY)
+		return
+	}
+	par.For(workers, src.NY, func(jlo, jhi int) { blurRows(tmp, src, kernel, jlo, jhi) })
+	par.For(workers, src.NY, func(jlo, jhi int) { blurCols(dst, tmp, kernel, jlo, jhi) })
+}
+
+// blurRows is the horizontal pass of blurInto over rows [jlo, jhi).
+func blurRows(dst, src *geom.Grid, kernel []float64, jlo, jhi int) {
+	nx, radius := src.NX, len(kernel)/2
+	for j := jlo; j < jhi; j++ {
+		for i := 0; i < nx; i++ {
+			acc := 0.0
+			for k := -radius; k <= radius; k++ {
+				ii := reflect(i+k, nx)
+				acc += kernel[k+radius] * src.At(ii, j)
 			}
+			dst.Set(i, j, acc)
 		}
-	})
-	out := geom.NewGrid(nx, ny)
-	// Vertical pass.
-	par.For(workers, ny, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			for i := 0; i < nx; i++ {
-				acc := 0.0
-				for k := -radius; k <= radius; k++ {
-					jj := reflect(j+k, ny)
-					acc += kernel[k+radius] * tmp.At(i, jj)
-				}
-				out.Set(i, j, acc)
+	}
+}
+
+// blurCols is the vertical pass of blurInto over rows [jlo, jhi).
+func blurCols(dst, src *geom.Grid, kernel []float64, jlo, jhi int) {
+	nx, ny, radius := src.NX, src.NY, len(kernel)/2
+	for j := jlo; j < jhi; j++ {
+		for i := 0; i < nx; i++ {
+			acc := 0.0
+			for k := -radius; k <= radius; k++ {
+				jj := reflect(j+k, ny)
+				acc += kernel[k+radius] * src.At(i, jj)
 			}
+			dst.Set(i, j, acc)
 		}
-	})
-	return out
+	}
 }
 
 // blurWorkers bounds the convolution fan-out by the actual work volume

@@ -97,8 +97,8 @@ func TestFastEstimatorWorkersInvariant(t *testing.T) {
 }
 
 // TestCombineMatchesEstimate pins the cache contract used by the incremental
-// cost evaluator: summing per-source Response grids must reproduce Estimate
-// byte for byte.
+// cost evaluator: summing per-source ResponseInto grids must reproduce
+// Estimate byte for byte.
 func TestCombineMatchesEstimate(t *testing.T) {
 	cfg := DefaultConfig(24, 24, 4000, 4000, 2)
 	fe := CalibrateFast(cfg)
@@ -109,14 +109,42 @@ func TestCombineMatchesEstimate(t *testing.T) {
 	want := fe.Estimate(power)
 	resp := make([][]*geom.Grid, fe.Dies())
 	for s := 0; s < fe.Dies(); s++ {
-		resp[s] = fe.Response(power[s], s)
+		resp[s] = fe.ResponseInto(power[s], s, nil, nil)
 	}
 	got := fe.Combine(resp)
 	for d := range want {
 		for i := range want[d].Data {
 			if want[d].Data[i] != got[d].Data[i] {
-				t.Fatalf("die %d cell %d: Combine(Response) != Estimate", d, i)
+				t.Fatalf("die %d cell %d: Combine(ResponseInto) != Estimate", d, i)
 			}
 		}
+	}
+}
+
+// TestResponseIntoReusesStorage pins the blur's allocation diet: a
+// ResponseInto over storage that last held another source's response
+// allocates nothing on the serial blur and reproduces a fresh response
+// byte for byte.
+func TestResponseIntoReusesStorage(t *testing.T) {
+	cfg := DefaultConfig(32, 32, 4000, 4000, 2)
+	fe := CalibrateFast(cfg)
+	fe.SetWorkers(1)
+	power := []*geom.Grid{
+		randomPower(32, 32, 6, rand.New(rand.NewSource(10))),
+		randomPower(32, 32, 4, rand.New(rand.NewSource(11))),
+	}
+	scratch := geom.NewGrid(32, 32)
+	out := fe.ResponseInto(power[1], 1, nil, scratch)
+	out = fe.ResponseInto(power[0], 0, out, scratch)
+	want := fe.ResponseInto(power[0], 0, nil, nil)
+	for tgt := range want {
+		for i := range want[tgt].Data {
+			if out[tgt].Data[i] != want[tgt].Data[i] {
+				t.Fatalf("target %d cell %d: reused response %v != fresh %v", tgt, i, out[tgt].Data[i], want[tgt].Data[i])
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() { out = fe.ResponseInto(power[0], 0, out, scratch) }); n != 0 {
+		t.Fatalf("warmed ResponseInto allocates %v times per call, want 0", n)
 	}
 }

@@ -315,7 +315,7 @@ func TestFastEstimatorTracksDetailed(t *testing.T) {
 	sol, _ := s.SolveSteady(nil, SolverOpts{})
 	detailed := sol.DieTemp(0)
 
-	est := fe.EstimateDie([]*geom.Grid{p0, p1}, 0)
+	est := fe.Estimate([]*geom.Grid{p0, p1})[0]
 
 	// The estimator must reproduce the spatial pattern: Pearson correlation
 	// of the two maps should be strongly positive.
@@ -327,6 +327,14 @@ func TestFastEstimatorTracksDetailed(t *testing.T) {
 	if est.At(7, 7) <= est.At(24, 24) {
 		t.Fatal("fast estimator lost the power ordering")
 	}
+}
+
+// gaussianBlur blurs g with a freshly computed sigma kernel through the
+// estimator's blur, allocating the output and scratch grids.
+func gaussianBlur(g *geom.Grid, sigma float64, workers int) *geom.Grid {
+	out := geom.NewGrid(g.NX, g.NY)
+	blurInto(out, g, geom.NewGrid(g.NX, g.NY), gaussianKernel(sigma), workers)
+	return out
 }
 
 func TestGaussianBlurPreservesMass(t *testing.T) {
