@@ -51,8 +51,8 @@ func run() (err error) {
 		par         = flag.Int("parallelism", 0, "thermal solver/estimator worker goroutines per run (0 = one per CPU, 1 = serial; results identical)")
 		replicas    = flag.Int("replicas", 1, "tempered annealing chains per run (replica exchange; >= 2 is a different deterministic walk than serial)")
 		speculate   = flag.Int("speculate", 1, "candidate moves evaluated concurrently per annealing step (>= 2 is a different deterministic walk than serial)")
-		churnStats  = flag.Bool("churn-stats", false, "surface the exact-diff repack churn counters: print a per-run pack/fallback summary and include the pack_* fields in -json output")
-		checkCost   = flag.Bool("check-cost", false, "cross-check every incremental cost (and voltage refresh, entropy patch, adjacency update) against a full recompute (debug; very slow)")
+		churnStats  = flag.Bool("churn-stats", false, "surface the exact-diff repack churn counters: print a per-run pack summary and include the pack_* fields in -json output")
+		checkCost   = flag.Bool("check-cost", false, "cross-check every incremental cost (and voltage refresh, entropy patch) against a full recompute (debug; very slow)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 		showVersion = flag.Bool("version", false, "print the build version and exit")
@@ -154,12 +154,8 @@ func run() (err error) {
 		agg.RuntimeSec += mm.RuntimeSec
 		if *churnStats {
 			st := sr.Result.Stats
-			bulk := 0.0
-			if st.PackMoves > 0 {
-				bulk = 100 * float64(st.AdjBulkFallbacks) / float64(st.PackMoves)
-			}
-			fmt.Printf("run %d churn: changed p50=%d p95=%d modules/move, %d die diffs, adj bulk fallbacks %.1f%%\n",
-				sr.Cell.Index, st.PackChangedP50, st.PackChangedP95, st.PackDieDiffs, bulk)
+			fmt.Printf("run %d churn: changed p50=%d p95=%d modules/move, %d die diffs\n",
+				sr.Cell.Index, st.PackChangedP50, st.PackChangedP95, st.PackDieDiffs)
 		}
 	}
 	n := float64(*runs)

@@ -169,10 +169,10 @@ type Config struct {
 	// CostCrossCheck re-evaluates every annealing move through the full
 	// recompute path and panics if the incremental cost drifts beyond 1e-9
 	// (relative). It also pins every incremental voltage refresh against a
-	// fresh full volt.Assign (identical volumes, TotalPower within 1e-9),
-	// the adjacency index against a fresh sweep (exact equality), and every
-	// patched per-die entropy against a from-scratch leakage.SpatialEntropy
-	// (1e-9 relative). Debug aid: it forfeits the entire speedup.
+	// fresh full volt.Assign (identical volumes, TotalPower within 1e-9) and
+	// every patched per-die entropy against a from-scratch
+	// leakage.SpatialEntropy (1e-9 relative). Debug aid: it forfeits the
+	// entire speedup.
 	CostCrossCheck bool
 	// Progress, when non-nil, receives per-stage events as the flow
 	// advances. The callback runs synchronously on the flow goroutine and
@@ -287,17 +287,6 @@ type EvalStats struct {
 	EntropyPatched     int
 	EntropyRebuilt     int
 	EntropyCrossChecks int
-	// AdjFullSweeps counts full adjacency sweeps inside the voltage engine
-	// (rebuilds, and index updates that fell back to the bulk
-	// sweep-plus-diff path at high churn); AdjIncrementalUpdates counts
-	// stride refreshes served by the index's per-module probes. The index
-	// paths together reported AdjRowsChanged changed neighbour rows.
-	// AdjCrossChecks counts index-vs-sweep row comparisons (0 unless
-	// Config.CostCrossCheck was set).
-	AdjFullSweeps         int
-	AdjIncrementalUpdates int
-	AdjRowsChanged        int
-	AdjCrossChecks        int
 	// STARebuilds counts the annealing loop's full STA passes: one
 	// delay-scaled pass per evaluation plus a reference pass per voltage
 	// refresh. STAPatches is always 0 now that the loop has no incremental
@@ -349,8 +338,8 @@ type EvalStats struct {
 	// touches one or two dies); PackReplayedPositions the sequence
 	// positions they replayed (each diff replays from its resume point to
 	// the die's end); and PackChangedModules the modules whose placement
-	// actually changed — the exact churn every downstream engine gate now
-	// sees.
+	// actually changed — the exact churn the per-net and per-die caches
+	// consume.
 	PackMoves             int
 	PackDieDiffs          int
 	PackReplayedPositions int
@@ -359,11 +348,14 @@ type EvalStats struct {
 	// bucket i counts moves that changed i modules, with the last bucket
 	// absorbing everything >= len-1. Percentiles via PackChangedPercentile.
 	PackChangedHist []int
-	// AdjBulkFallbacks counts adjacency-index updates that fell back to the
-	// bulk sweep (> n/8 moved modules) — the churn-gate trip the exact
-	// changed-placement contract is meant to keep at zero for single-module
-	// moves.
-	AdjBulkFallbacks int
+	// AdjBulkFallbacks counts the incremental voltage refreshes that
+	// re-swept the layout's adjacency (every one but the assigner's full
+	// rebuilds); AdjIncrementalUpdates is always 0, since the voltage engine
+	// has no other way to get adjacency. Both stay because the end-to-end
+	// benchmark (benchmark/cmd/tscfpbench) reads them for
+	// anneal.adj_bulk_frac; neither reaches the wire.
+	AdjBulkFallbacks      int
+	AdjIncrementalUpdates int
 }
 
 // packHistBuckets bounds the changed-set-size histogram; ibm01-class moves

@@ -55,9 +55,12 @@ import (
 // scales computed during a rejected evaluation too (they are not part of the
 // floorplan undo), and the incremental path mirrors that — a refresh during
 // a rejected move instead marks every map dirty for the next evaluation.
-// The voltage-assigner caches (the dirty-module set feeding volt.Assigner)
-// ARE journaled, because unlike the scales they must track the floorplan
-// exactly; see the volt fields below.
+// The voltage assigner needs no journal either: like the entropy caches it
+// is self-synchronizing. Each refresh re-sweeps the layout's adjacency and
+// re-derives the feasible masks, and diffs both against the inputs its
+// candidate trees were grown from, so a refresh after any rollback (a
+// rejected move, or a reset that dropped every other cache) sees exactly
+// what changed since the assigner's last refresh.
 type incrState struct {
 	lay *floorplan.Layout
 
@@ -102,21 +105,9 @@ type incrState struct {
 	packers []floorplan.DiePacker
 	diffs   []floorplan.PackDiff
 
-	// Incremental voltage refresh: vasg caches the voltage-volume candidate
-	// trees between stride refreshes; voltDirty marks the modules whose
-	// placement changed since the assigner last saw the layout
-	// (voltDirtyList is the same set in insertion order, handed to
-	// Refresh). voltAllDirty forces a full rebuild when the caches were
-	// dropped wholesale (reset rollback). The dirty-set mutations are
-	// journaled like every other cache: a rejected move unmarks exactly the
-	// modules it marked, and a rejected move whose evaluation refreshed the
-	// assignment re-derives the set from the rollback diff (the assigner saw
-	// the rejected geometry, so after the undo precisely the reverted
-	// modules differ from its snapshot).
-	vasg          *volt.Assigner
-	voltDirty     []bool
-	voltDirtyList []int
-	voltAllDirty  bool
+	// vasg caches the voltage-volume candidate trees between stride
+	// refreshes (self-synchronizing; see the type comment).
+	vasg *volt.Assigner
 
 	// Scratch, sized once.
 	netStamp []int
@@ -180,11 +171,6 @@ type moveJournal struct {
 	// (TSC mode).
 	mapDies    []int
 	oldEntropy []float64
-
-	// voltAdded lists the modules this move newly marked volt-dirty, so a
-	// rollback can unmark exactly them (unless refreshed, which re-derives
-	// the set instead — see incrState.voltDirty).
-	voltAdded []int
 }
 
 // begin clears the journal for a new record, keeping its storage.
@@ -195,7 +181,6 @@ func (j *moveJournal) begin() *moveJournal {
 	j.nets, j.netLen, j.netCross = j.nets[:0], j.netLen[:0], j.netCross[:0]
 	j.netWL, j.netDelay = j.netWL[:0], j.netDelay[:0]
 	j.mapDies, j.oldEntropy = j.mapDies[:0], j.oldEntropy[:0]
-	j.voltAdded = j.voltAdded[:0]
 	return j
 }
 
@@ -260,21 +245,7 @@ func (ic *incrState) rollback(e *evaluator) {
 		ic.mapsValid = false
 		ic.packers = nil
 		ic.checkRects, ic.checkDies = nil, nil
-		// The caches are gone wholesale; the assigner's snapshot no longer
-		// corresponds to anything we can diff against.
-		ic.voltAllDirty = true
-		ic.clearVoltDirty()
 		return
-	}
-	if j.refreshed {
-		// The assigner refreshed on the rejected geometry: relative to its
-		// snapshot, exactly the modules this rollback is about to revert
-		// are dirty — and j.mods IS that set (every listed module changed,
-		// by the exact-diff contract).
-		ic.clearVoltDirty()
-		for _, m := range j.mods {
-			ic.markVoltDirty(m)
-		}
 	}
 	// Pack-diff rollback restores both the layout entries of j.mods and the
 	// packers' skyline snapshots byte-exactly (in reverse order, so a
@@ -287,22 +258,6 @@ func (ic *incrState) rollback(e *evaluator) {
 		for i, m := range j.mods {
 			ic.checkRects[m] = j.rects[i]
 			ic.checkDies[m] = j.dies[i]
-		}
-	}
-	if !j.refreshed {
-		// No refresh saw the move: unmark exactly what it marked.
-		for _, m := range j.voltAdded {
-			ic.voltDirty[m] = false
-		}
-		if len(j.voltAdded) > 0 {
-			w := 0
-			for _, m := range ic.voltDirtyList {
-				if ic.voltDirty[m] {
-					ic.voltDirtyList[w] = m
-					w++
-				}
-			}
-			ic.voltDirtyList = ic.voltDirtyList[:w]
 		}
 	}
 	for i, ni := range j.nets {
@@ -510,10 +465,6 @@ func (ic *incrState) initGeometry(e *evaluator) {
 	j.nets, j.netLen, j.netCross = make([]int, 0, nNets), make([]float64, 0, nNets), make([]bool, 0, nNets)
 	j.netWL, j.netDelay = make([]float64, 0, nNets), make([]float64, 0, nNets)
 
-	if ic.voltDirty == nil {
-		ic.voltDirty = make([]bool, nMods)
-	}
-
 	if ic.pending != nil {
 		// The move is folded into this full build; there is no itemized
 		// rollback record, so an undo must drop the caches entirely.
@@ -609,15 +560,6 @@ func (ic *incrState) applyMove(e *evaluator) {
 	e.stats.recordPackChanged(len(j.mods))
 	e.stats.DiesRepacked += len(mv.Dies)
 	e.stats.DiesReused += ic.lay.Dies - len(mv.Dies)
-
-	// Accumulate the changed modules into the voltage-assigner dirty set,
-	// journaling the newly marked ones for rollback.
-	for _, m := range j.mods {
-		if !ic.voltDirty[m] {
-			ic.markVoltDirty(m)
-			j.voltAdded = append(j.voltAdded, m)
-		}
-	}
 
 	// Patch the nets touching a changed module; mark their dies map-dirty.
 	ic.stamp++
@@ -740,53 +682,24 @@ func (ic *incrState) dieEntropy(e *evaluator, d int) float64 {
 	return ent
 }
 
-// markVoltDirty records module m as changed since the voltage assigner's
-// snapshot (idempotent).
-func (ic *incrState) markVoltDirty(m int) {
-	if !ic.voltDirty[m] {
-		ic.voltDirty[m] = true
-		ic.voltDirtyList = append(ic.voltDirtyList, m)
-	}
-}
-
-// clearVoltDirty empties the dirty set in O(dirty).
-func (ic *incrState) clearVoltDirty() {
-	for _, m := range ic.voltDirtyList {
-		ic.voltDirty[m] = false
-	}
-	ic.voltDirtyList = ic.voltDirtyList[:0]
-}
-
 // refreshVoltAssignment serves one stride voltage refresh from the cached
 // volt.Assigner: only the candidate trees that depend on a module whose
-// placement (accumulated here from the move journal since the last refresh)
-// or feasible-level mask (diffed inside the assigner from ref) changed are
-// regrown. Consumes the dirty set; the result is value-identical to a fresh
-// volt.Assign on the current layout, which the check path verifies.
+// adjacency (re-swept from the layout) or feasible-level mask (re-derived
+// from ref) changed since its last refresh are regrown. The result is
+// value-identical to a fresh volt.Assign on the current layout, which the
+// check path verifies.
 func (ic *incrState) refreshVoltAssignment(e *evaluator, ref *timing.Analysis) *volt.Assignment {
 	if ic.vasg == nil {
 		ic.vasg = volt.NewAssigner(e.voltConfig())
 	}
-	if ic.voltAllDirty {
-		ic.vasg.Invalidate()
-		ic.voltAllDirty = false
-	}
-	asg := ic.vasg.Refresh(ic.lay, ref, ic.voltDirtyList)
-	ic.clearVoltDirty()
+	asg := ic.vasg.Refresh(ic.lay, ref)
 	st := ic.vasg.Stats()
 	e.stats.VoltIncrementalRefreshes = st.Refreshes
 	e.stats.VoltCandidatesReused = st.CandidatesReused
 	e.stats.VoltCandidatesRegrown = st.CandidatesRegrown
-	e.stats.AdjFullSweeps = st.AdjFullSweeps
-	e.stats.AdjBulkFallbacks = st.AdjBulkFallbacks
-	e.stats.AdjIncrementalUpdates = st.AdjIncrementalUpdates
-	e.stats.AdjRowsChanged = st.AdjRowsChanged
+	e.stats.AdjBulkFallbacks = st.Refreshes - st.FullRebuilds
 	if e.check {
 		e.crossCheckVolt(ic.lay, ref, asg)
-		e.stats.AdjCrossChecks++
-		if err := ic.vasg.CheckAdjacency(ic.lay); err != nil {
-			panic(fmt.Sprintf("core: adjacency index diverged from full sweep: %v", err))
-		}
 	}
 	return asg
 }

@@ -138,10 +138,7 @@ func addEvalStats(dst, src *EvalStats) {
 	dst.EntropyPatched += src.EntropyPatched
 	dst.EntropyRebuilt += src.EntropyRebuilt
 	dst.EntropyCrossChecks += src.EntropyCrossChecks
-	dst.AdjFullSweeps += src.AdjFullSweeps
 	dst.AdjIncrementalUpdates += src.AdjIncrementalUpdates
-	dst.AdjRowsChanged += src.AdjRowsChanged
-	dst.AdjCrossChecks += src.AdjCrossChecks
 	dst.STAPatches += src.STAPatches
 	dst.STARebuilds += src.STARebuilds
 	dst.DiesRepacked += src.DiesRepacked

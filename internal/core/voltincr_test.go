@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/volt"
 )
 
 // TestIncrementalVoltageCrossCheckOverJournaledRun is the acceptance
@@ -13,9 +14,9 @@ import (
 // refresh produce identical volumes and TotalPower within 1e-9 of a
 // from-scratch volt.Assign (crossCheckVolt panics otherwise), and the
 // incremental cost must stay within the 1e-9 epsilon contract throughout.
-// Interleaved undos exercise the volt dirty-set journal rollback — both the
-// unmark path (no refresh saw the move) and the re-derive path (the
-// assigner refreshed on rejected geometry).
+// Interleaved undos include rejected moves whose evaluation refreshed the
+// assignment, so the next refresh must resynchronize the assigner with the
+// restored layout.
 func TestIncrementalVoltageCrossCheckOverJournaledRun(t *testing.T) {
 	ev := makeEval(t, TSCAware, true, 41)
 	ev.check = true
@@ -42,6 +43,32 @@ func TestIncrementalVoltageCrossCheckOverJournaledRun(t *testing.T) {
 	if st.MaxCrossCheckError > 1e-9 {
 		t.Fatalf("cost cross-check error too large: %g", st.MaxCrossCheckError)
 	}
+}
+
+// TestCrossCheckVoltCatchesDivergence pins the voltage oracle itself: an
+// assignment that differs from a fresh volt.Assign in one module's level
+// must make crossCheckVolt panic, so the journaled cross-check runs cannot
+// pass vacuously. The assigner takes no account of moves from the caller,
+// so this check is what stands behind its self-synchronization.
+func TestCrossCheckVoltCatchesDivergence(t *testing.T) {
+	ev := makeEval(t, TSCAware, true, 41)
+	ev.check = true
+	ev.Cost()
+	ic := ev.incr
+	ref := ic.refSTA(ev)
+	bad := volt.Assign(ic.lay, ref, ev.voltConfig())
+	for _, lv := range volt.Levels90nm() {
+		if lv != bad.LevelOf[0] {
+			bad.LevelOf[0] = lv
+			break
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("crossCheckVolt accepted an assignment with a wrong module level")
+		}
+	}()
+	ev.crossCheckVolt(ic.lay, ref, bad)
 }
 
 // TestIncrementalVoltageUnderParallelism runs the refresh alongside the

@@ -8,7 +8,7 @@ import (
 )
 
 // bruteAdjacent is the reference all-pairs implementation the swept
-// AdjacentModules must reproduce exactly, including neighbour order.
+// AdjacentModulesInto must reproduce exactly, including neighbour order.
 func bruteAdjacent(l *Layout) [][]int {
 	n := len(l.Rects)
 	adj := make([][]int, n)
@@ -33,6 +33,9 @@ func bruteAdjacent(l *Layout) [][]int {
 
 func TestAdjacentModulesMatchesBruteForce(t *testing.T) {
 	des := bench.MustGenerate("n100")
+	// One scratch across seeds: a reused scratch must never leak the
+	// previous layout's rows or order into the next sweep.
+	s := &AdjacencyScratch{}
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fp := NewRandom(des, rng)
@@ -41,7 +44,7 @@ func TestAdjacentModulesMatchesBruteForce(t *testing.T) {
 			fp.Perturb(rng)
 		}
 		l := fp.Pack()
-		got := l.AdjacentModules()
+		got := l.AdjacentModulesInto(s)
 		want := bruteAdjacent(l)
 		for m := range want {
 			if len(got[m]) != len(want[m]) {

@@ -696,20 +696,6 @@ func (l *Layout) Deadspace(d int) float64 {
 	return 1 - covered/area
 }
 
-// AdjacentModules returns, for each module, the modules whose placed
-// rectangles abut or overlap it — on the same die, or vertically on a
-// neighbouring die (footprint overlap). This drives voltage-volume growth.
-//
-// Candidate pairs come from an X-interval sweep per die (and per die pair)
-// instead of the all-pairs scan: two rects can only be adjacent when their
-// X intervals overlap or touch, so each module is tested only against the
-// modules whose interval starts before its own ends. The collected pairs
-// are ordered exactly as the all-pairs scan would order them, keeping the
-// voltage-volume growth (which is sensitive to neighbour order) identical.
-func (l *Layout) AdjacentModules() [][]int {
-	return l.AdjacentModulesInto(&AdjacencyScratch{})
-}
-
 // AdjacencyScratch recycles the working memory of AdjacentModulesInto
 // across calls. The zero value is ready to use; the returned adjacency
 // aliases the scratch and is overwritten by the next call with the same
@@ -722,10 +708,18 @@ type AdjacencyScratch struct {
 	rows  [][]int
 }
 
-// AdjacentModulesInto is AdjacentModules writing into a reusable scratch —
-// the voltage-assignment engine re-sweeps adjacency on every stride refresh
-// of the annealing loop, where the per-call row allocations would dominate
-// the sweep itself. The result is value-identical to AdjacentModules.
+// AdjacentModulesInto returns, for each module, the modules whose placed
+// rectangles abut or overlap it — on the same die, or vertically on a
+// neighbouring die (footprint overlap). This drives voltage-volume growth,
+// and the voltage engine re-sweeps it on every refresh, so the rows are
+// written into a reusable scratch.
+//
+// Candidate pairs come from an X-interval sweep per die (and per die pair)
+// instead of the all-pairs scan: two rects can only be adjacent when their
+// X intervals overlap or touch, so each module is tested only against the
+// modules whose interval starts before its own ends. The collected pairs
+// are ordered exactly as the all-pairs scan would order them, keeping the
+// voltage-volume growth (which is sensitive to neighbour order) identical.
 func (l *Layout) AdjacentModulesInto(s *AdjacencyScratch) [][]int {
 	n := len(l.Rects)
 	if cap(s.byDie) < l.Dies {

@@ -189,7 +189,7 @@ func TestAdjacentModulesSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	fp := NewRandom(tinyDesign(), rng)
 	l := fp.Pack()
-	adj := l.AdjacentModules()
+	adj := l.AdjacentModulesInto(&AdjacencyScratch{})
 	for a, ns := range adj {
 		for _, b := range ns {
 			found := false

@@ -11,9 +11,9 @@ import (
 
 // Assigner is a reusable voltage-volume assignment engine. It produces the
 // exact partition Assign produces, but keeps the intermediate state alive
-// between calls — per-module feasible-level masks, the adjacency lists, the
+// between calls — per-module feasible-level masks, the adjacency rows, the
 // per-root candidate trees, and each tree's dependency footprint — so a
-// Refresh after a small layout change regrows only the candidate trees whose
+// Refresh after a layout change regrows only the candidate trees whose
 // inputs actually changed. This is the voltage half of the annealing loop's
 // incremental evaluator (internal/core): the paper integrates voltage-volume
 // formation into the floorplanning loop (Sec. 6.1), and re-growing one BFS
@@ -34,34 +34,35 @@ import (
 //     the n candidate grows and depend on every candidate, so they re-run on
 //     every Refresh from the (mostly cached) candidates.
 //
+// The engine is self-synchronizing: every Refresh re-derives the masks from
+// the timing it is handed and re-sweeps the layout's adjacency, and diffs
+// both against the inputs its trees were grown from. Callers never itemize
+// what changed, so any layout of the same design — one small move away or
+// wholly unrelated — is a valid next input.
+//
 // An Assigner is NOT safe for concurrent use, and the *Assignment returned by
 // Assign/Refresh is owned by the engine until the next call — callers must
 // not mutate it (Repair mutates; run Repair only on assignments from the
 // package-level Assign).
 type Assigner struct {
-	cfg   Config
-	n     int
-	valid bool
+	cfg Config
+	n   int
 
 	// Cached inputs of candidate growth. Feasible-level sets are bitmasks
 	// (bit k = cfg.Levels[k] feasible): the growth frontier screens
 	// thousands of (intersection, candidate-mask) pairs per refresh, and a
 	// single AND plus the precomputed lowPS table replaces the historical
-	// per-level scans exactly.
+	// per-level scans exactly. adj holds the adjacency rows the trees were
+	// grown from, each in its own storage; sweep is the scratch every
+	// Refresh re-sweeps the layout into before diffing.
 	adj        [][]int
+	sweep      floorplan.AdjacencyScratch
 	feasible   []uint32  // per-module feasible-level masks
 	lowPS      []float64 // lowPS[mask] = lowest PowerScale among mask's levels (1 for empty)
 	densities  []float64 // constant per design
 	power      []float64 // constant per design
 	globalMean float64
 	target     float64
-
-	// index owns the adjacency rows (adj aliases them): Refresh patches only
-	// the rows the dirty modules touched and reports exactly the changed
-	// ones. oneShot marks the throwaway engine of the package-level Assign,
-	// which never refreshes and takes its rows from one sweep instead.
-	index   *floorplan.AdjacencyIndex
-	oneShot bool
 
 	cands []candTree
 
@@ -96,25 +97,13 @@ type candTree struct {
 // surfaces them as Result.Stats counters.
 type AssignerStats struct {
 	// Refreshes counts Assign/Refresh calls; FullRebuilds of those rebuilt
-	// every cache (first use, invalidation, or a design-size change).
+	// every cache (first use, an Assign call, or a design-size change).
 	Refreshes    int
 	FullRebuilds int
 	// CandidatesReused/CandidatesRegrown count cached per-root candidate
 	// trees served as-is vs regrown because a dependency changed.
 	CandidatesReused  int
 	CandidatesRegrown int
-	// AdjFullSweeps counts full adjacency sweeps: rebuilds and index updates
-	// that fell back to the bulk sweep-plus-diff path at high churn.
-	// AdjIncrementalUpdates counts refreshes served by the index's
-	// per-module probes. The index paths together reported AdjRowsChanged
-	// changed neighbour rows.
-	// AdjBulkFallbacks counts only the high-churn index fallbacks (a subset
-	// of AdjFullSweeps) — the gate trips the packer diff contract is meant
-	// to avoid.
-	AdjFullSweeps         int
-	AdjIncrementalUpdates int
-	AdjRowsChanged        int
-	AdjBulkFallbacks      int
 }
 
 // NewAssigner returns an empty engine; the first Assign or Refresh builds
@@ -151,29 +140,6 @@ func NewAssigner(cfg Config) *Assigner {
 // Stats returns the lifetime work counters.
 func (a *Assigner) Stats() AssignerStats { return a.stats }
 
-// Invalidate drops the caches; the next Refresh rebuilds from scratch. Call
-// it when the layout changed in ways the caller cannot itemize (e.g. a
-// wholesale rebuild of the floorplan).
-func (a *Assigner) Invalidate() {
-	a.valid = false
-	a.last = nil
-	if a.index != nil {
-		a.index.Invalidate()
-	}
-}
-
-// CheckAdjacency compares the engine's adjacency index against a fresh sweep
-// of l and returns a description of the first divergence, or nil. The
-// flow's cross-check path uses it to pin the index; it forfeits the index's
-// speedup, so it is a debug aid only. An engine that has not been built yet
-// trivially passes.
-func (a *Assigner) CheckAdjacency(l *floorplan.Layout) error {
-	if !a.valid {
-		return nil
-	}
-	return a.index.CheckAgainst(l)
-}
-
 // Assign computes the full assignment, replacing every cache. It is
 // value-identical to the package-level Assign on the same inputs.
 func (a *Assigner) Assign(l *floorplan.Layout, ref *timing.Analysis) *Assignment {
@@ -181,17 +147,16 @@ func (a *Assigner) Assign(l *floorplan.Layout, ref *timing.Analysis) *Assignment
 	return a.rebuild(l, ref)
 }
 
-// Refresh recomputes the assignment after a layout/timing change, reusing
-// every candidate tree whose inputs did not change. dirtyMods must list
-// every module whose placed rect or die assignment differs from the layout
-// seen by the previous Assign/Refresh — a superset is safe (it only costs an
-// adjacency re-sweep), an incomplete set silently corrupts the caches.
-// Timing changes need no itemization: the masks are re-derived from ref and
-// diffed here. The result is value-identical to a fresh Assign on (l, ref).
-func (a *Assigner) Refresh(l *floorplan.Layout, ref *timing.Analysis, dirtyMods []int) *Assignment {
+// Refresh recomputes the assignment for (l, ref), reusing every candidate
+// tree whose inputs did not change since the previous Assign/Refresh. It
+// needs no account of what changed: the masks are re-derived from ref and
+// the adjacency is re-swept from l, and both are diffed against the
+// engine's own copies. The result is value-identical to a fresh Assign on
+// (l, ref).
+func (a *Assigner) Refresh(l *floorplan.Layout, ref *timing.Analysis) *Assignment {
 	a.stats.Refreshes++
 	n := len(l.Design.Modules)
-	if !a.valid || n != a.n {
+	if a.last == nil || n != a.n {
 		return a.rebuild(l, ref)
 	}
 
@@ -209,28 +174,12 @@ func (a *Assigner) Refresh(l *floorplan.Layout, ref *timing.Analysis, dirtyMods 
 			anyDirty = true
 		}
 	}
-	// Adjacency depends only on placement, so it is left untouched when
-	// nothing moved. A moved module may keep its adjacency (pure slide):
-	// the index reports only rows whose content changed, so such moves
-	// dirty nothing.
-	if len(dirtyMods) > 0 {
-		changed, bulk := a.index.Update(l, dirtyMods)
-		for _, m := range changed {
-			a.adjDirty[m] = true
-			anyDirty = true
-			a.stats.AdjRowsChanged++
-		}
-		a.adj = a.index.Rows()
-		if bulk {
-			// The index fell back to its sweep-plus-diff path: count it as a
-			// full sweep so the telemetry separates the regimes.
-			a.stats.AdjFullSweeps++
-			a.stats.AdjBulkFallbacks++
-		} else {
-			a.stats.AdjIncrementalUpdates++
-		}
+	// A moved module may keep its adjacency (pure slide): only rows whose
+	// content changed dirty anything.
+	if a.syncAdjacency(l) {
+		anyDirty = true
 	}
-	if !anyDirty && a.last != nil {
+	if !anyDirty {
 		// The assignment is a pure function of (adjacency, masks, constant
 		// densities/powers, config); none of it changed.
 		a.stats.CandidatesReused += n
@@ -271,6 +220,21 @@ func (a *Assigner) Refresh(l *floorplan.Layout, ref *timing.Analysis, dirtyMods 
 	return a.last
 }
 
+// syncAdjacency sweeps l's adjacency, copies every row that differs from the
+// engine's into place and marks it in adjDirty. It reports whether any row
+// changed.
+func (a *Assigner) syncAdjacency(l *floorplan.Layout) bool {
+	changed := false
+	for m, row := range l.AdjacentModulesInto(&a.sweep) {
+		if !intsEqual(a.adj[m], row) {
+			a.adj[m] = append(a.adj[m][:0], row...)
+			a.adjDirty[m] = true
+			changed = true
+		}
+	}
+	return changed
+}
+
 // rebuild sizes and fills every cache from scratch.
 func (a *Assigner) rebuild(l *floorplan.Layout, ref *timing.Analysis) *Assignment {
 	n := len(l.Design.Modules)
@@ -281,6 +245,7 @@ func (a *Assigner) rebuild(l *floorplan.Layout, ref *timing.Analysis) *Assignmen
 		a.feasible = make([]uint32, n)
 		a.densities = make([]float64, n)
 		a.power = make([]float64, n)
+		a.adj = make([][]int, n)
 		a.cands = make([]candTree, n)
 		a.inVol = make([]int, n)
 		a.inFrontier = make([]int, n)
@@ -298,20 +263,10 @@ func (a *Assigner) rebuild(l *floorplan.Layout, ref *timing.Analysis) *Assignmen
 	for m := 0; m < n; m++ {
 		a.refreshMask(m, ref)
 	}
-	a.stats.AdjFullSweeps++
-	if a.oneShot {
-		a.adj = l.AdjacentModules()
-	} else {
-		if a.index == nil {
-			a.index = floorplan.NewAdjacencyIndex()
-		}
-		a.index.Rebuild(l)
-		a.adj = a.index.Rows()
-	}
+	a.syncAdjacency(l)
 	for root := 0; root < n; root++ {
 		a.growCandidate(root)
 	}
-	a.valid = true
 	a.last = a.partition(l)
 	return a.last
 }

@@ -10,25 +10,11 @@ import (
 	"repro/internal/timing"
 )
 
-// diffModules returns the modules whose placed rect or die differs between
-// two layouts of the same design — the dirty-set contract of
-// Assigner.Refresh, derived here exactly as the incremental evaluator
-// derives it from its move journal.
-func diffModules(a, b *floorplan.Layout) []int {
-	var dirty []int
-	for m := range a.Rects {
-		if a.Rects[m] != b.Rects[m] || a.DieOf[m] != b.DieOf[m] {
-			dirty = append(dirty, m)
-		}
-	}
-	return dirty
-}
-
 // TestAssignerRefreshMatchesAssignOverPerturbations is the engine's
 // equivalence contract: driven through hundreds of random floorplan
-// perturbations with journal-style dirty sets, every Refresh must produce an
-// assignment strictly equivalent (same volumes, same levels, power within
-// 1e-12) to a from-scratch Assign on the same layout and timing.
+// perturbations, every Refresh must produce an assignment strictly
+// equivalent (same volumes, same levels, power within 1e-12) to a
+// from-scratch Assign on the same layout and timing.
 func TestAssignerRefreshMatchesAssignOverPerturbations(t *testing.T) {
 	for _, mode := range []Mode{PowerAware, TSCAware} {
 		des := bench.MustGenerate("n100")
@@ -37,23 +23,21 @@ func TestAssignerRefreshMatchesAssignOverPerturbations(t *testing.T) {
 		cfg := Config{Mode: mode}
 		p := timing.DefaultParams()
 
-		prev := fp.Pack()
+		first := fp.Pack()
 		a := NewAssigner(cfg)
-		if err := Equivalent(a.Assign(prev, timing.Analyze(prev, nil, p)),
-			Assign(prev, timing.Analyze(prev, nil, p), cfg), 0); err != nil {
+		if err := Equivalent(a.Assign(first, timing.Analyze(first, nil, p)),
+			Assign(first, timing.Analyze(first, nil, p), cfg), 0); err != nil {
 			t.Fatalf("%v: initial assignment differs: %v", mode, err)
 		}
 		for i := 0; i < 150; i++ {
 			fp.Perturb(rng)
 			l := fp.Pack()
-			dirty := diffModules(prev, l)
 			ref := timing.Analyze(l, nil, p)
-			got := a.Refresh(l, ref, dirty)
+			got := a.Refresh(l, ref)
 			want := Assign(l, ref, cfg)
 			if err := Equivalent(got, want, 1e-12); err != nil {
 				t.Fatalf("%v: step %d: incremental refresh diverged: %v", mode, i, err)
 			}
-			prev = l
 		}
 		st := a.Stats()
 		if st.CandidatesReused == 0 {
@@ -65,16 +49,16 @@ func TestAssignerRefreshMatchesAssignOverPerturbations(t *testing.T) {
 	}
 }
 
-// TestAssignerEmptyDirtySetServesCache pins the fast path: with no placement
-// change and unchanged timing, Refresh must not regrow anything.
-func TestAssignerEmptyDirtySetServesCache(t *testing.T) {
+// TestAssignerUnchangedInputsServeCache pins the fast path: with no
+// placement change and unchanged timing, Refresh must not regrow anything.
+func TestAssignerUnchangedInputsServeCache(t *testing.T) {
 	des := bench.MustGenerate("n100")
 	l := floorplan.NewRandom(des, rand.New(rand.NewSource(3))).Pack()
 	ref := timing.Analyze(l, nil, timing.DefaultParams())
 	a := NewAssigner(Config{Mode: TSCAware})
 	first := a.Assign(l, ref)
 	before := a.Stats()
-	second := a.Refresh(l, ref, nil)
+	second := a.Refresh(l, ref)
 	after := a.Stats()
 	if err := Equivalent(first, second, 0); err != nil {
 		t.Fatalf("cached refresh differs: %v", err)
@@ -87,24 +71,30 @@ func TestAssignerEmptyDirtySetServesCache(t *testing.T) {
 	}
 }
 
-// TestAssignerInvalidateForcesRebuild covers the reset-rollback path of the
-// incremental evaluator: after Invalidate the next Refresh must rebuild and
-// still match a fresh Assign.
-func TestAssignerInvalidateForcesRebuild(t *testing.T) {
+// TestAssignerRefreshJumpsToUnrelatedFloorplan covers the reset-rollback
+// path of the incremental evaluator, which drops every other cache and
+// hands the assigner a layout unrelated to its last one: the engine must
+// resynchronize by itself, without a full rebuild, and still match a fresh
+// Assign exactly.
+func TestAssignerRefreshJumpsToUnrelatedFloorplan(t *testing.T) {
 	des := bench.MustGenerate("n100")
-	l := floorplan.NewRandom(des, rand.New(rand.NewSource(4))).Pack()
-	ref := timing.Analyze(l, nil, timing.DefaultParams())
-	cfg := Config{Mode: PowerAware}
-	a := NewAssigner(cfg)
-	a.Assign(l, ref)
-	a.Invalidate()
-	before := a.Stats().FullRebuilds
-	got := a.Refresh(l, ref, nil)
-	if a.Stats().FullRebuilds != before+1 {
-		t.Fatal("Invalidate did not force a full rebuild")
-	}
-	if err := Equivalent(got, Assign(l, ref, cfg), 0); err != nil {
-		t.Fatalf("rebuilt assignment differs: %v", err)
+	p := timing.DefaultParams()
+	for _, mode := range []Mode{PowerAware, TSCAware} {
+		cfg := Config{Mode: mode}
+		a := NewAssigner(cfg)
+		l := floorplan.NewRandom(des, rand.New(rand.NewSource(4))).Pack()
+		a.Assign(l, timing.Analyze(l, nil, p))
+		for seed := int64(5); seed < 8; seed++ {
+			l := floorplan.NewRandom(des, rand.New(rand.NewSource(seed))).Pack()
+			ref := timing.Analyze(l, nil, p)
+			got := a.Refresh(l, ref)
+			if err := Equivalent(got, Assign(l, ref, cfg), 0); err != nil {
+				t.Fatalf("%v: seed %d: refresh after the jump differs: %v", mode, seed, err)
+			}
+		}
+		if st := a.Stats(); st.FullRebuilds != 1 || st.CandidatesRegrown <= len(des.Modules) {
+			t.Fatalf("%v: jumps were not served by diffing (want 1 rebuild and regrown trees): %+v", mode, st)
+		}
 	}
 }
 

@@ -104,17 +104,12 @@ type Assignment struct {
 // Assign computes voltage volumes for a placed layout. The timing analysis
 // must have been produced at the 1.0 V reference (delayScale nil).
 //
-// Assign is the one-shot form of the engine: it builds a throwaway Assigner
-// and runs a full rebuild, taking the adjacency rows from one sweep of the
-// layout instead of building the adjacency index — a throwaway engine could
-// never amortize the index, and the sweep is the reference the index is
-// pinned against. Callers refreshing the assignment repeatedly over small
-// layout changes (the annealing loop) should hold an Assigner and use
-// Refresh, which reuses every candidate tree whose inputs did not change.
+// Assign is the one-shot form of the engine: a throwaway Assigner's full
+// rebuild. Callers refreshing the assignment repeatedly over small layout
+// changes (the annealing loop) should hold an Assigner and use Refresh,
+// which reuses every candidate tree whose inputs did not change.
 func Assign(l *floorplan.Layout, ref *timing.Analysis, cfg Config) *Assignment {
-	a := NewAssigner(cfg)
-	a.oneShot = true
-	return a.Assign(l, ref)
+	return NewAssigner(cfg).Assign(l, ref)
 }
 
 // scoreVolume ranks a candidate for the greedy partition. levels is the

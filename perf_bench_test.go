@@ -50,17 +50,11 @@ func BenchmarkAnnealLoop(b *testing.B) {
 				b.ReportMetric(float64(st.EntropyPatched)/
 					float64(st.EntropyPatched+st.EntropyRebuilt), "entropy_patched_frac")
 			}
-			if st.AdjIncrementalUpdates > 0 {
-				b.ReportMetric(float64(st.AdjRowsChanged)/
-					float64(st.AdjIncrementalUpdates), "adj_rows_changed/update")
-			}
-			// Churn report: how exact the diff packer's changed sets are at
-			// the default knobs, and how often the adjacency index's churn
-			// gate still trips into its bulk fallback.
+			// Churn report: how many modules the diff packer's changed sets
+			// hold per move at the default knobs.
 			if st.PackMoves > 0 {
 				b.ReportMetric(float64(st.PackChangedPercentile(0.50)), "pack_changed_p50")
 				b.ReportMetric(float64(st.PackChangedPercentile(0.95)), "pack_changed_p95")
-				b.ReportMetric(float64(st.AdjBulkFallbacks)/float64(st.PackMoves), "adj_bulk_fallback_frac")
 			}
 			if st.PackDieDiffs > 0 {
 				b.ReportMetric(float64(st.PackReplayedPositions)/float64(st.PackDieDiffs), "pack_replayed/diff")

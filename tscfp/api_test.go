@@ -114,9 +114,10 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		t.Fatalf("decoded heatmap: %q, %v", hm, err)
 	}
 
-	// Stored artifacts written before the incremental timing cache was
-	// retired carry its five sta_* counters in stats, and a registry serves
-	// those bytes verbatim on dedupe hits: they must still decode.
+	// Stored artifacts written before the incremental timing cache and the
+	// adjacency index were retired carry their five sta_* and five adj_*
+	// counters in stats, and a registry serves those bytes verbatim on
+	// dedupe hits: they must still decode.
 	data, err := res.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +127,10 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := doc["stats"].(map[string]any)
-	for _, k := range []string{"sta_patches", "sta_rebuilds", "sta_modules_recomputed", "sta_crit_rescans", "sta_cross_checks"} {
+	for _, k := range []string{
+		"sta_patches", "sta_rebuilds", "sta_modules_recomputed", "sta_crit_rescans", "sta_cross_checks",
+		"adj_full_sweeps", "adj_incremental_updates", "adj_rows_changed", "adj_cross_checks", "adj_bulk_fallbacks",
+	} {
 		stats[k] = 1
 	}
 	legacy, err := json.Marshal(doc)
@@ -135,13 +139,13 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 	old, err := ReadResult(bytes.NewReader(legacy))
 	if err != nil {
-		t.Fatalf("result with retired sta_* stats rejected: %v", err)
+		t.Fatalf("result with retired sta_*/adj_* stats rejected: %v", err)
 	}
 	if err := old.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if old.Stats != res.Stats || old.Metrics.R1 != res.Metrics.R1 {
-		t.Fatal("retired sta_* keys disturbed the decoded result")
+		t.Fatal("retired sta_*/adj_* keys disturbed the decoded result")
 	}
 }
 

@@ -75,17 +75,6 @@ type RunStats struct {
 	EntropyPatched     int `json:"entropy_patched"`
 	EntropyRebuilt     int `json:"entropy_rebuilt"`
 	EntropyCrossChecks int `json:"entropy_cross_checks"`
-	// AdjFullSweeps counts full adjacency re-sweeps inside the voltage
-	// engine (rebuilds, index-disabled refreshes, and index updates that
-	// fell back to the bulk sweep-plus-diff path at high churn);
-	// AdjIncrementalUpdates the refreshes served by the index's per-module
-	// probes (the index paths together changed AdjRowsChanged neighbour
-	// rows); AdjCrossChecks the index-vs-sweep comparisons (0 unless
-	// WithCostCrossCheck).
-	AdjFullSweeps         int `json:"adj_full_sweeps"`
-	AdjIncrementalUpdates int `json:"adj_incremental_updates"`
-	AdjRowsChanged        int `json:"adj_rows_changed"`
-	AdjCrossChecks        int `json:"adj_cross_checks"`
 	// DiesRepacked/DiesReused count per-die skyline packings run vs skipped;
 	// NetsRecomputed/NetsReused the per-net wirelength+delay refreshes;
 	// ResponsesComputed/ResponsesReused the per-source thermal blurs.
@@ -123,17 +112,14 @@ type RunStats struct {
 	// PackReplayedPositions the sequence positions re-placed (each diff
 	// replays from its resume point to the die's end). PackChangedModules
 	// totals the modules whose placement a move really changed — the exact
-	// dirty set every downstream cache consumes — with PackChangedP50/P95
-	// the per-move distribution's percentiles. AdjBulkFallbacks counts
-	// adjacency-index updates that fell back to the bulk sweep-plus-diff
-	// path.
+	// dirty set the per-net and per-die caches consume — with
+	// PackChangedP50/P95 the per-move distribution's percentiles.
 	PackMoves             int `json:"pack_moves,omitempty"`
 	PackDieDiffs          int `json:"pack_die_diffs,omitempty"`
 	PackReplayedPositions int `json:"pack_replayed_positions,omitempty"`
 	PackChangedModules    int `json:"pack_changed_modules,omitempty"`
 	PackChangedP50        int `json:"pack_changed_p50,omitempty"`
 	PackChangedP95        int `json:"pack_changed_p95,omitempty"`
-	AdjBulkFallbacks      int `json:"adj_bulk_fallbacks,omitempty"`
 }
 
 // PlacedModule is one module of the final layout.

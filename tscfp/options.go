@@ -284,21 +284,19 @@ func WithSpeculation(m int) Option {
 // WithCostCrossCheck re-evaluates every annealing move through the full
 // recompute path and panics if the incremental cost drifts beyond 1e-9
 // (relative). It also pins every incremental voltage refresh against a
-// from-scratch assignment (identical volumes, total power within 1e-9), the
-// adjacency index against a fresh sweep (exact equality), and every patched
-// per-die entropy against a from-scratch recompute (1e-9 relative). Debug
-// aid: it forfeits the entire incremental speedup.
+// from-scratch assignment (identical volumes, total power within 1e-9) and
+// every patched per-die entropy against a from-scratch recompute (1e-9
+// relative). Debug aid: it forfeits the entire incremental speedup.
 func WithCostCrossCheck(enabled bool) Option {
 	return func(s *settings) { s.crossCheck = enabled }
 }
 
 // WithChurnStats surfaces the exact-diff repack churn counters in
 // Result.Stats: the pack_* fields (moves through the diff packer, per-die
-// diffs, replayed positions, changed-module totals and p50/p95 per move)
-// plus the adj_bulk_fallbacks fallback-path counter. The counters
-// are always collected; this knob only controls whether they appear on the
-// wire, so the default JSON encoding stays byte-identical to earlier
-// releases. Default off.
+// diffs, replayed positions, changed-module totals and p50/p95 per move).
+// The counters are always collected; this knob only controls whether they
+// appear on the wire, so the default JSON encoding stays byte-identical to
+// earlier releases. Default off.
 func WithChurnStats(enabled bool) Option {
 	return func(s *settings) { s.churnStats = enabled }
 }

@@ -122,10 +122,6 @@ func newResult(res *core.Result, mode Mode, seed int64, churn bool) *Result {
 			EntropyPatched:           res.EvalStats.EntropyPatched,
 			EntropyRebuilt:           res.EvalStats.EntropyRebuilt,
 			EntropyCrossChecks:       res.EvalStats.EntropyCrossChecks,
-			AdjFullSweeps:            res.EvalStats.AdjFullSweeps,
-			AdjIncrementalUpdates:    res.EvalStats.AdjIncrementalUpdates,
-			AdjRowsChanged:           res.EvalStats.AdjRowsChanged,
-			AdjCrossChecks:           res.EvalStats.AdjCrossChecks,
 			DiesRepacked:             res.EvalStats.DiesRepacked,
 			DiesReused:               res.EvalStats.DiesReused,
 			NetsRecomputed:           res.EvalStats.NetsRecomputed,
@@ -153,7 +149,6 @@ func newResult(res *core.Result, mode Mode, seed int64, churn bool) *Result {
 		r.Stats.PackChangedModules = res.EvalStats.PackChangedModules
 		r.Stats.PackChangedP50 = res.EvalStats.PackChangedPercentile(0.50)
 		r.Stats.PackChangedP95 = res.EvalStats.PackChangedPercentile(0.95)
-		r.Stats.AdjBulkFallbacks = res.EvalStats.AdjBulkFallbacks
 	}
 	for mi, m := range res.Design.Modules {
 		rect := res.Layout.Rects[mi]
