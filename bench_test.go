@@ -1,6 +1,5 @@
 // Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation (see DESIGN.md for the experiment index, EXPERIMENTS.md
-// for recorded results). Each benchmark prints the rows/series the paper
+// paper's evaluation. Each benchmark prints the rows/series the paper
 // reports; run with
 //
 //	go test -bench=. -benchmem -benchtime=1x

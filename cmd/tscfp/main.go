@@ -52,7 +52,7 @@ func run() (err error) {
 		replicas    = flag.Int("replicas", 1, "tempered annealing chains per run (replica exchange; >= 2 is a different deterministic walk than serial)")
 		speculate   = flag.Int("speculate", 1, "candidate moves evaluated concurrently per annealing step (>= 2 is a different deterministic walk than serial)")
 		churnStats  = flag.Bool("churn-stats", false, "surface the exact-diff repack churn counters: print a per-run pack summary and include the pack_* fields in -json output")
-		checkCost   = flag.Bool("check-cost", false, "cross-check every incremental cost (and voltage refresh, entropy patch) against a full recompute (debug; very slow)")
+		checkCost   = flag.Bool("check-cost", false, "cross-check every incremental cost (and entropy patch) against a full recompute (debug; very slow)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 		showVersion = flag.Bool("version", false, "print the build version and exit")

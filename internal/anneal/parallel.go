@@ -3,7 +3,8 @@ package anneal
 import (
 	"math"
 	"math/rand"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // Replica is one parallel-tempering chain handed to RunParallel.
@@ -150,15 +151,7 @@ func RunParallel(reps []Replica, opts ParallelOptions) ParallelResult {
 
 	// Calibrate every replica concurrently on its own RNG stream, exactly as
 	// Run does (random walk, mean |ΔC|).
-	var wg sync.WaitGroup
-	for r := range reps {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			states[r].calibrate(reps[r], &sched)
-		}(r)
-	}
-	wg.Wait()
+	fanOut(k, func(r int) { states[r].calibrate(reps[r], &sched) })
 
 	// Temperature ladder: rung r starts at base·factor^r, where base is the
 	// index-ordered mean of the calibrated temperatures (index order keeps
@@ -188,14 +181,7 @@ func RunParallel(reps []Replica, opts ParallelOptions) ParallelResult {
 		if n > opts.SwapEvery {
 			n = opts.SwapEvery
 		}
-		for r := range reps {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				states[r].runStride(&reps[r], &sched, done, n)
-			}(r)
-		}
-		wg.Wait()
+		fanOut(k, func(r int) { states[r].runStride(&reps[r], &sched, done, n) })
 		cancelled := sched.Ctx != nil && sched.Ctx.Err() != nil
 		for r := range states {
 			cancelled = cancelled || states[r].cancelled
@@ -279,7 +265,7 @@ func (st *repState) calibrate(rep Replica, sched *Options) {
 		}
 	} else {
 		curs := make([]float64, m)
-		forEachProblem(rep.Problems, func(k int) { curs[k] = rep.Problems[k].Cost() })
+		fanOut(m, func(k int) { curs[k] = rep.Problems[k].Cost() })
 		cur = curs[0]
 		undos := make([]func(), m)
 		costs := make([]float64, m)
@@ -288,7 +274,7 @@ func (st *repState) calibrate(rep Replica, sched *Options) {
 				break
 			}
 			seed := rep.RNG.Int63()
-			forEachProblem(rep.Problems, func(k int) {
+			fanOut(m, func(k int) {
 				undos[k] = mustPerturb(rep.Problems[k], rand.New(rand.NewSource(seed)))
 				costs[k] = rep.Problems[k].Cost()
 			})
@@ -394,7 +380,7 @@ func (st *repState) specBatch(rep *Replica, sched *Options, it, left int) int {
 	undos := make([]func(), m)
 	costs := make([]float64, m)
 	draws := make([]float64, m)
-	forEachProblem(rep.Problems, func(k int) {
+	fanOut(len(rep.Problems), func(k int) {
 		if k >= m {
 			rep.Problems[k].Cost()
 			return
@@ -452,19 +438,16 @@ func (st *repState) specBatch(rep *Replica, sched *Options, it, left int) int {
 	return m
 }
 
-// forEachProblem runs fn(k) for every problem copy, k ≥ 1 on their own
-// goroutines and k = 0 inline, and waits for all of them. Each fn(k) only
-// touches copy k and slot k of the batch arrays, so the fan-out is
-// scheduling-independent.
-func forEachProblem(problems []Problem, fn func(k int)) {
-	var wg sync.WaitGroup
-	for k := 1; k < len(problems); k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			fn(k)
-		}(k)
-	}
-	fn(0)
-	wg.Wait()
+// fanOut runs fn(i) for every i in [0, n), each on its own goroutine when
+// n > 1, and waits for all of them. Each fn(i) touches only replica or copy
+// i and slot i of the batch arrays, so the fan-out is
+// scheduling-independent. Through par.For, a panic in any fn(i) is
+// re-raised on the caller's goroutine after the barrier, where the flow's
+// recover can handle it.
+func fanOut(n int, fn func(i int)) {
+	par.For(n, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(i)
+		}
+	})
 }

@@ -422,6 +422,54 @@ func TestRunParallelCancelMidStride(t *testing.T) {
 	waitGoroutines(t, baseline)
 }
 
+// panickingProblem panics on its at-th Cost call.
+type panickingProblem struct {
+	*incrSum
+	at, calls int
+}
+
+func (p *panickingProblem) Cost() float64 {
+	p.calls++
+	if p.calls == p.at {
+		panic("problem failed")
+	}
+	return p.incrSum.Cost()
+}
+
+// TestRunParallelPanicReachesCaller pins panic containment for every
+// fan-out RunParallel spawns — replica calibration, the per-stride replica
+// fan-out and the speculative candidate batch: a Problem that panics on a
+// spawned goroutine must panic on the caller's goroutine, after the
+// barrier, with its own value, and leave no goroutine behind. Without the
+// recover at the spawn site the panic would end the test binary.
+func TestRunParallelPanicReachesCaller(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    int // problem copies per replica; the last copy panics
+		at   int // its Cost call that panics (calibration makes 51)
+	}{
+		{"calibrate", 1, 10},
+		{"stride", 1, 200},
+		{"speculative-batch", 2, 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			reps, _ := buildFleet(3, tc.m)
+			last := len(reps[1].Problems) - 1
+			reps[1].Problems[last] = &panickingProblem{incrSum: reps[1].Problems[last].(*incrSum), at: tc.at}
+			func() {
+				defer func() {
+					if v := recover(); v != "problem failed" {
+						t.Fatalf("recovered %v, want the problem's panic", v)
+					}
+				}()
+				RunParallel(reps, ParallelOptions{Schedule: Options{Iterations: 2000}})
+			}()
+			waitGoroutines(t, baseline)
+		})
+	}
+}
+
 // TestRunParallelPanicsOnMisuse pins the structural-misuse panics.
 func TestRunParallelPanicsOnMisuse(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
@@ -447,7 +495,18 @@ func TestRunParallelPanicsOnMisuse(t *testing.T) {
 			ParallelOptions{Schedule: Options{OnBest: func(float64) {}}},
 		)
 	})
+	expectPanic("nil-undo", func() {
+		RunParallel([]Replica{
+			{Problems: []Problem{&flat{}}, RNG: rand.New(rand.NewSource(1))},
+			{Problems: []Problem{&nilUndo{}}, RNG: rand.New(rand.NewSource(2))},
+		}, ParallelOptions{})
+	})
 }
+
+// nilUndo breaks the Problem contract: its Perturb returns no undo.
+type nilUndo struct{ flat }
+
+func (*nilUndo) Perturb(*rand.Rand) func() { return nil }
 
 // TestRunParallelFindsMinimum sanity-checks that the tempered fleet still
 // optimizes: 4 replicas must approach the quadratic minimum at least as well

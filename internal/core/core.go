@@ -168,11 +168,9 @@ type Config struct {
 	Speculation int
 	// CostCrossCheck re-evaluates every annealing move through the full
 	// recompute path and panics if the incremental cost drifts beyond 1e-9
-	// (relative). It also pins every incremental voltage refresh against a
-	// fresh full volt.Assign (identical volumes, TotalPower within 1e-9) and
-	// every patched per-die entropy against a from-scratch
-	// leakage.SpatialEntropy (1e-9 relative). Debug aid: it forfeits the
-	// entire speedup.
+	// (relative). It also pins every patched per-die entropy against a
+	// from-scratch leakage.SpatialEntropy (1e-9 relative). Debug aid: it
+	// forfeits the entire speedup.
 	CostCrossCheck bool
 	// Progress, when non-nil, receives per-stage events as the flow
 	// advances. The callback runs synchronously on the flow goroutine and
@@ -267,18 +265,16 @@ type EvalStats struct {
 	FullEvals        int
 	IncrementalEvals int
 	// VoltRefreshes counts voltage-assignment re-runs (the VoltEvery
-	// stride); VoltIncrementalRefreshes of those were served by the cached
-	// volt.Assigner instead of a from-scratch volt.Assign.
-	VoltRefreshes            int
-	VoltIncrementalRefreshes int
-	// VoltCandidatesReused/VoltCandidatesRegrown count the Assigner's cached
-	// per-root candidate trees served as-is vs regrown because a module's
-	// adjacency or feasible-level mask changed.
+	// stride).
+	VoltRefreshes int
+	// VoltCandidatesRegrown counts the per-module candidate trees the
+	// incremental path's refreshes grew (every module's, every refresh);
+	// VoltCandidatesReused is always 0, since no tree is kept between
+	// refreshes. Both stay because the end-to-end benchmark
+	// (benchmark/cmd/tscfpbench) reads them for anneal.volt_regrown_frac;
+	// neither reaches the wire.
 	VoltCandidatesReused  int
 	VoltCandidatesRegrown int
-	// VoltCrossChecks counts incremental-vs-full voltage-assignment
-	// comparisons (0 unless Config.CostCrossCheck was set).
-	VoltCrossChecks int
 	// EntropyPatched/EntropyRebuilt count per-die spatial-entropy refreshes
 	// served by patching the entropy cache vs rebuilt from scratch (first
 	// use, voltage-scale changes, wholesale map changes);
@@ -348,12 +344,12 @@ type EvalStats struct {
 	// bucket i counts moves that changed i modules, with the last bucket
 	// absorbing everything >= len-1. Percentiles via PackChangedPercentile.
 	PackChangedHist []int
-	// AdjBulkFallbacks counts the incremental voltage refreshes that
-	// re-swept the layout's adjacency (every one but the assigner's full
-	// rebuilds); AdjIncrementalUpdates is always 0, since the voltage engine
-	// has no other way to get adjacency. Both stay because the end-to-end
-	// benchmark (benchmark/cmd/tscfpbench) reads them for
-	// anneal.adj_bulk_frac; neither reaches the wire.
+	// AdjBulkFallbacks counts the incremental path's voltage refreshes,
+	// each of which sweeps the layout's adjacency; AdjIncrementalUpdates is
+	// always 0, since the voltage engine has no other way to get adjacency.
+	// Both stay because the end-to-end benchmark
+	// (benchmark/cmd/tscfpbench) reads them for anneal.adj_bulk_frac;
+	// neither reaches the wire.
 	AdjBulkFallbacks      int
 	AdjIncrementalUpdates int
 }

@@ -100,8 +100,8 @@ func (e *evaluator) finishCost(l *floorplan.Layout, terms *normTerms) float64 {
 	return cost
 }
 
-// terms computes the raw cost terms for a packed layout: the voltage-cache
-// bookkeeping followed by the geometry- and scale-derived terms.
+// terms computes the raw cost terms for a packed layout: the strided voltage
+// refresh followed by the geometry- and scale-derived terms.
 func (e *evaluator) terms(l *floorplan.Layout) *normTerms {
 	e.refreshVoltage(l, func() *timing.Analysis {
 		return timing.Analyze(l, nil, *e.cfg.TimingParams)
@@ -114,8 +114,8 @@ func (e *evaluator) terms(l *floorplan.Layout) *normTerms {
 // the stride keeps runtime at the reported ~30% overhead), otherwise
 // refreshes the scaled power sum under the cached scales. ref supplies the
 // reference STA for the assignment; the incremental path substitutes its
-// cached net delays and serves the assignment itself from the cached
-// volt.Assigner. Reports whether the assignment ran.
+// cached net delays and runs the assignment on its held volt.Assigner.
+// Reports whether the assignment ran.
 func (e *evaluator) refreshVoltage(l *floorplan.Layout, ref func() *timing.Analysis) bool {
 	refreshed := false
 	if e.powerScale == nil || e.evals%e.cfg.VoltEvery == 0 {
@@ -206,8 +206,8 @@ func designRuleTerm(l *floorplan.Layout, powers []float64) float64 {
 }
 
 // voltConfig is the shared assignment configuration, used by the held
-// Assigner in refreshVoltAssignment and by the one-shot volt.Assign calls
-// (the full path and the cross-check references).
+// Assigner in refreshVoltAssignment and by the full path's one-shot
+// volt.Assign.
 func (e *evaluator) voltConfig() volt.Config {
 	mode := volt.PowerAware
 	if e.cfg.Mode == TSCAware {

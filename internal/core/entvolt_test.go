@@ -6,15 +6,13 @@ import (
 )
 
 // TestIncrementalEntropyVoltageCrossCheckOverJournaledRun is the acceptance
-// contract for the entropy cache and the voltage assigner under rejections:
-// a journaled 1k-move perturb/cost/undo run with the cross-check enabled
-// must see every patched per-die entropy within 1e-9 of a from-scratch
-// SpatialEntropy and every voltage refresh equivalent to a fresh
-// volt.Assign (the evaluator panics otherwise), while the incremental cost
-// stays within its own 1e-9 contract. Interleaved undos exercise the
-// refresh-during-rejected-move path for both self-synchronizing caches —
-// the entropy cache re-converging against restored map bytes, the assigner
-// against the restored layout's adjacency sweep.
+// contract for the entropy cache under rejections and voltage refreshes: a
+// journaled 1k-move perturb/cost/undo run with the cross-check enabled must
+// see every patched per-die entropy within 1e-9 of a from-scratch
+// SpatialEntropy (the evaluator panics otherwise), while the incremental
+// cost stays within its own 1e-9 contract. Interleaved undos exercise the
+// refresh-during-rejected-move path, where the self-synchronizing entropy
+// cache re-converges against restored map bytes under new voltage scales.
 func TestIncrementalEntropyVoltageCrossCheckOverJournaledRun(t *testing.T) {
 	ev := makeEval(t, TSCAware, true, 51)
 	ev.check = true
@@ -29,14 +27,11 @@ func TestIncrementalEntropyVoltageCrossCheckOverJournaledRun(t *testing.T) {
 		}
 	}
 	st := ev.stats
-	if st.EntropyCrossChecks == 0 || st.VoltCrossChecks == 0 {
-		t.Fatalf("cache cross-checks never ran: %+v", st)
+	if st.EntropyCrossChecks == 0 || st.VoltRefreshes < 2 {
+		t.Fatalf("entropy cross-checks or voltage refreshes never ran: %+v", st)
 	}
 	if st.EntropyPatched == 0 {
 		t.Fatalf("entropy cache never served a patch: %+v", st)
-	}
-	if st.VoltCandidatesReused == 0 {
-		t.Fatalf("voltage assigner never reused a candidate tree: %+v", st)
 	}
 	if st.MaxCrossCheckError > 1e-9 {
 		t.Fatalf("cost cross-check error too large: %g", st.MaxCrossCheckError)

@@ -55,12 +55,9 @@ import (
 // scales computed during a rejected evaluation too (they are not part of the
 // floorplan undo), and the incremental path mirrors that — a refresh during
 // a rejected move instead marks every map dirty for the next evaluation.
-// The voltage assigner needs no journal either: like the entropy caches it
-// is self-synchronizing. Each refresh re-sweeps the layout's adjacency and
-// re-derives the feasible masks, and diffs both against the inputs its
-// candidate trees were grown from, so a refresh after any rollback (a
-// rejected move, or a reset that dropped every other cache) sees exactly
-// what changed since the assigner's last refresh.
+// The voltage assigner needs no journal either: every refresh recomputes
+// the assignment from the current layout, reusing only the assigner's
+// storage.
 type incrState struct {
 	lay *floorplan.Layout
 
@@ -105,8 +102,8 @@ type incrState struct {
 	packers []floorplan.DiePacker
 	diffs   []floorplan.PackDiff
 
-	// vasg caches the voltage-volume candidate trees between stride
-	// refreshes (self-synchronizing; see the type comment).
+	// vasg runs every stride voltage refresh; it is held only so its
+	// storage is reused from one refresh to the next.
 	vasg *volt.Assigner
 
 	// Scratch, sized once.
@@ -682,36 +679,15 @@ func (ic *incrState) dieEntropy(e *evaluator, d int) float64 {
 	return ent
 }
 
-// refreshVoltAssignment serves one stride voltage refresh from the cached
-// volt.Assigner: only the candidate trees that depend on a module whose
-// adjacency (re-swept from the layout) or feasible-level mask (re-derived
-// from ref) changed since its last refresh are regrown. The result is
-// value-identical to a fresh volt.Assign on the current layout, which the
-// check path verifies.
+// refreshVoltAssignment runs one stride voltage refresh on the held
+// volt.Assigner: a from-scratch assignment of the current layout that
+// reuses the assigner's storage. It counts every module's candidate tree as
+// regrown and the adjacency as re-swept.
 func (ic *incrState) refreshVoltAssignment(e *evaluator, ref *timing.Analysis) *volt.Assignment {
 	if ic.vasg == nil {
 		ic.vasg = volt.NewAssigner(e.voltConfig())
 	}
-	asg := ic.vasg.Refresh(ic.lay, ref)
-	st := ic.vasg.Stats()
-	e.stats.VoltIncrementalRefreshes = st.Refreshes
-	e.stats.VoltCandidatesReused = st.CandidatesReused
-	e.stats.VoltCandidatesRegrown = st.CandidatesRegrown
-	e.stats.AdjBulkFallbacks = st.Refreshes - st.FullRebuilds
-	if e.check {
-		e.crossCheckVolt(ic.lay, ref, asg)
-	}
-	return asg
-}
-
-// crossCheckVolt pins an incremental voltage refresh against a from-scratch
-// volt.Assign on the same layout and reference timing: identical volumes and
-// per-module levels, TotalPower within the 1e-9 contract. Debug aid behind
-// Config.CostCrossCheck, like crossCheck.
-func (e *evaluator) crossCheckVolt(l *floorplan.Layout, ref *timing.Analysis, got *volt.Assignment) {
-	e.stats.VoltCrossChecks++
-	want := volt.Assign(l, ref, e.voltConfig())
-	if err := volt.Equivalent(got, want, 1e-9); err != nil {
-		panic(fmt.Sprintf("core: incremental voltage assignment diverged from full volt.Assign: %v", err))
-	}
+	e.stats.VoltCandidatesRegrown += len(ic.lay.Design.Modules)
+	e.stats.AdjBulkFallbacks++
+	return ic.vasg.Assign(ic.lay, ref)
 }

@@ -152,10 +152,7 @@ func TestUndoBeforeCostIsSafe(t *testing.T) {
 // TestResetJournalRollback covers the reset journal: a move perturbed in
 // before the first Cost folds into the initial full build, so undoing it
 // drops the caches wholesale, and the next Cost must rebuild them to agree
-// with the full evaluator — as must the journaled moves after it. The
-// voltage assigner is not dropped: it resynchronizes against the rebuilt
-// layout by itself, and the cross-check pins every refresh after the reset
-// against a fresh volt.Assign.
+// with the full evaluator — as must the journaled moves after it.
 func TestResetJournalRollback(t *testing.T) {
 	inc := makeEval(t, TSCAware, true, 61)
 	inc.check = true
@@ -178,7 +175,6 @@ func TestResetJournalRollback(t *testing.T) {
 	if inc.incr.lay != nil {
 		t.Fatal("reset rollback kept the cached layout")
 	}
-	checked := inc.stats.VoltCrossChecks
 	agree("rebuild after the reset rollback")
 	for i := 0; i < 40; i++ {
 		undoInc, undoFull = inc.Perturb(rngInc), full.Perturb(rngFull)
@@ -187,12 +183,6 @@ func TestResetJournalRollback(t *testing.T) {
 			undoInc()
 			undoFull()
 		}
-	}
-	if inc.stats.VoltCrossChecks == checked {
-		t.Fatal("no voltage refresh after the reset rollback was cross-checked")
-	}
-	if rebuilds := inc.incr.vasg.Stats().FullRebuilds; rebuilds != 1 {
-		t.Fatalf("assigner rebuilt %d times, want only its first build", rebuilds)
 	}
 }
 

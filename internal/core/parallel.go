@@ -131,10 +131,8 @@ func addEvalStats(dst, src *EvalStats) {
 	dst.FullEvals += src.FullEvals
 	dst.IncrementalEvals += src.IncrementalEvals
 	dst.VoltRefreshes += src.VoltRefreshes
-	dst.VoltIncrementalRefreshes += src.VoltIncrementalRefreshes
 	dst.VoltCandidatesReused += src.VoltCandidatesReused
 	dst.VoltCandidatesRegrown += src.VoltCandidatesRegrown
-	dst.VoltCrossChecks += src.VoltCrossChecks
 	dst.EntropyPatched += src.EntropyPatched
 	dst.EntropyRebuilt += src.EntropyRebuilt
 	dst.EntropyCrossChecks += src.EntropyCrossChecks

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -50,5 +51,29 @@ func TestForChunksAreContiguousAndOrderedWithinChunk(t *testing.T) {
 			t.Fatalf("chunk starts must be non-decreasing: owner[%d]=%d owner[%d]=%d",
 				i-1, owner[i-1], i, owner[i])
 		}
+	}
+}
+
+// TestForPanicReachesCaller pins panic containment: a chunk that panics on
+// a spawned goroutine must panic on the caller's goroutine once every chunk
+// has returned, with the lowest panicking chunk's value. Without the
+// recover on the spawned goroutine the panic would end the test binary.
+func TestForPanicReachesCaller(t *testing.T) {
+	var finished atomic.Int32
+	func() {
+		defer func() {
+			if v := recover(); v != "chunk 25" {
+				t.Fatalf("recovered %v, want chunk 25's panic", v)
+			}
+		}()
+		For(4, 100, func(lo, hi int) {
+			if lo >= 25 && lo < 75 {
+				panic(fmt.Sprintf("chunk %d", lo))
+			}
+			finished.Add(1)
+		})
+	}()
+	if n := finished.Load(); n != 2 {
+		t.Fatalf("%d non-panicking chunks finished before the re-panic, want 2", n)
 	}
 }

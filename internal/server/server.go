@@ -203,9 +203,10 @@ func (s *Server) GC() {
 
 // worker serves queued jobs until the queue closes. A panic inside a job
 // fails that job, not the daemon: execute recovers it on this goroutine and
-// the worker goes on serving. Goroutines a flow spawns itself (replica
-// chains, sweep cells, the parallel SOR) are outside that recover; a panic
-// there still ends the process.
+// the worker goes on serving. A panic on a goroutine the flow spawns itself
+// reaches a recover too: par.For (the parallel SOR and blur, replica
+// chains, speculative batches) re-raises it on this goroutine, and a
+// tscfp.Stream worker turns it into its sweep cell's error.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {

@@ -503,6 +503,13 @@ func TestWorkerPanicFailsJob(t *testing.T) {
 // TestQueueBoundsAndValidation exercises admission control: a full queue
 // returns 503 with Retry-After, and malformed submissions return 400/413.
 func TestQueueBoundsAndValidation(t *testing.T) {
+	// Both designs pass Design.Validate; the flow cannot run either. A
+	// zero-module sweep used to panic on a sweep worker and end the daemon.
+	const (
+		emptyDesign = `{"name": "empty", "dies": 2, "outline_w_um": 100, "outline_h_um": 100}`
+		flatDesign  = `{"name": "flat", "dies": 1, "outline_w_um": 100, "outline_h_um": 100,
+			"modules": [{"name": "a", "kind": "hard", "w_um": 10, "h_um": 10, "power_w": 1}]}`
+	)
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1, MaxBodyBytes: 4096})
 
 	blocker, _ := submit(t, ts, `{"benchmark": "n100", "options": {"iterations": 100000000, "grid_n": 12}}`)
@@ -526,6 +533,9 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		"bad criterion":        `{"benchmark": "n100", "options": {"post_criterion": "top"}}`,
 		"negative iterations":  `{"benchmark": "n100", "options": {"iterations": -1}}`,
 		"protected module":     `{"benchmark": "n100", "options": {"protected_modules": [5000]}}`,
+		"zero modules":         `{"design": ` + emptyDesign + `}`,
+		"zero-module sweep":    `{"design": ` + emptyDesign + `, "sweep": {"seeds": [1, 2]}}`,
+		"single die":           `{"design": ` + flatDesign + `}`,
 		"unknown field":        `{"benchmark": "n100", "bogus": 1}`,
 		"truncated":            `{"benchmark": "n1`,
 	} {

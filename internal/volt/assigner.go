@@ -9,58 +9,39 @@ import (
 	"repro/internal/timing"
 )
 
-// Assigner is a reusable voltage-volume assignment engine. It produces the
-// exact partition Assign produces, but keeps the intermediate state alive
-// between calls — per-module feasible-level masks, the adjacency rows, the
-// per-root candidate trees, and each tree's dependency footprint — so a
-// Refresh after a layout change regrows only the candidate trees whose
-// inputs actually changed. This is the voltage half of the annealing loop's
-// incremental evaluator (internal/core): the paper integrates voltage-volume
-// formation into the floorplanning loop (Sec. 6.1), and re-growing one BFS
-// tree per module on every stride refresh was the loop's largest shared cost
-// once the geometric caches landed.
+// Assigner is the voltage-volume assignment engine behind Assign. Every
+// Assign call derives the per-module feasible-level masks from the timing
+// it is handed, sweeps the layout's adjacency and grows one candidate tree
+// per module from scratch, then runs the greedy partition. What an Assigner
+// keeps between calls is storage only — masks, adjacency rows, candidate
+// trees and growth scratch, sized once per design size — so a caller that
+// refreshes the assignment over and over (the annealing loop: the paper
+// integrates voltage-volume formation into floorplanning, Sec. 6.1) holds
+// one Assigner and allocates little per refresh. Any layout of any design
+// is a valid next input.
 //
-// What is cacheable and why:
+// Trees are not cached between calls: between two stride refreshes the
+// annealer's repacking changes the inputs of most trees, so a cache saves
+// about one percent of a run's CPU (docs/BENCHMARKS.md, "Retired: the
+// voltage candidate-tree cache").
 //
-//   - module power densities and powers never change during a run (soft
-//     resizes preserve area; netlist modules are immutable geometry-wise), so
-//     the density inputs of both growth objectives are computed once;
-//   - a candidate tree grown from root r examines only its members' adjacency
-//     lists and the feasible masks of every module that ever entered its
-//     frontier. The tree records that footprint (deps); if no dep's mask or
-//     adjacency changed, a regrow would reproduce the tree bit for bit, so
-//     the cached members/levels/score are reused as-is;
-//   - the greedy partition and the leftover re-growth are cheap relative to
-//     the n candidate grows and depend on every candidate, so they re-run on
-//     every Refresh from the (mostly cached) candidates.
-//
-// The engine is self-synchronizing: every Refresh re-derives the masks from
-// the timing it is handed and re-sweeps the layout's adjacency, and diffs
-// both against the inputs its trees were grown from. Callers never itemize
-// what changed, so any layout of the same design — one small move away or
-// wholly unrelated — is a valid next input.
-//
-// An Assigner is NOT safe for concurrent use, and the *Assignment returned by
-// Assign/Refresh is owned by the engine until the next call — callers must
-// not mutate it (Repair mutates; run Repair only on assignments from the
-// package-level Assign).
+// An Assigner is NOT safe for concurrent use.
 type Assigner struct {
 	cfg Config
 	n   int
 
-	// Cached inputs of candidate growth. Feasible-level sets are bitmasks
-	// (bit k = cfg.Levels[k] feasible): the growth frontier screens
-	// thousands of (intersection, candidate-mask) pairs per refresh, and a
-	// single AND plus the precomputed lowPS table replaces the historical
-	// per-level scans exactly. adj holds the adjacency rows the trees were
-	// grown from, each in its own storage; sweep is the scratch every
-	// Refresh re-sweeps the layout into before diffing.
+	// Inputs of candidate growth. Feasible-level sets are bitmasks (bit k =
+	// cfg.Levels[k] feasible): the growth frontier screens thousands of
+	// (intersection, candidate-mask) pairs per call, and a single AND plus
+	// the precomputed lowPS table replaces the historical per-level scans
+	// exactly. adj aliases sweep, the scratch each call sweeps the layout
+	// into.
 	adj        [][]int
 	sweep      floorplan.AdjacencyScratch
 	feasible   []uint32  // per-module feasible-level masks
 	lowPS      []float64 // lowPS[mask] = lowest PowerScale among mask's levels (1 for empty)
-	densities  []float64 // constant per design
-	power      []float64 // constant per design
+	densities  []float64
+	power      []float64
 	globalMean float64
 	target     float64
 
@@ -72,42 +53,19 @@ type Assigner struct {
 	stamp      int
 	frontier   []int
 	memberBuf  []int
-	maskDirty  []bool
-	adjDirty   []bool
 	order      []int
 	assigned   []bool
-
-	last  *Assignment
-	stats AssignerStats
 }
 
-// candTree is one cached BFS candidate rooted at a module.
+// candTree is one BFS candidate volume rooted at a module.
 type candTree struct {
 	modules []int
 	levels  uint32
 	score   float64
-	// deps is the tree's dependency footprint: the root, every member, and
-	// every module that ever entered the growth frontier (their masks were
-	// screened and their densities read; members' adjacency lists steered
-	// the growth). If none of these is dirty, a regrow is bit-identical.
-	deps []int
 }
 
-// AssignerStats counts the engine's lifetime work; the annealing loop
-// surfaces them as Result.Stats counters.
-type AssignerStats struct {
-	// Refreshes counts Assign/Refresh calls; FullRebuilds of those rebuilt
-	// every cache (first use, an Assign call, or a design-size change).
-	Refreshes    int
-	FullRebuilds int
-	// CandidatesReused/CandidatesRegrown count cached per-root candidate
-	// trees served as-is vs regrown because a dependency changed.
-	CandidatesReused  int
-	CandidatesRegrown int
-}
-
-// NewAssigner returns an empty engine; the first Assign or Refresh builds
-// every cache.
+// NewAssigner returns an engine with no storage yet; the first Assign sizes
+// it.
 func NewAssigner(cfg Config) *Assigner {
 	cfg.defaults()
 	if len(cfg.Levels) > 16 {
@@ -137,120 +95,19 @@ func NewAssigner(cfg Config) *Assigner {
 	return a
 }
 
-// Stats returns the lifetime work counters.
-func (a *Assigner) Stats() AssignerStats { return a.stats }
-
-// Assign computes the full assignment, replacing every cache. It is
-// value-identical to the package-level Assign on the same inputs.
+// Assign computes the voltage assignment for (l, ref) from scratch, reusing
+// only the engine's storage, so a held engine returns exactly what a fresh
+// one would. The returned Assignment is the caller's.
 func (a *Assigner) Assign(l *floorplan.Layout, ref *timing.Analysis) *Assignment {
-	a.stats.Refreshes++
-	return a.rebuild(l, ref)
-}
-
-// Refresh recomputes the assignment for (l, ref), reusing every candidate
-// tree whose inputs did not change since the previous Assign/Refresh. It
-// needs no account of what changed: the masks are re-derived from ref and
-// the adjacency is re-swept from l, and both are diffed against the
-// engine's own copies. The result is value-identical to a fresh Assign on
-// (l, ref).
-func (a *Assigner) Refresh(l *floorplan.Layout, ref *timing.Analysis) *Assignment {
-	a.stats.Refreshes++
 	n := len(l.Design.Modules)
-	if a.last == nil || n != a.n {
-		return a.rebuild(l, ref)
-	}
-
-	a.target = ref.Critical * a.cfg.TargetFactor
-	for i := range a.maskDirty {
-		a.maskDirty[i] = false
-		a.adjDirty[i] = false
-	}
-	anyDirty := false
-	// Masks absorb every timing change, including a moved target: diffing
-	// them is O(n·levels), far below one candidate grow.
-	for m := 0; m < n; m++ {
-		if a.refreshMask(m, ref) {
-			a.maskDirty[m] = true
-			anyDirty = true
-		}
-	}
-	// A moved module may keep its adjacency (pure slide): only rows whose
-	// content changed dirty anything.
-	if a.syncAdjacency(l) {
-		anyDirty = true
-	}
-	if !anyDirty {
-		// The assignment is a pure function of (adjacency, masks, constant
-		// densities/powers, config); none of it changed.
-		a.stats.CandidatesReused += n
-		a.last.Target = a.target
-		return a.last
-	}
-
-	// A tree dereferences adjacency lists only for its members (to push
-	// their neighbours); frontier entrants contribute just their masks and
-	// (constant) densities. Testing the two dirt kinds against the exact
-	// slices they can influence keeps suffix-repack churn — which moves many
-	// non-member neighbours — from regrowing trees it cannot have changed.
-	for root := 0; root < n; root++ {
-		c := &a.cands[root]
-		regrow := false
-		for _, m := range c.modules {
-			if a.adjDirty[m] {
-				regrow = true
-				break
-			}
-		}
-		if !regrow {
-			for _, d := range c.deps {
-				if a.maskDirty[d] {
-					regrow = true
-					break
-				}
-			}
-		}
-		if regrow {
-			a.growCandidate(root)
-			a.stats.CandidatesRegrown++
-		} else {
-			a.stats.CandidatesReused++
-		}
-	}
-	a.last = a.partition(l)
-	return a.last
-}
-
-// syncAdjacency sweeps l's adjacency, copies every row that differs from the
-// engine's into place and marks it in adjDirty. It reports whether any row
-// changed.
-func (a *Assigner) syncAdjacency(l *floorplan.Layout) bool {
-	changed := false
-	for m, row := range l.AdjacentModulesInto(&a.sweep) {
-		if !intsEqual(a.adj[m], row) {
-			a.adj[m] = append(a.adj[m][:0], row...)
-			a.adjDirty[m] = true
-			changed = true
-		}
-	}
-	return changed
-}
-
-// rebuild sizes and fills every cache from scratch.
-func (a *Assigner) rebuild(l *floorplan.Layout, ref *timing.Analysis) *Assignment {
-	n := len(l.Design.Modules)
-	a.stats.FullRebuilds++
-	a.stats.CandidatesRegrown += n
 	if n != a.n || a.feasible == nil {
 		a.n = n
 		a.feasible = make([]uint32, n)
 		a.densities = make([]float64, n)
 		a.power = make([]float64, n)
-		a.adj = make([][]int, n)
 		a.cands = make([]candTree, n)
 		a.inVol = make([]int, n)
 		a.inFrontier = make([]int, n)
-		a.maskDirty = make([]bool, n)
-		a.adjDirty = make([]bool, n)
 		a.assigned = make([]bool, n)
 		a.stamp = 0
 	}
@@ -258,24 +115,25 @@ func (a *Assigner) rebuild(l *floorplan.Layout, ref *timing.Analysis) *Assignmen
 	for m, mod := range l.Design.Modules {
 		a.densities[m] = mod.PowerDensity()
 		a.power[m] = mod.Power
+		a.feasible[m] = a.feasibleMask(m, ref)
 	}
 	a.globalMean = meanOf(a.densities)
-	for m := 0; m < n; m++ {
-		a.refreshMask(m, ref)
+	a.adj = l.AdjacentModulesInto(&a.sweep)
+	for root := range a.cands {
+		c := &a.cands[root]
+		members, inter := a.grow(root, nil)
+		c.modules = append(c.modules[:0], members...)
+		c.levels = inter
+		c.score = scoreVolume(c.modules, c.levels, a.cfg, a.densities, a.globalMean, a.power)
 	}
-	a.syncAdjacency(l)
-	for root := 0; root < n; root++ {
-		a.growCandidate(root)
-	}
-	a.last = a.partition(l)
-	return a.last
+	return a.partition(l)
 }
 
-// refreshMask re-derives module m's feasible-level mask from the reference
-// STA and reports whether it changed. Level k is feasible if slowing (or
-// speeding) only this module keeps its worst hop within the target; the
-// 1.0 V reference is always feasible by construction.
-func (a *Assigner) refreshMask(m int, ref *timing.Analysis) bool {
+// feasibleMask derives module m's feasible-level mask from the reference
+// STA. Level k is feasible if slowing (or speeding) only this module keeps
+// its worst hop within the target; the 1.0 V reference is always feasible
+// by construction.
+func (a *Assigner) feasibleMask(m int, ref *timing.Analysis) uint32 {
 	base := math.Max(ref.Arrive[m], ref.Depart[m])
 	var mask uint32
 	for k, lv := range a.cfg.Levels {
@@ -283,30 +141,13 @@ func (a *Assigner) refreshMask(m int, ref *timing.Analysis) bool {
 			mask |= 1 << k
 		}
 	}
-	if mask == a.feasible[m] {
-		return false
-	}
-	a.feasible[m] = mask
-	return true
-}
-
-// growCandidate regrows root's candidate tree into its cache slot,
-// re-recording the dependency footprint.
-func (a *Assigner) growCandidate(root int) {
-	c := &a.cands[root]
-	c.deps = c.deps[:0]
-	members, inter := a.grow(root, nil, &c.deps)
-	c.modules = append(c.modules[:0], members...)
-	c.levels = inter
-	c.score = scoreVolume(c.modules, c.levels, a.cfg, a.densities, a.globalMean, a.power)
+	return mask
 }
 
 // grow builds one voltage-volume tree from root by BFS over adjacent modules
 // (paper Sec. 6.1), adding at each step the neighbour that best fits the
 // mode's objective while the feasible-set intersection stays non-empty.
-// Modules marked in blocked are never added. When deps is non-nil, every
-// module the growth examines (root, members, frontier entrants) is appended
-// to it exactly once.
+// Modules marked in blocked are never added.
 //
 // The frontier is scanned destructively: entries that can never become
 // feasible again — already in the volume, blocked, or failing the mask
@@ -321,15 +162,12 @@ func (a *Assigner) growCandidate(root int) {
 //
 // The returned member slice aliases the engine's scratch buffer — valid only
 // until the next grow.
-func (a *Assigner) grow(root int, blocked []bool, deps *[]int) ([]int, uint32) {
+func (a *Assigner) grow(root int, blocked []bool) ([]int, uint32) {
 	a.stamp++
 	stamp := a.stamp
 	a.inVol[root] = stamp
 	members := append(a.memberBuf[:0], root)
 	inter := a.feasible[root]
-	if deps != nil {
-		*deps = append(*deps, root)
-	}
 	frontier := a.frontier[:0]
 	push := func(m int) {
 		if a.inVol[m] == stamp || a.inFrontier[m] == stamp {
@@ -337,9 +175,6 @@ func (a *Assigner) grow(root int, blocked []bool, deps *[]int) ([]int, uint32) {
 		}
 		a.inFrontier[m] = stamp
 		frontier = append(frontier, m)
-		if deps != nil {
-			*deps = append(*deps, m)
-		}
 	}
 	for _, nb := range a.adj[root] {
 		push(nb)
@@ -396,11 +231,10 @@ func (a *Assigner) grow(root int, blocked []bool, deps *[]int) ([]int, uint32) {
 	return members, inter
 }
 
-// partition runs the greedy volume selection over the cached candidates and
-// builds a fresh Assignment: best-scoring candidates first, skipping
-// overlaps, then leftovers re-grown among themselves so the partition stays
-// coarse. Mirrors the historical Assign selection exactly (stable order on
-// equal scores).
+// partition runs the greedy volume selection over the candidates and builds
+// a fresh Assignment: best-scoring candidates first (stable order on equal
+// scores), skipping overlaps, then leftovers re-grown among themselves so
+// the partition stays coarse.
 func (a *Assigner) partition(l *floorplan.Layout) *Assignment {
 	n := a.n
 	order := a.order[:0]
@@ -451,7 +285,7 @@ func (a *Assigner) partition(l *floorplan.Layout) *Assignment {
 	}
 	for m := 0; m < n; m++ {
 		if !assigned[m] {
-			mods, levels := a.grow(m, assigned, nil)
+			mods, levels := a.grow(m, assigned)
 			addVolume(mods, levels)
 		}
 	}
@@ -459,52 +293,4 @@ func (a *Assigner) partition(l *floorplan.Layout) *Assignment {
 		asg.TotalPower += mod.Power * asg.PowerScale[m]
 	}
 	return asg
-}
-
-// Equivalent compares two assignments and returns a description of the first
-// divergence, or nil when they describe the same partition: identical
-// volumes (same modules, same level, same order), identical per-module
-// levels, and TotalPower/Target within eps (relative, floored at 1). The
-// incremental evaluator's cross-check path uses it to pin Refresh against a
-// fresh Assign.
-func Equivalent(a, b *Assignment, eps float64) error {
-	if len(a.Volumes) != len(b.Volumes) {
-		return fmt.Errorf("volume count %d != %d", len(a.Volumes), len(b.Volumes))
-	}
-	for i := range a.Volumes {
-		if a.Volumes[i].Level != b.Volumes[i].Level {
-			return fmt.Errorf("volume %d level %+v != %+v", i, a.Volumes[i].Level, b.Volumes[i].Level)
-		}
-		if !intsEqual(a.Volumes[i].Modules, b.Volumes[i].Modules) {
-			return fmt.Errorf("volume %d members %v != %v", i, a.Volumes[i].Modules, b.Volumes[i].Modules)
-		}
-	}
-	if len(a.LevelOf) != len(b.LevelOf) {
-		return fmt.Errorf("module count %d != %d", len(a.LevelOf), len(b.LevelOf))
-	}
-	for m := range a.LevelOf {
-		if a.LevelOf[m] != b.LevelOf[m] {
-			return fmt.Errorf("module %d level %+v != %+v", m, a.LevelOf[m], b.LevelOf[m])
-		}
-	}
-	relFloor := func(v float64) float64 { return math.Max(1, math.Abs(v)) }
-	if d := math.Abs(a.TotalPower - b.TotalPower); d > eps*relFloor(b.TotalPower) {
-		return fmt.Errorf("total power %v != %v (|diff| %g)", a.TotalPower, b.TotalPower, d)
-	}
-	if d := math.Abs(a.Target - b.Target); d > eps*relFloor(b.Target) {
-		return fmt.Errorf("target %v != %v (|diff| %g)", a.Target, b.Target, d)
-	}
-	return nil
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

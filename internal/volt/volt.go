@@ -104,10 +104,9 @@ type Assignment struct {
 // Assign computes voltage volumes for a placed layout. The timing analysis
 // must have been produced at the 1.0 V reference (delayScale nil).
 //
-// Assign is the one-shot form of the engine: a throwaway Assigner's full
-// rebuild. Callers refreshing the assignment repeatedly over small layout
-// changes (the annealing loop) should hold an Assigner and use Refresh,
-// which reuses every candidate tree whose inputs did not change.
+// Assign is the one-shot form of the engine: a throwaway Assigner. Callers
+// that assign repeatedly (the annealing loop) hold one Assigner instead, so
+// its storage is reused across calls.
 func Assign(l *floorplan.Layout, ref *timing.Analysis, cfg Config) *Assignment {
 	return NewAssigner(cfg).Assign(l, ref)
 }

@@ -42,10 +42,6 @@ func BenchmarkAnnealLoop(b *testing.B) {
 				b.ReportMetric(float64(st.NetsReused)/float64(st.Evals), "nets_reused/eval")
 				b.ReportMetric(float64(st.DiesReused)/float64(st.Evals), "dies_reused/eval")
 			}
-			if st.VoltCandidatesReused+st.VoltCandidatesRegrown > 0 {
-				b.ReportMetric(float64(st.VoltCandidatesReused)/
-					float64(st.VoltCandidatesReused+st.VoltCandidatesRegrown), "volt_cands_reused_frac")
-			}
 			if st.EntropyPatched+st.EntropyRebuilt > 0 {
 				b.ReportMetric(float64(st.EntropyPatched)/
 					float64(st.EntropyPatched+st.EntropyRebuilt), "entropy_patched_frac")

@@ -114,10 +114,11 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		t.Fatalf("decoded heatmap: %q, %v", hm, err)
 	}
 
-	// Stored artifacts written before the incremental timing cache and the
-	// adjacency index were retired carry their five sta_* and five adj_*
-	// counters in stats, and a registry serves those bytes verbatim on
-	// dedupe hits: they must still decode.
+	// Stored artifacts written before the incremental timing cache, the
+	// adjacency index and the voltage candidate-tree cache were retired
+	// carry their five sta_*, five adj_* and four volt_* counters in stats,
+	// and a registry serves those bytes verbatim on dedupe hits: they must
+	// still decode.
 	data, err := res.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -130,6 +131,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	for _, k := range []string{
 		"sta_patches", "sta_rebuilds", "sta_modules_recomputed", "sta_crit_rescans", "sta_cross_checks",
 		"adj_full_sweeps", "adj_incremental_updates", "adj_rows_changed", "adj_cross_checks", "adj_bulk_fallbacks",
+		"volt_incremental_refreshes", "volt_candidates_reused", "volt_candidates_regrown", "volt_cross_checks",
 	} {
 		stats[k] = 1
 	}
@@ -139,13 +141,13 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 	old, err := ReadResult(bytes.NewReader(legacy))
 	if err != nil {
-		t.Fatalf("result with retired sta_*/adj_* stats rejected: %v", err)
+		t.Fatalf("result with retired stats keys rejected: %v", err)
 	}
 	if err := old.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if old.Stats != res.Stats || old.Metrics.R1 != res.Metrics.R1 {
-		t.Fatal("retired sta_*/adj_* keys disturbed the decoded result")
+		t.Fatal("retired stats keys disturbed the decoded result")
 	}
 }
 
@@ -259,6 +261,31 @@ func TestProtectedModulesRange(t *testing.T) {
 		_, err := NewFlow(design, WithProtectedModules(tc.modules...))
 		if (tc.want == "") != (err == nil) || err != nil && !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("protected modules %v: NewFlow returned %v, want error %q", tc.modules, err, tc.want)
+		}
+	}
+}
+
+// TestNewFlowRejectsUnrunnableDesigns checks that a design the flow cannot
+// floorplan fails at NewFlow with the reason, not in Run: zero modules
+// pass Design.Validate but used to panic in the first perturbation, and a
+// single die failed only once the run started.
+func TestNewFlowRejectsUnrunnableDesigns(t *testing.T) {
+	const mod = `{"name": "a", "kind": "hard", "w_um": 10, "h_um": 10, "power_w": 1}`
+	for _, tc := range []struct {
+		design string
+		want   string // error substring; "" = accepted
+	}{
+		{`{"name": "empty", "dies": 2, "outline_w_um": 100, "outline_h_um": 100}`, "no modules"},
+		{`{"name": "flat", "dies": 1, "outline_w_um": 100, "outline_h_um": 100, "modules": [` + mod + `]}`, "1 die(s)"},
+		{`{"name": "solo", "dies": 2, "outline_w_um": 100, "outline_h_um": 100, "modules": [` + mod + `]}`, ""},
+	} {
+		design := new(Design)
+		if err := json.Unmarshal([]byte(tc.design), design); err != nil {
+			t.Fatalf("%s: %v", tc.design, err)
+		}
+		_, err := NewFlow(design)
+		if (tc.want == "") != (err == nil) || err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewFlow returned %v, want error %q", design.Name(), err, tc.want)
 		}
 	}
 }

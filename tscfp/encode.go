@@ -58,16 +58,8 @@ type RunStats struct {
 	FullEvals        int `json:"full_evals"`
 	IncrementalEvals int `json:"incremental_evals"`
 	// VoltRefreshes counts voltage-assignment re-runs (the VoltEvery
-	// stride); VoltIncrementalRefreshes of those were served by the cached
-	// incremental assigner, which reused VoltCandidatesReused per-module
-	// candidate trees and regrew VoltCandidatesRegrown. VoltCrossChecks
-	// counts incremental-vs-full assignment comparisons (0 unless
-	// WithCostCrossCheck).
-	VoltRefreshes            int `json:"volt_refreshes"`
-	VoltIncrementalRefreshes int `json:"volt_incremental_refreshes"`
-	VoltCandidatesReused     int `json:"volt_candidates_reused"`
-	VoltCandidatesRegrown    int `json:"volt_candidates_regrown"`
-	VoltCrossChecks          int `json:"volt_cross_checks"`
+	// stride).
+	VoltRefreshes int `json:"volt_refreshes"`
 	// EntropyPatched/EntropyRebuilt count per-die spatial-entropy refreshes
 	// served by patching the entropy cache vs rebuilt from scratch;
 	// EntropyCrossChecks the patched-vs-full comparisons (0 unless

@@ -283,10 +283,9 @@ func WithSpeculation(m int) Option {
 
 // WithCostCrossCheck re-evaluates every annealing move through the full
 // recompute path and panics if the incremental cost drifts beyond 1e-9
-// (relative). It also pins every incremental voltage refresh against a
-// from-scratch assignment (identical volumes, total power within 1e-9) and
-// every patched per-die entropy against a from-scratch recompute (1e-9
-// relative). Debug aid: it forfeits the entire incremental speedup.
+// (relative). It also pins every patched per-die entropy against a
+// from-scratch recompute (1e-9 relative). Debug aid: it forfeits the entire
+// incremental speedup.
 func WithCostCrossCheck(enabled bool) Option {
 	return func(s *settings) { s.crossCheck = enabled }
 }

@@ -19,9 +19,8 @@ func TestPerfOptionValidation(t *testing.T) {
 
 // TestIncrementalTogglesAgree pins the public determinism contract: for a
 // fixed seed the default run and a cross-checked serial run — every
-// incremental cost, voltage refresh and entropy patch pinned against its
-// full recompute — produce the identical result JSON (stats and runtime
-// aside).
+// incremental cost and entropy patch pinned against its full recompute —
+// produce the identical result JSON (stats and runtime aside).
 func TestIncrementalTogglesAgree(t *testing.T) {
 	design := MustBenchmark("n100")
 	run := func(opts ...Option) *Result {
@@ -52,8 +51,8 @@ func TestIncrementalTogglesAgree(t *testing.T) {
 	if inc.Stats.IncrementalEvals == 0 || inc.Stats.Evals == 0 {
 		t.Fatalf("stats not recorded: %+v", inc.Stats)
 	}
-	if inc.Stats.VoltIncrementalRefreshes == 0 || inc.Stats.VoltCandidatesReused == 0 {
-		t.Fatalf("incremental voltage stats not recorded: %+v", inc.Stats)
+	if inc.Stats.VoltRefreshes == 0 {
+		t.Fatalf("voltage refreshes not recorded: %+v", inc.Stats)
 	}
 	if inc.Stats.EntropyPatched == 0 {
 		t.Fatalf("default run never engaged the entropy cache: %+v", inc.Stats)
@@ -67,9 +66,6 @@ func TestIncrementalTogglesAgree(t *testing.T) {
 	}
 	if checked.Core().EvalStats.CrossChecks == 0 {
 		t.Fatalf("costs were not cross-checked: %+v", checked.Core().EvalStats)
-	}
-	if checked.Stats.VoltCrossChecks == 0 {
-		t.Fatalf("voltage refreshes were not cross-checked: %+v", checked.Stats)
 	}
 	if checked.Stats.EntropyCrossChecks == 0 {
 		t.Fatalf("entropy patches were not cross-checked: %+v", checked.Stats)

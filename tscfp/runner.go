@@ -27,13 +27,20 @@ type Flow struct {
 	churn bool
 }
 
-// NewFlow binds a design to a set of options. Option validation happens
-// here, not in Run, so a sweep over many cells fails fast on a bad knob:
-// the knobs the options set are checked by RunOptions.Canonical, and the
-// protected-module indices against the design.
+// NewFlow binds a design to a set of options. Validation happens here, not
+// in Run, so a sweep over many cells fails fast: the design must have
+// modules to place and a stack of at least two dies, the knobs the options
+// set are checked by RunOptions.Canonical, and the protected-module indices
+// against the design.
 func NewFlow(design *Design, opts ...Option) (*Flow, error) {
 	if design == nil || design.d == nil {
 		return nil, fmt.Errorf("tscfp: nil design")
+	}
+	if design.NumModules() == 0 {
+		return nil, fmt.Errorf("tscfp: design %q has no modules to floorplan", design.Name())
+	}
+	if design.Dies() < 2 {
+		return nil, fmt.Errorf("tscfp: design %q has %d die(s); the flow needs a stack of at least 2", design.Name(), design.Dies())
 	}
 	var s settings
 	for _, opt := range opts {
@@ -111,34 +118,30 @@ func newResult(res *core.Result, mode Mode, seed int64, churn bool) *Result {
 		Legal:     res.Layout.Legal(),
 		Metrics:   newMetrics(&res.Metrics),
 		Stats: RunStats{
-			Evals:                    res.EvalStats.Evals,
-			FullEvals:                res.EvalStats.FullEvals,
-			IncrementalEvals:         res.EvalStats.IncrementalEvals,
-			VoltRefreshes:            res.EvalStats.VoltRefreshes,
-			VoltIncrementalRefreshes: res.EvalStats.VoltIncrementalRefreshes,
-			VoltCandidatesReused:     res.EvalStats.VoltCandidatesReused,
-			VoltCandidatesRegrown:    res.EvalStats.VoltCandidatesRegrown,
-			VoltCrossChecks:          res.EvalStats.VoltCrossChecks,
-			EntropyPatched:           res.EvalStats.EntropyPatched,
-			EntropyRebuilt:           res.EvalStats.EntropyRebuilt,
-			EntropyCrossChecks:       res.EvalStats.EntropyCrossChecks,
-			DiesRepacked:             res.EvalStats.DiesRepacked,
-			DiesReused:               res.EvalStats.DiesReused,
-			NetsRecomputed:           res.EvalStats.NetsRecomputed,
-			NetsReused:               res.EvalStats.NetsReused,
-			ResponsesComputed:        res.EvalStats.ResponsesComputed,
-			ResponsesReused:          res.EvalStats.ResponsesReused,
-			SolverSweeps:             res.SolverStats.Sweeps,
-			SolverResidual:           res.SolverStats.Residual,
-			SolverConverged:          res.SolverStats.Converged,
-			ReplicaCount:             res.EvalStats.Replicas,
-			ReplicaSwapAttempts:      res.EvalStats.ReplicaSwapAttempts,
-			ReplicaSwapAccepts:       res.EvalStats.ReplicaSwapAccepts,
-			ReplicaBest:              res.EvalStats.ReplicaBest,
-			SpecWorkers:              res.EvalStats.SpecWorkers,
-			SpecBatches:              res.EvalStats.SpecBatches,
-			SpecCommits:              res.EvalStats.SpecCommits,
-			SpecDiscarded:            res.EvalStats.SpecDiscarded,
+			Evals:               res.EvalStats.Evals,
+			FullEvals:           res.EvalStats.FullEvals,
+			IncrementalEvals:    res.EvalStats.IncrementalEvals,
+			VoltRefreshes:       res.EvalStats.VoltRefreshes,
+			EntropyPatched:      res.EvalStats.EntropyPatched,
+			EntropyRebuilt:      res.EvalStats.EntropyRebuilt,
+			EntropyCrossChecks:  res.EvalStats.EntropyCrossChecks,
+			DiesRepacked:        res.EvalStats.DiesRepacked,
+			DiesReused:          res.EvalStats.DiesReused,
+			NetsRecomputed:      res.EvalStats.NetsRecomputed,
+			NetsReused:          res.EvalStats.NetsReused,
+			ResponsesComputed:   res.EvalStats.ResponsesComputed,
+			ResponsesReused:     res.EvalStats.ResponsesReused,
+			SolverSweeps:        res.SolverStats.Sweeps,
+			SolverResidual:      res.SolverStats.Residual,
+			SolverConverged:     res.SolverStats.Converged,
+			ReplicaCount:        res.EvalStats.Replicas,
+			ReplicaSwapAttempts: res.EvalStats.ReplicaSwapAttempts,
+			ReplicaSwapAccepts:  res.EvalStats.ReplicaSwapAccepts,
+			ReplicaBest:         res.EvalStats.ReplicaBest,
+			SpecWorkers:         res.EvalStats.SpecWorkers,
+			SpecBatches:         res.EvalStats.SpecBatches,
+			SpecCommits:         res.EvalStats.SpecCommits,
+			SpecDiscarded:       res.EvalStats.SpecDiscarded,
 		},
 		raw: res,
 	}

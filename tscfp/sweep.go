@@ -123,10 +123,10 @@ func WithWorkers(n int) SweepOption {
 }
 
 // Sweep runs every cell of the grid on a worker pool and returns the
-// results ordered by Cell.Index. Per-cell failures (including cancellation)
-// are reported in SweepResult.Err; the returned error is non-nil only for a
-// malformed grid. Each worker runs independent flows, so peak memory scales
-// with the worker count.
+// results ordered by Cell.Index. Per-cell failures (including cancellation
+// and a panic in the cell's flow) are reported in SweepResult.Err; the
+// returned error is non-nil only for a malformed grid. Each worker runs
+// independent flows, so peak memory scales with the worker count.
 func Sweep(ctx context.Context, grid Grid, opts ...SweepOption) ([]SweepResult, error) {
 	ch, err := Stream(ctx, grid, opts...)
 	if err != nil {
@@ -196,8 +196,7 @@ func Stream(ctx context.Context, grid Grid, opts ...SweepOption) (<-chan SweepRe
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				res, err := flows[i].Run(ctx)
-				out <- SweepResult{Cell: cells[i], Result: res, Err: err}
+				out <- runCell(ctx, flows[i], cells[i])
 			}
 		}()
 	}
@@ -222,4 +221,18 @@ func Stream(ctx context.Context, grid Grid, opts ...SweepOption) (<-chan SweepRe
 		close(out)
 	}()
 	return out, nil
+}
+
+// runCell runs one sweep cell on a Stream worker. A panic in the cell's flow
+// becomes the cell's error, so the worker — and the process — keep serving
+// the other cells.
+func runCell(ctx context.Context, f *Flow, c Cell) (sr SweepResult) {
+	sr.Cell = c
+	defer func() {
+		if v := recover(); v != nil {
+			sr.Err = fmt.Errorf("tscfp: sweep cell %d (seed %d, %s) panicked: %v", c.Index, c.Seed, c.Mode, v)
+		}
+	}()
+	sr.Result, sr.Err = f.Run(ctx)
+	return sr
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -257,5 +259,37 @@ func TestSweepBadOptionFailsFast(t *testing.T) {
 	}
 	if _, err := Sweep(context.Background(), Grid{}); err == nil {
 		t.Fatal("nil design accepted by Sweep")
+	}
+}
+
+// TestStreamCellPanicFailsOnlyThatCell pins panic containment on the sweep
+// workers: a panic inside one cell's flow — here its progress callback —
+// becomes that cell's error, and the single worker goes on to serve the
+// other cell. Without the recover the panic would end the process.
+func TestStreamCellPanicFailsOnlyThatCell(t *testing.T) {
+	var fired atomic.Bool
+	grid := sweepGrid(t)
+	grid.Modes, grid.GridNs = nil, nil
+	grid.Options = append(grid.Options, WithGridN(8), WithProgress(func(Event) {
+		if fired.CompareAndSwap(false, true) {
+			panic("progress callback failed")
+		}
+	}))
+	ch, err := Stream(context.Background(), grid, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[int]SweepResult{}
+	for sr := range ch {
+		got[sr.Cell.Index] = sr
+	}
+	if len(got) != 2 {
+		t.Fatalf("stream yielded %d cells, want 2", len(got))
+	}
+	if sr := got[0]; sr.Result != nil || sr.Err == nil || !strings.Contains(sr.Err.Error(), "progress callback failed") {
+		t.Fatalf("panicking cell: result %v, err %v; want only an error carrying the panic", sr.Result, sr.Err)
+	}
+	if sr := got[1]; sr.Err != nil || sr.Result == nil {
+		t.Fatalf("other cell: result %v, err %v; want a result", sr.Result, sr.Err)
 	}
 }
