@@ -61,6 +61,28 @@ func TestAssignerRefreshMatchesAssignOverPerturbations(t *testing.T) {
 	}
 }
 
+// TestAssignerRefreshJumpsToUnrelatedFloorplan covers the reset-rollback
+// path of the incremental evaluator, which hands its held Assigner a layout
+// unrelated to the last one: nothing the engine kept from the previous call
+// may leak into the next, so every result must match a fresh Assign exactly.
+func TestAssignerRefreshJumpsToUnrelatedFloorplan(t *testing.T) {
+	des := bench.MustGenerate("n100")
+	p := timing.DefaultParams()
+	for _, mode := range []Mode{PowerAware, TSCAware} {
+		cfg := Config{Mode: mode}
+		a := NewAssigner(cfg)
+		l := floorplan.NewRandom(des, rand.New(rand.NewSource(4))).Pack()
+		a.Assign(l, timing.Analyze(l, nil, p))
+		for seed := int64(5); seed < 8; seed++ {
+			l := floorplan.NewRandom(des, rand.New(rand.NewSource(seed))).Pack()
+			ref := timing.Analyze(l, nil, p)
+			if !reflect.DeepEqual(a.Assign(l, ref), Assign(l, ref, cfg)) {
+				t.Fatalf("%v: seed %d: held assigner differs from a fresh Assign after the jump", mode, seed)
+			}
+		}
+	}
+}
+
 // TestAssignRepeatedCallsIdentical is the determinism contract at full
 // strength: repeated Assign calls on the same inputs must agree exactly —
 // volumes, levels, and power — not merely in aggregate.
