@@ -78,15 +78,10 @@ func goldenCases() []struct {
 	}
 }
 
-// TestGoldenReplicasOffIdentity pins the flow-identity half of the parallel
-// annealing contract end to end: WithReplicas(1) / WithSpeculation(1) route
-// through the untouched serial path and must reproduce the SERIAL golden
-// fixture byte-for-byte — not merely match another run of themselves.
-func TestGoldenReplicasOffIdentity(t *testing.T) {
-	design := tscfp.MustBenchmark("n100")
-	serial := goldenCases()[0] // n100-tsc-seed7
-	opts := append(append([]tscfp.Option{}, serial.opts...),
-		tscfp.WithReplicas(1), tscfp.WithSpeculation(1))
+// goldenJSON runs one fixed-seed flow and returns its Result JSON with the
+// runtime — the one documented non-deterministic field — zeroed.
+func goldenJSON(t *testing.T, design *tscfp.Design, opts ...tscfp.Option) []byte {
+	t.Helper()
 	res, err := tscfp.Run(t.Context(), design, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -96,9 +91,29 @@ func TestGoldenReplicasOffIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", serial.name+".json"))
-	if err != nil {
-		t.Fatalf("missing golden fixture (run `go test -run TestGolden -update`): %v", err)
+	return got
+}
+
+// TestGoldenReplicasOffIdentity pins the flow-identity half of the parallel
+// annealing contract end to end: WithReplicas(1) / WithSpeculation(1) are
+// the default one-replica, one-copy shape and must reproduce the SERIAL
+// golden fixture byte-for-byte — not merely match another run of
+// themselves. Under -update the fixture may be stale until
+// TestGoldenResults rewrites it, so the reference is a fresh serial run.
+func TestGoldenReplicasOffIdentity(t *testing.T) {
+	design := tscfp.MustBenchmark("n100")
+	serial := goldenCases()[0] // n100-tsc-seed7
+	got := goldenJSON(t, design, append(append([]tscfp.Option{}, serial.opts...),
+		tscfp.WithReplicas(1), tscfp.WithSpeculation(1))...)
+	var want []byte
+	if *updateGolden {
+		want = goldenJSON(t, design, serial.opts...)
+	} else {
+		var err error
+		want, err = os.ReadFile(filepath.Join("testdata", "golden", serial.name+".json"))
+		if err != nil {
+			t.Fatalf("missing golden fixture (run `go test -run TestGolden -update`): %v", err)
+		}
 	}
 	if diffs := diffJSON(t, got, want); len(diffs) > 0 {
 		t.Fatalf("replicas=1 diverged from the serial fixture:\n%s", joinLines(diffs))
@@ -109,16 +124,7 @@ func TestGoldenResults(t *testing.T) {
 	design := tscfp.MustBenchmark("n100")
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := tscfp.Run(t.Context(), design, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Runtime is the one documented non-deterministic field.
-			res.Metrics.RuntimeSec = 0
-			got, err := res.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := goldenJSON(t, design, tc.opts...)
 			path := filepath.Join("testdata", "golden", tc.name+".json")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -30,10 +30,16 @@ func (q *quadratic) Perturb(rng *rand.Rand) func() {
 	return func() { q.x[i] = old }
 }
 
+// runSerial anneals p as one replica with one problem copy — the serial
+// chain — and returns that replica's result. onBest may be nil.
+func runSerial(p Problem, rng *rand.Rand, onBest func(float64), opts ParallelOptions) Result {
+	return RunParallel([]Replica{{Problems: []Problem{p}, RNG: rng, OnBest: onBest}}, opts).Replicas[0]
+}
+
 func TestAnnealFindsMinimum(t *testing.T) {
 	q := &quadratic{x: make([]float64, 8), target: 3, step: 0.5}
 	rng := rand.New(rand.NewSource(1))
-	res := Run(q, Options{Iterations: 20000}, rng)
+	res := runSerial(q, rng, nil, ParallelOptions{Iterations: 20000})
 	if res.BestCost > 0.5 {
 		t.Fatalf("best cost %v; annealer failed to approach minimum", res.BestCost)
 	}
@@ -46,12 +52,12 @@ func TestOnBestMonotonic(t *testing.T) {
 	q := &quadratic{x: make([]float64, 4), target: 2, step: 0.5}
 	rng := rand.New(rand.NewSource(2))
 	last := math.Inf(1)
-	Run(q, Options{Iterations: 5000, OnBest: func(c float64) {
+	runSerial(q, rng, func(c float64) {
 		if c > last {
 			t.Fatalf("OnBest called with worse cost: %v after %v", c, last)
 		}
 		last = c
-	}}, rng)
+	}, ParallelOptions{Iterations: 5000})
 	if math.IsInf(last, 1) {
 		t.Fatal("OnBest never called")
 	}
@@ -60,7 +66,7 @@ func TestOnBestMonotonic(t *testing.T) {
 func TestAcceptsCountedAndBounded(t *testing.T) {
 	q := &quadratic{x: make([]float64, 4), target: 1, step: 0.3}
 	rng := rand.New(rand.NewSource(3))
-	res := Run(q, Options{Iterations: 1000}, rng)
+	res := runSerial(q, rng, nil, ParallelOptions{Iterations: 1000})
 	if res.Iterations != 1000 {
 		t.Fatalf("iterations %d", res.Iterations)
 	}
@@ -75,7 +81,7 @@ func TestAcceptsCountedAndBounded(t *testing.T) {
 func TestTemperatureCools(t *testing.T) {
 	q := &quadratic{x: make([]float64, 4), target: 1, step: 0.3}
 	rng := rand.New(rand.NewSource(4))
-	res := Run(q, Options{Iterations: 2000}, rng)
+	res := runSerial(q, rng, nil, ParallelOptions{Iterations: 2000})
 	if res.FinalTemp >= res.StartTemp {
 		t.Fatalf("temperature must cool: %v -> %v", res.StartTemp, res.FinalTemp)
 	}
@@ -87,7 +93,7 @@ func TestTemperatureCools(t *testing.T) {
 func TestUphillMovesHappenEarly(t *testing.T) {
 	q := &quadratic{x: make([]float64, 8), target: 0, step: 1}
 	rng := rand.New(rand.NewSource(5))
-	res := Run(q, Options{Iterations: 5000}, rng)
+	res := runSerial(q, rng, nil, ParallelOptions{Iterations: 5000})
 	if res.Uphill == 0 {
 		t.Fatal("annealing should accept some uphill moves at high temperature")
 	}
@@ -96,7 +102,7 @@ func TestUphillMovesHappenEarly(t *testing.T) {
 func TestDeterministicWithSeed(t *testing.T) {
 	run := func() Result {
 		q := &quadratic{x: make([]float64, 4), target: 2, step: 0.5}
-		return Run(q, Options{Iterations: 3000}, rand.New(rand.NewSource(6)))
+		return runSerial(q, rand.New(rand.NewSource(6)), nil, ParallelOptions{Iterations: 3000})
 	}
 	a, b := run(), run()
 	if a.BestCost != b.BestCost || a.Accepted != b.Accepted {
@@ -108,7 +114,7 @@ func TestZeroDeltaCalibrationSafe(t *testing.T) {
 	// A flat cost surface must not produce NaN temperatures.
 	q := &flat{}
 	rng := rand.New(rand.NewSource(7))
-	res := Run(q, Options{Iterations: 100}, rng)
+	res := runSerial(q, rng, nil, ParallelOptions{Iterations: 100})
 	if math.IsNaN(res.StartTemp) || res.StartTemp <= 0 {
 		t.Fatalf("bad start temp %v", res.StartTemp)
 	}
@@ -121,25 +127,24 @@ func (f *flat) Perturb(rng *rand.Rand) func() {
 	return func() {}
 }
 
-// TestRunCancellation checks the Ctx contract: a context cancelled mid-walk
-// stops the search early, marks Result.Cancelled, and leaves the best-seen
-// bookkeeping intact.
+// TestRunCancellation checks the Ctx contract on the serial chain: a context
+// cancelled mid-walk stops the search early and marks Result.Cancelled.
 func TestRunCancellation(t *testing.T) {
 	q := &quadratic{x: make([]float64, 8), target: 3, step: 0.5}
 	rng := rand.New(rand.NewSource(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	moves := 0
 	stopAfter := 100
-	res := Run(q, Options{
+	res := runSerial(q, rng, nil, ParallelOptions{
 		Iterations: 20000,
 		Ctx:        ctx,
-		OnChain: func(done, total int, best float64) {
+		OnStride: func(done, total int, best float64) {
 			moves = done
 			if done >= stopAfter {
 				cancel()
 			}
 		},
-	}, rng)
+	})
 	if !res.Cancelled {
 		t.Fatal("cancelled run not marked Cancelled")
 	}
@@ -147,11 +152,11 @@ func TestRunCancellation(t *testing.T) {
 		t.Fatalf("ran all %d iterations despite cancellation", res.Iterations)
 	}
 	if moves < stopAfter {
-		t.Fatalf("OnChain saw only %d moves before cancel fired", moves)
+		t.Fatalf("OnStride saw only %d moves before cancel fired", moves)
 	}
 	// An uncancelled run with the same seed must not be marked Cancelled.
 	q2 := &quadratic{x: make([]float64, 8), target: 3, step: 0.5}
-	res2 := Run(q2, Options{Iterations: 200, Ctx: context.Background()}, rand.New(rand.NewSource(1)))
+	res2 := runSerial(q2, rand.New(rand.NewSource(1)), nil, ParallelOptions{Iterations: 200, Ctx: context.Background()})
 	if res2.Cancelled {
 		t.Fatal("uncancelled run marked Cancelled")
 	}

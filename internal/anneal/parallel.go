@@ -1,6 +1,7 @@
 package anneal
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
@@ -11,7 +12,7 @@ import (
 //
 // Problems holds M ≥ 1 synchronized copies of the same annealing state.
 // Problems[0] is the primary copy — OnBest fires when the primary holds a new
-// best state. With M == 1 the replica walks exactly like Run (one Perturb per
+// best state. With M == 1 the replica walks the serial chain (one Perturb per
 // move, one conditional uphill draw). With M > 1 every annealing step
 // evaluates up to M candidate moves concurrently, one per copy, against the
 // frozen pre-step state and commits the first acceptance in candidate order
@@ -32,20 +33,22 @@ type Replica struct {
 	OnBest func(cost float64)
 }
 
-// ParallelOptions tunes RunParallel beyond the per-replica schedule.
-//
-// Zero-value semantics follow Options: every numeric field treats 0 as "use
-// the default".
+// ParallelOptions tunes RunParallel. The cooling schedule is fixed: the
+// start temperature accepts the mean |ΔC| of a 50-move calibration walk
+// with probability 0.8, and geometric cooling per chain reaches 1e-4 of it
+// after the last chain. Zero values select the documented defaults.
 type ParallelOptions struct {
-	// Schedule is the per-replica annealing schedule. OnBest and OnChain must
-	// be nil — the per-replica best hook lives on Replica, and chain-level
-	// progress is reported through OnStride at the swap barriers (the chains
-	// themselves run concurrently, so a per-chain callback would race).
-	Schedule Options
+	// Iterations is the number of moves each replica proposes, in chains of
+	// max(Iterations/50, 1) moves. A budget of 0 or less only calibrates.
+	Iterations int
+	// Ctx, when non-nil, is polled between moves; when it is cancelled the
+	// search stops early and Cancelled is set. Each state still holds
+	// whatever its walk last accepted, and OnBest snapshots remain valid.
+	Ctx context.Context
 	// SwapEvery is the number of moves each replica runs between swap
-	// barriers. Zero value: one temperature chain (Schedule.ChainLength).
-	// Rounded up to the next chain multiple so swaps always happen at
-	// temperature boundaries and every rung cools in lockstep.
+	// barriers. Zero value: one temperature chain. Rounded up to the next
+	// chain multiple so swaps always happen at temperature boundaries and
+	// every rung cools in lockstep.
 	SwapEvery int
 	// LadderFactor is the geometric spacing of the temperature ladder: rung r
 	// starts at factor^r times the calibrated base temperature. Zero value:
@@ -57,7 +60,8 @@ type ParallelOptions struct {
 	SwapSeed int64
 	// OnStride, when non-nil, is invoked on the coordinator goroutine after
 	// every swap barrier with the per-replica moves consumed so far, the
-	// total budget, and the best cost over all replicas.
+	// total budget, and the best cost over all replicas. The last call
+	// reports done == total unless the run was cancelled.
 	OnStride func(done, total int, best float64)
 }
 
@@ -79,7 +83,7 @@ type ParallelResult struct {
 	SpecBatches   int
 	SpecCommits   int
 	SpecDiscarded int
-	// Cancelled reports that Schedule.Ctx was done before the budget ran out.
+	// Cancelled reports that Ctx was done before the budget ran out.
 	Cancelled bool
 }
 
@@ -106,19 +110,19 @@ type repState struct {
 // RunParallel anneals K replicas of the problem on a geometric temperature
 // ladder with periodic Metropolis neighbor swaps (replica exchange /
 // parallel tempering), each replica optionally evaluating M speculative
-// candidate moves concurrently per step.
+// candidate moves concurrently per step. One replica with one problem copy
+// is the serial chain: it calibrates, cools and draws from its RNG exactly
+// as a plain single-chain annealer would, with no ladder, swaps or batches.
 //
 // Determinism contract: for fixed inputs (problem states, per-replica RNG
-// seeds, SwapSeed, schedule) the outcome is byte-identical on every run and
+// seeds, SwapSeed, budget) the outcome is byte-identical on every run and
 // for every GOMAXPROCS — replicas interact only at the swap barriers, swap
 // decisions consume a dedicated RNG in fixed pair order, candidate k of a
 // batch always evaluates on problem copy k from a seed-derived stream, and
-// every reduction runs in index order. A single replica with a single
-// problem copy walks bit-identically to Run on the same RNG.
+// every reduction runs in index order.
 //
 // RunParallel panics on structurally invalid input (no replicas, a replica
-// without problems or RNG, schedule hooks set); use Schedule.Validate for
-// value errors, as with Run.
+// without problems or RNG).
 func RunParallel(reps []Replica, opts ParallelOptions) ParallelResult {
 	if len(reps) == 0 {
 		panic("anneal: RunParallel needs at least one replica")
@@ -131,26 +135,22 @@ func RunParallel(reps []Replica, opts ParallelOptions) ParallelResult {
 			panic("anneal: replica without an RNG stream")
 		}
 	}
-	sched := opts.Schedule
-	if sched.OnBest != nil || sched.OnChain != nil {
-		panic("anneal: Schedule.OnBest/OnChain must be nil (use Replica.OnBest and ParallelOptions.OnStride)")
-	}
-	sched.defaults()
+	sched := newSchedule(opts.Ctx, opts.Iterations)
 	if opts.LadderFactor == 0 {
 		opts.LadderFactor = 1.5
 	}
 	if opts.SwapEvery == 0 {
-		opts.SwapEvery = sched.ChainLength
+		opts.SwapEvery = sched.chainLength
 	}
-	if r := opts.SwapEvery % sched.ChainLength; r != 0 {
-		opts.SwapEvery += sched.ChainLength - r
+	if r := opts.SwapEvery % sched.chainLength; r != 0 {
+		opts.SwapEvery += sched.chainLength - r
 	}
 
 	k := len(reps)
 	states := make([]repState, k)
 
-	// Calibrate every replica concurrently on its own RNG stream, exactly as
-	// Run does (random walk, mean |ΔC|).
+	// Calibrate every replica concurrently on its own RNG stream (random
+	// walk, mean |ΔC|).
 	fanOut(k, func(r int) { states[r].calibrate(reps[r], &sched) })
 
 	// Temperature ladder: rung r starts at base·factor^r, where base is the
@@ -176,13 +176,13 @@ func RunParallel(reps []Replica, opts ParallelOptions) ParallelResult {
 	res := ParallelResult{Replicas: make([]Result, k)}
 	swapRNG := rand.New(rand.NewSource(opts.SwapSeed))
 	done := 0
-	for stride := 0; done < sched.Iterations; stride++ {
-		n := sched.Iterations - done
+	for stride := 0; done < sched.iterations; stride++ {
+		n := sched.iterations - done
 		if n > opts.SwapEvery {
 			n = opts.SwapEvery
 		}
 		fanOut(k, func(r int) { states[r].runStride(&reps[r], &sched, done, n) })
-		cancelled := sched.Ctx != nil && sched.Ctx.Err() != nil
+		cancelled := sched.cancelled()
 		for r := range states {
 			cancelled = cancelled || states[r].cancelled
 		}
@@ -198,7 +198,7 @@ func RunParallel(reps []Replica, opts ParallelOptions) ParallelResult {
 		// exp((C_i−C_j)(1/T_i−1/T_j)) exchanges the two rungs' current
 		// temperatures (equivalently, the configurations trade places on the
 		// ladder); states, RNG streams, and best snapshots stay put.
-		if k > 1 && done < sched.Iterations {
+		if k > 1 && done < sched.iterations {
 			for i := stride % 2; i+1 < k; i += 2 {
 				a, b := &states[i], &states[i+1]
 				res.SwapAttempts++
@@ -216,7 +216,7 @@ func RunParallel(reps []Replica, opts ParallelOptions) ParallelResult {
 					best = states[r].res.BestCost
 				}
 			}
-			opts.OnStride(done, sched.Iterations, best)
+			opts.OnStride(done, sched.iterations, best)
 		}
 	}
 
@@ -241,20 +241,20 @@ func RunParallel(reps []Replica, opts ParallelOptions) ParallelResult {
 	return res
 }
 
-// calibrate estimates the replica's cost scale along a random walk, exactly
-// mirroring Run's calibration. With M > 1 problem copies every copy replays
+// calibrate sets the replica's start temperature from its cost scale along
+// a random walk (mean |ΔC|). With M > 1 problem copies every copy replays
 // the identical walk on a shared per-move seed, so the copies' evaluation
 // counters (and any stride caches keyed on them) advance in lockstep from
 // the very first Cost call.
-func (st *repState) calibrate(rep Replica, sched *Options) {
+func (st *repState) calibrate(rep Replica, sched *schedule) {
 	m := len(rep.Problems)
 	var cur, meanDelta float64
 	walked := 0
 	if m == 1 {
 		p := rep.Problems[0]
 		cur = p.Cost()
-		for i := 0; i < sched.CalibrationMoves; i++ {
-			if sched.Ctx != nil && sched.Ctx.Err() != nil {
+		for i := 0; i < calibrationMoves; i++ {
+			if sched.cancelled() {
 				break
 			}
 			undo := mustPerturb(p, rep.RNG)
@@ -269,8 +269,8 @@ func (st *repState) calibrate(rep Replica, sched *Options) {
 		cur = curs[0]
 		undos := make([]func(), m)
 		costs := make([]float64, m)
-		for i := 0; i < sched.CalibrationMoves; i++ {
-			if sched.Ctx != nil && sched.Ctx.Err() != nil {
+		for i := 0; i < calibrationMoves; i++ {
+			if sched.cancelled() {
 				break
 			}
 			seed := rep.RNG.Int63()
@@ -291,16 +291,16 @@ func (st *repState) calibrate(rep Replica, sched *Options) {
 	if meanDelta <= 0 {
 		meanDelta = math.Abs(cur)*0.01 + 1e-12
 	}
-	st.calTemp = -meanDelta / math.Log(sched.InitAcceptProb)
+	st.calTemp = -meanDelta / math.Log(initAcceptProb)
 	st.cur = cur
 }
 
 // runStride advances the replica by up to n moves starting at global move
 // index start, cooling at every chain boundary it crosses.
-func (st *repState) runStride(rep *Replica, sched *Options, start, n int) {
+func (st *repState) runStride(rep *Replica, sched *schedule, start, n int) {
 	spec := len(rep.Problems) > 1
 	for done := 0; done < n; {
-		if sched.Ctx != nil && sched.Ctx.Err() != nil {
+		if sched.cancelled() {
 			st.cancelled = true
 			return
 		}
@@ -309,11 +309,11 @@ func (st *repState) runStride(rep *Replica, sched *Options, start, n int) {
 		if spec {
 			consumed = st.specBatch(rep, sched, it, n-done)
 		} else {
-			consumed = st.serialMove(rep, sched)
+			consumed = st.serialMove(rep)
 		}
 		for b := it + 1; b <= it+consumed; b++ {
-			if b%sched.ChainLength == 0 {
-				st.temp *= sched.Alpha
+			if b%sched.chainLength == 0 {
+				st.temp *= sched.alpha
 			}
 		}
 		st.res.Iterations += consumed
@@ -321,9 +321,9 @@ func (st *repState) runStride(rep *Replica, sched *Options, start, n int) {
 	}
 }
 
-// serialMove is one move of Run's loop, bit-identical on the same RNG: one
-// Perturb, one Cost, and an uphill draw only when the move goes uphill.
-func (st *repState) serialMove(rep *Replica, sched *Options) int {
+// serialMove is one move of the serial chain: one Perturb, one Cost, and an
+// uphill draw only when the move goes uphill.
+func (st *repState) serialMove(rep *Replica) int {
 	p := rep.Problems[0]
 	undo := mustPerturb(p, rep.RNG)
 	c := p.Cost()
@@ -367,10 +367,10 @@ func (st *repState) serialMove(rep *Replica, sched *Options) int {
 // reproduces the identical move on every copy. Copies clamped out of a
 // short batch run one bare Cost instead, keeping all M evaluation counters
 // in lockstep.
-func (st *repState) specBatch(rep *Replica, sched *Options, it, left int) int {
+func (st *repState) specBatch(rep *Replica, sched *schedule, it, left int) int {
 	width := len(rep.Problems)
 	m := width
-	if chainLeft := sched.ChainLength - it%sched.ChainLength; m > chainLeft {
+	if chainLeft := sched.chainLength - it%sched.chainLength; m > chainLeft {
 		m = chainLeft
 	}
 	if m > left {

@@ -131,35 +131,6 @@ func specReplica(n, m int, rng *rand.Rand) (Replica, []*incrSum) {
 	return Replica{Problems: probs, RNG: rng}, sums
 }
 
-// TestRunParallelSingleMatchesRun pins the serial-equivalence contract: one
-// replica with one problem copy walks bit-identically to Run on the same RNG
-// stream — identical Result fields and identical final state.
-func TestRunParallelSingleMatchesRun(t *testing.T) {
-	mk := func() *incrSum { return newIncrSum(8, rand.New(rand.NewSource(11))) }
-	opts := Options{Iterations: 2000}
-
-	p1 := mk()
-	want := Run(p1, opts, rand.New(rand.NewSource(42)))
-
-	p2 := mk()
-	got := RunParallel(
-		[]Replica{{Problems: []Problem{p2}, RNG: rand.New(rand.NewSource(42))}},
-		ParallelOptions{Schedule: opts},
-	)
-	if got.Replicas[0] != want {
-		t.Fatalf("single-replica result diverged from Run:\n got %+v\nwant %+v", got.Replicas[0], want)
-	}
-	if got.Best != 0 || got.BestCost != want.BestCost {
-		t.Fatalf("best bookkeeping diverged: Best=%d BestCost=%v want %v", got.Best, got.BestCost, want.BestCost)
-	}
-	if got.SpecBatches != 0 || got.SwapAttempts != 0 {
-		t.Fatalf("single serial replica reported parallel work: %+v", got)
-	}
-	if !reflect.DeepEqual(p1.x, p2.x) || p1.cached != p2.cached || p1.evals != p2.evals {
-		t.Fatal("final problem state diverged from the serial walk")
-	}
-}
-
 // buildFleet constructs K replicas × M copies deterministically from a base
 // seed, for the determinism tests.
 func buildFleet(k, m int) ([]Replica, [][]*incrSum) {
@@ -180,8 +151,8 @@ func TestRunParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	run := func() (ParallelResult, [][]float64) {
 		reps, sums := buildFleet(4, 3)
 		res := RunParallel(reps, ParallelOptions{
-			Schedule: Options{Iterations: 600},
-			SwapSeed: 9,
+			Iterations: 600,
+			SwapSeed:   9,
 		})
 		states := make([][]float64, len(sums))
 		for r := range sums {
@@ -217,7 +188,7 @@ func TestSpeculationKeepsCopiesInLockstep(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rep, sums := specReplica(10, 4, rng)
 	const budget = 777
-	res := RunParallel([]Replica{rep}, ParallelOptions{Schedule: Options{Iterations: budget}})
+	res := RunParallel([]Replica{rep}, ParallelOptions{Iterations: budget})
 
 	if got := res.Replicas[0].Iterations; got != budget {
 		t.Fatalf("consumed %d iterations, want the full budget %d", got, budget)
@@ -252,7 +223,7 @@ func TestSpeculationKeepsCopiesInLockstep(t *testing.T) {
 func TestLadderAndSwapAccounting(t *testing.T) {
 	reps, sums := buildFleet(4, 1)
 	res := RunParallel(reps, ParallelOptions{
-		Schedule:     Options{Iterations: 2000},
+		Iterations:   2000,
 		LadderFactor: 2,
 		SwapSeed:     3,
 	})
@@ -289,7 +260,7 @@ func TestOnStrideProgress(t *testing.T) {
 	lastDone, lastBest := 0, math.Inf(1)
 	calls := 0
 	res := RunParallel(reps, ParallelOptions{
-		Schedule: Options{Iterations: 1200},
+		Iterations: 1200,
 		OnStride: func(done, total int, best float64) {
 			calls++
 			if done <= lastDone || done > total {
@@ -337,7 +308,7 @@ func TestRunParallelPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	reps, _ := buildFleet(3, 2)
-	res := RunParallel(reps, ParallelOptions{Schedule: Options{Iterations: 5000, Ctx: ctx}})
+	res := RunParallel(reps, ParallelOptions{Iterations: 5000, Ctx: ctx})
 	if !res.Cancelled {
 		t.Fatal("pre-cancelled run not marked Cancelled")
 	}
@@ -359,7 +330,8 @@ func TestRunParallelCancelAtSwapBarrier(t *testing.T) {
 	reps, _ := buildFleet(3, 1)
 	strides := 0
 	res := RunParallel(reps, ParallelOptions{
-		Schedule: Options{Iterations: 100000, Ctx: ctx},
+		Iterations: 100000,
+		Ctx:        ctx,
 		OnStride: func(done, total int, best float64) {
 			strides++
 			cancel()
@@ -410,7 +382,7 @@ func TestRunParallelCancelMidStride(t *testing.T) {
 	reps[0].Problems[0] = cp
 	// Re-sync the speculative copy with the wrapped primary's state.
 	reps[0].Problems[1] = cp.incrSum.Clone()
-	res := RunParallel(reps, ParallelOptions{Schedule: Options{Iterations: 100000, Ctx: ctx}})
+	res := RunParallel(reps, ParallelOptions{Iterations: 100000, Ctx: ctx})
 	if !res.Cancelled {
 		t.Fatal("mid-stride cancellation not marked Cancelled")
 	}
@@ -463,7 +435,7 @@ func TestRunParallelPanicReachesCaller(t *testing.T) {
 						t.Fatalf("recovered %v, want the problem's panic", v)
 					}
 				}()
-				RunParallel(reps, ParallelOptions{Schedule: Options{Iterations: 2000}})
+				RunParallel(reps, ParallelOptions{Iterations: 2000})
 			}()
 			waitGoroutines(t, baseline)
 		})
@@ -489,12 +461,6 @@ func TestRunParallelPanicsOnMisuse(t *testing.T) {
 	expectPanic("no-rng", func() {
 		RunParallel([]Replica{{Problems: []Problem{&flat{}}}}, ParallelOptions{})
 	})
-	expectPanic("schedule-hooks", func() {
-		RunParallel(
-			[]Replica{{Problems: []Problem{&flat{}}, RNG: rand.New(rand.NewSource(1))}},
-			ParallelOptions{Schedule: Options{OnBest: func(float64) {}}},
-		)
-	})
 	expectPanic("nil-undo", func() {
 		RunParallel([]Replica{
 			{Problems: []Problem{&flat{}}, RNG: rand.New(rand.NewSource(1))},
@@ -518,7 +484,7 @@ func TestRunParallelFindsMinimum(t *testing.T) {
 		q := &quadratic{x: make([]float64, 8), target: 3, step: 0.5}
 		reps[r] = Replica{Problems: []Problem{q}, RNG: rng}
 	}
-	res := RunParallel(reps, ParallelOptions{Schedule: Options{Iterations: 20000}})
+	res := RunParallel(reps, ParallelOptions{Iterations: 20000})
 	if res.BestCost > 0.5 {
 		t.Fatalf("best cost %v; tempered fleet failed to approach minimum", res.BestCost)
 	}

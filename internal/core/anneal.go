@@ -10,57 +10,50 @@ import (
 	"repro/internal/thermal"
 )
 
-// runParallelAnneal is the Replicas/Speculation annealing stage: K tempered
-// chains, each with M speculative evaluator copies, replacing the serial
-// anneal.Run call. It returns the best floorplan across all chains plus the
-// merged evaluation stats.
+// runAnneal is the flow's annealing stage: K tempered replicas, each with M
+// speculative evaluator copies, where the default 1×1 is the paper's serial
+// chain. It returns the best floorplan across all replicas plus the merged
+// evaluation stats.
 //
-// Determinism layout: the flow RNG contributes exactly K+1 draws (one seed
-// per replica plus the swap-decision seed) and is then untouched until
-// finalize, so the walk inside the replicas — whatever the scheduler does —
-// cannot perturb the downstream stages. Each replica derives its initial
-// floorplan and its whole move stream from its own seeded RNG, and the
-// engine's barrier discipline does the rest: a fixed (Seed, Replicas,
-// Speculation) triple gives a byte-identical Result for any GOMAXPROCS.
-func runParallelAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rng *rand.Rand, fast *thermal.FastEstimator) (*floorplan.Floorplan, EvalStats, error) {
-	k := cfg.Replicas
-	if k < 1 {
-		k = 1
-	}
-	m := cfg.Speculation
-	if m < 1 {
-		m = 1
-	}
-	seeds := make([]int64, k)
-	for r := range seeds {
-		seeds[r] = rng.Int63()
-	}
-	swapSeed := rng.Int63()
+// Three steps depend on the shape. The serial chain walks the flow RNG
+// itself, normalizes against its own first evaluation and reports no
+// Replica*/Spec* stats, so a seed reproduces the historical serial walk.
+// Any other shape takes exactly K+1 draws from the flow RNG (per-replica
+// seeds plus the swap seed) and leaves it untouched until finalize, so the
+// scheduler cannot perturb the downstream stages; it shares one set of
+// normalization baselines and reports the ladder and batch stats.
+func runAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rng *rand.Rand, fast *thermal.FastEstimator) (*floorplan.Floorplan, EvalStats, error) {
+	k := max(cfg.Replicas, 1)
+	m := max(cfg.Speculation, 1)
+	serial := k == 1 && m == 1
 
-	newEval := func(fp *floorplan.Floorplan) *evaluator {
-		return &evaluator{fp: fp, cfg: cfg, fast: fast, incr: newIncrState(), check: cfg.CostCrossCheck}
+	rngs := []*rand.Rand{rng}
+	var swapSeed int64
+	if !serial {
+		rngs = make([]*rand.Rand, k)
+		for r := range rngs {
+			rngs[r] = rand.New(rand.NewSource(rng.Int63()))
+		}
+		swapSeed = rng.Int63()
 	}
 
 	reps := make([]anneal.Replica, k)
 	evs := make([][]*evaluator, k)
 	bests := make([]*floorplan.Floorplan, k)
 	for r := range reps {
-		rrng := rand.New(rand.NewSource(seeds[r]))
-		fp := floorplan.NewRandom(des, rrng)
+		fp := floorplan.NewRandom(des, rngs[r])
 		evs[r] = make([]*evaluator, m)
 		probs := make([]anneal.Problem, m)
 		for c := range evs[r] {
-			if c == 0 {
-				evs[r][c] = newEval(fp)
-			} else {
-				evs[r][c] = newEval(fp.Clone())
+			if c > 0 {
+				fp = fp.Clone()
 			}
+			evs[r][c] = &evaluator{fp: fp, cfg: cfg, fast: fast, incr: newIncrState(), check: cfg.CostCrossCheck}
 			probs[c] = evs[r][c]
 		}
-		r := r
 		reps[r] = anneal.Replica{
 			Problems: probs,
-			RNG:      rrng,
+			RNG:      rngs[r],
 			OnBest: func(float64) {
 				if bests[r] == nil {
 					bests[r] = evs[r][0].fp.Clone()
@@ -72,46 +65,52 @@ func runParallelAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rn
 	}
 
 	// Replica costs must be comparable across the ladder (swaps and the
-	// best-of pick both compare them), so every evaluator shares one set of
-	// normalization baselines instead of deriving its own from its replica's
-	// initial packing. A throwaway full-path evaluator computes them once on
-	// the same reference floorplan the serial path would have started from
-	// (a fresh Seed-derived stream), which puts AnnealBestCost on one scale
-	// for every replica/speculation shape at a given seed. normTerms is
-	// read-only after this, so the pointer is safe to share across the
-	// worker goroutines.
-	boot := &evaluator{fp: floorplan.NewRandom(des, rand.New(rand.NewSource(cfg.Seed))), cfg: cfg, fast: fast}
-	boot.Cost()
-	for r := range evs {
-		for _, ev := range evs[r] {
-			ev.norm = boot.norm
+	// best-of pick both compare them), so outside the serial chain every
+	// evaluator shares one set of normalization baselines instead of
+	// deriving its own from its replica's initial packing. A throwaway
+	// full-path evaluator computes them once on the same reference
+	// floorplan the serial chain would have started from (a fresh
+	// Seed-derived stream), which puts AnnealBestCost on one scale for every
+	// shape at a given seed. normTerms is read-only after this, so the
+	// pointer is safe to share across the worker goroutines.
+	var stats EvalStats
+	if !serial {
+		boot := &evaluator{fp: floorplan.NewRandom(des, rand.New(rand.NewSource(cfg.Seed))), cfg: cfg, fast: fast}
+		boot.Cost()
+		for r := range evs {
+			for _, ev := range evs[r] {
+				ev.norm = boot.norm
+			}
 		}
+		addEvalStats(&stats, &boot.stats)
 	}
 
+	cfg.emit(ProgressEvent{Stage: StageAnneal, Total: cfg.SAIterations})
 	pres := anneal.RunParallel(reps, anneal.ParallelOptions{
-		Schedule: anneal.Options{Iterations: cfg.SAIterations, Ctx: ctx},
-		SwapSeed: swapSeed,
+		Iterations: cfg.SAIterations,
+		Ctx:        ctx,
+		SwapSeed:   swapSeed,
 		OnStride: func(done, total int, best float64) {
 			cfg.emit(ProgressEvent{Stage: StageAnneal, Done: done, Total: total, Cost: best})
 		},
 	})
 
-	var stats EvalStats
-	addEvalStats(&stats, &boot.stats)
 	for r := range evs {
 		for _, ev := range evs[r] {
 			addEvalStats(&stats, &ev.stats)
 		}
 	}
 	stats.AnnealBestCost = pres.BestCost
-	stats.Replicas = k
-	stats.ReplicaSwapAttempts = pres.SwapAttempts
-	stats.ReplicaSwapAccepts = pres.SwapAccepts
-	stats.ReplicaBest = pres.Best
-	stats.SpecWorkers = m
-	stats.SpecBatches = pres.SpecBatches
-	stats.SpecCommits = pres.SpecCommits
-	stats.SpecDiscarded = pres.SpecDiscarded
+	if !serial {
+		stats.Replicas = k
+		stats.ReplicaSwapAttempts = pres.SwapAttempts
+		stats.ReplicaSwapAccepts = pres.SwapAccepts
+		stats.ReplicaBest = pres.Best
+		stats.SpecWorkers = m
+		stats.SpecBatches = pres.SpecBatches
+		stats.SpecCommits = pres.SpecCommits
+		stats.SpecDiscarded = pres.SpecDiscarded
+	}
 
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
@@ -125,7 +124,7 @@ func runParallelAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rn
 
 // addEvalStats accumulates src into dst: every effort counter sums, the
 // cross-check drift takes the max. The Replica*/Spec* fields are run-level,
-// set by runParallelAnneal after merging, and are not touched here.
+// set by runAnneal after merging, and are not touched here.
 func addEvalStats(dst, src *EvalStats) {
 	dst.Evals += src.Evals
 	dst.FullEvals += src.FullEvals

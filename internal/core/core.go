@@ -154,7 +154,8 @@ type Config struct {
 	// replica anneals on its own RNG stream at its rung of a geometric
 	// temperature ladder, neighbours periodically swap temperatures by the
 	// Metropolis criterion, and the best replica's floorplan feeds the rest
-	// of the flow. 0 and 1 select the single-chain serial path, which is
+	// of the flow. 0 and 1 select one replica; with Speculation at 0 or 1
+	// too, that is the serial chain, which walks the flow RNG itself and is
 	// bit-identical to pre-replica releases at a fixed seed. K >= 2 is its
 	// own deterministic contract: a fixed (Seed, Replicas, Speculation)
 	// triple yields a byte-identical Result for any GOMAXPROCS, but the
@@ -162,9 +163,9 @@ type Config struct {
 	Replicas int
 	// Speculation evaluates M candidate moves per annealing step
 	// concurrently, each on its own evaluator copy, and commits the first
-	// acceptance in candidate order. 0 and 1 select the serial move loop.
-	// Like Replicas, M >= 2 keeps the GOMAXPROCS-independence guarantee but
-	// is a different (still deterministic) walk than serial.
+	// acceptance in candidate order. 0 and 1 select one copy, one move per
+	// step. Like Replicas, M >= 2 keeps the GOMAXPROCS-independence
+	// guarantee but is a different (still deterministic) walk than serial.
 	Speculation int
 	// CostCrossCheck re-evaluates every annealing move through the full
 	// recompute path and panics if the incremental cost drifts beyond 1e-9
@@ -305,11 +306,11 @@ type EvalStats struct {
 	// the largest |incremental - full| cost difference they observed.
 	CrossChecks        int
 	MaxCrossCheckError float64
-	// Replicas records the tempered-chain count when the parallel annealer
-	// ran (0 on the serial path); ReplicaSwapAttempts/ReplicaSwapAccepts
-	// count the Metropolis temperature-swap decisions across the ladder and
-	// ReplicaBest is the index of the chain that produced the final
-	// floorplan.
+	// Replicas records the tempered-chain count whenever the annealer ran
+	// other than as the serial chain (0 for one replica with one copy);
+	// ReplicaSwapAttempts/ReplicaSwapAccepts count the Metropolis
+	// temperature-swap decisions across the ladder and ReplicaBest is the
+	// index of the chain that produced the final floorplan.
 	Replicas            int
 	ReplicaSwapAttempts int
 	ReplicaSwapAccepts  int
@@ -320,11 +321,11 @@ type EvalStats struct {
 	// result encodings are unchanged.
 	AnnealBestCost float64
 	// SpecWorkers records the speculative-evaluation width M whenever the
-	// parallel annealer ran (1 for a replica-only run, 0 on the serial path);
-	// SpecBatches counts candidate batches evaluated, SpecCommits the
-	// batches that committed an acceptance, and SpecDiscarded the candidate
-	// evaluations thrown away (losers of a committed batch plus all
-	// candidates of batches with no acceptance).
+	// annealer ran other than as the serial chain (1 for a replica-only run,
+	// 0 for the serial chain); SpecBatches counts candidate batches
+	// evaluated, SpecCommits the batches that committed an acceptance, and
+	// SpecDiscarded the candidate evaluations thrown away (losers of a
+	// committed batch plus all candidates of batches with no acceptance).
 	SpecWorkers   int
 	SpecBatches   int
 	SpecCommits   int

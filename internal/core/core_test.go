@@ -94,6 +94,31 @@ func TestRunRejectsInvalidDesign(t *testing.T) {
 	}
 }
 
+// TestRunAtPowerBound runs the whole TSC flow, sampling and post-processing
+// included, with every module at the largest power Design.Validate accepts
+// (1e6 W). The correlations must be finite, in [-1, 1] and nonzero: far
+// above the bound the leakage metrics' float products overflow, so the
+// correlations read exactly 0, then NaN.
+func TestRunAtPowerBound(t *testing.T) {
+	des := bench.MustGenerate("n100")
+	for _, m := range des.Modules {
+		m.Power = 1e6
+	}
+	cfg := fastCfg(TSCAware, 1)
+	cfg.SAIterations = 60
+	cfg.GridN = 8
+	res, err := Run(des, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []float64{res.Metrics.R1, res.Metrics.R2} {
+		if math.IsNaN(r) || r == 0 || r < -1 || r > 1 {
+			t.Fatalf("correlation %v at the power bound, want finite, nonzero and in [-1, 1] (r1 %v, r2 %v)",
+				r, res.Metrics.R1, res.Metrics.R2)
+		}
+	}
+}
+
 func TestRunRejectsSingleDie(t *testing.T) {
 	des := bench.MustGenerate("n100")
 	des.Dies = 1

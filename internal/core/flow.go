@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/anneal"
-	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/leakage"
 	"repro/internal/netlist"
@@ -49,44 +47,10 @@ func RunContext(ctx context.Context, des *netlist.Design, cfg Config) (*Result, 
 	thermCfg := thermal.DefaultConfig(cfg.GridN, cfg.GridN, des.OutlineW, des.OutlineH, des.Dies)
 	fast := thermal.CalibrateFastWorkers(thermCfg, cfg.Parallelism)
 
-	// Annealing: the serial chain, or — when replica exchange or
-	// speculative evaluation is requested — the parallel annealer. The
-	// serial path is untouched so existing seeds reproduce byte-identically.
-	var best *floorplan.Floorplan
-	var evStats EvalStats
-	if cfg.Replicas > 1 || cfg.Speculation > 1 {
-		cfg.emit(ProgressEvent{Stage: StageAnneal, Total: cfg.SAIterations})
-		b, stats, err := runParallelAnneal(ctx, des, &cfg, rng, fast)
-		if err != nil {
-			return nil, err
-		}
-		best, evStats = b, stats
-	} else {
-		fp := floorplan.NewRandom(des, rng)
-		ev := &evaluator{fp: fp, cfg: &cfg, fast: fast, incr: newIncrState(), check: cfg.CostCrossCheck}
-		cfg.emit(ProgressEvent{Stage: StageAnneal, Total: cfg.SAIterations})
-		ares := anneal.Run(ev, anneal.Options{
-			Iterations: cfg.SAIterations,
-			Ctx:        ctx,
-			OnBest: func(cost float64) {
-				if best == nil {
-					best = fp.Clone()
-				} else {
-					best.CopyFrom(fp)
-				}
-			},
-			OnChain: func(done, total int, bestCost float64) {
-				cfg.emit(ProgressEvent{Stage: StageAnneal, Done: done, Total: total, Cost: bestCost})
-			},
-		}, rng)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if best == nil {
-			best = fp
-		}
-		evStats = ev.stats
-		evStats.AnnealBestCost = ares.BestCost
+	// Annealing with the fast thermal analysis in the loop.
+	best, evStats, err := runAnneal(ctx, des, &cfg, rng, fast)
+	if err != nil {
+		return nil, err
 	}
 	layout := best.Pack()
 

@@ -237,6 +237,13 @@ func (d *Design) AdjacencyCount() map[[2]int]int {
 	return adj
 }
 
+// maxModulePower bounds a module's nominal power in watts. The largest
+// built-in module draws 0.61 W. The leakage metrics multiply and square
+// power-map deviations in float64, which overflows long before MaxFloat64:
+// with every module at 1e100 W the correlations read 0, at 1e154 W NaN,
+// and at 1e308 W the entropy cache panics. At 1e6 W they are still sound.
+const maxModulePower = 1e6
+
 // Validate checks structural invariants and returns the first violation.
 func (d *Design) Validate() error {
 	if !positive(d.OutlineW) || !positive(d.OutlineH) {
@@ -262,6 +269,9 @@ func (d *Design) Validate() error {
 		}
 		if m.Power < 0 || !finite(m.Power) {
 			return fmt.Errorf("netlist: module %q has negative or non-finite power %g", m.Name, m.Power)
+		}
+		if m.Power > maxModulePower {
+			return fmt.Errorf("netlist: module %q power %g W exceeds the %g W bound", m.Name, m.Power, maxModulePower)
 		}
 		if !finite(m.IntrinsicDelay) {
 			return fmt.Errorf("netlist: module %q has non-finite intrinsic delay %g", m.Name, m.IntrinsicDelay)

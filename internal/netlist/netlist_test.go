@@ -1,7 +1,9 @@
 package netlist
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -223,7 +225,8 @@ func TestPropertyResizeAreaInvariant(t *testing.T) {
 
 // TestValidateRejectsNonFinite checks every float field Validate guards
 // rejects NaN and ±Inf: a plain `v <= 0` check passes NaN, since every
-// comparison with NaN is false.
+// comparison with NaN is false. Module power is also bounded above, since a
+// huge finite power overflows the leakage metrics.
 func TestValidateRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -236,6 +239,7 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"module H +Inf", func(d *Design) { d.Modules[0].H = inf }},
 		{"power NaN", func(d *Design) { d.Modules[1].Power = nan }},
 		{"power +Inf", func(d *Design) { d.Modules[1].Power = inf }},
+		{"power above bound", func(d *Design) { d.Modules[1].Power = 1e7 }},
 		{"intrinsic delay NaN", func(d *Design) { d.Modules[2].IntrinsicDelay = nan }},
 		{"intrinsic delay -Inf", func(d *Design) { d.Modules[2].IntrinsicDelay = -inf }},
 		{"soft min aspect NaN", func(d *Design) { d.Modules[1].MinAspect = nan }},
@@ -247,5 +251,23 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		if err := d.Validate(); err == nil {
 			t.Errorf("%s: accepted by Validate", tc.name)
 		}
+	}
+}
+
+// TestValidatePowerBound: a module power exactly at the bound passes, one
+// above it fails with an error naming the module and the bound.
+func TestValidatePowerBound(t *testing.T) {
+	d := smallDesign()
+	d.Modules[1].Power = maxModulePower
+	if err := d.Validate(); err != nil {
+		t.Fatalf("power at the bound rejected: %v", err)
+	}
+	d.Modules[1].Power = math.Nextafter(maxModulePower, math.Inf(1))
+	err := d.Validate()
+	if err == nil {
+		t.Fatal("power above the bound accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%q", d.Modules[1].Name)) || !strings.Contains(msg, "1e+06 W") {
+		t.Fatalf("error %q does not name the module and the bound", msg)
 	}
 }

@@ -503,12 +503,15 @@ func TestWorkerPanicFailsJob(t *testing.T) {
 // TestQueueBoundsAndValidation exercises admission control: a full queue
 // returns 503 with Retry-After, and malformed submissions return 400/413.
 func TestQueueBoundsAndValidation(t *testing.T) {
-	// Both designs pass Design.Validate; the flow cannot run either. A
-	// zero-module sweep used to panic on a sweep worker and end the daemon.
+	// emptyDesign and flatDesign pass Design.Validate, but the flow cannot
+	// run either; a zero-module sweep used to panic on a sweep worker and
+	// end the daemon. hotDesign fails Design.Validate on its module power.
 	const (
 		emptyDesign = `{"name": "empty", "dies": 2, "outline_w_um": 100, "outline_h_um": 100}`
 		flatDesign  = `{"name": "flat", "dies": 1, "outline_w_um": 100, "outline_h_um": 100,
 			"modules": [{"name": "a", "kind": "hard", "w_um": 10, "h_um": 10, "power_w": 1}]}`
+		hotDesign = `{"name": "hot", "dies": 2, "outline_w_um": 100, "outline_h_um": 100,
+			"modules": [{"name": "a", "kind": "hard", "w_um": 10, "h_um": 10, "power_w": 1e7}]}`
 	)
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1, MaxBodyBytes: 4096})
 
@@ -536,6 +539,7 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		"zero modules":         `{"design": ` + emptyDesign + `}`,
 		"zero-module sweep":    `{"design": ` + emptyDesign + `, "sweep": {"seeds": [1, 2]}}`,
 		"single die":           `{"design": ` + flatDesign + `}`,
+		"module power 1e7 W":   `{"design": ` + hotDesign + `}`,
 		"unknown field":        `{"benchmark": "n100", "bogus": 1}`,
 		"truncated":            `{"benchmark": "n1`,
 	} {

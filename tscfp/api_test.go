@@ -290,35 +290,45 @@ func TestNewFlowRejectsUnrunnableDesigns(t *testing.T) {
 	}
 }
 
-// TestProgressEvents checks the stages arrive in flow order and the anneal
-// counter is monotone.
+// TestProgressEvents checks the stages arrive in flow order, the anneal
+// counter is monotone, and the last anneal event reports the whole budget —
+// also when the budget is not a multiple of the chain length (121 moves run
+// as 60 two-move chains plus one).
 func TestProgressEvents(t *testing.T) {
 	design := MustBenchmark("n100")
-	var stages []Stage
-	lastDone := -1
-	_, err := Run(context.Background(), design, testOptions(
-		WithMode(TSCAware),
-		WithProgress(func(ev Event) {
-			if len(stages) == 0 || stages[len(stages)-1] != ev.Stage {
-				stages = append(stages, ev.Stage)
-			}
-			if ev.Stage == StageAnneal {
-				if ev.Done < lastDone {
-					t.Errorf("anneal progress went backwards: %d after %d", ev.Done, lastDone)
+	for _, budget := range []int{120, 121} {
+		var stages []Stage
+		var last Event
+		lastDone := -1
+		_, err := Run(context.Background(), design, testOptions(
+			WithMode(TSCAware),
+			WithIterations(budget),
+			WithProgress(func(ev Event) {
+				if len(stages) == 0 || stages[len(stages)-1] != ev.Stage {
+					stages = append(stages, ev.Stage)
 				}
-				lastDone = ev.Done
+				if ev.Stage == StageAnneal {
+					if ev.Done < lastDone {
+						t.Errorf("budget %d: anneal progress went backwards: %d after %d", budget, ev.Done, lastDone)
+					}
+					lastDone = ev.Done
+					last = ev
+				}
+			}))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []Stage{StageAnneal, StageFinalize, StageSampling, StagePostProcess, StageDone}
+		if len(stages) != len(want) {
+			t.Fatalf("budget %d: stages %v, want %v", budget, stages, want)
+		}
+		for i := range want {
+			if stages[i] != want[i] {
+				t.Fatalf("budget %d: stages %v, want %v", budget, stages, want)
 			}
-		}))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Stage{StageAnneal, StageFinalize, StageSampling, StagePostProcess, StageDone}
-	if len(stages) != len(want) {
-		t.Fatalf("stages %v, want %v", stages, want)
-	}
-	for i := range want {
-		if stages[i] != want[i] {
-			t.Fatalf("stages %v, want %v", stages, want)
+		}
+		if last.Done != budget || last.Total != budget {
+			t.Errorf("budget %d: last anneal event %d/%d, want %d/%d", budget, last.Done, last.Total, budget, budget)
 		}
 	}
 }

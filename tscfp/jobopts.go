@@ -36,9 +36,10 @@ type RunOptions struct {
 	VoltTargetFactor  float64  `json:"volt_target_factor,omitempty"`
 	Weights           *Weights `json:"weights,omitempty"`
 	Parallelism       *int     `json:"parallelism,omitempty"`
-	// Replicas and Speculation select the parallel annealer (WithReplicas /
-	// WithSpeculation). 0 and 1 both mean the serial path; Canonical
-	// normalizes 1 to 0 so the two spellings content-address identically.
+	// Replicas and Speculation shape the annealer (WithReplicas /
+	// WithSpeculation). 0 and 1 both mean one replica or one copy, and both
+	// at 0 or 1 is the serial chain; Canonical normalizes 1 to 0 so the two
+	// spellings content-address identically.
 	Replicas    int `json:"replicas,omitempty"`
 	Speculation int `json:"speculation,omitempty"`
 }
@@ -50,8 +51,8 @@ type RunOptions struct {
 // would run to completion and only fail to encode its Result), naming the
 // knob in each error. It expands spellings to their full forms ("tsc"
 // becomes "tsc-aware") and normalizes Replicas and Speculation 1 to 0, the
-// other spelling of the serial path. Two RunOptions that configure the same
-// flow canonicalize to identical JSON, making the result a safe
+// other spelling of one replica or one copy. Two RunOptions that configure
+// the same flow canonicalize to identical JSON, making the result a safe
 // content-address component.
 func (o RunOptions) Canonical() (RunOptions, error) {
 	if o.Mode != "" {

@@ -256,8 +256,9 @@ func WithParallelism(n int) Option {
 // tempering): each replica anneals on its own RNG stream at its rung of a
 // geometric temperature ladder, neighbours periodically swap temperatures by
 // the Metropolis criterion, and the best replica's floorplan feeds the rest
-// of the flow. 0 and 1 (the default) select the single-chain serial path,
-// which stays bit-identical to earlier releases at a fixed seed.
+// of the flow. 0 and 1 (the default) select one replica; with speculation
+// off too, that is the serial chain, which stays bit-identical to earlier
+// releases at a fixed seed.
 //
 // k >= 2 is its own deterministic contract: a fixed (seed, replicas,
 // speculation) triple yields a byte-identical Result for any GOMAXPROCS, but
@@ -272,7 +273,7 @@ func WithReplicas(k int) Option {
 // WithSpeculation evaluates m candidate moves per annealing step
 // concurrently, each against its own copy of the incremental-cost state, and
 // commits the first acceptance in a fixed candidate order. 0 and 1 (the
-// default) select the serial move loop. Like WithReplicas, m >= 2 keeps the
+// default) evaluate one move per step. Like WithReplicas, m >= 2 keeps the
 // GOMAXPROCS-independence guarantee — same seed and shape, byte-identical
 // Result — while walking a different (still deterministic) move sequence
 // than serial. Composes with WithReplicas: every replica evaluates m
