@@ -51,7 +51,7 @@ func run() (err error) {
 		par         = flag.Int("parallelism", 0, "thermal solver/estimator worker goroutines per run (0 = one per CPU, 1 = serial; results identical)")
 		replicas    = flag.Int("replicas", 1, "tempered annealing chains per run (replica exchange; >= 2 is a different deterministic walk than serial)")
 		speculate   = flag.Int("speculate", 1, "candidate moves evaluated concurrently per annealing step (>= 2 is a different deterministic walk than serial)")
-		churnStats  = flag.Bool("churn-stats", false, "surface the exact-diff repack churn counters: print a per-run pack summary and include the pack_* fields in -json output")
+		churnStats  = flag.Bool("churn-stats", false, "print a per-run summary of the exact-diff repack churn counters")
 		checkCost   = flag.Bool("check-cost", false, "cross-check every incremental cost (and entropy patch) against a full recompute (debug; very slow)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -102,7 +102,6 @@ func run() (err error) {
 		tscfp.WithReplicas(*replicas),
 		tscfp.WithSpeculation(*speculate),
 		tscfp.WithCostCrossCheck(*checkCost),
-		tscfp.WithChurnStats(*churnStats),
 	}
 	if *protect {
 		sensitive := design.SensitiveModules()
@@ -153,9 +152,9 @@ func run() (err error) {
 		agg.VoltageVolumes += mm.VoltageVolumes
 		agg.RuntimeSec += mm.RuntimeSec
 		if *churnStats {
-			st := sr.Result.Stats
+			st := &sr.Result.Core().EvalStats
 			fmt.Printf("run %d churn: changed p50=%d p95=%d modules/move, %d die diffs\n",
-				sr.Cell.Index, st.PackChangedP50, st.PackChangedP95, st.PackDieDiffs)
+				sr.Cell.Index, st.PackChangedPercentile(0.50), st.PackChangedPercentile(0.95), st.PackDieDiffs)
 		}
 	}
 	n := float64(*runs)

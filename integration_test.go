@@ -93,7 +93,7 @@ func TestFlowMetricsMatchIndependentRecomputation(t *testing.T) {
 	if math.Abs(r1-res.Metrics.R1) > 1e-9 {
 		t.Fatalf("r1 %v vs reported %v", r1, res.Metrics.R1)
 	}
-	s1 := leakage.SpatialEntropy(res.PowerMaps[0], leakage.EntropyOptions{})
+	s1 := leakage.SpatialEntropy(res.PowerMaps[0])
 	if math.Abs(s1-res.Metrics.S1) > 1e-9 {
 		t.Fatalf("S1 %v vs reported %v", s1, res.Metrics.S1)
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 
 	"repro/internal/anneal"
 	"repro/internal/floorplan"
@@ -102,7 +104,7 @@ func runAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rng *rand.
 	}
 	stats.AnnealBestCost = pres.BestCost
 	if !serial {
-		stats.Replicas = k
+		stats.ReplicaCount = k
 		stats.ReplicaSwapAttempts = pres.SwapAttempts
 		stats.ReplicaSwapAccepts = pres.SwapAccepts
 		stats.ReplicaBest = pres.Best
@@ -122,43 +124,40 @@ func runAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rng *rand.
 	return best, stats, nil
 }
 
-// addEvalStats accumulates src into dst: every effort counter sums, the
-// cross-check drift takes the max. The Replica*/Spec* fields are run-level,
-// set by runAnneal after merging, and are not touched here.
+// addEvalStats accumulates src into dst field by field, by reflection, so
+// a counter added to RunStats or EvalStats merges without being listed
+// here: every int sums, the embedded RunStats recurses, every []int
+// histogram adds bucket-wise, floats take the max (MaxCrossCheckError is
+// the only one an evaluator sets) and bools OR. The run-level fields — the
+// Replica*/Spec* shape counts, the Solver* fields and AnnealBestCost — are
+// zero on every evaluator and set after the merge.
 func addEvalStats(dst, src *EvalStats) {
-	dst.Evals += src.Evals
-	dst.FullEvals += src.FullEvals
-	dst.IncrementalEvals += src.IncrementalEvals
-	dst.VoltRefreshes += src.VoltRefreshes
-	dst.VoltCandidatesReused += src.VoltCandidatesReused
-	dst.VoltCandidatesRegrown += src.VoltCandidatesRegrown
-	dst.EntropyPatched += src.EntropyPatched
-	dst.EntropyRebuilt += src.EntropyRebuilt
-	dst.EntropyCrossChecks += src.EntropyCrossChecks
-	dst.AdjIncrementalUpdates += src.AdjIncrementalUpdates
-	dst.STAPatches += src.STAPatches
-	dst.STARebuilds += src.STARebuilds
-	dst.DiesRepacked += src.DiesRepacked
-	dst.DiesReused += src.DiesReused
-	dst.NetsRecomputed += src.NetsRecomputed
-	dst.NetsReused += src.NetsReused
-	dst.ResponsesComputed += src.ResponsesComputed
-	dst.ResponsesReused += src.ResponsesReused
-	dst.CrossChecks += src.CrossChecks
-	if src.MaxCrossCheckError > dst.MaxCrossCheckError {
-		dst.MaxCrossCheckError = src.MaxCrossCheckError
-	}
-	dst.PackMoves += src.PackMoves
-	dst.PackDieDiffs += src.PackDieDiffs
-	dst.PackReplayedPositions += src.PackReplayedPositions
-	dst.PackChangedModules += src.PackChangedModules
-	if src.PackChangedHist != nil {
-		if dst.PackChangedHist == nil {
-			dst.PackChangedHist = make([]int, len(src.PackChangedHist))
-		}
-		for i, c := range src.PackChangedHist {
-			dst.PackChangedHist[i] += c
+	addFields(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem())
+}
+
+func addFields(dst, src reflect.Value) {
+	for i := range dst.NumField() {
+		d, s := dst.Field(i), src.Field(i)
+		switch d.Kind() {
+		case reflect.Int:
+			d.SetInt(d.Int() + s.Int())
+		case reflect.Float64:
+			d.SetFloat(max(d.Float(), s.Float()))
+		case reflect.Bool:
+			d.SetBool(d.Bool() || s.Bool())
+		case reflect.Struct:
+			addFields(d, s)
+		case reflect.Slice:
+			if d.Len() < s.Len() {
+				grown := reflect.MakeSlice(d.Type(), s.Len(), s.Len())
+				reflect.Copy(grown, d)
+				d.Set(grown)
+			}
+			for j := range s.Len() {
+				d.Index(j).SetInt(d.Index(j).Int() + s.Index(j).Int())
+			}
+		default:
+			panic(fmt.Sprintf("core: stats field %s has unmergeable kind %s", dst.Type().Field(i).Name, d.Kind()))
 		}
 	}
-	dst.AdjBulkFallbacks += src.AdjBulkFallbacks
 }

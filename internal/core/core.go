@@ -58,20 +58,20 @@ const (
 // criteria equally (Sec. 7); each term is normalized to its initial value
 // before weighting, so 1.0 everywhere reproduces that setup.
 type Weights struct {
-	OutlineViolation float64
-	Wirelength       float64
-	CriticalDelay    float64
-	PeakTemp         float64
-	Power            float64
-	VoltageVolumes   float64
-	Correlation      float64 // TSC-aware only
-	SpatialEntropy   float64 // TSC-aware only
+	OutlineViolation float64 `json:"outline_violation"`
+	Wirelength       float64 `json:"wirelength"`
+	CriticalDelay    float64 `json:"critical_delay"`
+	PeakTemp         float64 `json:"peak_temp"`
+	Power            float64 `json:"power"`
+	VoltageVolumes   float64 `json:"voltage_volumes"`
+	Correlation      float64 `json:"correlation"`     // TSC-aware only
+	SpatialEntropy   float64 `json:"spatial_entropy"` // TSC-aware only
 	// DesignRule is Corblivar's thermal design rule (Sec. 7.2): the
 	// fraction of power placed away from the heatsink-side die is
 	// penalized, pushing high-power modules toward the top die. The paper
 	// notes that relaxing this rule "prohibitively increases the peak
 	// temperatures" — BenchmarkAblationDesignRule reproduces that.
-	DesignRule float64
+	DesignRule float64 `json:"design_rule"`
 }
 
 // DefaultWeights returns equal weighting, with the leakage terms enabled
@@ -201,12 +201,13 @@ const (
 // (annealing moves, activity samples, dummy groups); Total is 0 when the
 // stage has no meaningful denominator. Cost carries the best annealing cost
 // seen so far during StageAnneal and the watched correlation during
-// StagePostProcess; it is 0 elsewhere.
+// StagePostProcess; it is 0 elsewhere. It marshals to stable JSON, so
+// serving layers (tscfpd's SSE stream) forward it verbatim.
 type ProgressEvent struct {
-	Stage Stage
-	Done  int
-	Total int
-	Cost  float64
+	Stage Stage   `json:"stage"`
+	Done  int     `json:"done"`
+	Total int     `json:"total"`
+	Cost  float64 `json:"cost"`
 }
 
 func (c *Config) defaults() {
@@ -255,81 +256,100 @@ func (c *Config) defaults() {
 	}
 }
 
-// EvalStats reports the annealing-loop evaluation effort: how many cost
-// evaluations ran, how much work the incremental caches avoided, and how far
-// the optional cross-check saw the incremental cost drift from the full
-// recompute (0 unless Config.CostCrossCheck was set).
-type EvalStats struct {
-	// Evals counts cost evaluations; FullEvals of those rebuilt every term
-	// from scratch, IncrementalEvals served from the caches.
-	Evals            int
-	FullEvals        int
-	IncrementalEvals int
+// RunStats reports a run's computational effort: the annealing loop's
+// evaluation counts (and how much work the incremental caches avoided), the
+// parallel annealer's ladder and batch counts, and the detailed
+// verification solve. It is Result.Stats on the tscfp wire, one key per
+// field in declaration order (docs/ARCHITECTURE.md, "Result.Stats keys").
+// The counts are deterministic for a fixed seed and configuration (they
+// follow the move sequence and acceptance decisions), but unlike the layout
+// and metrics they describe evaluator and solver effort — zero the struct
+// when diffing reports across seeds, budgets or evaluator settings.
+type RunStats struct {
+	// Evals counts annealing-loop cost evaluations; FullEvals of those
+	// rebuilt every term from scratch, IncrementalEvals were served from the
+	// caches.
+	Evals            int `json:"evals"`
+	FullEvals        int `json:"full_evals"`
+	IncrementalEvals int `json:"incremental_evals"`
 	// VoltRefreshes counts voltage-assignment re-runs (the VoltEvery
 	// stride).
-	VoltRefreshes int
-	// VoltCandidatesRegrown counts the per-module candidate trees the
-	// incremental path's refreshes grew (every module's, every refresh);
-	// VoltCandidatesReused is always 0, since no tree is kept between
-	// refreshes. Both stay because the end-to-end benchmark
-	// (benchmark/cmd/tscfpbench) reads them for anneal.volt_regrown_frac;
-	// neither reaches the wire.
-	VoltCandidatesReused  int
-	VoltCandidatesRegrown int
+	VoltRefreshes int `json:"volt_refreshes"`
 	// EntropyPatched/EntropyRebuilt count per-die spatial-entropy refreshes
 	// served by patching the entropy cache vs rebuilt from scratch (first
 	// use, voltage-scale changes, wholesale map changes);
 	// EntropyCrossChecks counts patched-vs-full comparisons (0 unless
 	// Config.CostCrossCheck was set).
-	EntropyPatched     int
-	EntropyRebuilt     int
-	EntropyCrossChecks int
+	EntropyPatched     int `json:"entropy_patched"`
+	EntropyRebuilt     int `json:"entropy_rebuilt"`
+	EntropyCrossChecks int `json:"entropy_cross_checks"`
+	// DiesRepacked/DiesReused count per-die skyline packings run vs skipped;
+	// NetsRecomputed/NetsReused the per-net wirelength+Elmore refreshes run
+	// vs served from cache; ResponsesComputed/ResponsesReused the
+	// per-source-die thermal blur responses.
+	DiesRepacked      int `json:"dies_repacked"`
+	DiesReused        int `json:"dies_reused"`
+	NetsRecomputed    int `json:"nets_recomputed"`
+	NetsReused        int `json:"nets_reused"`
+	ResponsesComputed int `json:"responses_computed"`
+	ResponsesReused   int `json:"responses_reused"`
+	// SolverSweeps/SolverResidual/SolverConverged describe the detailed
+	// thermal verification solve of the finalize stage (post-processing
+	// solves are not included).
+	SolverSweeps    int     `json:"solver_sweeps"`
+	SolverResidual  float64 `json:"solver_residual"`
+	SolverConverged bool    `json:"solver_converged"`
+	// ReplicaCount records the tempered-chain count whenever the annealer
+	// ran other than as the serial chain; ReplicaSwapAttempts and
+	// ReplicaSwapAccepts count the Metropolis temperature-swap decisions
+	// across the ladder, and ReplicaBest is the index of the chain whose
+	// floorplan won. All zero, and omitted, for the serial chain, which
+	// keeps serial encodings byte-identical to earlier releases.
+	ReplicaCount        int `json:"repl_replicas,omitempty"`
+	ReplicaSwapAttempts int `json:"repl_swap_attempts,omitempty"`
+	ReplicaSwapAccepts  int `json:"repl_swap_accepts,omitempty"`
+	ReplicaBest         int `json:"repl_best,omitempty"`
+	// SpecWorkers records the speculative-evaluation width M whenever the
+	// annealer ran other than as the serial chain (1 for a replica-only
+	// run); SpecBatches counts candidate batches evaluated, SpecCommits the
+	// batches that committed an acceptance, and SpecDiscarded the candidate
+	// evaluations thrown away (losers of a committed batch plus all
+	// candidates of batches with no acceptance). Omitted when zero.
+	SpecWorkers   int `json:"spec_workers,omitempty"`
+	SpecBatches   int `json:"spec_batches,omitempty"`
+	SpecCommits   int `json:"spec_commits,omitempty"`
+	SpecDiscarded int `json:"spec_discarded,omitempty"`
+}
+
+// EvalStats is a run's full effort record: the wire counters of RunStats
+// plus the core-only diagnostics below, which no Result encoding carries.
+// The end-to-end benchmark (benchmark/cmd/tscfpbench) reads them through
+// tscfp's Result.Core().
+type EvalStats struct {
+	RunStats
+
+	// VoltCandidatesRegrown counts the per-module candidate trees the
+	// incremental path's refreshes grew (every module's, every refresh);
+	// VoltCandidatesReused is always 0, since no tree is kept between
+	// refreshes. Both stay because the benchmark reads them for
+	// anneal.volt_regrown_frac.
+	VoltCandidatesReused  int
+	VoltCandidatesRegrown int
 	// STARebuilds counts the annealing loop's full STA passes: one
 	// delay-scaled pass per evaluation plus a reference pass per voltage
 	// refresh. STAPatches is always 0 now that the loop has no incremental
-	// timing patch; both stay because the end-to-end benchmark
-	// (benchmark/cmd/tscfpbench) reads them for anneal.sta_rebuild_frac.
+	// timing patch; both stay because the benchmark reads them for
+	// anneal.sta_rebuild_frac.
 	STAPatches  int
 	STARebuilds int
-	// DiesRepacked/DiesReused count per-die skyline packings run vs skipped.
-	DiesRepacked int
-	DiesReused   int
-	// NetsRecomputed/NetsReused count per-net wirelength+Elmore refreshes
-	// run vs served from cache.
-	NetsRecomputed int
-	NetsReused     int
-	// ResponsesComputed/ResponsesReused count per-source-die thermal blur
-	// responses run vs served from cache.
-	ResponsesComputed int
-	ResponsesReused   int
 	// CrossChecks counts full-recompute comparisons; MaxCrossCheckError is
-	// the largest |incremental - full| cost difference they observed.
+	// the largest |incremental - full| cost difference they observed (0
+	// unless Config.CostCrossCheck was set).
 	CrossChecks        int
 	MaxCrossCheckError float64
-	// Replicas records the tempered-chain count whenever the annealer ran
-	// other than as the serial chain (0 for one replica with one copy);
-	// ReplicaSwapAttempts/ReplicaSwapAccepts count the Metropolis
-	// temperature-swap decisions across the ladder and ReplicaBest is the
-	// index of the chain that produced the final floorplan.
-	Replicas            int
-	ReplicaSwapAttempts int
-	ReplicaSwapAccepts  int
-	ReplicaBest         int
 	// AnnealBestCost is the best (normalized, weighted) annealing cost the
-	// search reached — the quality the replica ladder buys. It is a core
-	// diagnostic only: the tscfp wire schema does not carry it, so serial
-	// result encodings are unchanged.
+	// search reached — the quality the replica ladder buys.
 	AnnealBestCost float64
-	// SpecWorkers records the speculative-evaluation width M whenever the
-	// annealer ran other than as the serial chain (1 for a replica-only run,
-	// 0 for the serial chain); SpecBatches counts candidate batches
-	// evaluated, SpecCommits the batches that committed an acceptance, and
-	// SpecDiscarded the candidate evaluations thrown away (losers of a
-	// committed batch plus all candidates of batches with no acceptance).
-	SpecWorkers   int
-	SpecBatches   int
-	SpecCommits   int
-	SpecDiscarded int
 	// PackMoves counts moves applied through the diff-producing repack
 	// (PackDieFromDiff); PackDieDiffs the per-die diffs they ran (a move
 	// touches one or two dies); PackReplayedPositions the sequence
@@ -348,9 +368,7 @@ type EvalStats struct {
 	// AdjBulkFallbacks counts the incremental path's voltage refreshes,
 	// each of which sweeps the layout's adjacency; AdjIncrementalUpdates is
 	// always 0, since the voltage engine has no other way to get adjacency.
-	// Both stay because the end-to-end benchmark
-	// (benchmark/cmd/tscfpbench) reads them for anneal.adj_bulk_frac;
-	// neither reaches the wire.
+	// Both stay because the benchmark reads them for anneal.adj_bulk_frac.
 	AdjBulkFallbacks      int
 	AdjIncrementalUpdates int
 }
@@ -397,51 +415,55 @@ func (s *EvalStats) PackChangedPercentile(p float64) int {
 // DieMetrics bundles the per-die leakage measurements.
 type DieMetrics struct {
 	// R is the power-temperature correlation (Eq. 1, detailed analysis).
-	R float64
+	R float64 `json:"r"`
 	// S is the spatial entropy of the power map (Eq. 3).
-	S float64
+	S float64 `json:"s"`
 	// SVF is the side-channel vulnerability factor over the activity
 	// samples (0 when post-processing is disabled).
-	SVF float64
+	SVF float64 `json:"svf"`
 	// MeanStability is the mean absolute per-bin stability (Eq. 2).
-	MeanStability float64
+	MeanStability float64 `json:"mean_stability"`
 }
 
 // Metrics mirrors one column pair of the paper's Table 2.
 type Metrics struct {
 	// PerDie holds the leakage metrics for every die, bottom (0) to top.
-	PerDie []DieMetrics
+	PerDie []DieMetrics `json:"per_die"`
 
 	// Leakage metrics for the bottom and top die (Eq. 1 and Eq. 3),
 	// verified with the detailed thermal analysis — aliases of
 	// PerDie[0] and PerDie[len-1] kept for the two-die Table 2 shape.
-	S1, S2 float64 // spatial entropies, bottom/top die
-	R1, R2 float64 // correlation coefficients, bottom/top die
+	S1 float64 `json:"s1"` // spatial entropies, bottom/top die
+	S2 float64 `json:"s2"`
+	R1 float64 `json:"r1"` // correlation coefficients, bottom/top die
+	R2 float64 `json:"r2"`
 
 	// Design cost.
-	PowerW         float64
-	CriticalNS     float64
-	WirelengthM    float64
-	PeakTempK      float64
-	SignalTSVs     int
-	DummyTSVs      int
-	VoltageVolumes int
-	RuntimeSec     float64
+	PowerW         float64 `json:"power_w"`
+	CriticalNS     float64 `json:"critical_ns"`
+	WirelengthM    float64 `json:"wirelength_m"`
+	PeakTempK      float64 `json:"peak_temp_k"`
+	SignalTSVs     int     `json:"signal_tsvs"`
+	DummyTSVs      int     `json:"dummy_tsvs"`
+	VoltageVolumes int     `json:"voltage_volumes"`
+	RuntimeSec     float64 `json:"runtime_sec"`
 
 	// PostCorrelationBefore/After record the dummy-TSV stage's effect on
 	// the watched correlation (Fig. 4: 0.461 -> 0.324 on n100; with
 	// ProtectModules set, the masked correlation over the protected bins).
-	PostCorrelationBefore float64
-	PostCorrelationAfter  float64
+	PostCorrelationBefore float64 `json:"post_correlation_before"`
+	PostCorrelationAfter  float64 `json:"post_correlation_after"`
 
 	// SVF1, SVF2 are the side-channel vulnerability factors per die
 	// (Demme et al., the metric the paper grounds Eq. 1 in), measured over
 	// the post-processing activity samples. Zero when post-processing is
 	// disabled.
-	SVF1, SVF2 float64
+	SVF1 float64 `json:"svf1"`
+	SVF2 float64 `json:"svf2"`
 	// MeanStability1, MeanStability2 are the mean absolute per-bin
 	// correlation stabilities (Eq. 2) per die over the same samples.
-	MeanStability1, MeanStability2 float64
+	MeanStability1 float64 `json:"mean_stability1"`
+	MeanStability2 float64 `json:"mean_stability2"`
 }
 
 // Result is a completed floorplanning run.
@@ -460,12 +482,10 @@ type Result struct {
 	// Stack is the solved detailed thermal model (reusable by attacks).
 	Stack *thermal.Stack
 
-	// EvalStats reports the annealing-loop evaluation effort, including how
-	// much work the incremental caches avoided.
+	// EvalStats reports the run's effort: the annealing loop's evaluations,
+	// including how much work the incremental caches avoided, and the
+	// detailed verification solve of the finalize stage.
 	EvalStats EvalStats
-	// SolverStats reports the detailed verification solve of the finalize
-	// stage (post-processing solves are not included).
-	SolverStats thermal.Stats
 
 	started time.Time
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -95,27 +96,57 @@ func TestRunRejectsInvalidDesign(t *testing.T) {
 }
 
 // TestRunAtPowerBound runs the whole TSC flow, sampling and post-processing
-// included, with every module at the largest power Design.Validate accepts
-// (1e6 W). The correlations must be finite, in [-1, 1] and nonzero: far
-// above the bound the leakage metrics' float products overflow, so the
-// correlations read exactly 0, then NaN.
+// included, with every quantity Design.Validate bounds at its bound: a
+// 1e6 µm outline, 1e6 µm module sides, 1e6 W and 1e6 ns per module, plus a
+// soft module free to take any aspect in [1e-300, 1e300]. The correlations
+// must be finite, in [-1, 1] and nonzero, and everything a tscfp Result
+// carries must encode: far above the bounds the float products overflow,
+// so the correlations read exactly 0, then NaN, and the critical delay,
+// wirelength and peak temperature turn non-finite.
 func TestRunAtPowerBound(t *testing.T) {
 	des := bench.MustGenerate("n100")
+	const bound = 1e6
+	for _, term := range des.Terminals {
+		//lint:floateq terminals sit exactly on the outline; moving the outline must move them with it
+		if term.X == des.OutlineW {
+			term.X = bound
+		} else {
+			term.X *= bound / des.OutlineW
+		}
+		//lint:floateq terminals sit exactly on the outline; moving the outline must move them with it
+		if term.Y == des.OutlineH {
+			term.Y = bound
+		} else {
+			term.Y *= bound / des.OutlineH
+		}
+	}
+	des.OutlineW, des.OutlineH = bound, bound
 	for _, m := range des.Modules {
-		m.Power = 1e6
+		m.W, m.H, m.Power, m.IntrinsicDelay = bound, bound, bound, bound
+	}
+	soft := des.Modules[0]
+	soft.Kind, soft.MinAspect, soft.MaxAspect = netlist.Soft, 1e-300, 1e300
+	if err := des.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	cfg := fastCfg(TSCAware, 1)
 	cfg.SAIterations = 60
 	cfg.GridN = 8
+	cfg.ActivitySamples = 3
+	cfg.MaxDummyGroups = 2
 	res, err := Run(des, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range []float64{res.Metrics.R1, res.Metrics.R2} {
 		if math.IsNaN(r) || r == 0 || r < -1 || r > 1 {
-			t.Fatalf("correlation %v at the power bound, want finite, nonzero and in [-1, 1] (r1 %v, r2 %v)",
+			t.Fatalf("correlation %v at the bounds, want finite, nonzero and in [-1, 1] (r1 %v, r2 %v)",
 				r, res.Metrics.R1, res.Metrics.R2)
 		}
+	}
+	if _, err := json.Marshal([]any{res.Metrics, res.EvalStats.RunStats, res.Layout.Rects,
+		res.PowerMaps, res.TempMaps, res.TSVs.TSVs, res.Assignment.Volumes}); err != nil {
+		t.Fatalf("result at the bounds does not encode: %v (metrics %+v)", err, res.Metrics)
 	}
 }
 

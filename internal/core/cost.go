@@ -166,7 +166,7 @@ func (e *evaluator) staticTerms(l *floorplan.Layout) *normTerms {
 		corr, entropy := 0.0, 0.0
 		for d := 0; d < l.Dies; d++ {
 			corr += math.Abs(leakage.Pearson(maps[d], temps[d]))
-			entropy += leakage.SpatialEntropy(maps[d], leakage.EntropyOptions{})
+			entropy += leakage.SpatialEntropy(maps[d])
 		}
 		t.corr = corr / float64(l.Dies)
 		t.entropy = entropy / float64(l.Dies)

@@ -105,7 +105,8 @@ func finalize(ctx context.Context, res *Result, cfg *Config, rng *rand.Rand) err
 	}
 	applyTSVs(stack, plan, cfg.GridN)
 	sol, solStats := stack.SolveSteady(nil, thermal.SolverOpts{Ctx: ctx, Workers: cfg.Parallelism})
-	res.SolverStats = solStats
+	st := &res.EvalStats
+	st.SolverSweeps, st.SolverResidual, st.SolverConverged = solStats.Sweeps, solStats.Residual, solStats.Converged
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -121,7 +122,7 @@ func finalize(ctx context.Context, res *Result, cfg *Config, rng *rand.Rand) err
 	m.PerDie = make([]DieMetrics, l.Dies)
 	for d := 0; d < l.Dies; d++ {
 		m.PerDie[d].R = leakage.Pearson(maps[d], res.TempMaps[d])
-		m.PerDie[d].S = leakage.SpatialEntropy(maps[d], leakage.EntropyOptions{})
+		m.PerDie[d].S = leakage.SpatialEntropy(maps[d])
 	}
 	syncDieAliases(m)
 	m.PowerW = asg.TotalPower

@@ -446,11 +446,7 @@ func (ic *incrState) initGeometry(e *evaluator) {
 	if e.cfg.Mode == TSCAware && ic.entCaches == nil {
 		ic.entCaches = make([]*leakage.EntropyCache, ic.lay.Dies)
 		for d := range ic.entCaches {
-			c, err := leakage.NewEntropyCache(leakage.EntropyOptions{})
-			if err != nil {
-				panic(fmt.Sprintf("core: default entropy options rejected: %v", err))
-			}
-			ic.entCaches[d] = c
+			ic.entCaches[d] = leakage.NewEntropyCache()
 		}
 	}
 
@@ -670,7 +666,7 @@ func (ic *incrState) dieEntropy(e *evaluator, d int) float64 {
 	}
 	if e.check {
 		e.stats.EntropyCrossChecks++
-		want := leakage.SpatialEntropy(ic.maps[d], leakage.EntropyOptions{})
+		want := leakage.SpatialEntropy(ic.maps[d])
 		if diff := math.Abs(ent - want); diff > 1e-9*math.Max(1, math.Abs(want)) {
 			panic(fmt.Sprintf("core: incremental entropy %v diverged from full recompute %v on die %d (|diff| %g)",
 				ent, want, d, diff))

@@ -45,7 +45,7 @@ func TestRunReplicasOneIsSerial(t *testing.T) {
 	if !reflect.DeepEqual(one.EvalStats, serial.EvalStats) {
 		t.Fatalf("eval stats diverged:\n got %+v\nwant %+v", one.EvalStats, serial.EvalStats)
 	}
-	if one.EvalStats.Replicas != 0 || one.EvalStats.SpecWorkers != 0 {
+	if one.EvalStats.ReplicaCount != 0 || one.EvalStats.SpecWorkers != 0 {
 		t.Fatal("serial path must not report parallel-anneal stats")
 	}
 }
@@ -97,8 +97,8 @@ func TestRunReplicasReportsStats(t *testing.T) {
 	}
 	checkResult(t, res)
 	s := res.EvalStats
-	if s.Replicas != 3 || s.SpecWorkers != 2 {
-		t.Fatalf("shape not recorded: Replicas=%d SpecWorkers=%d", s.Replicas, s.SpecWorkers)
+	if s.ReplicaCount != 3 || s.SpecWorkers != 2 {
+		t.Fatalf("shape not recorded: ReplicaCount=%d SpecWorkers=%d", s.ReplicaCount, s.SpecWorkers)
 	}
 	if s.ReplicaSwapAttempts == 0 {
 		t.Fatal("no temperature swaps attempted over a 3-replica run")

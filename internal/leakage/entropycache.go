@@ -39,7 +39,6 @@ import (
 // against the restored map re-converges to the exact from-scratch entropy.
 // An EntropyCache is not safe for concurrent use.
 type EntropyCache struct {
-	opts   EntropyOptions
 	nx, ny int
 	valid  bool
 
@@ -63,15 +62,9 @@ type EntropyCache struct {
 	classCnt    []int
 }
 
-// NewEntropyCache validates the options and returns an empty cache; the
-// first Update builds every structure from scratch.
-func NewEntropyCache(opts EntropyOptions) (*EntropyCache, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	opts.defaults()
-	return &EntropyCache{opts: opts}, nil
-}
+// NewEntropyCache returns an empty cache; the first Update builds every
+// structure from scratch.
+func NewEntropyCache() *EntropyCache { return &EntropyCache{} }
 
 // Entropy returns the last computed spatial entropy. Only meaningful after
 // an Update.
@@ -81,7 +74,7 @@ func (c *EntropyCache) Entropy() float64 { return c.entropy }
 func (c *EntropyCache) Invalidate() { c.valid = false }
 
 // Update synchronizes the cache with the grid's current contents and returns
-// the spatial entropy, bit-identical to SpatialEntropy(power, opts) on the
+// the spatial entropy, bit-identical to SpatialEntropy(power) on the
 // same data. patched reports whether the update was served incrementally
 // (false on the first use, a grid-shape change, or when more than a quarter
 // of the bins changed — then a from-scratch rebuild is cheaper than the
@@ -200,8 +193,8 @@ func (c *EntropyCache) buildCrossSums() {
 // SpatialEntropy), the split re-runs nestedMeansSplit, and the Manhattan
 // terms come from the per-class histograms.
 func (c *EntropyCache) recompute(power *geom.Grid) {
-	stop := c.opts.StdDevFrac * power.StdDev()
-	nClasses := nestedMeansSplit(c.items, c.classOf, stop, c.opts.MaxDepth)
+	stop := entropyStopFrac * power.StdDev()
+	nClasses := nestedMeansSplit(c.items, c.classOf, stop)
 	c.entropy = c.entropyFromClasses(nClasses)
 }
 

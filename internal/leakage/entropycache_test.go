@@ -34,13 +34,10 @@ func TestEntropyCacheMatchesFullOverRandomPatches(t *testing.T) {
 	for i := range g.Data {
 		g.Data[i] = rng.Float64()
 	}
-	c, err := NewEntropyCache(EntropyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewEntropyCache()
 	check := func(step int, wantPatched bool) {
 		got, patched := c.Update(g)
-		want := SpatialEntropy(g, EntropyOptions{})
+		want := SpatialEntropy(g)
 		if d := math.Abs(got - want); d > 1e-9*math.Max(1, math.Abs(want)) {
 			t.Fatalf("step %d: cache %v vs full %v (|diff| %g)", step, got, want, d)
 		}
@@ -78,15 +75,12 @@ func TestEntropyCacheClassesMatchFull(t *testing.T) {
 	for i := range g.Data {
 		g.Data[i] = rng.NormFloat64()
 	}
-	c, err := NewEntropyCache(EntropyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewEntropyCache()
 	c.Update(g)
 	for i := 0; i < 200; i++ {
 		patchRandomBins(g, rng, 1+rng.Intn(8))
 		c.Update(g)
-		want := NestedMeansClasses(g, EntropyOptions{})
+		want := NestedMeansClasses(g)
 		got := c.classes()
 		for b := range want {
 			if got[b] != want[b] {
@@ -115,16 +109,13 @@ func TestEntropyCachePermutationSensitive(t *testing.T) {
 	rng.Shuffle(len(scram.Data), func(a, b int) {
 		scram.Data[a], scram.Data[b] = scram.Data[b], scram.Data[a]
 	})
-	c, err := NewEntropyCache(EntropyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewEntropyCache()
 	sSeg, _ := c.Update(seg)
 	sScram, _ := c.Update(scram) // wholesale change: internal rebuild path
-	if sSeg != SpatialEntropy(seg, EntropyOptions{}) {
+	if sSeg != SpatialEntropy(seg) {
 		t.Fatalf("cached segregated entropy %v diverges from full", sSeg)
 	}
-	if sScram != SpatialEntropy(scram, EntropyOptions{}) {
+	if sScram != SpatialEntropy(scram) {
 		t.Fatalf("cached scrambled entropy %v diverges from full", sScram)
 	}
 	if sScram <= sSeg {
@@ -141,10 +132,7 @@ func TestEntropyCacheWholesaleChangeRebuilds(t *testing.T) {
 	for i := range g.Data {
 		g.Data[i] = rng.Float64()
 	}
-	c, err := NewEntropyCache(EntropyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewEntropyCache()
 	c.Update(g)
 	for i := range g.Data {
 		g.Data[i] *= 1.3
@@ -153,7 +141,7 @@ func TestEntropyCacheWholesaleChangeRebuilds(t *testing.T) {
 	if patched {
 		t.Fatal("wholesale change must take the rebuild path")
 	}
-	if want := SpatialEntropy(g, EntropyOptions{}); got != want {
+	if want := SpatialEntropy(g); got != want {
 		t.Fatalf("rebuilt entropy %v != full %v", got, want)
 	}
 	// An identical map must be served without work and count as patched.
@@ -163,30 +151,6 @@ func TestEntropyCacheWholesaleChangeRebuilds(t *testing.T) {
 }
 
 // --- validation error paths --------------------------------------------------
-
-func TestEntropyOptionsValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		opts EntropyOptions
-		ok   bool
-	}{
-		{"zero-defaults", EntropyOptions{}, true},
-		{"explicit", EntropyOptions{MaxDepth: 3, StdDevFrac: 0.1}, true},
-		{"negative-depth", EntropyOptions{MaxDepth: -1}, false},
-		{"negative-frac", EntropyOptions{StdDevFrac: -0.5}, false},
-		{"nan-frac", EntropyOptions{StdDevFrac: math.NaN()}, false},
-		{"inf-frac", EntropyOptions{StdDevFrac: math.Inf(1)}, false},
-	}
-	for _, tc := range cases {
-		err := tc.opts.Validate()
-		if tc.ok && err != nil {
-			t.Errorf("%s: unexpected error %v", tc.name, err)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("%s: error expected, got nil", tc.name)
-		}
-	}
-}
 
 func TestValidatePowerMap(t *testing.T) {
 	good := geom.NewGrid(4, 4)
@@ -214,18 +178,6 @@ func TestValidatePowerMap(t *testing.T) {
 	}
 }
 
-func TestNewEntropyCacheRejectsBadOptions(t *testing.T) {
-	if _, err := NewEntropyCache(EntropyOptions{MaxDepth: -2}); err == nil {
-		t.Fatal("negative MaxDepth accepted")
-	}
-	if _, err := NewEntropyCache(EntropyOptions{StdDevFrac: -1}); err == nil {
-		t.Fatal("negative StdDevFrac accepted")
-	}
-	if c, err := NewEntropyCache(EntropyOptions{}); err != nil || c == nil {
-		t.Fatalf("default options rejected: %v", err)
-	}
-}
-
 func TestSpatialEntropyPanicsOnInvalidInputs(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -237,11 +189,11 @@ func TestSpatialEntropyPanicsOnInvalidInputs(t *testing.T) {
 		fn()
 	}
 	g := geom.NewGrid(4, 4)
-	mustPanic("negative depth", func() { SpatialEntropy(g, EntropyOptions{MaxDepth: -1}) })
-	mustPanic("nil map", func() { NestedMeansClasses(nil, EntropyOptions{}) })
-	mustPanic("empty map", func() { SpatialEntropy(&geom.Grid{}, EntropyOptions{}) })
+	g.Data[5] = math.NaN()
+	mustPanic("NaN map", func() { SpatialEntropy(g) })
+	mustPanic("nil map", func() { NestedMeansClasses(nil) })
+	mustPanic("empty map", func() { SpatialEntropy(&geom.Grid{}) })
 	mustPanic("cache nil map", func() {
-		c, _ := NewEntropyCache(EntropyOptions{})
-		c.Update(nil)
+		NewEntropyCache().Update(nil)
 	})
 }

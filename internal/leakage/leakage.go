@@ -133,42 +133,14 @@ func MostStableBin(stab *geom.Grid, exclude []bool) (i, j int, val float64) {
 
 // --- Spatial entropy (Eq. 3) -------------------------------------------------
 
-// EntropyOptions tunes the nested-means classification.
-type EntropyOptions struct {
-	// MaxDepth bounds the recursive bi-partitioning (2^MaxDepth classes at
-	// most). Default 5 (up to 32 classes). Zero selects the default;
-	// negative values are invalid (they would silently collapse every bin
-	// into one class — see Validate).
-	MaxDepth int
-	// StdDevFrac stops splitting a class once its standard deviation falls
-	// below this fraction of the whole map's standard deviation ("until the
-	// standard deviation within any class approaches zero"). Default 0.05.
-	// Zero selects the default; negative or non-finite values are invalid.
-	StdDevFrac float64
-}
-
-func (o *EntropyOptions) defaults() {
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 5
-	}
-	if o.StdDevFrac == 0 {
-		o.StdDevFrac = 0.05
-	}
-}
-
-// Validate rejects option values that would silently misclassify: a negative
-// MaxDepth collapses the whole map into a single class (a non-positive class
-// count), and a negative or non-finite StdDevFrac disables or corrupts the
-// stop rule. Zero values are the documented defaults and are valid.
-func (o EntropyOptions) Validate() error {
-	if o.MaxDepth < 0 {
-		return fmt.Errorf("leakage: EntropyOptions.MaxDepth %d is negative (2^MaxDepth classes must be positive)", o.MaxDepth)
-	}
-	if o.StdDevFrac < 0 || math.IsNaN(o.StdDevFrac) || math.IsInf(o.StdDevFrac, 0) {
-		return fmt.Errorf("leakage: EntropyOptions.StdDevFrac %v must be finite and non-negative", o.StdDevFrac)
-	}
-	return nil
-}
+// The nested-means classification bi-partitions a class until its standard
+// deviation falls below entropyStopFrac of the whole map's ("until the
+// standard deviation within any class approaches zero") or it sits
+// entropyMaxDepth splits deep, so a map has at most 2^5 = 32 classes.
+const (
+	entropyMaxDepth = 5
+	entropyStopFrac = 0.05
+)
 
 // ValidatePowerMap rejects power maps the entropy metrics cannot classify:
 // nil or empty grids, grids whose Data does not match NX*NY, and maps
@@ -192,41 +164,27 @@ func ValidatePowerMap(power *geom.Grid) error {
 	return nil
 }
 
-// mustEntropyInputs panics on invalid entropy inputs; SpatialEntropy and
-// NestedMeansClasses treat them as programmer errors (matching Pearson's
-// grid-mismatch contract). Callers that need an error instead should call
-// Validate/ValidatePowerMap themselves, or use NewEntropyCache.
-func mustEntropyInputs(power *geom.Grid, opts EntropyOptions) {
-	if err := opts.Validate(); err != nil {
-		panic(err.Error())
-	}
-	if err := ValidatePowerMap(power); err != nil {
-		panic(err.Error())
-	}
-}
-
 // SpatialEntropy computes the spatial entropy S_d of a power map (paper
 // Eq. 3): classes of similar power value from nested-means partitioning,
 // each class weighted by its inter-/intra-class Manhattan distance ratio
-// and its Shannon term. It panics on invalid options or power maps (see
-// EntropyOptions.Validate and ValidatePowerMap).
-func SpatialEntropy(power *geom.Grid, opts EntropyOptions) float64 {
-	opts.defaults()
-	classes := NestedMeansClasses(power, opts)
-	return spatialEntropyFromClasses(power, classes)
+// and its Shannon term. It panics on an invalid power map (see
+// ValidatePowerMap), matching Pearson's grid-mismatch contract; NewEntropyCache
+// serves the same value incrementally.
+func SpatialEntropy(power *geom.Grid) float64 {
+	return spatialEntropyFromClasses(power, NestedMeansClasses(power))
 }
 
 // NestedMeansClasses assigns each bin a class id via nested-means
 // partitioning of the power values: values are recursively bi-partitioned at
 // the current class mean until the within-class standard deviation
-// approaches zero (or MaxDepth is hit). Class ids are dense, starting at 0,
-// ordered by ascending power. It panics on invalid options or power maps.
-func NestedMeansClasses(power *geom.Grid, opts EntropyOptions) []int {
-	opts.defaults()
-	mustEntropyInputs(power, opts)
+// approaches zero (or the depth bound is hit). Class ids are dense, starting
+// at 0, ordered by ascending power. It panics on an invalid power map.
+func NestedMeansClasses(power *geom.Grid) []int {
+	if err := ValidatePowerMap(power); err != nil {
+		panic(err.Error())
+	}
 	n := len(power.Data)
-	globalStd := power.StdDev()
-	stop := opts.StdDevFrac * globalStd
+	stop := entropyStopFrac * power.StdDev()
 
 	items := make([]item, n)
 	for i, v := range power.Data {
@@ -235,7 +193,7 @@ func NestedMeansClasses(power *geom.Grid, opts EntropyOptions) []int {
 	sort.Slice(items, func(a, b int) bool { return items[a].val < items[b].val })
 
 	classOf := make([]int, n)
-	nestedMeansSplit(items, classOf, stop, opts.MaxDepth)
+	nestedMeansSplit(items, classOf, stop)
 	return classOf
 }
 
@@ -249,11 +207,11 @@ func NestedMeansClasses(power *geom.Grid, opts EntropyOptions) []int {
 // value multiset — any tie order in items yields the identical classOf. The
 // EntropyCache relies on this to keep its incrementally maintained sort
 // bit-compatible with the from-scratch sort here.
-func nestedMeansSplit(items []item, classOf []int, stop float64, maxDepth int) int {
+func nestedMeansSplit(items []item, classOf []int, stop float64) int {
 	nextClass := 0
 	var split func(lo, hi, depth int)
 	split = func(lo, hi, depth int) {
-		if hi-lo <= 1 || depth >= maxDepth || stdOf(items[lo:hi]) <= stop {
+		if hi-lo <= 1 || depth >= entropyMaxDepth || stdOf(items[lo:hi]) <= stop {
 			for k := lo; k < hi; k++ {
 				classOf[items[k].idx] = nextClass
 			}
@@ -451,20 +409,4 @@ func prefixSums(v []float64) []float64 {
 		p[i+1] = p[i] + x
 	}
 	return p
-}
-
-// Report bundles the per-die leakage metrics for convenience.
-type Report struct {
-	Die            int
-	Correlation    float64 // r_d, Eq. 1
-	SpatialEntropy float64 // S_d, Eq. 3
-}
-
-// Analyze computes the steady-state metrics for one die.
-func Analyze(die int, power, temp *geom.Grid, opts EntropyOptions) Report {
-	return Report{
-		Die:            die,
-		Correlation:    Pearson(power, temp),
-		SpatialEntropy: SpatialEntropy(power, opts),
-	}
 }

@@ -169,7 +169,7 @@ func TestNestedMeansSeparatesTwoLevels(t *testing.T) {
 		}
 		return 10
 	})
-	classes := NestedMeansClasses(g, EntropyOptions{})
+	classes := NestedMeansClasses(g)
 	seen := map[int]bool{}
 	for _, c := range classes {
 		seen[c] = true
@@ -190,7 +190,7 @@ func TestNestedMeansSeparatesTwoLevels(t *testing.T) {
 
 func TestNestedMeansConstantMapOneClass(t *testing.T) {
 	g := gridOf(4, 4, func(i, j int) float64 { return 7 })
-	classes := NestedMeansClasses(g, EntropyOptions{})
+	classes := NestedMeansClasses(g)
 	for _, c := range classes {
 		if c != 0 {
 			t.Fatal("constant map must be a single class")
@@ -199,23 +199,21 @@ func TestNestedMeansConstantMapOneClass(t *testing.T) {
 }
 
 func TestNestedMeansRespectsMaxDepth(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := gridOf(16, 16, func(i, j int) float64 { return rng.Float64() })
-	classes := NestedMeansClasses(g, EntropyOptions{MaxDepth: 3, StdDevFrac: 1e-12})
-	maxC := 0
-	for _, c := range classes {
-		if c > maxC {
-			maxC = c
-		}
+	// With the stop rule disabled (stop 0) only the depth bound ends the
+	// bi-partitioning: 256 distinct values make exactly 2^5 classes.
+	items := make([]item, 256)
+	for i := range items {
+		items[i] = item{float64(i), i}
 	}
-	if maxC+1 > 8 {
-		t.Fatalf("depth 3 allows at most 8 classes, got %d", maxC+1)
+	classOf := make([]int, len(items))
+	if n := nestedMeansSplit(items, classOf, 0); n != 1<<entropyMaxDepth {
+		t.Fatalf("depth %d allows %d classes, got %d", entropyMaxDepth, 1<<entropyMaxDepth, n)
 	}
 }
 
 func TestSpatialEntropyZeroForConstantMap(t *testing.T) {
 	g := gridOf(8, 8, func(i, j int) float64 { return 3 })
-	if s := SpatialEntropy(g, EntropyOptions{}); s != 0 {
+	if s := SpatialEntropy(g); s != 0 {
 		t.Fatalf("constant map entropy %v, want 0", s)
 	}
 }
@@ -238,8 +236,8 @@ func TestSpatialEntropyPrinciple(t *testing.T) {
 		}
 		return 10
 	})
-	sSeg := SpatialEntropy(seg, EntropyOptions{})
-	sInter := SpatialEntropy(inter, EntropyOptions{})
+	sSeg := SpatialEntropy(seg)
+	sInter := SpatialEntropy(inter)
 	if sInter <= sSeg {
 		t.Fatalf("interleaved (%v) must exceed segregated (%v)", sInter, sSeg)
 	}
@@ -250,8 +248,8 @@ func TestSpatialEntropyMoreGradientsMoreEntropy(t *testing.T) {
 	smooth := gridOf(16, 16, func(i, j int) float64 { return 1 + 0.01*float64(i) })
 	rng := rand.New(rand.NewSource(4))
 	spiky := gridOf(16, 16, func(i, j int) float64 { return rng.Float64() * 10 })
-	sSmooth := SpatialEntropy(smooth, EntropyOptions{})
-	sSpiky := SpatialEntropy(spiky, EntropyOptions{})
+	sSmooth := SpatialEntropy(smooth)
+	sSpiky := SpatialEntropy(spiky)
 	if sSpiky <= sSmooth {
 		t.Fatalf("spiky map (%v) must exceed smooth map (%v)", sSpiky, sSmooth)
 	}
@@ -339,26 +337,11 @@ func TestSumCrossAbsSortedBruteForce(t *testing.T) {
 	}
 }
 
-func TestAnalyzeReport(t *testing.T) {
-	p := gridOf(8, 8, func(i, j int) float64 { return float64(i) })
-	tm := gridOf(8, 8, func(i, j int) float64 { return 300 + float64(i) })
-	rep := Analyze(1, p, tm, EntropyOptions{})
-	if rep.Die != 1 {
-		t.Fatal("die")
-	}
-	if math.Abs(rep.Correlation-1) > 1e-12 {
-		t.Fatalf("correlation %v", rep.Correlation)
-	}
-	if rep.SpatialEntropy <= 0 {
-		t.Fatalf("entropy %v", rep.SpatialEntropy)
-	}
-}
-
 func TestPropertySpatialEntropyNonNegative(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gridOf(8, 8, func(i, j int) float64 { return rng.Float64() * 5 })
-		return SpatialEntropy(g, EntropyOptions{}) >= 0
+		return SpatialEntropy(g) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func TestPropertyNestedMeansClassesOrderedByPower(t *testing.T) {
 		for i := range g.Data {
 			g.Data[i] = rng.Float64() * 10
 		}
-		classes := NestedMeansClasses(g, EntropyOptions{})
+		classes := NestedMeansClasses(g)
 		nC := 0
 		for _, c := range classes {
 			if c+1 > nC {
@@ -74,7 +74,7 @@ func TestPropertyNestedMeansPartitionComplete(t *testing.T) {
 	for i := range g.Data {
 		g.Data[i] = rng.NormFloat64()
 	}
-	classes := NestedMeansClasses(g, EntropyOptions{})
+	classes := NestedMeansClasses(g)
 	if len(classes) != 100 {
 		t.Fatal("every bin must be classified")
 	}
@@ -98,13 +98,13 @@ func TestPropertySpatialEntropyPermutationSensitive(t *testing.T) {
 			}
 		}
 	}
-	sSeg := SpatialEntropy(seg, EntropyOptions{})
+	sSeg := SpatialEntropy(seg)
 	rng := rand.New(rand.NewSource(4))
 	scram := seg.Clone()
 	rng.Shuffle(len(scram.Data), func(a, b int) {
 		scram.Data[a], scram.Data[b] = scram.Data[b], scram.Data[a]
 	})
-	sScram := SpatialEntropy(scram, EntropyOptions{})
+	sScram := SpatialEntropy(scram)
 	if math.Abs(sSeg-sScram) < 1e-6 {
 		t.Fatalf("scrambling should change spatial entropy: %v vs %v", sSeg, sScram)
 	}

@@ -244,10 +244,26 @@ func (d *Design) AdjacencyCount() map[[2]int]int {
 // and at 1e308 W the entropy cache panics. At 1e6 W they are still sound.
 const maxModulePower = 1e6
 
+// The outline and every module side must lie in [minLength, maxLength] µm,
+// and a module's intrinsic delay in [0, maxIntrinsicDelay] ns. The built-in
+// designs stay within a 4000-8000 µm outline, 35-990 µm module sides and
+// 0.047-0.169 ns. Far outside the bounds the flow's float arithmetic breaks
+// on a design that is otherwise valid, and the Result cannot be encoded: an
+// outline of 1e160 µm gives NaN correlations and a -Inf peak temperature,
+// module sides of 1e200 µm or a delay of 1e308 ns an infinite critical
+// delay, and a soft module 8.99e307 µm wide, or one whose area underflows
+// to 0 (sides of 1e-300 µm), a NaN wirelength. A negative delay makes the
+// critical delay read 0.
+const (
+	minLength         = 1e-3
+	maxLength         = 1e6
+	maxIntrinsicDelay = 1e6
+)
+
 // Validate checks structural invariants and returns the first violation.
 func (d *Design) Validate() error {
-	if !positive(d.OutlineW) || !positive(d.OutlineH) {
-		return fmt.Errorf("netlist: non-positive or non-finite outline %gx%g", d.OutlineW, d.OutlineH)
+	if !inLength(d.OutlineW) || !inLength(d.OutlineH) {
+		return fmt.Errorf("netlist: outline %gx%g µm outside [%g, %g] µm", d.OutlineW, d.OutlineH, minLength, maxLength)
 	}
 	if d.Dies < 1 {
 		return fmt.Errorf("netlist: need at least one die, got %d", d.Dies)
@@ -264,8 +280,8 @@ func (d *Design) Validate() error {
 			return fmt.Errorf("netlist: duplicate module name %q", m.Name)
 		}
 		names[m.Name] = true
-		if !positive(m.W) || !positive(m.H) {
-			return fmt.Errorf("netlist: module %q has non-positive or non-finite footprint %gx%g", m.Name, m.W, m.H)
+		if !inLength(m.W) || !inLength(m.H) {
+			return fmt.Errorf("netlist: module %q footprint %gx%g µm outside [%g, %g] µm", m.Name, m.W, m.H, minLength, maxLength)
 		}
 		if m.Power < 0 || !finite(m.Power) {
 			return fmt.Errorf("netlist: module %q has negative or non-finite power %g", m.Name, m.Power)
@@ -273,8 +289,8 @@ func (d *Design) Validate() error {
 		if m.Power > maxModulePower {
 			return fmt.Errorf("netlist: module %q power %g W exceeds the %g W bound", m.Name, m.Power, maxModulePower)
 		}
-		if !finite(m.IntrinsicDelay) {
-			return fmt.Errorf("netlist: module %q has non-finite intrinsic delay %g", m.Name, m.IntrinsicDelay)
+		if !(m.IntrinsicDelay >= 0 && m.IntrinsicDelay <= maxIntrinsicDelay) {
+			return fmt.Errorf("netlist: module %q intrinsic delay %g ns outside [0, %g] ns", m.Name, m.IntrinsicDelay, maxIntrinsicDelay)
 		}
 		if !finite(m.MinAspect) || !finite(m.MaxAspect) ||
 			m.Kind == Soft && (m.MinAspect <= 0 || m.MaxAspect < m.MinAspect) {
@@ -317,8 +333,9 @@ func (d *Design) Validate() error {
 // alone would pass NaN, since every comparison with NaN is false.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// positive reports whether v is finite and greater than zero.
-func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+// inLength reports whether a length in µm lies within [minLength, maxLength];
+// NaN does not.
+func inLength(v float64) bool { return v >= minLength && v <= maxLength }
 
 // DegreeHistogram returns net degree -> count, with keys sorted ascending in
 // DegreeList.

@@ -271,3 +271,44 @@ func TestValidatePowerBound(t *testing.T) {
 		t.Fatalf("error %q does not name the module and the bound", msg)
 	}
 }
+
+// TestValidateLengthAndDelayBounds: the outline, each module side and the
+// intrinsic delay pass at their bounds and fail just past them, with an
+// error naming the module (or the outline) and the bounds. A negative delay
+// fails too: the timing model would report a zero critical delay for it.
+func TestValidateLengthAndDelayBounds(t *testing.T) {
+	above := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
+	below := func(v float64) float64 { return math.Nextafter(v, math.Inf(-1)) }
+	for _, tc := range []struct {
+		name      string
+		set       func(d *Design, v float64)
+		bound     float64
+		past      float64
+		wantParts []string
+	}{
+		{"outline W max", func(d *Design, v float64) { d.OutlineW = v }, maxLength, above(maxLength), []string{"outline", "1e+06] µm"}},
+		{"outline H max", func(d *Design, v float64) { d.OutlineH = v }, maxLength, above(maxLength), []string{"outline", "1e+06] µm"}},
+		{"module W max", func(d *Design, v float64) { d.Modules[0].W = v }, maxLength, above(maxLength), []string{`"a"`, "1e+06] µm"}},
+		{"module H max", func(d *Design, v float64) { d.Modules[1].H = v }, maxLength, above(maxLength), []string{`"b"`, "1e+06] µm"}},
+		{"module W min", func(d *Design, v float64) { d.Modules[2].W = v }, minLength, below(minLength), []string{`"c"`, "[0.001, 1e+06] µm"}},
+		{"delay max", func(d *Design, v float64) { d.Modules[2].IntrinsicDelay = v }, maxIntrinsicDelay, above(maxIntrinsicDelay), []string{`"c"`, "1e+06] ns"}},
+		{"delay min", func(d *Design, v float64) { d.Modules[2].IntrinsicDelay = v }, 0, -5, []string{`"c"`, "[0, 1e+06] ns"}},
+	} {
+		d := smallDesign()
+		tc.set(d, tc.bound)
+		if err := d.Validate(); err != nil {
+			t.Errorf("%s at the bound %g rejected: %v", tc.name, tc.bound, err)
+		}
+		tc.set(d, tc.past)
+		err := d.Validate()
+		if err == nil {
+			t.Errorf("%s %g past the bound accepted", tc.name, tc.past)
+			continue
+		}
+		for _, part := range tc.wantParts {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("%s: error %q does not name %s", tc.name, err, part)
+			}
+		}
+	}
+}

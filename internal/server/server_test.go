@@ -505,14 +505,23 @@ func TestWorkerPanicFailsJob(t *testing.T) {
 func TestQueueBoundsAndValidation(t *testing.T) {
 	// emptyDesign and flatDesign pass Design.Validate, but the flow cannot
 	// run either; a zero-module sweep used to panic on a sweep worker and
-	// end the daemon. hotDesign fails Design.Validate on its module power.
+	// end the daemon. hotDesign fails Design.Validate on its module power,
+	// and oneModule's hostile variants on its outline, sides or delay: each
+	// used to run the whole flow and fail the job when its Result would not
+	// encode (or, at -5 ns, report a zero critical delay).
 	const (
 		emptyDesign = `{"name": "empty", "dies": 2, "outline_w_um": 100, "outline_h_um": 100}`
 		flatDesign  = `{"name": "flat", "dies": 1, "outline_w_um": 100, "outline_h_um": 100,
 			"modules": [{"name": "a", "kind": "hard", "w_um": 10, "h_um": 10, "power_w": 1}]}`
 		hotDesign = `{"name": "hot", "dies": 2, "outline_w_um": 100, "outline_h_um": 100,
 			"modules": [{"name": "a", "kind": "hard", "w_um": 10, "h_um": 10, "power_w": 1e7}]}`
+		oneModule = `{"name": "one", "dies": 2, "outline_w_um": %g, "outline_h_um": %g,
+			"modules": [{"name": "a", "kind": "soft", "w_um": %g, "h_um": %g, "min_aspect": 0.5, "max_aspect": 2,
+			"power_w": 1, "intrinsic_delay_ns": %g}]}`
 	)
+	hostile := func(outline, w, h, delay float64) string {
+		return `{"design": ` + fmt.Sprintf(oneModule, outline, outline, w, h, delay) + `}`
+	}
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1, MaxBodyBytes: 4096})
 
 	blocker, _ := submit(t, ts, `{"benchmark": "n100", "options": {"iterations": 100000000, "grid_n": 12}}`)
@@ -540,6 +549,13 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		"zero-module sweep":    `{"design": ` + emptyDesign + `, "sweep": {"seeds": [1, 2]}}`,
 		"single die":           `{"design": ` + flatDesign + `}`,
 		"module power 1e7 W":   `{"design": ` + hotDesign + `}`,
+		"outline 1e160 um":     hostile(1e160, 10, 10, 0.1),
+		"module sides 1e200":   hostile(100, 1e200, 1e200, 0.1),
+		"soft width 8.99e307":  hostile(100, 8.99e307, 10, 0.1),
+		"delay 1e308 ns":       hostile(100, 10, 10, 1e308),
+		"delay -5 ns":          hostile(100, 10, 10, -5),
+		"grid_n 1":             `{"benchmark": "n100", "options": {"grid_n": 1}}`,
+		"activity_sigma 1e300": `{"benchmark": "n100", "options": {"activity_sigma": 1e300}}`,
 		"unknown field":        `{"benchmark": "n100", "bogus": 1}`,
 		"truncated":            `{"benchmark": "n1`,
 	} {

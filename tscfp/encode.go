@@ -45,74 +45,14 @@ type Result struct {
 	raw *core.Result
 }
 
-// RunStats reports a run's computational effort. The counts are
-// deterministic for a fixed seed and configuration (they follow the move
-// sequence and acceptance decisions), but unlike the layout and metrics
-// they describe evaluator/solver effort — zero the struct when diffing
-// reports across seeds, budgets, or evaluator settings.
-type RunStats struct {
-	// Evals counts annealing-loop cost evaluations; IncrementalEvals of
-	// those were served from the incremental caches, FullEvals rebuilt every
-	// term from scratch.
-	Evals            int `json:"evals"`
-	FullEvals        int `json:"full_evals"`
-	IncrementalEvals int `json:"incremental_evals"`
-	// VoltRefreshes counts voltage-assignment re-runs (the VoltEvery
-	// stride).
-	VoltRefreshes int `json:"volt_refreshes"`
-	// EntropyPatched/EntropyRebuilt count per-die spatial-entropy refreshes
-	// served by patching the entropy cache vs rebuilt from scratch;
-	// EntropyCrossChecks the patched-vs-full comparisons (0 unless
-	// WithCostCrossCheck).
-	EntropyPatched     int `json:"entropy_patched"`
-	EntropyRebuilt     int `json:"entropy_rebuilt"`
-	EntropyCrossChecks int `json:"entropy_cross_checks"`
-	// DiesRepacked/DiesReused count per-die skyline packings run vs skipped;
-	// NetsRecomputed/NetsReused the per-net wirelength+delay refreshes;
-	// ResponsesComputed/ResponsesReused the per-source thermal blurs.
-	DiesRepacked      int `json:"dies_repacked"`
-	DiesReused        int `json:"dies_reused"`
-	NetsRecomputed    int `json:"nets_recomputed"`
-	NetsReused        int `json:"nets_reused"`
-	ResponsesComputed int `json:"responses_computed"`
-	ResponsesReused   int `json:"responses_reused"`
-	// SolverSweeps/SolverResidual/SolverConverged describe the detailed
-	// thermal verification solve of the finalize stage.
-	SolverSweeps    int     `json:"solver_sweeps"`
-	SolverResidual  float64 `json:"solver_residual"`
-	SolverConverged bool    `json:"solver_converged"`
-	// ReplicaCount and the repl_* counters describe a WithReplicas run:
-	// the chain count, the Metropolis temperature-swap attempts/accepts
-	// across the ladder, and the index of the chain whose floorplan won.
-	// All zero (and omitted) on the serial path, which keeps serial result
-	// encodings byte-identical to earlier releases.
-	ReplicaCount        int `json:"repl_replicas,omitempty"`
-	ReplicaSwapAttempts int `json:"repl_swap_attempts,omitempty"`
-	ReplicaSwapAccepts  int `json:"repl_swap_accepts,omitempty"`
-	ReplicaBest         int `json:"repl_best,omitempty"`
-	// SpecWorkers and the spec_* counters describe WithSpeculation:
-	// the candidate width, batches evaluated, batches that committed an
-	// acceptance, and candidate evaluations discarded. Omitted when zero.
-	SpecWorkers   int `json:"spec_workers,omitempty"`
-	SpecBatches   int `json:"spec_batches,omitempty"`
-	SpecCommits   int `json:"spec_commits,omitempty"`
-	SpecDiscarded int `json:"spec_discarded,omitempty"`
-	// The pack_* churn counters describe the exact-diff repack contract
-	// (WithChurnStats; omitted otherwise so default encodings stay
-	// byte-identical). PackMoves counts moves evaluated through the
-	// diff-producing packer, PackDieDiffs the per-die diffs they ran, and
-	// PackReplayedPositions the sequence positions re-placed (each diff
-	// replays from its resume point to the die's end). PackChangedModules
-	// totals the modules whose placement a move really changed — the exact
-	// dirty set the per-net and per-die caches consume — with
-	// PackChangedP50/P95 the per-move distribution's percentiles.
-	PackMoves             int `json:"pack_moves,omitempty"`
-	PackDieDiffs          int `json:"pack_die_diffs,omitempty"`
-	PackReplayedPositions int `json:"pack_replayed_positions,omitempty"`
-	PackChangedModules    int `json:"pack_changed_modules,omitempty"`
-	PackChangedP50        int `json:"pack_changed_p50,omitempty"`
-	PackChangedP95        int `json:"pack_changed_p95,omitempty"`
-}
+// RunStats reports a run's computational effort: annealing-loop evaluation
+// counts (and how much work the incremental caches avoided), the parallel
+// annealer's ladder and batch counts, and the detailed verification solve.
+// Each field's wire key is listed in docs/ARCHITECTURE.md, "Result.Stats
+// keys". The counts are deterministic for a fixed seed and configuration,
+// but they describe effort, not the design — zero the struct when diffing
+// reports across seeds, budgets or evaluator settings.
+type RunStats = core.RunStats
 
 // PlacedModule is one module of the final layout.
 type PlacedModule struct {
@@ -143,45 +83,15 @@ type VoltageVolume struct {
 	VoltageV float64 `json:"voltage_v"`
 }
 
-// DieMetrics bundles the per-die leakage measurements.
-type DieMetrics struct {
-	// R is the power-temperature correlation (Eq. 1, detailed analysis).
-	R float64 `json:"r"`
-	// S is the spatial entropy of the power map (Eq. 3).
-	S float64 `json:"s"`
-	// SVF is the side-channel vulnerability factor (0 when post-processing
-	// is disabled).
-	SVF float64 `json:"svf"`
-	// MeanStability is the mean absolute per-bin stability (Eq. 2).
-	MeanStability float64 `json:"mean_stability"`
-}
+// DieMetrics bundles one die's leakage measurements: the power-temperature
+// correlation r (Eq. 1), the spatial entropy S (Eq. 3), the side-channel
+// vulnerability factor and the mean correlation stability (Eq. 2).
+type DieMetrics = core.DieMetrics
 
-// Metrics mirrors one column pair of the paper's Table 2.
-type Metrics struct {
-	PerDie []DieMetrics `json:"per_die"`
-
-	S1 float64 `json:"s1"`
-	S2 float64 `json:"s2"`
-	R1 float64 `json:"r1"`
-	R2 float64 `json:"r2"`
-
-	PowerW         float64 `json:"power_w"`
-	CriticalNS     float64 `json:"critical_ns"`
-	WirelengthM    float64 `json:"wirelength_m"`
-	PeakTempK      float64 `json:"peak_temp_k"`
-	SignalTSVs     int     `json:"signal_tsvs"`
-	DummyTSVs      int     `json:"dummy_tsvs"`
-	VoltageVolumes int     `json:"voltage_volumes"`
-	RuntimeSec     float64 `json:"runtime_sec"`
-
-	PostCorrelationBefore float64 `json:"post_correlation_before"`
-	PostCorrelationAfter  float64 `json:"post_correlation_after"`
-
-	SVF1           float64 `json:"svf1"`
-	SVF2           float64 `json:"svf2"`
-	MeanStability1 float64 `json:"mean_stability1"`
-	MeanStability2 float64 `json:"mean_stability2"`
-}
+// Metrics mirrors one column pair of the paper's Table 2: per-die leakage
+// metrics, with S1/S2, R1/R2, SVF1/SVF2 and MeanStability1/2 aliasing the
+// bottom and top dies, and the design cost.
+type Metrics = core.Metrics
 
 // JSON returns the indented JSON encoding of the result. Encoding is
 // deterministic: the same run (same design, seed, options) yields
@@ -233,8 +143,9 @@ func ReadResultFile(path string) (*Result, error) {
 	return ReadResult(f)
 }
 
-// Validate checks the result's structural consistency (map sizes, die
-// indices, metric aliases).
+// Validate checks the result's structural consistency: map sizes, die
+// indices, and that the metric aliases (S1/R1/SVF1/MeanStability1 and their
+// "2" forms) equal the bottom and top dies' per-die metrics exactly.
 func (r *Result) Validate() error {
 	if r.Dies < 1 {
 		return fmt.Errorf("tscfp: result has bad die count %d", r.Dies)
@@ -258,8 +169,25 @@ func (r *Result) Validate() error {
 			return fmt.Errorf("tscfp: module %s placed on die %d of %d", m.Name, m.Die, r.Dies)
 		}
 	}
-	if len(r.Metrics.PerDie) != r.Dies {
-		return fmt.Errorf("tscfp: metrics cover %d dies, want %d", len(r.Metrics.PerDie), r.Dies)
+	m := &r.Metrics
+	if len(m.PerDie) != r.Dies {
+		return fmt.Errorf("tscfp: metrics cover %d dies, want %d", len(m.PerDie), r.Dies)
+	}
+	bottom, top := m.PerDie[0], m.PerDie[r.Dies-1]
+	for _, a := range []struct {
+		key        string
+		die        int
+		alias, per float64
+	}{
+		{"s1", 0, m.S1, bottom.S}, {"r1", 0, m.R1, bottom.R},
+		{"svf1", 0, m.SVF1, bottom.SVF}, {"mean_stability1", 0, m.MeanStability1, bottom.MeanStability},
+		{"s2", r.Dies - 1, m.S2, top.S}, {"r2", r.Dies - 1, m.R2, top.R},
+		{"svf2", r.Dies - 1, m.SVF2, top.SVF}, {"mean_stability2", r.Dies - 1, m.MeanStability2, top.MeanStability},
+	} {
+		//lint:floateq an alias is a copy of its per-die value, and JSON round-trips a float64 exactly
+		if a.alias != a.per {
+			return fmt.Errorf("tscfp: metrics %s %v differs from die %d's %v", a.key, a.alias, a.die, a.per)
+		}
 	}
 	return nil
 }

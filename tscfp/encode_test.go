@@ -3,6 +3,7 @@ package tscfp
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,39 @@ func TestResultDecodeTruncated(t *testing.T) {
 		"metrics":{"per_die":[]},"power_maps":[],"temp_maps":[]}`
 	if _, err := ReadResult(strings.NewReader(bad)); err == nil {
 		t.Fatal("result with missing maps validated without error")
+	}
+}
+
+// TestResultDecodeTamperedAlias: ReadResult rejects a result whose two-die
+// metric aliases disagree with its per-die metrics, one tampered alias at a
+// time, and accepts the untampered document.
+func TestResultDecodeTamperedAlias(t *testing.T) {
+	res := &Result{Dies: 3, GridN: 1,
+		PowerMaps: [][]float64{{1}, {2}, {3}}, TempMaps: [][]float64{{300}, {301}, {302}}}
+	m := &res.Metrics
+	m.PerDie = []DieMetrics{{R: 0.1, S: 0.2, SVF: 0.3, MeanStability: 0.4}, {R: 9, S: 9, SVF: 9, MeanStability: 9},
+		{R: 0.5, S: 0.6, SVF: 0.7, MeanStability: 0.8}}
+	m.R1, m.S1, m.SVF1, m.MeanStability1 = 0.1, 0.2, 0.3, 0.4
+	m.R2, m.S2, m.SVF2, m.MeanStability2 = 0.5, 0.6, 0.7, 0.8
+	decode := func() error {
+		t.Helper()
+		data, err := res.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadResult(bytes.NewReader(data))
+		return err
+	}
+	if err := decode(); err != nil {
+		t.Fatalf("consistent result rejected: %v", err)
+	}
+	for _, f := range []*float64{&m.S1, &m.R1, &m.SVF1, &m.MeanStability1, &m.S2, &m.R2, &m.SVF2, &m.MeanStability2} {
+		orig := *f
+		*f = math.Nextafter(orig, 1)
+		if err := decode(); err == nil {
+			t.Errorf("alias tampered from %v to %v accepted", orig, *f)
+		}
+		*f = orig
 	}
 }
 

@@ -44,14 +44,20 @@ type RunOptions struct {
 	Speculation int `json:"speculation,omitempty"`
 }
 
+// maxActivitySigma bounds the relative power sigma of the activity model,
+// 100 times the paper's 0.10. At 1e300 the sampled powers overflow the
+// leakage metrics, and the SVF and stability read NaN.
+const maxActivitySigma = 10
+
 // Canonical validates the knob set and returns a normalized copy. It is
 // the one validator of the knobs: NewFlow, Options and tscfpd's admission
 // all go through it. It rejects unknown mode and criterion spellings,
 // negative counts and NaN/±Inf floats (which JSON cannot carry, so a flow
-// would run to completion and only fail to encode its Result), naming the
-// knob in each error. It expands spellings to their full forms ("tsc"
-// becomes "tsc-aware") and normalizes Replicas and Speculation 1 to 0, the
-// other spelling of one replica or one copy. Two RunOptions that configure
+// would run to completion and only fail to encode its Result), a grid_n of
+// 1 (the thermal model panics below 2x2) and an activity_sigma outside
+// [0, 10], naming the knob in each error. It expands spellings to their
+// full forms ("tsc" becomes "tsc-aware") and normalizes Replicas and
+// Speculation 1 to 0, the other spelling of one replica or one copy. Two RunOptions that configure
 // the same flow canonicalize to identical JSON, making the result a safe
 // content-address component.
 func (o RunOptions) Canonical() (RunOptions, error) {
@@ -100,6 +106,12 @@ func (o RunOptions) Canonical() (RunOptions, error) {
 		if math.IsNaN(k.v) || math.IsInf(k.v, 0) {
 			return RunOptions{}, fmt.Errorf("tscfp: non-finite %s %v", k.name, k.v)
 		}
+	}
+	if o.GridN == 1 {
+		return RunOptions{}, fmt.Errorf("tscfp: grid_n 1 is below the thermal model's 2x2 grid")
+	}
+	if o.ActivitySigma < 0 || o.ActivitySigma > maxActivitySigma {
+		return RunOptions{}, fmt.Errorf("tscfp: activity_sigma %v outside [0, %v]", o.ActivitySigma, maxActivitySigma)
 	}
 	if o.Replicas == 1 {
 		o.Replicas = 0
@@ -152,7 +164,7 @@ func (o RunOptions) config() core.Config {
 		cfg.PostProcess = &pp
 	}
 	if o.Weights != nil {
-		w := core.Weights(*o.Weights)
+		w := *o.Weights
 		cfg.Weights = &w
 	}
 	if o.Parallelism != nil {

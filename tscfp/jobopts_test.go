@@ -3,7 +3,9 @@ package tscfp
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -222,5 +224,29 @@ func TestRunOptionsAllKnobs(t *testing.T) {
 	}
 	if _, err := NewFlow(MustBenchmark("n100"), WithIterations(-5)); err == nil {
 		t.Fatal("negative iterations accepted by NewFlow")
+	}
+}
+
+// TestRunOptionsRangeBounds: Canonical accepts grid_n 2 and activity_sigma
+// at both ends of [0, 10], and rejects grid_n 1 (the thermal model panics
+// below a 2x2 grid) and a sigma past either end (at 1e300 the sampled
+// powers overflow the leakage metrics), naming the knob.
+func TestRunOptionsRangeBounds(t *testing.T) {
+	for _, o := range []RunOptions{{GridN: 2}, {ActivitySigma: 10}, {ActivitySigma: 0}} {
+		if _, err := o.Canonical(); err != nil {
+			t.Errorf("%+v rejected: %v", o, err)
+		}
+	}
+	for _, tc := range []struct {
+		knob string
+		o    RunOptions
+	}{
+		{"grid_n", RunOptions{GridN: 1}},
+		{"activity_sigma", RunOptions{ActivitySigma: math.Nextafter(10, 11)}},
+		{"activity_sigma", RunOptions{ActivitySigma: -0.1}},
+	} {
+		if _, err := tc.o.Canonical(); err == nil || !strings.Contains(err.Error(), tc.knob) {
+			t.Errorf("%+v: Canonical returned %v, want an error naming %s", tc.o, err, tc.knob)
+		}
 	}
 }

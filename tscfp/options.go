@@ -55,34 +55,24 @@ const (
 )
 
 // Weights are the multi-objective cost weights; see core's documentation for
-// the paper grounding. The zero value selects the mode's defaults.
-type Weights struct {
-	OutlineViolation float64 `json:"outline_violation"`
-	Wirelength       float64 `json:"wirelength"`
-	CriticalDelay    float64 `json:"critical_delay"`
-	PeakTemp         float64 `json:"peak_temp"`
-	Power            float64 `json:"power"`
-	VoltageVolumes   float64 `json:"voltage_volumes"`
-	Correlation      float64 `json:"correlation"`
-	SpatialEntropy   float64 `json:"spatial_entropy"`
-	DesignRule       float64 `json:"design_rule"`
-}
+// the paper grounding. Start from DefaultWeights when adjusting one term.
+type Weights = core.Weights
 
 // Stage identifies one phase of the flow in progress events.
-type Stage string
+type Stage = core.Stage
 
 const (
 	// StageAnneal is the simulated-annealing floorplanning search.
-	StageAnneal Stage = Stage(core.StageAnneal)
+	StageAnneal = core.StageAnneal
 	// StageFinalize covers TSV planning, voltage assignment, and detailed
 	// thermal verification.
-	StageFinalize Stage = Stage(core.StageFinalize)
+	StageFinalize = core.StageFinalize
 	// StageSampling is the activity-sampling loop of post-processing.
-	StageSampling Stage = Stage(core.StageSampling)
+	StageSampling = core.StageSampling
 	// StagePostProcess is the iterative dummy-TSV insertion (Sec. 6.2).
-	StagePostProcess Stage = Stage(core.StagePostProcess)
+	StagePostProcess = core.StagePostProcess
 	// StageDone fires once, after metrics are final.
-	StageDone Stage = Stage(core.StageDone)
+	StageDone = core.StageDone
 )
 
 // Event is one progress update from a running flow. Done/Total count
@@ -94,28 +84,21 @@ const (
 // Event marshals to stable JSON, so serving layers (tscfpd's SSE stream)
 // forward flow progress verbatim instead of mirroring it into an ad-hoc
 // wire struct.
-type Event struct {
-	Stage Stage   `json:"stage"`
-	Done  int     `json:"done"`
-	Total int     `json:"total"`
-	Cost  float64 `json:"cost"`
-}
+type Event = core.ProgressEvent
 
 // settings accumulates option values before a Flow is built: the knob set
-// every With* option writes, plus the callback and the two debug switches
-// that have no wire form.
+// every With* option writes, plus the callback and the debug switch that
+// have no wire form.
 type settings struct {
 	RunOptions
 	progress   func(Event)
 	crossCheck bool  // WithCostCrossCheck
-	churnStats bool  // WithChurnStats: surface pack_* churn counters
 	err        error // WithMode's eager spelling check
 }
 
 // Option configures a Flow (and, through Grid.Options, every Sweep cell).
 // Each option sets one field of the RunOptions knob set, except
-// WithProgress, WithCostCrossCheck and WithChurnStats, which have no wire
-// form. NewFlow then validates the knob set through RunOptions.Canonical,
+// WithProgress and WithCostCrossCheck, which have no wire form. NewFlow then validates the knob set through RunOptions.Canonical,
 // so a negative count or a NaN/±Inf float fails there, naming the knob.
 type Option func(*settings)
 
@@ -228,7 +211,7 @@ func DefaultWeights(m Mode) Weights {
 	if err != nil {
 		panic(err)
 	}
-	return Weights(core.DefaultWeights(pm.core()))
+	return core.DefaultWeights(pm.core())
 }
 
 // WithProgress installs a per-stage progress callback. The callback runs
@@ -289,14 +272,4 @@ func WithSpeculation(m int) Option {
 // incremental speedup.
 func WithCostCrossCheck(enabled bool) Option {
 	return func(s *settings) { s.crossCheck = enabled }
-}
-
-// WithChurnStats surfaces the exact-diff repack churn counters in
-// Result.Stats: the pack_* fields (moves through the diff packer, per-die
-// diffs, replayed positions, changed-module totals and p50/p95 per move).
-// The counters are always collected; this knob only controls whether they
-// appear on the wire, so the default JSON encoding stays byte-identical to
-// earlier releases. Default off.
-func WithChurnStats(enabled bool) Option {
-	return func(s *settings) { s.churnStats = enabled }
 }

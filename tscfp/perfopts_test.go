@@ -75,65 +75,30 @@ func TestIncrementalTogglesAgree(t *testing.T) {
 	}
 }
 
-// TestChurnStatsWire pins the churn-counter wire contract: the pack_* keys
-// are absent from the JSON encoding unless WithChurnStats opts in (keeping
-// default encodings byte-identical across the exact-diff rollout), and an
-// opted-in incremental run reports real churn — moves, die diffs, changed
-// modules, and ordered percentiles.
+// TestChurnStatsWire pins the churn-counter contract: the exact-diff
+// repack counters are core-only diagnostics, so no pack_* key ever reaches
+// the Result encoding, while Core().EvalStats reports real churn — moves,
+// die diffs, changed modules and ordered percentiles.
 func TestChurnStatsWire(t *testing.T) {
-	design := MustBenchmark("n100")
-	run := func(opts ...Option) *Result {
-		t.Helper()
-		all := append([]Option{
-			WithMode(TSCAware),
-			WithIterations(120),
-			WithGridN(16),
-			WithPostProcess(false),
-			WithSeed(5),
-		}, opts...)
-		res, err := Run(context.Background(), design, all...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	res, err := Run(context.Background(), MustBenchmark("n100"),
+		WithMode(TSCAware), WithIterations(120), WithGridN(16),
+		WithPostProcess(false), WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	plain := run()
-	data, err := plain.JSON()
+	data, err := res.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(data, []byte(`"pack_`)) {
-		t.Fatal("pack_* churn keys leaked into the default encoding")
+		t.Fatal("pack_* churn keys leaked into the encoding")
 	}
-	if plain.Stats.PackMoves != 0 {
-		t.Fatalf("churn counters surfaced without WithChurnStats: %+v", plain.Stats)
-	}
-	churn := run(WithChurnStats(true))
-	s := churn.Stats
+	s := &res.Core().EvalStats
 	if s.PackMoves == 0 || s.PackDieDiffs == 0 || s.PackChangedModules == 0 {
-		t.Fatalf("opted-in run reported no churn: %+v", s)
+		t.Fatalf("run reported no churn: %+v", s)
 	}
-	if s.PackChangedP50 <= 0 || s.PackChangedP95 < s.PackChangedP50 {
-		t.Fatalf("percentiles not ordered: p50=%d p95=%d", s.PackChangedP50, s.PackChangedP95)
-	}
-	data, err = churn.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte(`"pack_moves"`)) {
-		t.Fatal("WithChurnStats did not surface pack_* keys in the encoding")
-	}
-	// The knob changes reporting only, never the walk.
-	canon := func(r *Result) string {
-		r.Metrics.RuntimeSec = 0
-		r.Stats = RunStats{}
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	if canon(plain) != canon(churn) {
-		t.Fatal("WithChurnStats changed the annealing walk")
+	p50, p95 := s.PackChangedPercentile(0.50), s.PackChangedPercentile(0.95)
+	if p50 <= 0 || p95 < p50 {
+		t.Fatalf("percentiles not ordered: p50=%d p95=%d", p50, p95)
 	}
 }

@@ -3,6 +3,7 @@ package tscfp
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -22,9 +23,6 @@ type Flow struct {
 	// (WithParallelism or RunOptions.Parallelism); Sweep respects it when
 	// defaulting pooled cells to serial per-run parallelism.
 	parSet bool
-	// churn surfaces the pack_* churn counters in Result.Stats
-	// (WithChurnStats).
-	churn bool
 }
 
 // NewFlow binds a design to a set of options. Validation happens here, not
@@ -65,7 +63,7 @@ func NewFlow(design *Design, opts ...Option) (*Flow, error) {
 		mode = TSCAware
 	}
 	return &Flow{design: design, mode: mode, cfg: cfg, progress: s.progress,
-		parSet: c.Parallelism != nil, churn: s.churnStats}, nil
+		parSet: c.Parallelism != nil}, nil
 }
 
 // Mode returns the flow's configured mode.
@@ -82,17 +80,12 @@ func (f *Flow) Design() *Design { return f.design }
 // partial Result.
 func (f *Flow) Run(ctx context.Context) (*Result, error) {
 	cfg := f.cfg // per-run copy: core mutates defaults in place
-	if f.progress != nil {
-		prog := f.progress
-		cfg.Progress = func(ev core.ProgressEvent) {
-			prog(Event{Stage: Stage(ev.Stage), Done: ev.Done, Total: ev.Total, Cost: ev.Cost})
-		}
-	}
+	cfg.Progress = f.progress
 	res, err := core.RunContext(ctx, f.design.d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(res, f.mode, f.cfg.Seed, f.churn), nil
+	return newResult(res, f.mode, f.cfg.Seed), nil
 }
 
 // Run is the one-call convenience wrapper: NewFlow + Flow.Run.
@@ -106,7 +99,7 @@ func Run(ctx context.Context, design *Design, opts ...Option) (*Result, error) {
 
 // newResult snapshots a completed internal run into the public, JSON-stable
 // Result shape.
-func newResult(res *core.Result, mode Mode, seed int64, churn bool) *Result {
+func newResult(res *core.Result, mode Mode, seed int64) *Result {
 	r := &Result{
 		Benchmark: res.Design.Name,
 		Mode:      mode,
@@ -116,43 +109,11 @@ func newResult(res *core.Result, mode Mode, seed int64, churn bool) *Result {
 		OutlineH:  res.Layout.OutlineH,
 		GridN:     res.PowerMaps[0].NX,
 		Legal:     res.Layout.Legal(),
-		Metrics:   newMetrics(&res.Metrics),
-		Stats: RunStats{
-			Evals:               res.EvalStats.Evals,
-			FullEvals:           res.EvalStats.FullEvals,
-			IncrementalEvals:    res.EvalStats.IncrementalEvals,
-			VoltRefreshes:       res.EvalStats.VoltRefreshes,
-			EntropyPatched:      res.EvalStats.EntropyPatched,
-			EntropyRebuilt:      res.EvalStats.EntropyRebuilt,
-			EntropyCrossChecks:  res.EvalStats.EntropyCrossChecks,
-			DiesRepacked:        res.EvalStats.DiesRepacked,
-			DiesReused:          res.EvalStats.DiesReused,
-			NetsRecomputed:      res.EvalStats.NetsRecomputed,
-			NetsReused:          res.EvalStats.NetsReused,
-			ResponsesComputed:   res.EvalStats.ResponsesComputed,
-			ResponsesReused:     res.EvalStats.ResponsesReused,
-			SolverSweeps:        res.SolverStats.Sweeps,
-			SolverResidual:      res.SolverStats.Residual,
-			SolverConverged:     res.SolverStats.Converged,
-			ReplicaCount:        res.EvalStats.Replicas,
-			ReplicaSwapAttempts: res.EvalStats.ReplicaSwapAttempts,
-			ReplicaSwapAccepts:  res.EvalStats.ReplicaSwapAccepts,
-			ReplicaBest:         res.EvalStats.ReplicaBest,
-			SpecWorkers:         res.EvalStats.SpecWorkers,
-			SpecBatches:         res.EvalStats.SpecBatches,
-			SpecCommits:         res.EvalStats.SpecCommits,
-			SpecDiscarded:       res.EvalStats.SpecDiscarded,
-		},
-		raw: res,
+		Metrics:   res.Metrics,
+		Stats:     res.EvalStats.RunStats,
+		raw:       res,
 	}
-	if churn {
-		r.Stats.PackMoves = res.EvalStats.PackMoves
-		r.Stats.PackDieDiffs = res.EvalStats.PackDieDiffs
-		r.Stats.PackReplayedPositions = res.EvalStats.PackReplayedPositions
-		r.Stats.PackChangedModules = res.EvalStats.PackChangedModules
-		r.Stats.PackChangedP50 = res.EvalStats.PackChangedPercentile(0.50)
-		r.Stats.PackChangedP95 = res.EvalStats.PackChangedPercentile(0.95)
-	}
+	r.Metrics.PerDie = slices.Clone(res.Metrics.PerDie)
 	for mi, m := range res.Design.Modules {
 		rect := res.Layout.Rects[mi]
 		r.Modules = append(r.Modules, PlacedModule{
@@ -179,32 +140,6 @@ func newResult(res *core.Result, mode Mode, seed int64, churn bool) *Result {
 		r.TempMaps = append(r.TempMaps, append([]float64(nil), res.TempMaps[d].Data...))
 	}
 	return r
-}
-
-func newMetrics(m *core.Metrics) Metrics {
-	out := Metrics{
-		S1: m.S1, S2: m.S2, R1: m.R1, R2: m.R2,
-		PowerW:                m.PowerW,
-		CriticalNS:            m.CriticalNS,
-		WirelengthM:           m.WirelengthM,
-		PeakTempK:             m.PeakTempK,
-		SignalTSVs:            m.SignalTSVs,
-		DummyTSVs:             m.DummyTSVs,
-		VoltageVolumes:        m.VoltageVolumes,
-		RuntimeSec:            m.RuntimeSec,
-		PostCorrelationBefore: m.PostCorrelationBefore,
-		PostCorrelationAfter:  m.PostCorrelationAfter,
-		SVF1:                  m.SVF1,
-		SVF2:                  m.SVF2,
-		MeanStability1:        m.MeanStability1,
-		MeanStability2:        m.MeanStability2,
-	}
-	for _, d := range m.PerDie {
-		out.PerDie = append(out.PerDie, DieMetrics{
-			R: d.R, S: d.S, SVF: d.SVF, MeanStability: d.MeanStability,
-		})
-	}
-	return out
 }
 
 // PowerGrid reconstructs die d's power map (W per cell) from the snapshot.
