@@ -21,7 +21,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/thermal"
-	"repro/internal/timing"
 	"repro/internal/tsv"
 	"repro/internal/volt"
 )
@@ -112,16 +111,11 @@ type Config struct {
 	VoltEvery int
 	// ActivitySamples is m of Eq. 2; the paper uses 100. Default 100.
 	ActivitySamples int
-	// ActivitySigma is the relative power sigma; the paper uses 0.10.
-	ActivitySigma float64
 	// PostProcess enables the dummy-TSV insertion stage (TSC mode).
 	// Nil defaults to true in TSC mode, false in PA mode.
 	PostProcess *bool
 	// MaxDummyGroups bounds post-processing insertions. Default 64.
 	MaxDummyGroups int
-	// DummyViasPerGroup is the island size of each inserted dummy group.
-	// Default 8.
-	DummyViasPerGroup int
 	// PostCriterion selects which correlation the dummy-TSV stop rule
 	// watches. The paper tracks "the resulting average correlation" and
 	// separately suggests focusing on critical regions; the bottom die is
@@ -140,11 +134,6 @@ type Config struct {
 	Weights *Weights
 	// Seed drives all stochastic stages.
 	Seed int64
-	// TimingParams override; zero value selects timing.DefaultParams().
-	TimingParams *timing.Params
-	// VoltTargetFactor relaxes the timing target for voltage assignment.
-	// Default 1.15.
-	VoltTargetFactor float64
 	// Parallelism bounds the worker goroutines fanned out by the detailed
 	// thermal solver's red-black SOR sweeps and the fast estimator's
 	// separable convolutions. 0 selects GOMAXPROCS; 1 forces the serial
@@ -223,9 +212,6 @@ func (c *Config) defaults() {
 	if c.ActivitySamples == 0 {
 		c.ActivitySamples = 100
 	}
-	if c.ActivitySigma == 0 {
-		c.ActivitySigma = 0.10
-	}
 	if c.PostProcess == nil {
 		pp := c.Mode == TSCAware
 		c.PostProcess = &pp
@@ -233,19 +219,9 @@ func (c *Config) defaults() {
 	if c.MaxDummyGroups == 0 {
 		c.MaxDummyGroups = 64
 	}
-	if c.DummyViasPerGroup == 0 {
-		c.DummyViasPerGroup = 8
-	}
 	if c.Weights == nil {
 		w := DefaultWeights(c.Mode)
 		c.Weights = &w
-	}
-	if c.TimingParams == nil {
-		tp := timing.DefaultParams()
-		c.TimingParams = &tp
-	}
-	if c.VoltTargetFactor == 0 {
-		c.VoltTargetFactor = 1.15
 	}
 	// Replica/speculation workers are the annealing loop's own use of the
 	// cores; defaulting the thermal fan-out to serial inside each worker

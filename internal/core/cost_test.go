@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/floorplan"
+	"repro/internal/netlist"
 	"repro/internal/thermal"
 	"repro/internal/timing"
 )
@@ -144,4 +145,26 @@ func TestScaledPowers(t *testing.T) {
 		}
 	}
 	_ = timing.DefaultParams() // keep import for the helper's signature stability
+}
+
+// TestDesignRuleTermEdgeCases: the design-rule term is the power-weighted
+// distance from the top die as a fraction of total power. It reads 0 on a
+// single die and on a design that draws no power (valid input, since module
+// power may be 0), never NaN.
+func TestDesignRuleTermEdgeCases(t *testing.T) {
+	des := &netlist.Design{Modules: []*netlist.Module{{Name: "a"}, {Name: "b"}}}
+	for _, tc := range []struct {
+		dies   int
+		powers []float64
+		want   float64
+	}{
+		{3, []float64{1, 3}, 0.25}, // only a, on the bottom die, is away: 1 W of 4
+		{3, []float64{0, 0}, 0},
+		{1, []float64{1, 3}, 0},
+	} {
+		l := &floorplan.Layout{Design: des, DieOf: []int{0, 2}, Dies: tc.dies}
+		if got := designRuleTerm(l, tc.powers); got != tc.want {
+			t.Errorf("%d dies, powers %v: term %v, want %v", tc.dies, tc.powers, got, tc.want)
+		}
+	}
 }

@@ -86,13 +86,9 @@ func finalize(ctx context.Context, res *Result, cfg *Config, rng *rand.Rand) err
 	res.TSVs = plan
 
 	// Final voltage assignment with timing repair.
-	ref := timing.Analyze(l, nil, *cfg.TimingParams)
-	vcfg := volt.Config{TargetFactor: cfg.VoltTargetFactor}
-	if cfg.Mode == TSCAware {
-		vcfg.Mode = volt.TSCAware
-	}
-	asg := volt.Assign(l, ref, vcfg)
-	sta := volt.Repair(l, asg, *cfg.TimingParams, vcfg)
+	tp, vcfg := timing.DefaultParams(), cfg.voltConfig()
+	asg := volt.Assign(l, timing.Analyze(l, nil, tp), vcfg)
+	sta := volt.Repair(l, asg, tp, vcfg)
 	res.Assignment = asg
 
 	// Detailed thermal verification with all TSVs applied.
@@ -127,7 +123,7 @@ func finalize(ctx context.Context, res *Result, cfg *Config, rng *rand.Rand) err
 	syncDieAliases(m)
 	m.PowerW = asg.TotalPower
 	m.CriticalNS = sta.Critical
-	m.WirelengthM = l.HPWL(cfg.TimingParams.VertLen) * 1e-6 // um -> m
+	m.WirelengthM = l.HPWL(tp.VertLen) * 1e-6 // um -> m
 	m.PeakTempK = sol.Peak()
 	m.SignalTSVs = plan.SignalCount()
 	m.VoltageVolumes = len(asg.Volumes)

@@ -433,7 +433,7 @@ func (ic *incrState) initGeometry(e *evaluator) {
 	ic.netWL = make([]float64, nNets)
 	ic.netDelay = make([]float64, nNets)
 	for ni, n := range des.Nets {
-		ic.refreshNet(ni, n, e.cfg.TimingParams)
+		ic.refreshNet(ni, n)
 	}
 
 	ic.maps = make([]*geom.Grid, ic.lay.Dies)
@@ -489,7 +489,7 @@ func (ic *incrState) scaledPowers(e *evaluator) []float64 {
 // refreshNet recomputes one net's cached geometry and delay from the current
 // layout. The values are recomputed exactly as the full path would, so
 // unchanged nets keep bit-identical cached values.
-func (ic *incrState) refreshNet(ni int, n *netlist.Net, p *timing.Params) {
+func (ic *incrState) refreshNet(ni int, n *netlist.Net) {
 	if n.Degree() < 2 {
 		// Degenerate nets (single-pin, empty) carry no wire: WL and delay
 		// are zero in both evaluators, matching the layout's HPWL (a
@@ -509,6 +509,7 @@ func (ic *incrState) refreshNet(ni int, n *netlist.Net, p *timing.Params) {
 			break
 		}
 	}
+	p := timing.DefaultParams()
 	wl := ln
 	if cross {
 		wl = ln + p.VertLen
@@ -516,7 +517,7 @@ func (ic *incrState) refreshNet(ni int, n *netlist.Net, p *timing.Params) {
 	ic.netLen[ni] = ln
 	ic.netCross[ni] = cross
 	ic.netWL[ni] = wl
-	ic.netDelay[ni] = timing.ElmoreDelay(ln, cross, n.Degree(), *p)
+	ic.netDelay[ni] = timing.ElmoreDelay(ln, cross, n.Degree(), p)
 }
 
 // applyMove repacks the dies the pending move touched through the
@@ -573,7 +574,7 @@ func (ic *incrState) applyMove(e *evaluator) {
 			j.netCross = append(j.netCross, ic.netCross[ni])
 			j.netWL = append(j.netWL, ic.netWL[ni])
 			j.netDelay = append(j.netDelay, ic.netDelay[ni])
-			ic.refreshNet(ni, ic.lay.Design.Nets[ni], e.cfg.TimingParams)
+			ic.refreshNet(ni, ic.lay.Design.Nets[ni])
 			recomputed++
 		}
 	}
@@ -681,7 +682,7 @@ func (ic *incrState) dieEntropy(e *evaluator, d int) float64 {
 // regrown and the adjacency as re-swept.
 func (ic *incrState) refreshVoltAssignment(e *evaluator, ref *timing.Analysis) *volt.Assignment {
 	if ic.vasg == nil {
-		ic.vasg = volt.NewAssigner(e.voltConfig())
+		ic.vasg = volt.NewAssigner(e.cfg.voltConfig())
 	}
 	e.stats.VoltCandidatesRegrown += len(ic.lay.Design.Modules)
 	e.stats.AdjBulkFallbacks++

@@ -11,6 +11,14 @@ import (
 	"repro/internal/thermal"
 )
 
+// The activity model draws each module's power with a relative sigma of
+// 0.10, as the paper does, and each inserted dummy group is an island of 8
+// vias.
+const (
+	activitySigma     = 0.10
+	dummyViasPerGroup = 8
+)
+
 // postProcess runs the Sec. 6.2 stage on a finalized result: sample
 // Gaussian-distributed activities, evaluate the steady-state temperatures
 // for each, build the per-bin correlation-stability map (Eq. 2), and insert
@@ -27,7 +35,7 @@ func postProcess(ctx context.Context, res *Result, cfg *Config, rng *rand.Rand, 
 
 	// --- Activity sampling (Eq. 2 inputs) --------------------------------
 	powers := scaledPowers(l, res.Assignment.PowerScale)
-	sampler := activity.NewSamplerFromPowers(powers, cfg.ActivitySigma)
+	sampler := activity.NewSamplerFromPowers(powers, activitySigma)
 	mSamples := cfg.ActivitySamples
 	powerSamples := make([][]*geom.Grid, l.Dies) // [die][sample]
 	tempSamples := make([][]*geom.Grid, l.Dies)
@@ -152,12 +160,12 @@ func postProcess(ctx context.Context, res *Result, cfg *Config, rng *rand.Rand, 
 		pos := res.PowerMaps[0].CellCenter(outline, bi, bj)
 		if cfg.PostCriterion == BottomDie && masks == nil {
 			// Protect the bottom die: its escape path crosses gap 0.
-			candidate.AddDummyGap(0, pos, cfg.DummyViasPerGroup)
+			candidate.AddDummyGap(0, pos, dummyViasPerGroup)
 		} else {
 			// Whole-stack (or protected-region) scope: pipe heat through
 			// every gap under the stable bin.
 			for g := 0; g < stack.Gaps(); g++ {
-				candidate.AddDummyGap(g, pos, cfg.DummyViasPerGroup)
+				candidate.AddDummyGap(g, pos, dummyViasPerGroup)
 			}
 		}
 		applyTSVs(stack, candidate, n)

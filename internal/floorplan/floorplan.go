@@ -516,23 +516,6 @@ func (l *Layout) Outline() geom.Rect {
 	return geom.Rect{X: 0, Y: 0, W: l.OutlineW, H: l.OutlineH}
 }
 
-// BoundingBox returns the bounding box of all modules on die d.
-func (l *Layout) BoundingBox(d int) geom.Rect {
-	var bb geom.Rect
-	first := true
-	for mi, r := range l.Rects {
-		if l.DieOf[mi] != d {
-			continue
-		}
-		if first {
-			bb, first = r, false
-		} else {
-			bb = bb.Union(r)
-		}
-	}
-	return bb
-}
-
 // OutlineViolation returns the total area (um^2) by which modules exceed the
 // fixed outline, summed over dies. Zero means the floorplan is legal.
 func (l *Layout) OutlineViolation() float64 {

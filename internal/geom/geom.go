@@ -165,11 +165,3 @@ const eps = 1e-9
 func almostEqual(a, b float64) bool {
 	return math.Abs(a-b) <= eps*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
-
-// AspectRatio returns W/H, or +Inf for degenerate heights.
-func (r Rect) AspectRatio() float64 {
-	if r.H == 0 {
-		return math.Inf(1)
-	}
-	return r.W / r.H
-}

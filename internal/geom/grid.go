@@ -48,11 +48,6 @@ func (g *Grid) Fill(v float64) {
 // Len returns the number of samples.
 func (g *Grid) Len() int { return len(g.Data) }
 
-// InBounds reports whether (i, j) addresses a valid cell.
-func (g *Grid) InBounds(i, j int) bool {
-	return i >= 0 && i < g.NX && j >= 0 && j < g.NY
-}
-
 // Mean returns the average sample value.
 func (g *Grid) Mean() float64 {
 	if len(g.Data) == 0 {

@@ -66,13 +66,6 @@ type EntropyCache struct {
 // structure from scratch.
 func NewEntropyCache() *EntropyCache { return &EntropyCache{} }
 
-// Entropy returns the last computed spatial entropy. Only meaningful after
-// an Update.
-func (c *EntropyCache) Entropy() float64 { return c.entropy }
-
-// Invalidate drops the cached state; the next Update rebuilds from scratch.
-func (c *EntropyCache) Invalidate() { c.valid = false }
-
 // Update synchronizes the cache with the grid's current contents and returns
 // the spatial entropy, bit-identical to SpatialEntropy(power) on the
 // same data. patched reports whether the update was served incrementally

@@ -11,6 +11,7 @@
 package netlist
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -39,30 +40,65 @@ func (k ModuleKind) String() string {
 	}
 }
 
+// MarshalText writes the kind as "hard" or "soft", its wire spelling.
+func (k ModuleKind) MarshalText() ([]byte, error) {
+	if k != Hard && k != Soft {
+		return nil, fmt.Errorf("netlist: cannot encode %v", k)
+	}
+	return []byte(k.String()), nil
+}
+
+// UnmarshalText reads "hard" or "soft"; the empty string is soft.
+func (k *ModuleKind) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "hard":
+		*k = Hard
+	case "soft", "":
+		*k = Soft
+	default:
+		return fmt.Errorf("unknown module kind %q", text)
+	}
+	return nil
+}
+
 // Module is a block-level IP module. Designers treat these as black boxes:
 // only area, aspect limits, pin count, and nominal power are known, matching
 // the threat model in Sec. 2.2 of the paper.
 type Module struct {
-	Name string
-	Kind ModuleKind
+	Name string     `json:"name"`
+	Kind ModuleKind `json:"kind"`
 
 	// W, H is the footprint in um. For soft modules this is the current
 	// (resizable) footprint; Area() stays constant across resizes.
-	W, H float64
+	W float64 `json:"w_um"`
+	H float64 `json:"h_um"`
 
 	// MinAspect and MaxAspect bound W/H for soft modules.
-	MinAspect, MaxAspect float64
+	MinAspect float64 `json:"min_aspect,omitempty"`
+	MaxAspect float64 `json:"max_aspect,omitempty"`
 
 	// Power is the nominal power in Watts at the 1.0 V reference voltage.
-	Power float64
+	Power float64 `json:"power_w"`
 
 	// IntrinsicDelay is the module's internal critical delay in ns at the
 	// 1.0 V reference, scaled by the voltage assignment (see internal/volt).
-	IntrinsicDelay float64
+	IntrinsicDelay float64 `json:"intrinsic_delay_ns"`
 
 	// Sensitive marks security-critical modules (e.g. crypto cores) that
 	// the TSC attacks of Sec. 5 target.
-	Sensitive bool
+	Sensitive bool `json:"sensitive,omitempty"`
+}
+
+// UnmarshalJSON decodes a module; an absent kind reads as soft, as an
+// empty one does.
+func (m *Module) UnmarshalJSON(data []byte) error {
+	type fields Module // Module's fields without this method
+	f := fields{Kind: Soft}
+	if err := json.Unmarshal(data, &f); err != nil {
+		return fmt.Errorf("netlist: module %q: %w", f.Name, err)
+	}
+	*m = Module(f)
+	return nil
 }
 
 // Area returns the module area in um^2.
@@ -114,16 +150,18 @@ func sqrtPos(v float64) float64 {
 
 // Terminal is a chip-level I/O pin fixed on the die outline.
 type Terminal struct {
-	Name string
-	X, Y float64 // position on the outline, in um
+	Name string `json:"name"`
+	// X, Y is the position on the outline, in um.
+	X float64 `json:"x_um"`
+	Y float64 `json:"y_um"`
 }
 
 // Net connects a set of modules (by index into Design.Modules) and a set of
 // terminals (by index into Design.Terminals).
 type Net struct {
-	Name      string
-	Modules   []int
-	Terminals []int
+	Name      string `json:"name"`
+	Modules   []int  `json:"modules"`
+	Terminals []int  `json:"terminals,omitempty"`
 }
 
 // Degree returns the number of pins on the net.
@@ -131,19 +169,26 @@ func (n *Net) Degree() int { return len(n.Modules) + len(n.Terminals) }
 
 // Design is a complete block-level design: modules, nets, terminals, and the
 // fixed per-die outline for the two-die 3D stack.
+//
+// The JSON tags on Design, Module, Net and Terminal are the tscfp wire
+// schema of a design, and tscfpd content-addresses a submission by the
+// bytes they encode to: renaming or reordering a tagged field changes every
+// stored artifact's address.
 type Design struct {
-	Name      string
-	Modules   []*Module
-	Nets      []*Net
-	Terminals []*Terminal
+	Name string `json:"name"`
+
+	// Dies is the stack height; the paper studies two dies, face-to-back.
+	Dies int `json:"dies"`
 
 	// OutlineW, OutlineH is the fixed outline of EACH die in um. The paper
 	// uses fixed-outline floorplanning (Sec. 7: "resulting die outlines are
 	// fixed").
-	OutlineW, OutlineH float64
+	OutlineW float64 `json:"outline_w_um"`
+	OutlineH float64 `json:"outline_h_um"`
 
-	// Dies is the stack height; the paper studies two dies, face-to-back.
-	Dies int
+	Modules   []*Module   `json:"modules"`
+	Nets      []*Net      `json:"nets"`
+	Terminals []*Terminal `json:"terminals"`
 }
 
 // TotalPower returns the design's nominal power budget in W at 1.0 V.
@@ -260,13 +305,20 @@ const (
 	maxIntrinsicDelay = 1e6
 )
 
+// maxDies bounds the stack height. The paper and every built-in design
+// stack two dies. The flow's work grows faster than linearly in the die
+// count: on a 2-vCPU machine, a 2-module design at grid 16 and 10
+// annealing iterations ran 2.2/6.6/21.6/84 s at 2/4/8/16 dies and did not
+// finish in 300 s at 32.
+const maxDies = 8
+
 // Validate checks structural invariants and returns the first violation.
 func (d *Design) Validate() error {
 	if !inLength(d.OutlineW) || !inLength(d.OutlineH) {
 		return fmt.Errorf("netlist: outline %gx%g µm outside [%g, %g] µm", d.OutlineW, d.OutlineH, minLength, maxLength)
 	}
-	if d.Dies < 1 {
-		return fmt.Errorf("netlist: need at least one die, got %d", d.Dies)
+	if d.Dies < 1 || d.Dies > maxDies {
+		return fmt.Errorf("netlist: dies %d outside [1, %d]", d.Dies, maxDies)
 	}
 	names := make(map[string]bool, len(d.Modules))
 	for i, m := range d.Modules {
@@ -315,7 +367,10 @@ func (d *Design) Validate() error {
 			}
 		}
 	}
-	for _, t := range d.Terminals {
+	for i, t := range d.Terminals {
+		if t == nil {
+			return fmt.Errorf("netlist: nil terminal at index %d", i)
+		}
 		//lint:floateq input validation: terminal coordinates must sit exactly on the declared outline, both read from the same design
 		onX := t.X == 0 || t.X == d.OutlineW
 		//lint:floateq input validation: terminal coordinates must sit exactly on the declared outline, both read from the same design

@@ -1,8 +1,10 @@
 package netlist
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -272,10 +274,11 @@ func TestValidatePowerBound(t *testing.T) {
 	}
 }
 
-// TestValidateLengthAndDelayBounds: the outline, each module side and the
-// intrinsic delay pass at their bounds and fail just past them, with an
-// error naming the module (or the outline) and the bounds. A negative delay
-// fails too: the timing model would report a zero critical delay for it.
+// TestValidateLengthAndDelayBounds: the outline, each module side, the
+// intrinsic delay and the die count pass at their bounds and fail just past
+// them, with an error naming the module (or the outline, or the dies) and
+// the bounds. A negative delay fails too: the timing model would report a
+// zero critical delay for it.
 func TestValidateLengthAndDelayBounds(t *testing.T) {
 	above := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
 	below := func(v float64) float64 { return math.Nextafter(v, math.Inf(-1)) }
@@ -293,6 +296,8 @@ func TestValidateLengthAndDelayBounds(t *testing.T) {
 		{"module W min", func(d *Design, v float64) { d.Modules[2].W = v }, minLength, below(minLength), []string{`"c"`, "[0.001, 1e+06] µm"}},
 		{"delay max", func(d *Design, v float64) { d.Modules[2].IntrinsicDelay = v }, maxIntrinsicDelay, above(maxIntrinsicDelay), []string{`"c"`, "1e+06] ns"}},
 		{"delay min", func(d *Design, v float64) { d.Modules[2].IntrinsicDelay = v }, 0, -5, []string{`"c"`, "[0, 1e+06] ns"}},
+		{"dies max", func(d *Design, v float64) { d.Dies = int(v) }, maxDies, maxDies + 1, []string{"dies 9", "[1, 8]"}},
+		{"dies min", func(d *Design, v float64) { d.Dies = int(v) }, 1, 0, []string{"dies 0", "[1, 8]"}},
 	} {
 		d := smallDesign()
 		tc.set(d, tc.bound)
@@ -310,5 +315,79 @@ func TestValidateLengthAndDelayBounds(t *testing.T) {
 				t.Errorf("%s: error %q does not name %s", tc.name, err, part)
 			}
 		}
+	}
+}
+
+// TestValidateRejectsNilEntries: a nil module, net or terminal is an error
+// naming its index, never a panic. JSON decodes a null list entry to nil.
+func TestValidateRejectsNilEntries(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		set  func(d *Design)
+	}{
+		{"nil module at index 1", func(d *Design) { d.Modules[1] = nil }},
+		{"nil net at index 2", func(d *Design) { d.Nets[2] = nil }},
+		{"nil terminal at index 1", func(d *Design) { d.Terminals = append(d.Terminals, nil) }},
+	} {
+		d := smallDesign()
+		tc.set(d)
+		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate = %v, want an error containing %q", err, tc.want)
+		}
+	}
+}
+
+// TestDesignJSON: a design encodes in the wire schema, kinds spelled
+// "hard"/"soft" and empty optional fields left out, and decodes back to an
+// equal design. An absent or empty kind decodes as soft, an unknown kind is
+// an error naming the module, and a kind outside Hard/Soft does not encode.
+func TestDesignJSON(t *testing.T) {
+	d := smallDesign()
+	d.Modules[2].Sensitive = true
+	data, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, part := range []string{
+		`{"name":"t","dies":2,"outline_w_um":100,"outline_h_um":100,"modules":[`,
+		`{"name":"a","kind":"hard","w_um":10,"h_um":20,"power_w":0.5,"intrinsic_delay_ns":0}`,
+		`"min_aspect":0.25,"max_aspect":4,"power_w":1,"intrinsic_delay_ns":0,"sensitive":true}`,
+		`{"name":"n2","modules":[2],"terminals":[0]}],"terminals":[{"name":"p0","x_um":0,"y_um":15}]}`,
+	} {
+		if !strings.Contains(string(data), part) {
+			t.Errorf("encoding %s lacks %s", data, part)
+		}
+	}
+	var back Design
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&back, d) {
+		t.Errorf("decoded %+v, want %+v", back, d)
+	}
+
+	for _, tc := range []struct {
+		doc  string
+		want ModuleKind
+	}{
+		{`{"name":"m"}`, Soft},
+		{`{"name":"m","kind":""}`, Soft},
+		{`{"name":"m","kind":null}`, Soft},
+		{`{"name":"m","kind":"soft"}`, Soft},
+		{`{"name":"m","kind":"hard"}`, Hard},
+	} {
+		var m Module
+		if err := json.Unmarshal([]byte(tc.doc), &m); err != nil || m.Kind != tc.want {
+			t.Errorf("%s decoded to kind %v (error %v), want %v", tc.doc, m.Kind, err, tc.want)
+		}
+	}
+	for _, doc := range []string{`{"name":"m","kind":"gaseous"}`, `{"name":"m","kind":1}`} {
+		var m Module
+		if err := json.Unmarshal([]byte(doc), &m); err == nil || !strings.Contains(err.Error(), `module "m"`) {
+			t.Errorf("%s: error %v, want one naming module \"m\"", doc, err)
+		}
+	}
+	if _, err := json.Marshal(&Module{Name: "m", Kind: ModuleKind(7)}); err == nil {
+		t.Error("kind 7 encoded")
 	}
 }

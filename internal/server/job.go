@@ -110,8 +110,10 @@ func (r *JobRequest) normalize() (*tscfp.Design, error) {
 // the canonical JSON of (design netlist, canonical options, sweep axes).
 // A benchmark-by-name submission and the equivalent inline design hash
 // identically because the design is serialized after synthesis either way;
-// knobs that cannot change the result (sweep worker count) are excluded.
+// knobs that cannot change the result (parallelism, sweep worker count) are
+// excluded.
 func contentKey(design *tscfp.Design, opts tscfp.RunOptions, sweep *SweepSpec) (string, error) {
+	opts.Parallelism = nil
 	if sweep != nil {
 		s := *sweep
 		s.Workers = 0

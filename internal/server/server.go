@@ -189,9 +189,6 @@ func (s *Server) Drain(timeout time.Duration) {
 	s.cancelAll()
 }
 
-// Draining reports whether Drain has begun (mirrors /readyz).
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // GC prunes terminal job records past the table bounds now. register prunes
 // on every admission; this is for a periodic sweep so an idle daemon still
 // ages records out under JobRetention.

@@ -320,6 +320,46 @@ func TestSweepJob(t *testing.T) {
 	}
 }
 
+// TestParallelismDedupes: results are byte-identical for every parallelism
+// setting, so a resubmission that differs only in parallelism (unset, 0, 1
+// or 2) is a 200 dedupe hit on the first run's artifact, and so is a sweep
+// cell whose options set it.
+func TestParallelismDedupes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	const opts = `"mode": "tsc", "seed": 5, "iterations": 60, "grid_n": 8, "activity_samples": 2, "max_dummy_groups": 1`
+
+	first, resp := submit(t, ts, `{"benchmark": "n100", "options": {`+opts+`, "parallelism": 2}}`)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit status = %d", resp.StatusCode)
+	}
+	followSSE(t, ts, first.ID)
+	final := getStatus(t, ts, first.ID)
+	if final.State != StateDone {
+		t.Fatalf("job state = %s (error %q)", final.State, final.Error)
+	}
+	for _, par := range []string{``, `, "parallelism": 0`, `, "parallelism": 1`} {
+		st, resp := submit(t, ts, `{"benchmark": "n100", "options": {`+opts+par+`}}`)
+		if resp.StatusCode != http.StatusOK || !st.Deduped || st.ArtifactID != final.ArtifactID {
+			t.Errorf("resubmit with %q: status %d, %+v; want a dedupe hit on %s", par, resp.StatusCode, st, final.ArtifactID)
+		}
+	}
+
+	sweep, _ := submit(t, ts, `{"benchmark": "n100", "options": {`+opts+`, "parallelism": 1}, "sweep": {"seeds": [5]}}`)
+	followSSE(t, ts, sweep.ID)
+	resp2, err := http.Get(ts.URL + "/v1/jobs/" + sweep.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	var manifest sweepManifest
+	if err := json.NewDecoder(resp2.Body).Decode(&manifest); err != nil {
+		t.Fatal(err)
+	}
+	if len(manifest.Cells) != 1 || !manifest.Cells[0].Deduped || manifest.Cells[0].Artifact != final.ArtifactID {
+		t.Fatalf("sweep manifest %+v, want one deduped cell on %s", manifest, final.ArtifactID)
+	}
+}
+
 // TestReplicaJob runs a 2-replica speculative job end to end over HTTP: the
 // job completes with SSE progress, its Result carries the repl_*/spec_*
 // stats and matches an in-process run with the same shape, and the dedupe
@@ -508,7 +548,10 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 	// end the daemon. hotDesign fails Design.Validate on its module power,
 	// and oneModule's hostile variants on its outline, sides or delay: each
 	// used to run the whole flow and fail the job when its Result would not
-	// encode (or, at -5 ns, report a zero critical delay).
+	// encode (or, at -5 ns, report a zero critical delay). nullTerminal's
+	// null decodes to a nil terminal, and nineDies is past the die bound;
+	// grid_n and the evaluator states are bounded likewise. None of these
+	// requests runs a flow.
 	const (
 		emptyDesign = `{"name": "empty", "dies": 2, "outline_w_um": 100, "outline_h_um": 100}`
 		flatDesign  = `{"name": "flat", "dies": 1, "outline_w_um": 100, "outline_h_um": 100,
@@ -518,6 +561,11 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		oneModule = `{"name": "one", "dies": 2, "outline_w_um": %g, "outline_h_um": %g,
 			"modules": [{"name": "a", "kind": "soft", "w_um": %g, "h_um": %g, "min_aspect": 0.5, "max_aspect": 2,
 			"power_w": 1, "intrinsic_delay_ns": %g}]}`
+		twoModules = `"outline_w_um": 100, "outline_h_um": 100,
+			"modules": [{"name": "a", "kind": "hard", "w_um": 10, "h_um": 10, "power_w": 1},
+			{"name": "b", "kind": "hard", "w_um": 10, "h_um": 10, "power_w": 1}]`
+		nullTerminal = `{"name": "null-pin", "dies": 2, ` + twoModules + `, "terminals": [null]}`
+		nineDies     = `{"name": "tall", "dies": 9, ` + twoModules + `}`
 	)
 	hostile := func(outline, w, h, delay float64) string {
 		return `{"design": ` + fmt.Sprintf(oneModule, outline, outline, w, h, delay) + `}`
@@ -555,8 +603,14 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		"delay 1e308 ns":       hostile(100, 10, 10, 1e308),
 		"delay -5 ns":          hostile(100, 10, 10, -5),
 		"grid_n 1":             `{"benchmark": "n100", "options": {"grid_n": 1}}`,
-		"activity_sigma 1e300": `{"benchmark": "n100", "options": {"activity_sigma": 1e300}}`,
+		"grid_n 257":           `{"benchmark": "n100", "options": {"grid_n": 257}}`,
+		"72 evaluator states":  `{"benchmark": "n100", "options": {"replicas": 9, "speculation": 8}}`,
+		"null terminal":        `{"design": ` + nullTerminal + `}`,
+		"nine dies":            `{"design": ` + nineDies + `}`,
 		"unknown field":        `{"benchmark": "n100", "bogus": 1}`,
+		"removed knob sigma":   `{"benchmark": "n100", "options": {"activity_sigma": 0.1}}`,
+		"removed knob volt":    `{"benchmark": "n100", "options": {"volt_target_factor": 1.15}}`,
+		"removed knob vias":    `{"benchmark": "n100", "options": {"dummy_vias_per_group": 8}}`,
 		"truncated":            `{"benchmark": "n1`,
 	} {
 		if _, resp := submit(t, ts, body); resp.StatusCode != http.StatusBadRequest {

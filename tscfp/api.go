@@ -20,7 +20,6 @@
 package tscfp
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/bench"
@@ -30,7 +29,9 @@ import (
 
 // Design is a block-level design accepted by the flow: modules, nets,
 // terminal pins, and the fixed per-die outline of the 3D stack. Obtain one
-// from Benchmark, or decode one from JSON (see encode.go's schema).
+// from Benchmark, or decode one from JSON in the schema MarshalJSON writes,
+// which the JSON tags of internal/netlist's Design, Module, Net and
+// Terminal declare.
 type Design struct {
 	d *netlist.Design
 }
@@ -154,18 +155,6 @@ func (d *Design) HottestModules(n int) []int {
 // internal packages (attacks, custom analyses). External importers cannot
 // name the returned type but may pass it along unchanged.
 func (d *Design) Netlist() *netlist.Design { return d.d }
-
-// NewDesign wraps a validated netlist for callers inside this module that
-// construct designs programmatically.
-func NewDesign(n *netlist.Design) (*Design, error) {
-	if n == nil {
-		return nil, fmt.Errorf("tscfp: nil netlist")
-	}
-	if err := n.Validate(); err != nil {
-		return nil, fmt.Errorf("tscfp: invalid design: %w", err)
-	}
-	return &Design{d: n}, nil
-}
 
 // Core exposes the completed internal flow result for in-repo tooling (the
 // attack simulations, the noise-injection baseline, the ASCII reports). It

@@ -163,9 +163,6 @@ func TestNonFiniteOptionsRejected(t *testing.T) {
 		name string
 		opt  Option
 	}{
-		{"activity sigma NaN", WithActivitySigma(math.NaN())},
-		{"volt target factor NaN", WithVoltTargetFactor(math.NaN())},
-		{"volt target factor +Inf", WithVoltTargetFactor(math.Inf(1))},
 		{"weight NaN", WithWeights(nanWeight)},
 	} {
 		if _, err := NewFlow(design, tc.opt); err == nil {
@@ -179,8 +176,6 @@ func TestNonFiniteOptionsRejected(t *testing.T) {
 		knob string
 		o    RunOptions
 	}{
-		{"activity_sigma", RunOptions{ActivitySigma: math.Inf(1)}},
-		{"volt_target_factor", RunOptions{VoltTargetFactor: math.NaN()}},
 		{"weights.correlation", RunOptions{Weights: &nanWeight}},
 		{"weights.design_rule", RunOptions{Mode: "pa", Weights: &infWeight}},
 	} {

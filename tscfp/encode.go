@@ -192,122 +192,35 @@ func (r *Result) Validate() error {
 	return nil
 }
 
-// designJSON is the on-disk schema of a Design.
-type designJSON struct {
-	Name      string         `json:"name"`
-	Dies      int            `json:"dies"`
-	OutlineW  float64        `json:"outline_w_um"`
-	OutlineH  float64        `json:"outline_h_um"`
-	Modules   []moduleJSON   `json:"modules"`
-	Nets      []netJSON      `json:"nets"`
-	Terminals []terminalJSON `json:"terminals"`
-}
-
-type moduleJSON struct {
-	Name           string  `json:"name"`
-	Kind           string  `json:"kind"`
-	W              float64 `json:"w_um"`
-	H              float64 `json:"h_um"`
-	MinAspect      float64 `json:"min_aspect,omitempty"`
-	MaxAspect      float64 `json:"max_aspect,omitempty"`
-	PowerW         float64 `json:"power_w"`
-	IntrinsicDelay float64 `json:"intrinsic_delay_ns"`
-	Sensitive      bool    `json:"sensitive,omitempty"`
-}
-
-type netJSON struct {
-	Name      string `json:"name"`
-	Modules   []int  `json:"modules"`
-	Terminals []int  `json:"terminals,omitempty"`
-}
-
-type terminalJSON struct {
-	Name string  `json:"name"`
-	X    float64 `json:"x_um"`
-	Y    float64 `json:"y_um"`
-}
-
-// MarshalJSON encodes the design's full netlist, so a decoded Design is
-// flow-equivalent to the original.
+// MarshalJSON encodes the design's full netlist in the wire schema that
+// netlist's JSON tags declare, so a decoded Design is flow-equivalent to the
+// original.
 func (d *Design) MarshalJSON() ([]byte, error) {
-	out := designJSON{
-		Name:     d.d.Name,
-		Dies:     d.d.Dies,
-		OutlineW: d.d.OutlineW,
-		OutlineH: d.d.OutlineH,
-	}
-	for _, m := range d.d.Modules {
-		out.Modules = append(out.Modules, moduleJSON{
-			Name:           m.Name,
-			Kind:           m.Kind.String(),
-			W:              m.W,
-			H:              m.H,
-			MinAspect:      m.MinAspect,
-			MaxAspect:      m.MaxAspect,
-			PowerW:         m.Power,
-			IntrinsicDelay: m.IntrinsicDelay,
-			Sensitive:      m.Sensitive,
-		})
-	}
-	for _, n := range d.d.Nets {
-		out.Nets = append(out.Nets, netJSON{
-			Name:      n.Name,
-			Modules:   append([]int(nil), n.Modules...),
-			Terminals: append([]int(nil), n.Terminals...),
-		})
-	}
-	for _, t := range d.d.Terminals {
-		out.Terminals = append(out.Terminals, terminalJSON{Name: t.Name, X: t.X, Y: t.Y})
-	}
-	return json.Marshal(out)
+	return json.Marshal(d.d)
 }
 
-// UnmarshalJSON decodes and validates a design written by MarshalJSON.
+// UnmarshalJSON decodes and validates a design written by MarshalJSON. An
+// empty list decodes as an absent one, so "nets": [] and no nets at all
+// re-encode alike and content-address as one design.
 func (d *Design) UnmarshalJSON(data []byte) error {
-	var in designJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	var des netlist.Design
+	if err := json.Unmarshal(data, &des); err != nil {
 		return fmt.Errorf("tscfp: decode design: %w", err)
-	}
-	des := &netlist.Design{
-		Name:     in.Name,
-		Dies:     in.Dies,
-		OutlineW: in.OutlineW,
-		OutlineH: in.OutlineH,
-	}
-	for _, m := range in.Modules {
-		kind := netlist.Soft
-		switch m.Kind {
-		case "hard":
-			kind = netlist.Hard
-		case "soft", "":
-		default:
-			return fmt.Errorf("tscfp: module %s has unknown kind %q", m.Name, m.Kind)
-		}
-		des.Modules = append(des.Modules, &netlist.Module{
-			Name:           m.Name,
-			Kind:           kind,
-			W:              m.W,
-			H:              m.H,
-			MinAspect:      m.MinAspect,
-			MaxAspect:      m.MaxAspect,
-			Power:          m.PowerW,
-			IntrinsicDelay: m.IntrinsicDelay,
-			Sensitive:      m.Sensitive,
-		})
-	}
-	for _, n := range in.Nets {
-		des.Nets = append(des.Nets, &netlist.Net{
-			Name:      n.Name,
-			Modules:   append([]int(nil), n.Modules...),
-			Terminals: append([]int(nil), n.Terminals...),
-		})
-	}
-	for _, t := range in.Terminals {
-		des.Terminals = append(des.Terminals, &netlist.Terminal{Name: t.Name, X: t.X, Y: t.Y})
 	}
 	if err := des.Validate(); err != nil {
 		return fmt.Errorf("tscfp: decoded design invalid: %w", err)
 	}
-	d.d = des
+	des.Modules, des.Nets, des.Terminals = nilIfEmpty(des.Modules), nilIfEmpty(des.Nets), nilIfEmpty(des.Terminals)
+	for _, n := range des.Nets {
+		n.Modules = nilIfEmpty(n.Modules)
+	}
+	d.d = &des
 	return nil
+}
+
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }

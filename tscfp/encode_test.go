@@ -2,7 +2,9 @@ package tscfp
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -41,21 +43,77 @@ func TestDesignDecodeTruncated(t *testing.T) {
 }
 
 // TestDesignDecodeInvalid covers the structured error paths of
-// Design.UnmarshalJSON: unknown module kinds and netlists that fail
-// validation.
+// Design.UnmarshalJSON: unknown module kinds, null list entries (which
+// decode to nil pointers) and netlists that fail validation. Each is an
+// error naming what is wrong, never a panic.
 func TestDesignDecodeInvalid(t *testing.T) {
-	cases := map[string]string{
-		"unknown module kind": `{"name":"x","dies":2,"outline_w_um":100,"outline_h_um":100,
-			"modules":[{"name":"m0","kind":"gaseous","w_um":10,"h_um":10,"power_w":1}],
-			"nets":[]}`,
-		"invalid netlist": `{"name":"x","dies":2,"outline_w_um":100,"outline_h_um":100,
-			"modules":[{"name":"m0","kind":"hard","w_um":10,"h_um":10,"power_w":1}],
-			"nets":[{"name":"n0","modules":[0,99]}]}`,
+	const head = `{"name":"x","dies":2,"outline_w_um":100,"outline_h_um":100,`
+	const m0 = `{"name":"m0","kind":"hard","w_um":10,"h_um":10,"power_w":1}`
+	cases := map[string]struct{ doc, want string }{
+		"unknown module kind": {head + `"modules":[{"name":"m0","kind":"gaseous","w_um":10,"h_um":10,"power_w":1}],"nets":[]}`,
+			`module "m0": unknown module kind "gaseous"`},
+		"invalid netlist":   {head + `"modules":[` + m0 + `],"nets":[{"name":"n0","modules":[0,99]}]}`, "module 99 out of range"},
+		"null module":       {head + `"modules":[` + m0 + `,null]}`, "nil module at index 1"},
+		"null net":          {head + `"modules":[` + m0 + `],"nets":[null]}`, "nil net at index 0"},
+		"null terminal":     {head + `"modules":[` + m0 + `],"terminals":[null]}`, "nil terminal at index 0"},
+		"nine dies":         {`{"name":"x","dies":9,"outline_w_um":100,"outline_h_um":100,"modules":[` + m0 + `]}`, "dies 9 outside [1, 8]"},
+		"kind not a string": {head + `"modules":[{"name":"m0","kind":0}]}`, `module "m0"`},
 	}
-	for name, doc := range cases {
+	for name, tc := range cases {
 		var d Design
-		if err := json.Unmarshal([]byte(doc), &d); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		if err := json.Unmarshal([]byte(tc.doc), &d); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decode error %v, want one containing %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestDesignDecodeDefaults: an absent or empty module kind decodes as soft,
+// and an empty list decodes as an absent one, so each group's spellings
+// re-encode to the same bytes and content-address as one design.
+func TestDesignDecodeDefaults(t *testing.T) {
+	const head = `{"name":"x","dies":2,"outline_w_um":100,"outline_h_um":100,"modules":[`
+	const hard = `{"name":"a","kind":"hard","w_um":10,"h_um":10,"power_w":1}`
+	const pins = `"terminals":[{"name":"p","x_um":0,"y_um":5},{"name":"q","x_um":100,"y_um":5}]`
+	soft := func(kind string) string {
+		return `,{"name":"b",` + kind + `"w_um":10,"h_um":10,"min_aspect":0.5,"max_aspect":2,"power_w":1}`
+	}
+	for _, group := range []struct {
+		soft int
+		docs []string
+	}{
+		{1, []string{
+			head + hard + soft(`"kind":"soft",`) + `],"nets":[{"name":"n","modules":[0,1]}]}`,
+			head + hard + soft(``) + `],"nets":[{"name":"n","modules":[0,1]}]}`,
+			head + hard + soft(`"kind":"",`) + `],"nets":[{"name":"n","modules":[0,1],"terminals":[]}],"terminals":[]}`,
+		}},
+		{0, []string{
+			head + hard + `]}`,
+			head + hard + `],"nets":[],"terminals":[]}`,
+			head + hard + `],"nets":null}`,
+		}},
+		{0, []string{
+			head + hard + `],"nets":[{"name":"n","terminals":[0,1]}],` + pins + `}`,
+			head + hard + `],"nets":[{"name":"n","modules":[],"terminals":[0,1]}],` + pins + `}`,
+		}},
+	} {
+		var first []byte
+		for _, doc := range group.docs {
+			var d Design
+			if err := json.Unmarshal([]byte(doc), &d); err != nil {
+				t.Fatalf("%s: %v", doc, err)
+			}
+			if d.SoftModules() != group.soft {
+				t.Errorf("%s: %d soft modules, want %d", doc, d.SoftModules(), group.soft)
+			}
+			data, err := json.Marshal(&d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = data
+			} else if !bytes.Equal(data, first) {
+				t.Errorf("%s re-encodes to %s, want %s", doc, data, first)
+			}
 		}
 	}
 }
@@ -104,6 +162,35 @@ func TestResultDecodeTamperedAlias(t *testing.T) {
 			t.Errorf("alias tampered from %v to %v accepted", orig, *f)
 		}
 		*f = orig
+	}
+}
+
+// TestDesignJSONPinned pins the SHA-256 of each built-in design's JSON.
+// tscfpd content-addresses a benchmark-by-name submission by these bytes,
+// so a change to a netlist JSON tag, the field order or a generator would
+// silently orphan every stored artifact. These digests were computed by an
+// earlier release and must not be edited to make the test pass.
+func TestDesignJSONPinned(t *testing.T) {
+	want := map[string]string{
+		"n100":  "27104e099e354e12241eab0ebdc5f64845483c8f0792a6a411491b0db683e5ae",
+		"n200":  "9e99c04f779f75188b988f7e570ef943473cdbd47533cded3ee4e6a6ec0e84ae",
+		"n300":  "86d47afc4f2537bf3ce4e78e1828c194e6d1d563b40172a62474648ec76b9f91",
+		"ibm01": "acb6cf91bb7b61b75ad0c3b50c53cab29833b8125f5d1e74b4c8afaaeb0ed932",
+		"ibm03": "4ac5c023e4250cd15ce4b9085092127853723302a2df468fd8a9b07bf0c3d509",
+		"ibm07": "a55540f1ea5efb49a322b84e18102f175bed5653180464fe3aeb7344d13424ac",
+	}
+	names := Benchmarks()
+	if len(names) != len(want) {
+		t.Fatalf("%d built-in designs, %d pinned", len(names), len(want))
+	}
+	for _, name := range names {
+		data, err := json.Marshal(MustBenchmark(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want[name] {
+			t.Errorf("%s: design JSON SHA-256 %s, want %s", name, got, want[name])
+		}
 	}
 }
 

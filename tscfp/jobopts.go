@@ -21,21 +21,18 @@ import (
 // when content-addressing a submission — normalize via Canonical before
 // hashing so "tsc" and "tsc-aware" address the same artifact.
 type RunOptions struct {
-	Mode              string   `json:"mode,omitempty"`
-	Seed              int64    `json:"seed,omitempty"`
-	Iterations        int      `json:"iterations,omitempty"`
-	GridN             int      `json:"grid_n,omitempty"`
-	ActivitySamples   int      `json:"activity_samples,omitempty"`
-	ActivitySigma     float64  `json:"activity_sigma,omitempty"`
-	PostProcess       *bool    `json:"post_process,omitempty"`
-	PostCriterion     string   `json:"post_criterion,omitempty"`
-	ProtectedModules  []int    `json:"protected_modules,omitempty"`
-	MaxDummyGroups    int      `json:"max_dummy_groups,omitempty"`
-	DummyViasPerGroup int      `json:"dummy_vias_per_group,omitempty"`
-	VoltEvery         int      `json:"volt_every,omitempty"`
-	VoltTargetFactor  float64  `json:"volt_target_factor,omitempty"`
-	Weights           *Weights `json:"weights,omitempty"`
-	Parallelism       *int     `json:"parallelism,omitempty"`
+	Mode             string   `json:"mode,omitempty"`
+	Seed             int64    `json:"seed,omitempty"`
+	Iterations       int      `json:"iterations,omitempty"`
+	GridN            int      `json:"grid_n,omitempty"`
+	ActivitySamples  int      `json:"activity_samples,omitempty"`
+	PostProcess      *bool    `json:"post_process,omitempty"`
+	PostCriterion    string   `json:"post_criterion,omitempty"`
+	ProtectedModules []int    `json:"protected_modules,omitempty"`
+	MaxDummyGroups   int      `json:"max_dummy_groups,omitempty"`
+	VoltEvery        int      `json:"volt_every,omitempty"`
+	Weights          *Weights `json:"weights,omitempty"`
+	Parallelism      *int     `json:"parallelism,omitempty"`
 	// Replicas and Speculation shape the annealer (WithReplicas /
 	// WithSpeculation). 0 and 1 both mean one replica or one copy, and both
 	// at 0 or 1 is the serial chain; Canonical normalizes 1 to 0 so the two
@@ -44,22 +41,28 @@ type RunOptions struct {
 	Speculation int `json:"speculation,omitempty"`
 }
 
-// maxActivitySigma bounds the relative power sigma of the activity model,
-// 100 times the paper's 0.10. At 1e300 the sampled powers overflow the
-// leakage metrics, and the SVF and stability read NaN.
-const maxActivitySigma = 10
+// maxGridN bounds the lateral grid resolution, 8 times the default of 32.
+// One n100 run at grid 256 holds 75 MB of RSS, and the flow's work grows
+// with the square of the resolution.
+const maxGridN = 256
+
+// maxEvaluatorStates bounds replicas × speculation, the number of evaluator
+// states the annealer builds and runs at once (one goroutine per replica).
+// On ibm01 at grid 32 each state past the first costs about 2.7 MB of RSS.
+const maxEvaluatorStates = 64
 
 // Canonical validates the knob set and returns a normalized copy. It is
 // the one validator of the knobs: NewFlow, Options and tscfpd's admission
 // all go through it. It rejects unknown mode and criterion spellings,
-// negative counts and NaN/±Inf floats (which JSON cannot carry, so a flow
+// negative counts, NaN/±Inf weights (which JSON cannot carry, so a flow
 // would run to completion and only fail to encode its Result), a grid_n of
-// 1 (the thermal model panics below 2x2) and an activity_sigma outside
-// [0, 10], naming the knob in each error. It expands spellings to their
-// full forms ("tsc" becomes "tsc-aware") and normalizes Replicas and
-// Speculation 1 to 0, the other spelling of one replica or one copy. Two RunOptions that configure
-// the same flow canonicalize to identical JSON, making the result a safe
-// content-address component.
+// 1 (the thermal model panics below 2x2) or above 256, and more than 64
+// evaluator states (replicas × speculation), naming the knob in each error.
+// It expands spellings to their full forms ("tsc" becomes "tsc-aware") and
+// normalizes Replicas and Speculation 1 to 0, the other spelling of one
+// replica or one copy. Two RunOptions that configure the same flow
+// canonicalize to identical JSON, making the result a safe content-address
+// component.
 func (o RunOptions) Canonical() (RunOptions, error) {
 	if o.Mode != "" {
 		m, err := ParseMode(o.Mode)
@@ -83,35 +86,37 @@ func (o RunOptions) Canonical() (RunOptions, error) {
 	}{
 		{"iterations", o.Iterations}, {"grid_n", o.GridN},
 		{"activity_samples", o.ActivitySamples}, {"max_dummy_groups", o.MaxDummyGroups},
-		{"dummy_vias_per_group", o.DummyViasPerGroup}, {"volt_every", o.VoltEvery},
-		{"parallelism", par}, {"replicas", o.Replicas}, {"speculation", o.Speculation},
+		{"volt_every", o.VoltEvery}, {"parallelism", par},
+		{"replicas", o.Replicas}, {"speculation", o.Speculation},
 	} {
 		if k.n < 0 {
 			return RunOptions{}, fmt.Errorf("tscfp: negative %s %d", k.name, k.n)
 		}
 	}
-	type knob struct {
-		name string
-		v    float64
-	}
-	floats := []knob{{"activity_sigma", o.ActivitySigma}, {"volt_target_factor", o.VoltTargetFactor}}
 	if w := o.Weights; w != nil {
-		floats = append(floats, knob{"weights.outline_violation", w.OutlineViolation},
-			knob{"weights.wirelength", w.Wirelength}, knob{"weights.critical_delay", w.CriticalDelay},
-			knob{"weights.peak_temp", w.PeakTemp}, knob{"weights.power", w.Power},
-			knob{"weights.voltage_volumes", w.VoltageVolumes}, knob{"weights.correlation", w.Correlation},
-			knob{"weights.spatial_entropy", w.SpatialEntropy}, knob{"weights.design_rule", w.DesignRule})
-	}
-	for _, k := range floats {
-		if math.IsNaN(k.v) || math.IsInf(k.v, 0) {
-			return RunOptions{}, fmt.Errorf("tscfp: non-finite %s %v", k.name, k.v)
+		for _, k := range []struct {
+			name string
+			v    float64
+		}{
+			{"outline_violation", w.OutlineViolation}, {"wirelength", w.Wirelength},
+			{"critical_delay", w.CriticalDelay}, {"peak_temp", w.PeakTemp}, {"power", w.Power},
+			{"voltage_volumes", w.VoltageVolumes}, {"correlation", w.Correlation},
+			{"spatial_entropy", w.SpatialEntropy}, {"design_rule", w.DesignRule},
+		} {
+			if math.IsNaN(k.v) || math.IsInf(k.v, 0) {
+				return RunOptions{}, fmt.Errorf("tscfp: non-finite weights.%s %v", k.name, k.v)
+			}
 		}
 	}
 	if o.GridN == 1 {
 		return RunOptions{}, fmt.Errorf("tscfp: grid_n 1 is below the thermal model's 2x2 grid")
 	}
-	if o.ActivitySigma < 0 || o.ActivitySigma > maxActivitySigma {
-		return RunOptions{}, fmt.Errorf("tscfp: activity_sigma %v outside [0, %v]", o.ActivitySigma, maxActivitySigma)
+	if o.GridN > maxGridN {
+		return RunOptions{}, fmt.Errorf("tscfp: grid_n %d above the bound %d", o.GridN, maxGridN)
+	}
+	if r, s := max(o.Replicas, 1), max(o.Speculation, 1); r > maxEvaluatorStates/s {
+		return RunOptions{}, fmt.Errorf("tscfp: replicas %d × speculation %d exceeds the bound of %d evaluator states",
+			o.Replicas, o.Speculation, maxEvaluatorStates)
 	}
 	if o.Replicas == 1 {
 		o.Replicas = 0
@@ -126,8 +131,8 @@ func (o RunOptions) Canonical() (RunOptions, error) {
 // that sets every knob to its canonical value. Because it sets every knob,
 // it must come before any option that overrides one of them; an option
 // placed before it is overwritten. Spelling and range errors (unknown mode
-// or criterion, negative counts, NaN/±Inf floats) surface here, from
-// Canonical.
+// or criterion, negative counts, counts past their bounds, NaN/±Inf
+// weights) surface here, from Canonical.
 func (o RunOptions) Options() ([]Option, error) {
 	c, err := o.Canonical()
 	if err != nil {
@@ -142,19 +147,16 @@ func (o RunOptions) Options() ([]Option, error) {
 // options it was built from.
 func (o RunOptions) config() core.Config {
 	cfg := core.Config{
-		Mode:              Mode(o.Mode).core(),
-		Seed:              o.Seed,
-		SAIterations:      o.Iterations,
-		GridN:             o.GridN,
-		ActivitySamples:   o.ActivitySamples,
-		ActivitySigma:     o.ActivitySigma,
-		ProtectModules:    append([]int(nil), o.ProtectedModules...),
-		MaxDummyGroups:    o.MaxDummyGroups,
-		DummyViasPerGroup: o.DummyViasPerGroup,
-		VoltEvery:         o.VoltEvery,
-		VoltTargetFactor:  o.VoltTargetFactor,
-		Replicas:          o.Replicas,
-		Speculation:       o.Speculation,
+		Mode:            Mode(o.Mode).core(),
+		Seed:            o.Seed,
+		SAIterations:    o.Iterations,
+		GridN:           o.GridN,
+		ActivitySamples: o.ActivitySamples,
+		ProtectModules:  append([]int(nil), o.ProtectedModules...),
+		MaxDummyGroups:  o.MaxDummyGroups,
+		VoltEvery:       o.VoltEvery,
+		Replicas:        o.Replicas,
+		Speculation:     o.Speculation,
 	}
 	if PostCriterion(o.PostCriterion) == AllDies {
 		cfg.PostCriterion = core.AllDies

@@ -3,7 +3,6 @@ package tscfp
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -184,20 +183,15 @@ func TestRunOptionsAllKnobs(t *testing.T) {
 	par := 2
 	w := DefaultWeights(TSCAware)
 	full := RunOptions{
-		Mode: "pa", Seed: 3, Iterations: 10, GridN: 8,
-		ActivitySamples: 2, ActivitySigma: 0.2,
+		Mode: "pa", Seed: 3, Iterations: 10, GridN: 8, ActivitySamples: 2,
 		PostProcess: &pp, PostCriterion: "all-dies",
-		ProtectedModules: []int{0, 1}, MaxDummyGroups: 2, DummyViasPerGroup: 4,
-		VoltEvery: 5, VoltTargetFactor: 1.2,
-		Weights: &w, Parallelism: &par,
-		Replicas: 2, Speculation: 3,
+		ProtectedModules: []int{0, 1}, MaxDummyGroups: 2, VoltEvery: 5,
+		Weights: &w, Parallelism: &par, Replicas: 2, Speculation: 3,
 	}
 	direct := flowOf(t,
 		WithMode(PowerAware), WithSeed(3), WithIterations(10), WithGridN(8),
-		WithActivitySamples(2), WithActivitySigma(0.2),
-		WithPostProcess(true), WithPostCriterion(AllDies),
-		WithProtectedModules(0, 1), WithMaxDummyGroups(2), WithDummyViasPerGroup(4),
-		WithVoltEvery(5), WithVoltTargetFactor(1.2),
+		WithActivitySamples(2), WithPostProcess(true), WithPostCriterion(AllDies),
+		WithProtectedModules(0, 1), WithMaxDummyGroups(2), WithVoltEvery(5),
 		WithWeights(w), WithParallelism(2),
 		WithReplicas(2), WithSpeculation(3))
 	if got := loweredFlow(t, full); !reflect.DeepEqual(got, direct) {
@@ -227,26 +221,38 @@ func TestRunOptionsAllKnobs(t *testing.T) {
 	}
 }
 
-// TestRunOptionsRangeBounds: Canonical accepts grid_n 2 and activity_sigma
-// at both ends of [0, 10], and rejects grid_n 1 (the thermal model panics
-// below a 2x2 grid) and a sigma past either end (at 1e300 the sampled
-// powers overflow the leakage metrics), naming the knob.
+// TestRunOptionsRangeBounds: Canonical accepts grid_n 2 and 256 and up to
+// 64 evaluator states (replicas × speculation), and rejects grid_n 1 (the
+// thermal model panics below a 2x2 grid), grid_n 257 and 65 or more states,
+// naming the knob and the bound. A product past the int range is rejected
+// too. No flow runs here.
 func TestRunOptionsRangeBounds(t *testing.T) {
-	for _, o := range []RunOptions{{GridN: 2}, {ActivitySigma: 10}, {ActivitySigma: 0}} {
+	for _, o := range []RunOptions{
+		{GridN: 2}, {GridN: maxGridN}, {Replicas: 64}, {Speculation: 64},
+		{Replicas: 8, Speculation: 8}, {Replicas: 1, Speculation: 64}, {Replicas: 21, Speculation: 3},
+	} {
 		if _, err := o.Canonical(); err != nil {
 			t.Errorf("%+v rejected: %v", o, err)
 		}
 	}
+	states := []string{"replicas", "speculation", "64 evaluator states"}
 	for _, tc := range []struct {
-		knob string
 		o    RunOptions
+		want []string
 	}{
-		{"grid_n", RunOptions{GridN: 1}},
-		{"activity_sigma", RunOptions{ActivitySigma: math.Nextafter(10, 11)}},
-		{"activity_sigma", RunOptions{ActivitySigma: -0.1}},
+		{RunOptions{GridN: 1}, []string{"grid_n 1", "2x2"}},
+		{RunOptions{GridN: maxGridN + 1}, []string{"grid_n 257", "256"}},
+		{RunOptions{Replicas: 9, Speculation: 8}, states},
+		{RunOptions{Replicas: 65}, states},
+		{RunOptions{Speculation: 65}, states},
+		{RunOptions{Replicas: 22, Speculation: 3}, states},
+		{RunOptions{Replicas: 1 << 62, Speculation: 4}, states},
 	} {
-		if _, err := tc.o.Canonical(); err == nil || !strings.Contains(err.Error(), tc.knob) {
-			t.Errorf("%+v: Canonical returned %v, want an error naming %s", tc.o, err, tc.knob)
+		_, err := tc.o.Canonical()
+		for _, part := range tc.want {
+			if err == nil || !strings.Contains(err.Error(), part) {
+				t.Errorf("%+v: Canonical returned %v, want an error naming %q", tc.o, err, part)
+			}
 		}
 	}
 }

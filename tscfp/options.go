@@ -98,8 +98,9 @@ type settings struct {
 
 // Option configures a Flow (and, through Grid.Options, every Sweep cell).
 // Each option sets one field of the RunOptions knob set, except
-// WithProgress and WithCostCrossCheck, which have no wire form. NewFlow then validates the knob set through RunOptions.Canonical,
-// so a negative count or a NaN/±Inf float fails there, naming the knob.
+// WithProgress and WithCostCrossCheck, which have no wire form. NewFlow then
+// validates the knob set through RunOptions.Canonical, so a negative count,
+// a count past its bound or a NaN/±Inf weight fails there, naming the knob.
 type Option func(*settings)
 
 // WithMode selects power-aware or TSC-aware floorplanning, in any ParseMode
@@ -145,12 +146,6 @@ func WithActivitySamples(n int) Option {
 	return func(s *settings) { s.ActivitySamples = n }
 }
 
-// WithActivitySigma sets the relative power sigma of the activity model
-// (the paper uses 0.10).
-func WithActivitySigma(sigma float64) Option {
-	return func(s *settings) { s.ActivitySigma = sigma }
-}
-
 // WithPostProcess forces the dummy-TSV insertion stage on or off,
 // replacing the default of on-in-TSC-mode, off-in-power-aware-mode.
 func WithPostProcess(enabled bool) Option {
@@ -178,22 +173,10 @@ func WithMaxDummyGroups(n int) Option {
 	return func(s *settings) { s.MaxDummyGroups = n }
 }
 
-// WithDummyViasPerGroup sets the island size of each inserted dummy group.
-// Zero selects the default of 8.
-func WithDummyViasPerGroup(n int) Option {
-	return func(s *settings) { s.DummyViasPerGroup = n }
-}
-
 // WithVoltEvery re-runs voltage assignment every k-th accepted evaluation.
 // Zero selects the default of 10.
 func WithVoltEvery(k int) Option {
 	return func(s *settings) { s.VoltEvery = k }
-}
-
-// WithVoltTargetFactor relaxes the timing target for voltage assignment.
-// Default 1.15.
-func WithVoltTargetFactor(f float64) Option {
-	return func(s *settings) { s.VoltTargetFactor = f }
 }
 
 // WithWeights overrides the multi-objective cost weights. The zero value of
