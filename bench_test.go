@@ -194,7 +194,7 @@ func cachedRun(b *testing.B, name string, mode core.Mode, seed int64) *core.Resu
 	}
 	res, err := core.Run(des, core.Config{
 		Mode:            mode,
-		SAIterations:    iters,
+		Iterations:      iters,
 		ActivitySamples: benchSamples(),
 		Seed:            seed,
 	})
@@ -409,7 +409,7 @@ func BenchmarkAblationDesignRule(b *testing.B) {
 			w := core.DefaultWeights(core.TSCAware)
 			w.DesignRule = ruleWeight
 			res, err := core.Run(des, core.Config{
-				Mode: core.TSCAware, SAIterations: benchIters(),
+				Mode: core.TSCAware, Iterations: benchIters(),
 				ActivitySamples: benchSamples(), Seed: 1, Weights: &w,
 			})
 			if err != nil {
@@ -437,7 +437,7 @@ func BenchmarkAblationLeakageTerms(b *testing.B) {
 				w.Correlation, w.SpatialEntropy = 0, 0
 			}
 			res, err := core.Run(des, core.Config{
-				Mode: core.TSCAware, SAIterations: benchIters(),
+				Mode: core.TSCAware, Iterations: benchIters(),
 				ActivitySamples: benchSamples(), Seed: 1, Weights: &w,
 			})
 			if err != nil {
@@ -459,7 +459,7 @@ func BenchmarkAblationPostProcessing(b *testing.B) {
 		des := bench.MustGenerate("n100")
 		run := func(post bool) core.Metrics {
 			res, err := core.Run(des, core.Config{
-				Mode: core.TSCAware, SAIterations: benchIters(),
+				Mode: core.TSCAware, Iterations: benchIters(),
 				ActivitySamples: benchSamples(), Seed: 1, PostProcess: &post,
 			})
 			if err != nil {

@@ -48,7 +48,7 @@ func run() (err error) {
 		maps        = flag.Bool("maps", false, "print ASCII heatmaps of the last run's power/thermal maps")
 		showFP      = flag.Bool("floorplan", false, "print an ASCII rendering of the last run's floorplan")
 		protect     = flag.Bool("protect", false, "post-process only the sensitive modules (Sec. 7.1 adaptation)")
-		par         = flag.Int("parallelism", 0, "thermal solver/estimator worker goroutines per run (0 = one per CPU, 1 = serial; results identical)")
+		par         = flag.Int("parallelism", 0, "thermal solver/estimator worker goroutines per run (0 = auto: one per CPU, or 1 when -workers runs two or more at once or under -replicas/-speculate; 1 = serial; results identical)")
 		replicas    = flag.Int("replicas", 1, "tempered annealing chains per run (replica exchange; >= 2 is a different deterministic walk than serial)")
 		speculate   = flag.Int("speculate", 1, "candidate moves evaluated concurrently per annealing step (>= 2 is a different deterministic walk than serial)")
 		churnStats  = flag.Bool("churn-stats", false, "print a per-run summary of the exact-diff repack churn counters")

@@ -7,9 +7,10 @@
 // resolution, dummy-TSV post-processing, progress callbacks), Flow.Run(ctx)
 // executes the full TSC-aware floorplanning flow with cooperative
 // cancellation, and tscfp.Sweep fans a parameter grid (seeds × modes × grid
-// sizes) out over a worker pool. The knob options each set one field of
-// tscfp.RunOptions, the single knob set, which tscfp.RunOptions.Canonical
-// validates for NewFlow and for the tscfpd job API alike. Results and
+// sizes) out over a worker pool. The options each set one field of
+// tscfp.RunOptions, the single knob set, which is the flow's own
+// configuration and the tscfpd job wire; tscfp.RunOptions.Canonical
+// validates it for NewFlow and for the tscfpd job API alike. Results and
 // designs serialize to stable JSON; the same design, seed, and options
 // reproduce a Result byte-identically.
 //

@@ -33,7 +33,7 @@ func integResults(t *testing.T) map[core.Mode]*core.Result {
 		des := bench.MustGenerate("n100")
 		for _, mode := range []core.Mode{core.PowerAware, core.TSCAware} {
 			res, err := core.Run(des, core.Config{
-				Mode: mode, GridN: 16, SAIterations: 200,
+				Mode: mode, GridN: 16, Iterations: 200,
 				ActivitySamples: 10, Seed: 99,
 			})
 			if err != nil {

@@ -11,7 +11,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/floorplan"
 	"repro/internal/geom"
 )
 
@@ -19,12 +18,6 @@ import (
 type Sampler struct {
 	nominal []float64
 	sigma   float64 // relative std dev
-}
-
-// NewSampler builds a sampler over the layout's modules with the given
-// relative standard deviation (the paper uses 0.10).
-func NewSampler(l *floorplan.Layout, sigmaFrac float64) *Sampler {
-	return &Sampler{nominal: l.NominalPowers(), sigma: sigmaFrac}
 }
 
 // NewSamplerFromPowers builds a sampler over explicit nominal powers

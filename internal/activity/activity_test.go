@@ -12,7 +12,7 @@ import (
 func TestSampleMeanAndSpread(t *testing.T) {
 	des := bench.MustGenerate("n100")
 	l := floorplan.New(des).Pack()
-	s := NewSampler(l, 0.10)
+	s := NewSamplerFromPowers(l.NominalPowers(), 0.10)
 	rng := rand.New(rand.NewSource(1))
 	n := 2000
 	sums := make([]float64, len(des.Modules))

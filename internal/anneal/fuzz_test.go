@@ -1,34 +1,29 @@
 package anneal
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// FuzzAnnealReplicaSwap drives RunParallel through randomized temperature
-// ladders, swap cadences, and replica/speculation shapes on the incremental
-// toy problem — including the serial chain (one replica, one copy) and
-// speculation alone (one replica, several copies) — and checks the
+// FuzzAnnealReplicaSwap drives RunParallel through randomized budgets and
+// replica/speculation shapes on the incremental toy problem — including
+// the serial chain (one replica, one copy) and speculation alone (one
+// replica, several copies) — and checks the
 // per-replica journal invariants at every swap barrier: each copy's
 // incrementally patched cost must match a from-scratch recompute within
 // 1e-9 relative, and all speculative copies of a replica must stay
 // byte-identical in state, cached cost, and evaluation count.
 func FuzzAnnealReplicaSwap(f *testing.F) {
-	f.Add(int64(1), int64(2), int64(1), int64(400), int64(0), 1.5)
-	f.Add(int64(7), int64(4), int64(3), int64(900), int64(35), 2.25)
-	f.Add(int64(42), int64(3), int64(2), int64(777), int64(120), 1.05)
-	f.Add(int64(5), int64(0), int64(0), int64(157), int64(0), 1.5) // serial chain
-	f.Add(int64(9), int64(0), int64(2), int64(401), int64(0), 1.5) // speculation only
+	f.Add(int64(1), int64(2), int64(1), int64(400))
+	f.Add(int64(7), int64(4), int64(3), int64(900))
+	f.Add(int64(42), int64(3), int64(2), int64(777))
+	f.Add(int64(5), int64(0), int64(0), int64(157)) // serial chain
+	f.Add(int64(9), int64(0), int64(2), int64(401)) // speculation only
 
-	f.Fuzz(func(t *testing.T, seed, k, m, iters, swapEvery int64, ladder float64) {
+	f.Fuzz(func(t *testing.T, seed, k, m, iters int64) {
 		K := int(mod(k, 5)) + 1 // 1..5 replicas
 		M := int(mod(m, 3)) + 1 // 1..3 speculative copies
 		budget := int(mod(iters, 1500)) + 50
-		se := int(mod(swapEvery, 200)) // 0 picks the chain-multiple default
-		if math.IsNaN(ladder) || math.IsInf(ladder, 0) || ladder < 0.2 || ladder > 8 {
-			ladder = 1.5
-		}
 
 		reps := make([]Replica, K)
 		sums := make([][]*incrSum, K)
@@ -79,11 +74,9 @@ func FuzzAnnealReplicaSwap(f *testing.F) {
 		}
 
 		res := RunParallel(reps, ParallelOptions{
-			Iterations:   budget,
-			SwapEvery:    se,
-			LadderFactor: ladder,
-			SwapSeed:     seed ^ 0x5DEECE66D,
-			OnStride:     func(done, total int, best float64) { check("post-swap barrier") },
+			Iterations: budget,
+			SwapSeed:   seed ^ 0x5DEECE66D,
+			OnStride:   func(done, total int, best float64) { check("post-swap barrier") },
 		})
 		check("final")
 

@@ -36,7 +36,9 @@ type Replica struct {
 // ParallelOptions tunes RunParallel. The cooling schedule is fixed: the
 // start temperature accepts the mean |ΔC| of a 50-move calibration walk
 // with probability 0.8, and geometric cooling per chain reaches 1e-4 of it
-// after the last chain. Zero values select the documented defaults.
+// after the last chain. So is the ladder: rung r starts at ladderFactor^r
+// times the calibrated base temperature, and replicas swap at every chain
+// boundary.
 type ParallelOptions struct {
 	// Iterations is the number of moves each replica proposes, in chains of
 	// max(Iterations/50, 1) moves. A budget of 0 or less only calibrates.
@@ -45,15 +47,6 @@ type ParallelOptions struct {
 	// search stops early and Cancelled is set. Each state still holds
 	// whatever its walk last accepted, and OnBest snapshots remain valid.
 	Ctx context.Context
-	// SwapEvery is the number of moves each replica runs between swap
-	// barriers. Zero value: one temperature chain. Rounded up to the next
-	// chain multiple so swaps always happen at temperature boundaries and
-	// every rung cools in lockstep.
-	SwapEvery int
-	// LadderFactor is the geometric spacing of the temperature ladder: rung r
-	// starts at factor^r times the calibrated base temperature. Zero value:
-	// 1.5.
-	LadderFactor float64
 	// SwapSeed seeds the dedicated swap RNG. Swap decisions consume their own
 	// stream — never a replica's — so the per-replica walks are independent
 	// of the swap schedule.
@@ -86,6 +79,9 @@ type ParallelResult struct {
 	// Cancelled reports that Ctx was done before the budget ran out.
 	Cancelled bool
 }
+
+// ladderFactor is the geometric spacing of the temperature ladder.
+const ladderFactor = 1.5
 
 // specSeedStride separates the candidate RNG streams of one speculative
 // batch: candidate k draws from batchSeed + k*specSeedStride. Any large odd
@@ -136,15 +132,6 @@ func RunParallel(reps []Replica, opts ParallelOptions) ParallelResult {
 		}
 	}
 	sched := newSchedule(opts.Ctx, opts.Iterations)
-	if opts.LadderFactor == 0 {
-		opts.LadderFactor = 1.5
-	}
-	if opts.SwapEvery == 0 {
-		opts.SwapEvery = sched.chainLength
-	}
-	if r := opts.SwapEvery % sched.chainLength; r != 0 {
-		opts.SwapEvery += sched.chainLength - r
-	}
 
 	k := len(reps)
 	states := make([]repState, k)
@@ -165,7 +152,7 @@ func RunParallel(reps []Replica, opts ParallelOptions) ParallelResult {
 	base /= float64(k)
 	for r := range states {
 		st := &states[r]
-		st.temp = base * math.Pow(opts.LadderFactor, float64(r))
+		st.temp = base * math.Pow(ladderFactor, float64(r))
 		st.res.StartTemp = st.temp
 		st.res.BestCost = st.cur
 		if reps[r].OnBest != nil {
@@ -177,10 +164,9 @@ func RunParallel(reps []Replica, opts ParallelOptions) ParallelResult {
 	swapRNG := rand.New(rand.NewSource(opts.SwapSeed))
 	done := 0
 	for stride := 0; done < sched.iterations; stride++ {
-		n := sched.iterations - done
-		if n > opts.SwapEvery {
-			n = opts.SwapEvery
-		}
+		// One stride is one temperature chain, so swaps happen at
+		// temperature boundaries and every rung cools in lockstep.
+		n := min(sched.iterations-done, sched.chainLength)
 		fanOut(k, func(r int) { states[r].runStride(&reps[r], &sched, done, n) })
 		cancelled := sched.cancelled()
 		for r := range states {

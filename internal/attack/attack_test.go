@@ -22,7 +22,7 @@ func paResult(t *testing.T) *core.Result {
 	resOnce.Do(func() {
 		des := bench.MustGenerate("n100")
 		r, err := core.Run(des, core.Config{
-			Mode: core.PowerAware, GridN: 16, SAIterations: 120,
+			Mode: core.PowerAware, GridN: 16, Iterations: 120,
 			ActivitySamples: 8, Seed: 42,
 		})
 		if err != nil {

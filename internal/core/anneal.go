@@ -87,9 +87,9 @@ func runAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rng *rand.
 		addEvalStats(&stats, &boot.stats)
 	}
 
-	cfg.emit(ProgressEvent{Stage: StageAnneal, Total: cfg.SAIterations})
+	cfg.emit(ProgressEvent{Stage: StageAnneal, Total: cfg.Iterations})
 	pres := anneal.RunParallel(reps, anneal.ParallelOptions{
-		Iterations: cfg.SAIterations,
+		Iterations: cfg.Iterations,
 		Ctx:        ctx,
 		SwapSeed:   swapSeed,
 		OnStride: func(done, total int, best float64) {

@@ -25,32 +25,28 @@ import (
 	"repro/internal/volt"
 )
 
-// Mode selects the experimental setup.
-type Mode int
+// Mode selects the experimental setup. Its values are the wire spellings;
+// the empty mode is the default, TSCAware.
+type Mode string
 
 const (
 	// PowerAware is the paper's baseline setup (i).
-	PowerAware Mode = iota
+	PowerAware Mode = "power-aware"
 	// TSCAware is the paper's proposed setup (ii).
-	TSCAware
+	TSCAware Mode = "tsc-aware"
 )
 
-func (m Mode) String() string {
-	if m == TSCAware {
-		return "TSC-aware"
-	}
-	return "power-aware"
-}
-
 // PostCriterion selects the correlation watched by the dummy-TSV stop rule.
-type PostCriterion int
+// Its values are the wire spellings; the empty criterion is the default,
+// BottomDie.
+type PostCriterion string
 
 const (
 	// BottomDie accepts insertions while |r_1| drops (default; the bottom
 	// die is the protectable one).
-	BottomDie PostCriterion = iota
+	BottomDie PostCriterion = "bottom-die"
 	// AllDies accepts insertions while the mean |r_d| over dies drops.
-	AllDies
+	AllDies PostCriterion = "all-dies"
 )
 
 // Weights are the multi-objective cost weights. The paper weights all
@@ -97,48 +93,55 @@ func DefaultWeights(mode Mode) Weights {
 	return w
 }
 
-// Config tunes one floorplanning run.
+// Config tunes one floorplanning run. It is the one declaration of the
+// knob set and of its JSON schema: tscfp.RunOptions is this type, so the
+// tags below are the tscfp job wire. The zero value of every field selects
+// the knob's default. Fields marshal in declaration order, all omitempty;
+// CostCrossCheck and Progress have no wire form.
 type Config struct {
-	Mode Mode
+	// Mode selects the experimental setup. Default TSCAware.
+	Mode Mode `json:"mode,omitempty"`
+	// Seed drives all stochastic stages.
+	Seed int64 `json:"seed,omitempty"`
+	// Iterations is the annealing budget. Default 3000.
+	Iterations int `json:"iterations,omitempty"`
 	// GridN is the lateral resolution of the thermal and leakage grids.
 	// Default 32.
-	GridN int
-	// SAIterations is the annealing budget. Default 3000.
-	SAIterations int
-	// VoltEvery re-runs voltage assignment every k-th accepted evaluation
-	// (the paper integrates it continuously; the stride keeps runtime at
-	// the reported ~30% overhead). Default 10.
-	VoltEvery int
+	GridN int `json:"grid_n,omitempty"`
 	// ActivitySamples is m of Eq. 2; the paper uses 100. Default 100.
-	ActivitySamples int
+	ActivitySamples int `json:"activity_samples,omitempty"`
 	// PostProcess enables the dummy-TSV insertion stage (TSC mode).
 	// Nil defaults to true in TSC mode, false in PA mode.
-	PostProcess *bool
-	// MaxDummyGroups bounds post-processing insertions. Default 64.
-	MaxDummyGroups int
+	PostProcess *bool `json:"post_process,omitempty"`
 	// PostCriterion selects which correlation the dummy-TSV stop rule
 	// watches. The paper tracks "the resulting average correlation" and
 	// separately suggests focusing on critical regions; the bottom die is
 	// the one the flow can actually protect (Sec. 7.2 explains why the top
 	// die is structurally compromised by the heatsink design rule), so
 	// BottomDie is the default.
-	PostCriterion PostCriterion
-	// ProtectModules, when non-empty, switches the post-processing stage
+	PostCriterion PostCriterion `json:"post_criterion,omitempty"`
+	// ProtectedModules, when non-empty, switches the post-processing stage
 	// to the paper's Sec. 7.1 adaptation: dummy TSVs target only the bins
 	// covered by these (security-critical) modules, the stop rule watches
 	// the correlation over those bins, and "more stable correlations
 	// elsewhere" are accepted. Module indices into Design.Modules, each in
 	// [0, len(Design.Modules)) — tscfp.NewFlow rejects any other.
-	ProtectModules []int
-	// Weights override; zero value selects DefaultWeights(Mode).
-	Weights *Weights
-	// Seed drives all stochastic stages.
-	Seed int64
+	ProtectedModules []int `json:"protected_modules,omitempty"`
+	// MaxDummyGroups bounds post-processing insertions. Default 64.
+	MaxDummyGroups int `json:"max_dummy_groups,omitempty"`
+	// VoltEvery re-runs voltage assignment every k-th accepted evaluation
+	// (the paper integrates it continuously; the stride keeps runtime at
+	// the reported ~30% overhead). Default 10.
+	VoltEvery int `json:"volt_every,omitempty"`
+	// Weights override; nil selects DefaultWeights(Mode).
+	Weights *Weights `json:"weights,omitempty"`
 	// Parallelism bounds the worker goroutines fanned out by the detailed
 	// thermal solver's red-black SOR sweeps and the fast estimator's
-	// separable convolutions. 0 selects GOMAXPROCS; 1 forces the serial
-	// path. Results are byte-identical for every setting.
-	Parallelism int
+	// separable convolutions. 0 is auto: GOMAXPROCS, or 1 under Replicas or
+	// Speculation (and, in tscfp, in each cell of a multi-worker sweep); a
+	// positive value wins, 1 forcing the serial path. Results are
+	// byte-identical for every setting.
+	Parallelism int `json:"parallelism,omitempty"`
 	// Replicas runs K tempered annealing chains (parallel tempering): each
 	// replica anneals on its own RNG stream at its rung of a geometric
 	// temperature ladder, neighbours periodically swap temperatures by the
@@ -149,23 +152,23 @@ type Config struct {
 	// own deterministic contract: a fixed (Seed, Replicas, Speculation)
 	// triple yields a byte-identical Result for any GOMAXPROCS, but the
 	// result differs from the serial walk.
-	Replicas int
+	Replicas int `json:"replicas,omitempty"`
 	// Speculation evaluates M candidate moves per annealing step
 	// concurrently, each on its own evaluator copy, and commits the first
 	// acceptance in candidate order. 0 and 1 select one copy, one move per
 	// step. Like Replicas, M >= 2 keeps the GOMAXPROCS-independence
 	// guarantee but is a different (still deterministic) walk than serial.
-	Speculation int
+	Speculation int `json:"speculation,omitempty"`
 	// CostCrossCheck re-evaluates every annealing move through the full
 	// recompute path and panics if the incremental cost drifts beyond 1e-9
 	// (relative). It also pins every patched per-die entropy against a
 	// from-scratch leakage.SpatialEntropy (1e-9 relative). Debug aid: it
 	// forfeits the entire speedup.
-	CostCrossCheck bool
+	CostCrossCheck bool `json:"-"`
 	// Progress, when non-nil, receives per-stage events as the flow
 	// advances. The callback runs synchronously on the flow goroutine and
 	// must be cheap; it must not retain the event past the call.
-	Progress func(ProgressEvent)
+	Progress func(ProgressEvent) `json:"-"`
 }
 
 // Stage identifies one phase of the flow (Fig. 3) in progress events.
@@ -200,11 +203,17 @@ type ProgressEvent struct {
 }
 
 func (c *Config) defaults() {
+	if c.Mode == "" {
+		c.Mode = TSCAware
+	}
+	if c.PostCriterion == "" {
+		c.PostCriterion = BottomDie
+	}
 	if c.GridN == 0 {
 		c.GridN = 32
 	}
-	if c.SAIterations == 0 {
-		c.SAIterations = 3000
+	if c.Iterations == 0 {
+		c.Iterations = 3000
 	}
 	if c.VoltEvery == 0 {
 		c.VoltEvery = 10
@@ -225,7 +234,7 @@ func (c *Config) defaults() {
 	}
 	// Replica/speculation workers are the annealing loop's own use of the
 	// cores; defaulting the thermal fan-out to serial inside each worker
-	// avoids oversubscribing GOMAXPROCS with nested pools. An explicit
+	// avoids oversubscribing GOMAXPROCS with nested pools. A positive
 	// Parallelism still wins.
 	if (c.Replicas > 1 || c.Speculation > 1) && c.Parallelism == 0 {
 		c.Parallelism = 1
@@ -426,7 +435,7 @@ type Metrics struct {
 
 	// PostCorrelationBefore/After record the dummy-TSV stage's effect on
 	// the watched correlation (Fig. 4: 0.461 -> 0.324 on n100; with
-	// ProtectModules set, the masked correlation over the protected bins).
+	// ProtectedModules set, the masked correlation over the protected bins).
 	PostCorrelationBefore float64 `json:"post_correlation_before"`
 	PostCorrelationAfter  float64 `json:"post_correlation_after"`
 

@@ -14,7 +14,7 @@ func fastCfg(mode Mode, seed int64) Config {
 	return Config{
 		Mode:            mode,
 		GridN:           16,
-		SAIterations:    150,
+		Iterations:      150,
 		ActivitySamples: 12,
 		MaxDummyGroups:  8,
 		Seed:            seed,
@@ -130,7 +130,7 @@ func TestRunAtPowerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := fastCfg(TSCAware, 1)
-	cfg.SAIterations = 60
+	cfg.Iterations = 60
 	cfg.GridN = 8
 	cfg.ActivitySamples = 3
 	cfg.MaxDummyGroups = 2
@@ -220,7 +220,7 @@ func TestRunWithProtectedModules(t *testing.T) {
 		}
 	}
 	cfg := fastCfg(TSCAware, 5)
-	cfg.ProtectModules = protect
+	cfg.ProtectedModules = protect
 	res, err := Run(des, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -288,12 +288,6 @@ func TestRunPostProcessDisabled(t *testing.T) {
 	// Sampled metrics are absent when the stage is off.
 	if res.Metrics.SVF1 != 0 || res.Metrics.MeanStability1 != 0 {
 		t.Fatal("sampled metrics should be zero without post-processing")
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if PowerAware.String() != "power-aware" || TSCAware.String() != "TSC-aware" {
-		t.Fatal("mode strings")
 	}
 }
 

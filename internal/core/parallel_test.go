@@ -127,7 +127,7 @@ func TestRunReplicasReportsStats(t *testing.T) {
 func TestRunReplicasCrossCheck(t *testing.T) {
 	des := bench.MustGenerate("n100")
 	cfg := parCfg(TSCAware, 9, 3, 2)
-	cfg.SAIterations = 150
+	cfg.Iterations = 150
 	cfg.CostCrossCheck = true
 	res, err := Run(des, cfg)
 	if err != nil {
@@ -149,7 +149,7 @@ func TestRunReplicasCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := parCfg(TSCAware, 3, 2, 1)
-	cfg.SAIterations = 100000
+	cfg.Iterations = 100000
 	cfg.Progress = func(ev ProgressEvent) {
 		if ev.Stage == StageAnneal && ev.Done > 0 {
 			cancel()
@@ -166,7 +166,7 @@ func TestRunReplicasCancellation(t *testing.T) {
 
 // TestConfigParallelismDefaultsSerialUnderReplicas pins the oversubscription
 // rule: replica/speculation runs default the nested thermal fan-out to the
-// serial path unless Parallelism is set explicitly.
+// serial path unless Parallelism is positive.
 func TestConfigParallelismDefaultsSerialUnderReplicas(t *testing.T) {
 	cfg := Config{Replicas: 4}
 	cfg.defaults()
@@ -181,11 +181,25 @@ func TestConfigParallelismDefaultsSerialUnderReplicas(t *testing.T) {
 	cfg = Config{Replicas: 4, Parallelism: 3}
 	cfg.defaults()
 	if cfg.Parallelism != 3 {
-		t.Fatal("explicit Parallelism must win over the replica default")
+		t.Fatal("a positive Parallelism must win over the replica default")
 	}
 	cfg = Config{}
 	cfg.defaults()
 	if cfg.Parallelism != 0 {
 		t.Fatal("serial runs must keep the GOMAXPROCS thermal fan-out")
+	}
+}
+
+// TestConfigEmptyEnumsDefault pins the defaults of the two string enums:
+// the empty mode is a TSC-aware run and the empty criterion watches the
+// bottom die, as an empty wire field does.
+func TestConfigEmptyEnumsDefault(t *testing.T) {
+	var cfg Config
+	cfg.defaults()
+	if cfg.Mode != TSCAware || cfg.PostCriterion != BottomDie {
+		t.Fatalf("zero Config defaulted to mode %q, criterion %q", cfg.Mode, cfg.PostCriterion)
+	}
+	if !*cfg.PostProcess || *cfg.Weights != DefaultWeights(TSCAware) {
+		t.Fatal("the defaulted mode must also pick the TSC-aware post-processing and weights")
 	}
 }

@@ -25,7 +25,7 @@ const (
 // dummy thermal-TSV groups at the most stable bins as long as the watched
 // correlation keeps dropping — the paper's "sweet spot" stop criterion.
 //
-// With Config.ProtectModules set, the stage runs the paper's Sec. 7.1
+// With Config.ProtectedModules set, the stage runs the paper's Sec. 7.1
 // adaptation instead: only bins covered by the protected modules are
 // targeted and watched, and collateral stabilization elsewhere is accepted.
 func postProcess(ctx context.Context, res *Result, cfg *Config, rng *rand.Rand, nominal *thermal.Solution) error {
@@ -203,14 +203,14 @@ func postProcess(ctx context.Context, res *Result, cfg *Config, rng *rand.Rand, 
 // bin masks. Returns nil when no protection is configured; individual dies
 // without protected modules get nil masks.
 func protectionMasks(res *Result, cfg *Config) [][]bool {
-	if len(cfg.ProtectModules) == 0 {
+	if len(cfg.ProtectedModules) == 0 {
 		return nil
 	}
 	l := res.Layout
 	n := cfg.GridN
 	masks := make([][]bool, l.Dies)
 	outline := l.Outline()
-	for _, mi := range cfg.ProtectModules {
+	for _, mi := range cfg.ProtectedModules {
 		d := l.DieOf[mi]
 		if masks[d] == nil {
 			masks[d] = make([]bool, n*n)

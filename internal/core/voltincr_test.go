@@ -50,12 +50,12 @@ func TestIncrementalVoltageUnderParallelism(t *testing.T) {
 	des := bench.MustGenerate("n100")
 	post := false
 	res, err := Run(des, Config{
-		Mode:         TSCAware,
-		GridN:        16,
-		SAIterations: 200,
-		Seed:         7,
-		PostProcess:  &post,
-		Parallelism:  4,
+		Mode:        TSCAware,
+		GridN:       16,
+		Iterations:  200,
+		Seed:        7,
+		PostProcess: &post,
+		Parallelism: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,11 +22,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p minus q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Manhattan returns the L1 distance between p and q.
-func (p Point) Manhattan(q Point) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
-
 // Euclid returns the L2 distance between p and q.
 func (p Point) Euclid(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
@@ -103,18 +98,6 @@ func (r Rect) OverlapArea(q Rect) float64 {
 		return 0
 	}
 	return o.Area()
-}
-
-// Union returns the bounding box of r and q.
-func (r Rect) Union(q Rect) Rect {
-	if r.Area() == 0 && r.W == 0 && r.H == 0 && r.X == 0 && r.Y == 0 {
-		return q
-	}
-	x0 := math.Min(r.X, q.X)
-	y0 := math.Min(r.Y, q.Y)
-	x1 := math.Max(r.MaxX(), q.MaxX())
-	y1 := math.Max(r.MaxY(), q.MaxY())
-	return Rect{x0, y0, x1 - x0, y1 - y0}
 }
 
 // Adjacent reports whether r and q share a boundary segment of positive

@@ -68,15 +68,6 @@ func TestOverlapAreaSymmetric(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a := Rect{0, 0, 2, 2}
-	b := Rect{5, 5, 1, 1}
-	u := a.Union(b)
-	if u != (Rect{0, 0, 6, 6}) {
-		t.Fatalf("got %+v", u)
-	}
-}
-
 func TestAdjacent(t *testing.T) {
 	a := Rect{0, 0, 4, 4}
 	cases := []struct {
@@ -131,9 +122,6 @@ func TestInset(t *testing.T) {
 
 func TestManhattanEuclid(t *testing.T) {
 	p, q := Point{0, 0}, Point{3, 4}
-	if p.Manhattan(q) != 7 {
-		t.Fatal("manhattan")
-	}
 	if p.Euclid(q) != 5 {
 		t.Fatal("euclid")
 	}
@@ -149,18 +137,6 @@ func TestPropertyIntersectionWithinBoth(t *testing.T) {
 		}
 		return o.Area() <= a.Area()+1e-9 && o.Area() <= b.Area()+1e-9 &&
 			a.ContainsRect(o) && b.ContainsRect(o)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyUnionContainsBoth(t *testing.T) {
-	f := func(ax, ay, aw, ah, bx, by, bw, bh float64) bool {
-		a := NewRect(mod(ax, 100), mod(ay, 100), mod(aw, 50)+0.1, mod(ah, 50)+0.1)
-		b := NewRect(mod(bx, 100), mod(by, 100), mod(bw, 50)+0.1, mod(bh, 50)+0.1)
-		u := a.Union(b)
-		return u.ContainsRect(a) && u.ContainsRect(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -34,21 +34,6 @@ func TestPropertyIntersectIdempotent(t *testing.T) {
 	}
 }
 
-func TestPropertyUnionCommutativeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 300; i++ {
-		a, b, c := randRect(rng), randRect(rng), randRect(rng)
-		if a.Union(b) != b.Union(a) {
-			t.Fatal("union not commutative")
-		}
-		lhs := a.Union(b).Union(c)
-		rhs := a.Union(b.Union(c))
-		if math.Abs(lhs.Area()-rhs.Area()) > 1e-9 {
-			t.Fatal("union not associative on bounding boxes")
-		}
-	}
-}
-
 func TestPropertyTranslatePreservesArea(t *testing.T) {
 	f := func(dx, dy float64) bool {
 		if math.IsNaN(dx) || math.IsNaN(dy) || math.Abs(dx) > 1e9 || math.Abs(dy) > 1e9 {

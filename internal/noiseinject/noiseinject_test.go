@@ -20,7 +20,7 @@ func result(t *testing.T) *core.Result {
 	once.Do(func() {
 		des := bench.MustGenerate("n100")
 		r, err := core.Run(des, core.Config{
-			Mode: core.PowerAware, GridN: 16, SAIterations: 120,
+			Mode: core.PowerAware, GridN: 16, Iterations: 120,
 			ActivitySamples: 6, Seed: 31,
 		})
 		if err != nil {

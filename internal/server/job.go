@@ -36,10 +36,10 @@ func (s State) Terminal() bool {
 // of its axes runs as one job, one flow per cell, with tscfp.Grid semantics
 // (an empty axis contributes a single default element).
 type SweepSpec struct {
-	Seeds      []int64  `json:"seeds,omitempty"`
-	Modes      []string `json:"modes,omitempty"`
-	GridNs     []int    `json:"grid_ns,omitempty"`
-	Iterations []int    `json:"iterations,omitempty"`
+	Seeds      []int64      `json:"seeds,omitempty"`
+	Modes      []tscfp.Mode `json:"modes,omitempty"`
+	GridNs     []int        `json:"grid_ns,omitempty"`
+	Iterations []int        `json:"iterations,omitempty"`
 	// Workers bounds the in-job fan-out across cells. The default 1 keeps a
 	// sweep job inside the single worker-pool slot it was admitted to;
 	// larger values trade pool fairness for per-job latency. Workers does
@@ -86,11 +86,11 @@ func (r *JobRequest) normalize() (*tscfp.Design, error) {
 	r.Options = opts
 	if r.Sweep != nil {
 		for i, ms := range r.Sweep.Modes {
-			m, err := tscfp.ParseMode(ms)
+			m, err := tscfp.ParseMode(string(ms))
 			if err != nil {
 				return nil, err
 			}
-			r.Sweep.Modes[i] = string(m)
+			r.Sweep.Modes[i] = m
 		}
 		if r.Sweep.Workers < 0 {
 			return nil, fmt.Errorf("negative sweep workers %d", r.Sweep.Workers)
@@ -113,7 +113,7 @@ func (r *JobRequest) normalize() (*tscfp.Design, error) {
 // knobs that cannot change the result (parallelism, sweep worker count) are
 // excluded.
 func contentKey(design *tscfp.Design, opts tscfp.RunOptions, sweep *SweepSpec) (string, error) {
-	opts.Parallelism = nil
+	opts.Parallelism = 0
 	if sweep != nil {
 		s := *sweep
 		s.Workers = 0

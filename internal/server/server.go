@@ -475,11 +475,9 @@ func (s *Server) runSweep(j *job) (string, error) {
 	grid := tscfp.Grid{
 		Design:     j.design,
 		Seeds:      spec.Seeds,
+		Modes:      spec.Modes,
 		GridNs:     spec.GridNs,
 		Iterations: spec.Iterations,
-	}
-	for _, m := range spec.Modes {
-		grid.Modes = append(grid.Modes, tscfp.Mode(m))
 	}
 	baseOpts, err := j.req.Options.Options()
 	if err != nil {

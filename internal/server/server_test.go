@@ -550,7 +550,9 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 	// used to run the whole flow and fail the job when its Result would not
 	// encode (or, at -5 ns, report a zero critical delay). nullTerminal's
 	// null decodes to a nil terminal, and nineDies is past the die bound;
-	// grid_n and the evaluator states are bounded likewise. None of these
+	// grid_n and the evaluator states are bounded likewise. The knobs with
+	// no wire form are unknown keys: a client must never switch on the cost
+	// cross-check, which forfeits the incremental speedup. None of these
 	// requests runs a flow.
 	const (
 		emptyDesign = `{"name": "empty", "dies": 2, "outline_w_um": 100, "outline_h_um": 100}`
@@ -586,32 +588,36 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 	}
 
 	for name, body := range map[string]string{
-		"unknown benchmark":    `{"benchmark": "n9000"}`,
-		"no design":            `{"options": {"seed": 1}}`,
-		"benchmark and design": `{"benchmark": "n100", "design": {"name": "x"}}`,
-		"bad mode":             `{"benchmark": "n100", "options": {"mode": "fast"}}`,
-		"bad criterion":        `{"benchmark": "n100", "options": {"post_criterion": "top"}}`,
-		"negative iterations":  `{"benchmark": "n100", "options": {"iterations": -1}}`,
-		"protected module":     `{"benchmark": "n100", "options": {"protected_modules": [5000]}}`,
-		"zero modules":         `{"design": ` + emptyDesign + `}`,
-		"zero-module sweep":    `{"design": ` + emptyDesign + `, "sweep": {"seeds": [1, 2]}}`,
-		"single die":           `{"design": ` + flatDesign + `}`,
-		"module power 1e7 W":   `{"design": ` + hotDesign + `}`,
-		"outline 1e160 um":     hostile(1e160, 10, 10, 0.1),
-		"module sides 1e200":   hostile(100, 1e200, 1e200, 0.1),
-		"soft width 8.99e307":  hostile(100, 8.99e307, 10, 0.1),
-		"delay 1e308 ns":       hostile(100, 10, 10, 1e308),
-		"delay -5 ns":          hostile(100, 10, 10, -5),
-		"grid_n 1":             `{"benchmark": "n100", "options": {"grid_n": 1}}`,
-		"grid_n 257":           `{"benchmark": "n100", "options": {"grid_n": 257}}`,
-		"72 evaluator states":  `{"benchmark": "n100", "options": {"replicas": 9, "speculation": 8}}`,
-		"null terminal":        `{"design": ` + nullTerminal + `}`,
-		"nine dies":            `{"design": ` + nineDies + `}`,
-		"unknown field":        `{"benchmark": "n100", "bogus": 1}`,
-		"removed knob sigma":   `{"benchmark": "n100", "options": {"activity_sigma": 0.1}}`,
-		"removed knob volt":    `{"benchmark": "n100", "options": {"volt_target_factor": 1.15}}`,
-		"removed knob vias":    `{"benchmark": "n100", "options": {"dummy_vias_per_group": 8}}`,
-		"truncated":            `{"benchmark": "n1`,
+		"unknown benchmark":     `{"benchmark": "n9000"}`,
+		"no design":             `{"options": {"seed": 1}}`,
+		"benchmark and design":  `{"benchmark": "n100", "design": {"name": "x"}}`,
+		"bad mode":              `{"benchmark": "n100", "options": {"mode": "fast"}}`,
+		"bad criterion":         `{"benchmark": "n100", "options": {"post_criterion": "top"}}`,
+		"negative iterations":   `{"benchmark": "n100", "options": {"iterations": -1}}`,
+		"protected module":      `{"benchmark": "n100", "options": {"protected_modules": [5000]}}`,
+		"zero modules":          `{"design": ` + emptyDesign + `}`,
+		"zero-module sweep":     `{"design": ` + emptyDesign + `, "sweep": {"seeds": [1, 2]}}`,
+		"single die":            `{"design": ` + flatDesign + `}`,
+		"module power 1e7 W":    `{"design": ` + hotDesign + `}`,
+		"outline 1e160 um":      hostile(1e160, 10, 10, 0.1),
+		"module sides 1e200":    hostile(100, 1e200, 1e200, 0.1),
+		"soft width 8.99e307":   hostile(100, 8.99e307, 10, 0.1),
+		"delay 1e308 ns":        hostile(100, 10, 10, 1e308),
+		"delay -5 ns":           hostile(100, 10, 10, -5),
+		"grid_n 1":              `{"benchmark": "n100", "options": {"grid_n": 1}}`,
+		"grid_n 257":            `{"benchmark": "n100", "options": {"grid_n": 257}}`,
+		"72 evaluator states":   `{"benchmark": "n100", "options": {"replicas": 9, "speculation": 8}}`,
+		"null terminal":         `{"design": ` + nullTerminal + `}`,
+		"nine dies":             `{"design": ` + nineDies + `}`,
+		"unknown field":         `{"benchmark": "n100", "bogus": 1}`,
+		"removed knob sigma":    `{"benchmark": "n100", "options": {"activity_sigma": 0.1}}`,
+		"removed knob volt":     `{"benchmark": "n100", "options": {"volt_target_factor": 1.15}}`,
+		"removed knob vias":     `{"benchmark": "n100", "options": {"dummy_vias_per_group": 8}}`,
+		"cross-check key":       `{"benchmark": "n100", "options": {"CostCrossCheck": true}}`,
+		"cross-check lowercase": `{"benchmark": "n100", "options": {"costcrosscheck": true}}`,
+		"progress key":          `{"benchmark": "n100", "options": {"Progress": null}}`,
+		"dash key":              `{"benchmark": "n100", "options": {"-": true}}`,
+		"truncated":             `{"benchmark": "n1`,
 	} {
 		if _, resp := submit(t, ts, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)

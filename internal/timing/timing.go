@@ -197,8 +197,8 @@ func NetElmore(l *floorplan.Layout, ni int, p Params) float64 {
 // Degenerate nets (fewer than two pins) have no wire to charge and are
 // defined to have zero delay — without the guard a zero-pin net's
 // sinkPins = -1 would yield a negative capacitance and a negative delay,
-// which the STA pass skips but aggregate proxies (TotalNetDelay,
-// MaxNetDelay) and the evaluators' cached WL/delay terms would absorb.
+// which the STA pass skips but the evaluators' cached WL/delay terms would
+// absorb.
 func ElmoreDelay(length float64, crossDie bool, degree int, p Params) float64 {
 	if degree < 2 {
 		return 0
@@ -239,22 +239,4 @@ func (a *Analysis) WorstPaths(k int) []int {
 		idx[i], idx[best] = idx[best], idx[i]
 	}
 	return idx[:k]
-}
-
-// TotalNetDelay returns the sum of all net delays (an optimization proxy).
-func (a *Analysis) TotalNetDelay() float64 {
-	s := 0.0
-	for _, d := range a.NetDelay {
-		s += d
-	}
-	return s
-}
-
-// MaxNetDelay returns the largest single net delay.
-func (a *Analysis) MaxNetDelay() float64 {
-	m := 0.0
-	for _, d := range a.NetDelay {
-		m = math.Max(m, d)
-	}
-	return m
 }

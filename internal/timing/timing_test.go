@@ -168,16 +168,6 @@ func TestCriticalInPlausibleRange(t *testing.T) {
 	}
 }
 
-func TestAnalysisAggregates(t *testing.T) {
-	_, a := analyzeChain(t, nil)
-	if a.TotalNetDelay() <= 0 || a.MaxNetDelay() <= 0 {
-		t.Fatal("aggregates must be positive")
-	}
-	if a.MaxNetDelay() > a.TotalNetDelay() {
-		t.Fatal("max cannot exceed total")
-	}
-}
-
 func TestDeterministicAnalysis(t *testing.T) {
 	des := bench.MustGenerate("n100")
 	l := floorplan.NewRandom(des, rand.New(rand.NewSource(3))).Pack()

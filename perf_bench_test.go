@@ -28,10 +28,10 @@ func BenchmarkAnnealLoop(b *testing.B) {
 			var st core.EvalStats
 			for i := 0; i < b.N; i++ {
 				res, err := core.Run(des, core.Config{
-					Mode:         core.TSCAware,
-					SAIterations: iters,
-					Seed:         1,
-					PostProcess:  &post,
+					Mode:        core.TSCAware,
+					Iterations:  iters,
+					Seed:        1,
+					PostProcess: &post,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -89,12 +89,12 @@ func BenchmarkAnnealReplicas(b *testing.B) {
 				var st core.EvalStats
 				for i := 0; i < b.N; i++ {
 					res, err := core.Run(des, core.Config{
-						Mode:         core.TSCAware,
-						SAIterations: iters,
-						Seed:         1,
-						PostProcess:  &post,
-						Replicas:     leg.replicas,
-						Speculation:  leg.speculation,
+						Mode:        core.TSCAware,
+						Iterations:  iters,
+						Seed:        1,
+						PostProcess: &post,
+						Replicas:    leg.replicas,
+						Speculation: leg.speculation,
 					})
 					if err != nil {
 						b.Fatal(err)

@@ -43,10 +43,7 @@ func FuzzDesignFlow(f *testing.F) {
 		foldBudget(&o.MaxDummyGroups, 3)
 		o.Replicas %= 3
 		o.Speculation %= 3
-		if o.Parallelism != nil {
-			p := *o.Parallelism % 3
-			o.Parallelism = &p
-		}
+		o.Parallelism %= 3
 		opts, err := o.Options()
 		if err != nil {
 			return

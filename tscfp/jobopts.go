@@ -8,38 +8,22 @@ import (
 )
 
 // RunOptions is the knob set of a flow: the one place every knob is
-// stored. The With* options of this package each set one of its fields,
-// and it is also the JSON-decodable form accepted by out-of-process callers
-// (the tscfpd job API, config files). The zero value of every field selects
-// the knob's default, so a decoded `{}` behaves exactly like
-// NewFlow(design) with no options.
+// stored. It is core.Config, the flow's own configuration, so the knob set
+// and its JSON schema are declared once. The With* options of this package
+// each set one of its fields, and it is also the JSON-decodable form
+// accepted by out-of-process callers (the tscfpd job API, config files).
+// The zero value of every field selects the knob's default, so a decoded
+// `{}` behaves exactly like NewFlow(design) with no options.
 //
-// Strings follow the CLI spellings: Mode accepts the ParseMode forms
-// ("pa", "power-aware", "tsc", "tsc-aware") and PostCriterion accepts
-// "bottom-die" or "all-dies". Marshaling is deterministic (fields in
-// declaration order, omitempty throughout), which serving layers rely on
-// when content-addressing a submission — normalize via Canonical before
-// hashing so "tsc" and "tsc-aware" address the same artifact.
-type RunOptions struct {
-	Mode             string   `json:"mode,omitempty"`
-	Seed             int64    `json:"seed,omitempty"`
-	Iterations       int      `json:"iterations,omitempty"`
-	GridN            int      `json:"grid_n,omitempty"`
-	ActivitySamples  int      `json:"activity_samples,omitempty"`
-	PostProcess      *bool    `json:"post_process,omitempty"`
-	PostCriterion    string   `json:"post_criterion,omitempty"`
-	ProtectedModules []int    `json:"protected_modules,omitempty"`
-	MaxDummyGroups   int      `json:"max_dummy_groups,omitempty"`
-	VoltEvery        int      `json:"volt_every,omitempty"`
-	Weights          *Weights `json:"weights,omitempty"`
-	Parallelism      *int     `json:"parallelism,omitempty"`
-	// Replicas and Speculation shape the annealer (WithReplicas /
-	// WithSpeculation). 0 and 1 both mean one replica or one copy, and both
-	// at 0 or 1 is the serial chain; Canonical normalizes 1 to 0 so the two
-	// spellings content-address identically.
-	Replicas    int `json:"replicas,omitempty"`
-	Speculation int `json:"speculation,omitempty"`
-}
+// Mode accepts the ParseMode spellings ("pa", "power-aware", "tsc",
+// "tsc-aware") and PostCriterion accepts "bottom-die" or "all-dies".
+// Parallelism 0 is auto (see WithParallelism). Replicas and Speculation 0
+// and 1 both mean one replica or one copy. CostCrossCheck and Progress have
+// no wire form. Marshaling is deterministic (fields in declaration order,
+// omitempty throughout), which serving layers rely on when
+// content-addressing a submission — normalize via Canonical before hashing
+// so "tsc" and "tsc-aware" address the same artifact.
+type RunOptions core.Config
 
 // maxGridN bounds the lateral grid resolution, 8 times the default of 32.
 // One n100 run at grid 256 holds 75 MB of RSS, and the flow's work grows
@@ -62,23 +46,21 @@ const maxEvaluatorStates = 64
 // normalizes Replicas and Speculation 1 to 0, the other spelling of one
 // replica or one copy. Two RunOptions that configure the same flow
 // canonicalize to identical JSON, making the result a safe content-address
-// component.
+// component. The copy shares no memory with o: ProtectedModules and the
+// pointed-to PostProcess and Weights are copied, so a Flow shares none with
+// the options it was built from.
 func (o RunOptions) Canonical() (RunOptions, error) {
 	if o.Mode != "" {
-		m, err := ParseMode(o.Mode)
+		m, err := ParseMode(string(o.Mode))
 		if err != nil {
 			return RunOptions{}, err
 		}
-		o.Mode = string(m)
+		o.Mode = m
 	}
-	switch PostCriterion(o.PostCriterion) {
+	switch o.PostCriterion {
 	case "", BottomDie, AllDies:
 	default:
 		return RunOptions{}, fmt.Errorf("tscfp: unknown post criterion %q", o.PostCriterion)
-	}
-	par := 0
-	if o.Parallelism != nil {
-		par = *o.Parallelism
 	}
 	for _, k := range []struct {
 		name string
@@ -86,7 +68,7 @@ func (o RunOptions) Canonical() (RunOptions, error) {
 	}{
 		{"iterations", o.Iterations}, {"grid_n", o.GridN},
 		{"activity_samples", o.ActivitySamples}, {"max_dummy_groups", o.MaxDummyGroups},
-		{"volt_every", o.VoltEvery}, {"parallelism", par},
+		{"volt_every", o.VoltEvery}, {"parallelism", o.Parallelism},
 		{"replicas", o.Replicas}, {"speculation", o.Speculation},
 	} {
 		if k.n < 0 {
@@ -124,53 +106,28 @@ func (o RunOptions) Canonical() (RunOptions, error) {
 	if o.Speculation == 1 {
 		o.Speculation = 0
 	}
+	o.ProtectedModules = append([]int(nil), o.ProtectedModules...)
+	if o.PostProcess != nil {
+		pp := *o.PostProcess
+		o.PostProcess = &pp
+	}
+	if o.Weights != nil {
+		w := *o.Weights
+		o.Weights = &w
+	}
 	return o, nil
 }
 
 // Options returns the knob set as flow options for NewFlow: one Option
 // that sets every knob to its canonical value. Because it sets every knob,
-// it must come before any option that overrides one of them; an option
-// placed before it is overwritten. Spelling and range errors (unknown mode
-// or criterion, negative counts, counts past their bounds, NaN/±Inf
-// weights) surface here, from Canonical.
+// Progress and CostCrossCheck included, it must come before any option that
+// overrides one of them; an option placed before it is overwritten.
+// Spelling and range errors (unknown mode or criterion, negative counts,
+// counts past their bounds, NaN/±Inf weights) surface here, from Canonical.
 func (o RunOptions) Options() ([]Option, error) {
 	c, err := o.Canonical()
 	if err != nil {
 		return nil, err
 	}
 	return []Option{func(s *settings) { s.RunOptions = c }}, nil
-}
-
-// config lowers a canonical knob set into the flow configuration, field
-// for field. Zero fields stay zero, so core fills in every default; slices
-// and pointed-to values are copied, so a Flow shares no memory with the
-// options it was built from.
-func (o RunOptions) config() core.Config {
-	cfg := core.Config{
-		Mode:            Mode(o.Mode).core(),
-		Seed:            o.Seed,
-		SAIterations:    o.Iterations,
-		GridN:           o.GridN,
-		ActivitySamples: o.ActivitySamples,
-		ProtectModules:  append([]int(nil), o.ProtectedModules...),
-		MaxDummyGroups:  o.MaxDummyGroups,
-		VoltEvery:       o.VoltEvery,
-		Replicas:        o.Replicas,
-		Speculation:     o.Speculation,
-	}
-	if PostCriterion(o.PostCriterion) == AllDies {
-		cfg.PostCriterion = core.AllDies
-	}
-	if o.PostProcess != nil {
-		pp := *o.PostProcess
-		cfg.PostProcess = &pp
-	}
-	if o.Weights != nil {
-		w := *o.Weights
-		cfg.Weights = &w
-	}
-	if o.Parallelism != nil {
-		cfg.Parallelism = *o.Parallelism
-	}
-	return cfg
 }

@@ -46,7 +46,7 @@ func TestRunOptionsCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Mode != string(TSCAware) || c.PostCriterion != string(AllDies) {
+	if c.Mode != TSCAware || c.PostCriterion != AllDies {
 		t.Fatalf("canonical = %+v", c)
 	}
 	if _, err := (RunOptions{Mode: "fast"}).Canonical(); err == nil {
@@ -174,43 +174,26 @@ func TestRunOptionsReplicaCanonical(t *testing.T) {
 	}
 }
 
-// TestRunOptionsAllKnobs checks every field reaches the flow: the full
-// struct builds the same flow as the equivalent With* calls, zeroing any
-// single field changes the lowered config (so config maps every knob), and
-// range errors surface from Options as they do from NewFlow.
+// TestRunOptionsAllKnobs checks every knob reaches the flow: the full
+// struct builds the same flow as the equivalent With* calls, and range
+// errors surface from Options as they do from NewFlow.
 func TestRunOptionsAllKnobs(t *testing.T) {
 	pp := true
-	par := 2
 	w := DefaultWeights(TSCAware)
 	full := RunOptions{
 		Mode: "pa", Seed: 3, Iterations: 10, GridN: 8, ActivitySamples: 2,
 		PostProcess: &pp, PostCriterion: "all-dies",
 		ProtectedModules: []int{0, 1}, MaxDummyGroups: 2, VoltEvery: 5,
-		Weights: &w, Parallelism: &par, Replicas: 2, Speculation: 3,
+		Weights: &w, Parallelism: 2, Replicas: 2, Speculation: 3, CostCrossCheck: true,
 	}
 	direct := flowOf(t,
 		WithMode(PowerAware), WithSeed(3), WithIterations(10), WithGridN(8),
 		WithActivitySamples(2), WithPostProcess(true), WithPostCriterion(AllDies),
 		WithProtectedModules(0, 1), WithMaxDummyGroups(2), WithVoltEvery(5),
 		WithWeights(w), WithParallelism(2),
-		WithReplicas(2), WithSpeculation(3))
+		WithReplicas(2), WithSpeculation(3), WithCostCrossCheck(true))
 	if got := loweredFlow(t, full); !reflect.DeepEqual(got, direct) {
 		t.Fatalf("full RunOptions lowered to %+v, want the With* flow %+v", got, direct)
-	}
-
-	canon, err := full.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := canon.config()
-	v := reflect.ValueOf(canon)
-	for i := 0; i < v.NumField(); i++ {
-		zeroed := canon
-		f := reflect.ValueOf(&zeroed).Elem().Field(i)
-		f.Set(reflect.Zero(f.Type()))
-		if reflect.DeepEqual(zeroed.config(), want) {
-			t.Errorf("zeroing %s does not change the lowered config", v.Type().Field(i).Name)
-		}
 	}
 
 	if _, err := (RunOptions{Iterations: -5}).Options(); err == nil {
@@ -218,6 +201,51 @@ func TestRunOptionsAllKnobs(t *testing.T) {
 	}
 	if _, err := NewFlow(MustBenchmark("n100"), WithIterations(-5)); err == nil {
 		t.Fatal("negative iterations accepted by NewFlow")
+	}
+}
+
+// TestFlowSharesNoMemoryWithOptions: Canonical copies the slice and the
+// pointed-to values, so editing the options after NewFlow leaves the flow
+// as it was built.
+func TestFlowSharesNoMemoryWithOptions(t *testing.T) {
+	pp, w := true, DefaultWeights(TSCAware)
+	o := RunOptions{PostProcess: &pp, Weights: &w, ProtectedModules: []int{1, 2}}
+	f := loweredFlow(t, o)
+	pp, w.Power, o.ProtectedModules[0] = false, 99, 7
+	if !*f.cfg.PostProcess || f.cfg.Weights.Power == 99 || f.cfg.ProtectedModules[0] != 1 {
+		t.Fatalf("the flow follows edits to its options: %+v", f.cfg)
+	}
+}
+
+// TestRunOptionsWirePinned pins the canonical JSON of a knob set with all
+// 14 wire keys set. tscfpd content-addresses a submission by these bytes,
+// so a renamed, reordered or dropped tag on any knob would move every
+// stored address. CostCrossCheck and Progress are set too: they have no
+// wire form. The literal is the encoding the knob set had when it was
+// declared apart from core.Config.
+func TestRunOptionsWirePinned(t *testing.T) {
+	pp := false
+	w := DefaultWeights(PowerAware)
+	c, err := RunOptions{
+		Mode: "pa", Seed: 9, Iterations: 11, GridN: 12, ActivitySamples: 13,
+		PostProcess: &pp, PostCriterion: "all-dies", ProtectedModules: []int{4, 2},
+		MaxDummyGroups: 14, VoltEvery: 15, Weights: &w, Parallelism: 3, Replicas: 3, Speculation: 2,
+		CostCrossCheck: true, Progress: func(Event) {},
+	}.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"mode":"power-aware","seed":9,"iterations":11,"grid_n":12,"activity_samples":13,` +
+		`"post_process":false,"post_criterion":"all-dies","protected_modules":[4,2],"max_dummy_groups":14,` +
+		`"volt_every":15,"weights":{"outline_violation":8,"wirelength":1,"critical_delay":1,"peak_temp":1,` +
+		`"power":1,"voltage_volumes":0.25,"correlation":0,"spatial_entropy":0,"design_rule":0.5},` +
+		`"parallelism":3,"replicas":3,"speculation":2}`
+	if string(data) != want {
+		t.Fatalf("canonical JSON\n%s\nwant\n%s", data, want)
 	}
 }
 

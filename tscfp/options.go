@@ -6,28 +6,20 @@ import (
 	"repro/internal/core"
 )
 
-// Mode selects the experimental setup (Sec. 7 of the paper).
-type Mode string
+// Mode selects the experimental setup (Sec. 7 of the paper). Its values
+// are the full wire spellings; ParseMode accepts the short ones too.
+type Mode = core.Mode
 
 const (
 	// PowerAware is the competitive baseline: packing, wirelength, delay,
 	// peak temperature, and voltage assignment optimized together.
-	PowerAware Mode = "power-aware"
+	PowerAware = core.PowerAware
 	// TSCAware additionally minimizes the power/thermal correlation (Eq. 1)
 	// and the spatial entropy of the power maps (Eq. 3), uses the
 	// TSC-oriented voltage-assignment objective, and runs the dummy-TSV
 	// post-processing of Sec. 6.2.
-	TSCAware Mode = "tsc-aware"
+	TSCAware = core.TSCAware
 )
-
-// core maps a canonical mode onto the flow's enum. The empty mode is the
-// default, TSCAware.
-func (m Mode) core() core.Mode {
-	if m == PowerAware {
-		return core.PowerAware
-	}
-	return core.TSCAware
-}
 
 // ParseMode accepts the common spellings ("pa", "power-aware", "tsc",
 // "tsc-aware") used by the CLI flags. The empty string is an error, not a
@@ -44,14 +36,14 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // PostCriterion selects the correlation watched by the dummy-TSV stop rule.
-type PostCriterion string
+type PostCriterion = core.PostCriterion
 
 const (
 	// BottomDie accepts insertions while |r_1| drops (default; the bottom
 	// die is the protectable one).
-	BottomDie PostCriterion = "bottom-die"
+	BottomDie = core.BottomDie
 	// AllDies accepts insertions while the mean |r_d| over dies drops.
-	AllDies PostCriterion = "all-dies"
+	AllDies = core.AllDies
 )
 
 // Weights are the multi-objective cost weights; see core's documentation for
@@ -87,18 +79,15 @@ const (
 type Event = core.ProgressEvent
 
 // settings accumulates option values before a Flow is built: the knob set
-// every With* option writes, plus the callback and the debug switch that
-// have no wire form.
+// every With* option writes, and WithMode's eager spelling check.
 type settings struct {
 	RunOptions
-	progress   func(Event)
-	crossCheck bool  // WithCostCrossCheck
-	err        error // WithMode's eager spelling check
+	err error
 }
 
 // Option configures a Flow (and, through Grid.Options, every Sweep cell).
-// Each option sets one field of the RunOptions knob set, except
-// WithProgress and WithCostCrossCheck, which have no wire form. NewFlow then
+// Each option sets one field of the RunOptions knob set; WithProgress and
+// WithCostCrossCheck set the two that have no wire form. NewFlow then
 // validates the knob set through RunOptions.Canonical, so a negative count,
 // a count past its bound or a NaN/±Inf weight fails there, naming the knob.
 type Option func(*settings)
@@ -112,7 +101,7 @@ func WithMode(m Mode) Option {
 		if _, err := ParseMode(string(m)); err != nil && s.err == nil {
 			s.err = err
 		}
-		s.Mode = string(m)
+		s.Mode = m
 	}
 }
 
@@ -156,7 +145,7 @@ func WithPostProcess(enabled bool) Option {
 // rule. Default BottomDie; the empty criterion selects the default, as an
 // empty wire field does.
 func WithPostCriterion(c PostCriterion) Option {
-	return func(s *settings) { s.PostCriterion = string(c) }
+	return func(s *settings) { s.PostCriterion = c }
 }
 
 // WithProtectedModules switches post-processing to the Sec. 7.1 adaptation:
@@ -194,28 +183,27 @@ func DefaultWeights(m Mode) Weights {
 	if err != nil {
 		panic(err)
 	}
-	return core.DefaultWeights(pm.core())
+	return core.DefaultWeights(pm)
 }
 
 // WithProgress installs a per-stage progress callback. The callback runs
 // synchronously on the flow goroutine (each Sweep worker has its own), so it
 // must be cheap and, under Sweep, safe for concurrent invocation.
 func WithProgress(fn func(Event)) Option {
-	return func(s *settings) { s.progress = fn }
+	return func(s *settings) { s.Progress = fn }
 }
 
 // WithParallelism bounds the worker goroutines fanned out by the detailed
 // thermal solver's red-black SOR sweeps and the fast estimator's separable
-// convolutions. 0 (the default) selects GOMAXPROCS; 1 forces the serial
-// path. Results are byte-identical for every setting — parallelism never
+// convolutions. A positive n wins; 1 forces the serial path. 0 (the
+// default) is auto: GOMAXPROCS for a lone serial run, and 1 where other
+// workers already use the cores — under WithReplicas or WithSpeculation,
+// and in each cell of a Sweep/Stream pool of two or more workers, where
+// nesting per-run fan-out under the pool would oversubscribe the machine.
+// Results are byte-identical for every setting — parallelism never
 // perturbs determinism (see WithSeed).
-//
-// Under Sweep/Stream the unset default is 1, not GOMAXPROCS: the worker
-// pool already saturates the CPU with whole cells, and nesting per-run
-// fan-out under pool-level fan-out would oversubscribe it. An explicit
-// WithParallelism wins over that adjustment.
 func WithParallelism(n int) Option {
-	return func(s *settings) { s.Parallelism = &n }
+	return func(s *settings) { s.Parallelism = n }
 }
 
 // WithReplicas runs k tempered annealing chains (replica exchange / parallel
@@ -230,8 +218,8 @@ func WithParallelism(n int) Option {
 // speculation) triple yields a byte-identical Result for any GOMAXPROCS, but
 // the walk differs from the serial one — replicas trade reproducibility of
 // the historical stream for quality per wall-clock second. Under replicas
-// the per-run thermal Parallelism defaults to 1 (the chains are the
-// parallelism); an explicit WithParallelism wins.
+// the per-run thermal parallelism's auto setting is 1 (the chains are the
+// parallelism); a positive WithParallelism wins.
 func WithReplicas(k int) Option {
 	return func(s *settings) { s.Replicas = k }
 }
@@ -254,5 +242,5 @@ func WithSpeculation(m int) Option {
 // from-scratch recompute (1e-9 relative). Debug aid: it forfeits the entire
 // incremental speedup.
 func WithCostCrossCheck(enabled bool) Option {
-	return func(s *settings) { s.crossCheck = enabled }
+	return func(s *settings) { s.CostCrossCheck = enabled }
 }

@@ -1,6 +1,7 @@
 package tscfp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -15,14 +16,8 @@ import (
 // NewFlow and safe to Run multiple times (each Run is independent) or from
 // multiple goroutines.
 type Flow struct {
-	design   *Design
-	mode     Mode
-	cfg      core.Config
-	progress func(Event)
-	// parSet records that the knob set gave Parallelism explicitly
-	// (WithParallelism or RunOptions.Parallelism); Sweep respects it when
-	// defaulting pooled cells to serial per-run parallelism.
-	parSet bool
+	design *Design
+	cfg    core.Config
 }
 
 // NewFlow binds a design to a set of options. Validation happens here, not
@@ -56,18 +51,11 @@ func NewFlow(design *Design, opts ...Option) (*Flow, error) {
 			return nil, fmt.Errorf("tscfp: protected_modules index %d outside [0, %d)", mi, design.NumModules())
 		}
 	}
-	cfg := c.config()
-	cfg.CostCrossCheck = s.crossCheck
-	mode := Mode(c.Mode)
-	if mode == "" {
-		mode = TSCAware
-	}
-	return &Flow{design: design, mode: mode, cfg: cfg, progress: s.progress,
-		parSet: c.Parallelism != nil}, nil
+	return &Flow{design: design, cfg: core.Config(c)}, nil
 }
 
 // Mode returns the flow's configured mode.
-func (f *Flow) Mode() Mode { return f.mode }
+func (f *Flow) Mode() Mode { return cmp.Or(f.cfg.Mode, TSCAware) }
 
 // Design returns the flow's design.
 func (f *Flow) Design() *Design { return f.design }
@@ -79,13 +67,11 @@ func (f *Flow) Design() *Design { return f.design }
 // moves and thermal-solver sweeps; a cancelled Run returns ctx.Err() and no
 // partial Result.
 func (f *Flow) Run(ctx context.Context) (*Result, error) {
-	cfg := f.cfg // per-run copy: core mutates defaults in place
-	cfg.Progress = f.progress
-	res, err := core.RunContext(ctx, f.design.d, cfg)
+	res, err := core.RunContext(ctx, f.design.d, f.cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(res, f.mode, f.cfg.Seed), nil
+	return newResult(res, f.Mode(), f.cfg.Seed), nil
 }
 
 // Run is the one-call convenience wrapper: NewFlow + Flow.Run.

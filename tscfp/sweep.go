@@ -53,7 +53,7 @@ func (c Cell) Options() []Option {
 // applies the same overlay, so a cell's run and the RunOptions a serving
 // layer content-addresses the cell by come from this one function.
 func (c Cell) Overlay(base RunOptions) RunOptions {
-	base.Seed, base.Mode = c.Seed, string(c.Mode)
+	base.Seed, base.Mode = c.Seed, c.Mode
 	if c.GridN > 0 {
 		base.GridN = c.GridN
 	}
@@ -149,40 +149,13 @@ func Stream(ctx context.Context, grid Grid, opts ...SweepOption) (<-chan SweepRe
 	if grid.Design == nil || grid.Design.d == nil {
 		return nil, fmt.Errorf("tscfp: sweep grid has no design")
 	}
-	cells := grid.Cells()
-	// Build every flow up front so option errors surface before any work
-	// starts (and before the caller commits to draining the channel).
-	flows := make([]*Flow, len(cells))
-	for i, c := range cells {
-		f, err := NewFlow(grid.Design, append(append([]Option(nil), grid.Options...), c.Options()...)...)
-		if err != nil {
-			return nil, fmt.Errorf("tscfp: sweep cell %d (seed %d, %s): %w", c.Index, c.Seed, c.Mode, err)
-		}
-		flows[i] = f
-	}
-
 	var s sweepSettings
 	for _, opt := range opts {
 		opt(&s)
 	}
-	workers := s.workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	// A multi-worker pool saturates the CPU with whole cells; nesting each
-	// cell's solver/blur fan-out under it would oversubscribe the machine
-	// (workers × GOMAXPROCS runnable goroutines). Default pooled cells to
-	// the serial per-run path unless WithParallelism was given explicitly.
-	// Results are identical either way (see WithParallelism).
-	if workers > 1 {
-		for _, f := range flows {
-			if !f.parSet {
-				f.cfg.Parallelism = 1
-			}
-		}
+	cells, flows, workers, err := grid.plan(s.workers)
+	if err != nil {
+		return nil, err
 	}
 
 	// Buffered to the cell count so neither workers nor the cancellation
@@ -221,6 +194,35 @@ func Stream(ctx context.Context, grid Grid, opts ...SweepOption) (<-chan SweepRe
 		close(out)
 	}()
 	return out, nil
+}
+
+// plan sizes the worker pool and builds every cell's flow up front, so
+// option errors surface before any work starts (and before the caller
+// commits to draining the channel). A workers value below 1 selects
+// GOMAXPROCS, and the pool never exceeds the cell count. In a pool of two
+// or more workers a cell whose Parallelism is 0 (auto) runs at 1: the pool
+// already saturates the CPU with whole cells, and nesting each cell's
+// solver/blur fan-out under it would oversubscribe the machine (workers ×
+// GOMAXPROCS runnable goroutines). A positive Parallelism wins. Results are
+// identical either way (see WithParallelism).
+func (g *Grid) plan(workers int) ([]Cell, []*Flow, int, error) {
+	cells := g.Cells()
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(cells))
+	flows := make([]*Flow, len(cells))
+	for i, c := range cells {
+		f, err := NewFlow(g.Design, append(append([]Option(nil), g.Options...), c.Options()...)...)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("tscfp: sweep cell %d (seed %d, %s): %w", c.Index, c.Seed, c.Mode, err)
+		}
+		if workers > 1 && f.cfg.Parallelism == 0 {
+			f.cfg.Parallelism = 1
+		}
+		flows[i] = f
+	}
+	return cells, flows, workers, nil
 }
 
 // runCell runs one sweep cell on a Stream worker. A panic in the cell's flow

@@ -293,3 +293,38 @@ func TestStreamCellPanicFailsOnlyThatCell(t *testing.T) {
 		t.Fatalf("other cell: result %v, err %v; want a result", sr.Result, sr.Err)
 	}
 }
+
+// TestStreamPooledParallelism pins the one parallelism rule in a pool: a
+// cell of a two-worker Stream runs at Parallelism 1 when the knob is 0
+// (auto), whether set by WithParallelism(0) or left alone, and at the given
+// value when it is positive. A one-worker pool leaves auto to the run. It
+// reads the cells' configuration from plan, the step Stream builds its
+// flows with; no flow runs.
+func TestStreamPooledParallelism(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		opts    []Option
+		want    int
+	}{
+		{2, []Option{WithParallelism(0)}, 1},
+		{2, nil, 1},
+		{2, []Option{WithParallelism(3)}, 3},
+		{1, []Option{WithParallelism(0)}, 0},
+		{1, []Option{WithParallelism(3)}, 3},
+	} {
+		grid := Grid{Design: MustBenchmark("n100"), Seeds: []int64{1, 2}, Options: tc.opts}
+		_, flows, workers, err := grid.plan(tc.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers != tc.workers {
+			t.Fatalf("plan(%d) sized a pool of %d", tc.workers, workers)
+		}
+		for i, f := range flows {
+			if f.cfg.Parallelism != tc.want {
+				t.Errorf("%d workers, %d options: cell %d runs at parallelism %d, want %d",
+					tc.workers, len(tc.opts), i, f.cfg.Parallelism, tc.want)
+			}
+		}
+	}
+}
