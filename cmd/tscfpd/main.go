@@ -14,7 +14,8 @@
 //	-max-body        TSCFPD_MAX_BODY              submission body cap in bytes (default 8 MiB)
 //	-drain-timeout   TSCFPD_DRAIN_TIMEOUT         grace for in-flight jobs on SIGTERM (default 30s)
 //	-data-dir        TSCFPD_DATA_DIR              durable artifact registry directory
-//	                                              (default "": ephemeral in-memory store)
+//	                                              (default "": a temporary directory,
+//	                                              removed on exit)
 //	-max-store-bytes TSCFPD_MAX_STORE_BYTES       on-disk artifact payload bound (0 = unbounded)
 //	-max-cache-bytes TSCFPD_MAX_CACHE_BYTES       in-RAM payload cache bound (default 64 MiB)
 //	-retention       TSCFPD_RETENTION             evict artifacts / terminal job records idle
@@ -22,11 +23,13 @@
 //	-max-jobs        TSCFPD_MAX_JOBS              job table bound, terminal records GC'd
 //	                                              oldest-first (default 4096)
 //
-// With -data-dir set, every artifact (results, sweep manifests) is written
-// atomically under its content address with a lineage sidecar; a restarted
-// daemon rescans the directory, quarantines corrupt files, and serves prior
-// results as dedupe hits — byte-identical, original lineage, no recompute.
-// Without it the store is in-memory and lost on exit.
+// Every artifact (results, sweep manifests) is written atomically under its
+// content address with a lineage sidecar, into a registry bounded by
+// -max-store-bytes, -max-cache-bytes and -retention. With -data-dir set, a
+// restarted daemon rescans the directory, quarantines corrupt files, and
+// serves prior results as dedupe hits — byte-identical, original lineage, no
+// recompute. Without it the registry lives in a fresh temporary directory
+// that is removed after drain.
 //
 // SIGTERM/SIGINT trigger graceful drain: /readyz flips to 503, admission
 // stops, in-flight jobs get the drain timeout to finish before their
@@ -61,14 +64,22 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tscfpd: ")
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run serves until SIGTERM/SIGINT and a completed drain. It returns, rather
+// than exits, on failure so the deferred removal of a temporary registry
+// directory runs on every path.
+func run() error {
 	var (
 		addr         = flag.String("addr", envStr("TSCFPD_ADDR", envPort(":8080")), "listen address")
 		workers      = flag.Int("workers", envInt("TSCFPD_WORKERS", 0), "job worker pool size (0 = one per CPU)")
 		queueCap     = flag.Int("queue", envInt("TSCFPD_QUEUE", 256), "admission queue bound (queued jobs)")
 		maxBody      = flag.Int64("max-body", envInt64("TSCFPD_MAX_BODY", 8<<20), "max submission body size in bytes")
 		drainTimeout = flag.Duration("drain-timeout", envDuration("TSCFPD_DRAIN_TIMEOUT", 30*time.Second), "grace period for in-flight jobs on shutdown")
-		dataDir      = flag.String("data-dir", envStr("TSCFPD_DATA_DIR", ""), "durable artifact registry directory (empty = ephemeral in-memory store)")
+		dataDir      = flag.String("data-dir", envStr("TSCFPD_DATA_DIR", ""), "durable artifact registry directory (empty = a temporary directory, removed on exit)")
 		maxStore     = flag.Int64("max-store-bytes", envInt64("TSCFPD_MAX_STORE_BYTES", 0), "on-disk artifact payload bound (0 = unbounded)")
 		maxCache     = flag.Int64("max-cache-bytes", envInt64("TSCFPD_MAX_CACHE_BYTES", 64<<20), "in-RAM artifact payload cache bound")
 		retention    = flag.Duration("retention", envDuration("TSCFPD_RETENTION", 0), "evict artifacts and terminal job records idle longer than this (0 = keep)")
@@ -78,35 +89,41 @@ func main() {
 	flag.Parse()
 	if *showVersion {
 		fmt.Println("tscfpd " + version.String())
-		return
+		return nil
 	}
 
-	var store server.Store
-	var reg *registry.Registry
-	if *dataDir != "" {
-		var err error
-		reg, err = registry.Open(registry.Config{
-			Dir:           *dataDir,
-			MaxStoreBytes: *maxStore,
-			MaxCacheBytes: *maxCache,
-			MaxAge:        *retention,
-		})
+	dir := *dataDir
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "tscfpd-")
 		if err != nil {
-			log.Fatalf("open registry: %v", err)
+			return fmt.Errorf("create registry directory: %w", err)
 		}
-		st := reg.Stats()
-		log.Printf("registry %s: %d artifacts (%d bytes) rebuilt, %d quarantined",
-			*dataDir, st.Artifacts, st.DiskBytes, st.Quarantined)
-		store = reg
-	} else {
-		log.Print("no -data-dir: artifact store is in-memory and lost on exit")
+		defer func() {
+			if err := os.RemoveAll(tmp); err != nil {
+				log.Printf("remove registry directory: %v", err)
+			}
+		}()
+		log.Printf("no -data-dir: registry in %s, removed on exit", tmp)
+		dir = tmp
 	}
+	reg, err := registry.Open(registry.Config{
+		Dir:           dir,
+		MaxStoreBytes: *maxStore,
+		MaxCacheBytes: *maxCache,
+		MaxAge:        *retention,
+	})
+	if err != nil {
+		return fmt.Errorf("open registry: %w", err)
+	}
+	st := reg.Stats()
+	log.Printf("registry %s: %d artifacts (%d bytes) rebuilt, %d quarantined",
+		dir, st.Artifacts, st.DiskBytes, st.Quarantined)
 
 	srv := server.New(server.Config{
 		Workers:      *workers,
 		QueueCap:     *queueCap,
 		MaxBodyBytes: *maxBody,
-		Store:        store,
+		Store:        reg,
 		MaxJobs:      *maxJobs,
 		JobRetention: *retention,
 	})
@@ -119,7 +136,7 @@ func main() {
 	// Periodic retention sweep, so an idle daemon still ages artifacts and
 	// terminal job records out (Put and register enforce the bounds on every
 	// write; this covers the no-traffic case).
-	if reg != nil && *retention > 0 {
+	if *retention > 0 {
 		go func() {
 			t := time.NewTicker(time.Minute)
 			defer t.Stop()
@@ -150,10 +167,11 @@ func main() {
 
 	log.Printf("listening on %s (workers=%d queue=%d)", *addr, *workers, *queueCap)
 	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
+		return err
 	}
 	<-drained
 	log.Print("drained, exiting")
+	return nil
 }
 
 // envStr reads a string env fallback for a flag default.

@@ -3,20 +3,10 @@
 // and errsink — the machine-checked form of the invariants the golden,
 // fuzz, and equivalence suites otherwise only catch after the fact.
 //
-// Standalone use (the normal mode, wired into scripts/lint.sh and CI):
+// Usage (scripts/lint.sh runs the first form as the gate):
 //
 //	tscfplint ./...
 //	tscfplint -run determinism,errsink ./internal/server
-//
-// It also speaks enough of the vet driver protocol to run as
-//
-//	go vet -vettool=$(which tscfplint) ./...
-//
-// In that mode go vet invokes the tool once per package with a JSON
-// config file; the tool type-checks the package from the config's file
-// lists and export data, reports findings, and writes an (empty) facts
-// file — the suite's passes are all package-local, so no facts cross
-// package boundaries.
 //
 // Exit status: 0 clean, 1 findings, 2 operational error.
 package main
@@ -25,18 +15,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/analyzers"
-	"repro/internal/version"
 )
 
 func main() {
@@ -44,23 +26,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// Vet driver protocol, part 1: `-V=full` must print a versioned
-	// identity line the driver uses as a cache key.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Printf("tscfplint version %s\n", version.String())
-		return 0
-	}
-	// Vet driver protocol, part 2: `-flags` asks for the tool's flag
-	// definitions as JSON; the suite exposes none to the driver.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return 0
-	}
-	// Vet driver protocol, part 3: a single *.cfg positional argument.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVetUnit(args[0])
-	}
-
 	fs := flag.NewFlagSet("tscfplint", flag.ContinueOnError)
 	runList := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
@@ -139,111 +104,4 @@ func filterAnalyzers(suite []*analyzers.Analyzer, runList string) []*analyzers.A
 		}
 	}
 	return out
-}
-
-// vetConfig is the unit-checker config the vet driver hands the tool; the
-// field set mirrors x/tools' unitchecker.Config (the protocol is defined
-// by cmd/go, not by x/tools, so speaking it needs only encoding/json).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes one package as directed by a vet driver config.
-func runVetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tscfplint: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "tscfplint: parse %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// The driver expects the facts file regardless of findings; the suite
-	// is package-local so it is always empty.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "tscfplint: %v\n", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintf(os.Stderr, "tscfplint: %v\n", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		ef, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(ef)
-	})
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "tscfplint: type-check %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-	pkg := &analyzers.Package{
-		PkgPath:   cfg.ImportPath,
-		Dir:       cfg.Dir,
-		Fset:      fset,
-		Files:     files,
-		Types:     tpkg,
-		TypesInfo: info,
-	}
-	diags, err := analyzers.Run(analyzers.All(), []*analyzers.Package{pkg})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tscfplint: %v\n", err)
-		return 2
-	}
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos.Offset < diags[j].Pos.Offset })
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", d.Pos, d.Message, d.Analyzer)
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
 }

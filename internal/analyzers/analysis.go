@@ -112,9 +112,8 @@ func newPass(a *Analyzer, pkg *Package) *Pass {
 func (p *Pass) Reportf(pos token.Pos, key string, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	// The invariants gate production code. Tests pin exact values, use
-	// wall-clock deadlines, and write to buffers on purpose; when a
-	// driver (go vet's unit checker) hands us test variants, findings
-	// positioned in test files are dropped so both modes agree.
+	// wall-clock deadlines, and write to buffers on purpose, so findings
+	// positioned in test files are dropped.
 	if strings.HasSuffix(position.Filename, "_test.go") {
 		return
 	}

@@ -48,12 +48,6 @@ func NewRect(x, y, w, h float64) Rect {
 	return Rect{x, y, w, h}
 }
 
-// RectFromCorners builds the rectangle spanned by two opposite corners.
-func RectFromCorners(a, b Point) Rect {
-	return NewRect(math.Min(a.X, b.X), math.Min(a.Y, b.Y),
-		math.Abs(a.X-b.X), math.Abs(a.Y-b.Y))
-}
-
 // Area returns the rectangle area in um^2.
 func (r Rect) Area() float64 { return r.W * r.H }
 
@@ -122,21 +116,6 @@ func (r Rect) Adjacent(q Rect) bool {
 // Translate returns r shifted by (dx, dy).
 func (r Rect) Translate(dx, dy float64) Rect {
 	return Rect{r.X + dx, r.Y + dy, r.W, r.H}
-}
-
-// Scale returns r with the corner and extent multiplied by f.
-func (r Rect) Scale(f float64) Rect {
-	return Rect{r.X * f, r.Y * f, r.W * f, r.H * f}
-}
-
-// Inset returns r shrunk by d on every side. If the rectangle would invert,
-// the degenerate zero-area rectangle at its center is returned.
-func (r Rect) Inset(d float64) Rect {
-	if r.W <= 2*d || r.H <= 2*d {
-		c := r.Center()
-		return Rect{c.X, c.Y, 0, 0}
-	}
-	return Rect{r.X + d, r.Y + d, r.W - 2*d, r.H - 2*d}
 }
 
 func (r Rect) String() string {

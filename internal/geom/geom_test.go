@@ -14,14 +14,6 @@ func TestNewRectNormalizes(t *testing.T) {
 	}
 }
 
-func TestRectFromCorners(t *testing.T) {
-	r := RectFromCorners(Point{5, 7}, Point{1, 2})
-	want := Rect{1, 2, 4, 5}
-	if r != want {
-		t.Fatalf("got %+v want %+v", r, want)
-	}
-}
-
 func TestRectArea(t *testing.T) {
 	if got := (Rect{0, 0, 3, 4}).Area(); got != 12 {
 		t.Fatalf("area = %v", got)
@@ -105,18 +97,6 @@ func TestContainsRect(t *testing.T) {
 	}
 	if outer.ContainsRect(Rect{5, 5, 6, 2}) {
 		t.Fatal("overhanging rect should not be contained")
-	}
-}
-
-func TestInset(t *testing.T) {
-	r := Rect{0, 0, 10, 10}
-	in := r.Inset(2)
-	if in != (Rect{2, 2, 6, 6}) {
-		t.Fatalf("got %+v", in)
-	}
-	deg := (Rect{0, 0, 2, 2}).Inset(3)
-	if deg.Area() != 0 {
-		t.Fatalf("expected degenerate, got %+v", deg)
 	}
 }
 
@@ -271,39 +251,6 @@ func TestCellAtClamps(t *testing.T) {
 	i, j := g.CellAt(extent, Point{-5, 100})
 	if i != 0 || j != 4 {
 		t.Fatalf("got (%d,%d)", i, j)
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	g := NewGrid(4, 4)
-	for idx := range g.Data {
-		g.Data[idx] = float64(idx)
-	}
-	d, err := g.Downsample(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Top-left block of the original: values 0,1,4,5 -> mean 2.5.
-	if d.At(0, 0) != 2.5 {
-		t.Fatalf("got %v", d.At(0, 0))
-	}
-	if _, err := g.Downsample(3); err == nil {
-		t.Fatal("expected error for non-dividing factor")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	g := NewGrid(2, 2)
-	copy(g.Data, []float64{1, 2, 3, 5})
-	g.Normalize()
-	if g.Min() != 0 || g.Max() != 1 {
-		t.Fatalf("min=%v max=%v", g.Min(), g.Max())
-	}
-	c := NewGrid(2, 2)
-	c.Fill(4)
-	c.Normalize()
-	if c.Sum() != 0 {
-		t.Fatal("constant grid should normalize to zeros")
 	}
 }
 

@@ -253,39 +253,3 @@ func (g *Grid) CellAt(extent Rect, p Point) (int, int) {
 	j := clampInt(int((p.Y-extent.Y)/ch), 0, g.NY-1)
 	return i, j
 }
-
-// Downsample returns a grid reduced by an integer factor in each dimension,
-// averaging the covered samples. The factor must divide both dimensions.
-func (g *Grid) Downsample(factor int) (*Grid, error) {
-	if factor <= 0 || g.NX%factor != 0 || g.NY%factor != 0 {
-		return nil, fmt.Errorf("geom: factor %d does not divide %dx%d", factor, g.NX, g.NY)
-	}
-	out := NewGrid(g.NX/factor, g.NY/factor)
-	inv := 1.0 / float64(factor*factor)
-	for j := 0; j < out.NY; j++ {
-		for i := 0; i < out.NX; i++ {
-			s := 0.0
-			for dj := 0; dj < factor; dj++ {
-				for di := 0; di < factor; di++ {
-					s += g.At(i*factor+di, j*factor+dj)
-				}
-			}
-			out.Set(i, j, s*inv)
-		}
-	}
-	return out, nil
-}
-
-// Normalize rescales the samples linearly to [0, 1]. A constant grid becomes
-// all zeros.
-func (g *Grid) Normalize() {
-	lo, hi := g.Min(), g.Max()
-	if hi-lo <= 0 {
-		g.Fill(0)
-		return
-	}
-	inv := 1 / (hi - lo)
-	for i, v := range g.Data {
-		g.Data[i] = (v - lo) * inv
-	}
-}

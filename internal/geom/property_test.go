@@ -48,18 +48,6 @@ func TestPropertyTranslatePreservesArea(t *testing.T) {
 	}
 }
 
-func TestPropertyScaleScalesArea(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 300; i++ {
-		r := randRect(rng)
-		f := rng.Float64()*3 + 0.1
-		s := r.Scale(f)
-		if math.Abs(s.Area()-r.Area()*f*f) > 1e-6*r.Area()*f*f {
-			t.Fatalf("scale area wrong: %v vs %v", s.Area(), r.Area()*f*f)
-		}
-	}
-}
-
 func TestPropertyOverlapBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 500; i++ {
@@ -77,39 +65,6 @@ func TestPropertyAdjacencySymmetric(t *testing.T) {
 		a, b := randRect(rng), randRect(rng)
 		if a.Adjacent(b) != b.Adjacent(a) {
 			t.Fatalf("adjacency not symmetric: %+v %+v", a, b)
-		}
-	}
-}
-
-func TestPropertyGridDownsamplePreservesMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		g := NewGrid(8, 8)
-		for i := range g.Data {
-			g.Data[i] = rng.Float64()
-		}
-		d, err := g.Downsample(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(d.Mean()-g.Mean()) > 1e-12 {
-			t.Fatalf("downsample changed mean: %v vs %v", d.Mean(), g.Mean())
-		}
-	}
-}
-
-func TestPropertyNormalizeIdempotent(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := NewGrid(6, 6)
-	for i := range g.Data {
-		g.Data[i] = rng.Float64()*10 - 5
-	}
-	g.Normalize()
-	before := append([]float64(nil), g.Data...)
-	g.Normalize()
-	for i := range before {
-		if math.Abs(before[i]-g.Data[i]) > 1e-12 {
-			t.Fatal("normalize not idempotent")
 		}
 	}
 }

@@ -103,29 +103,3 @@ func TestQueueCloseWakesBlockedPop(t *testing.T) {
 		t.Fatal("close did not wake the blocked pop")
 	}
 }
-
-// TestStoreFirstWriterWins pins dedupe lineage: a second put under the same
-// ID keeps the original artifact and reports it existed.
-func TestStoreFirstWriterWins(t *testing.T) {
-	s := newMemStore()
-	a, existed, err := s.Put("k", []byte("one"), "j-1", 1)
-	if err != nil || existed || a.JobID != "j-1" {
-		t.Fatalf("first put = %+v existed=%v err=%v", a, existed, err)
-	}
-	b, existed, err := s.Put("k", []byte("two"), "j-2", 2)
-	if err != nil || !existed || b.JobID != "j-1" {
-		t.Fatalf("second put = %+v existed=%v err=%v, want original kept", b, existed, err)
-	}
-	if data, _ := s.Get("k"); string(data) != "one" {
-		t.Fatalf("payload = %q, want first writer's", data)
-	}
-	if _, ok := s.Hit("k"); !ok {
-		t.Fatal("hit on stored key missed")
-	}
-	if a, _ := s.Lookup("k"); a.Hits != 1 {
-		t.Fatal("hit accounting broken")
-	}
-	if _, ok := s.Hit("missing"); ok {
-		t.Fatal("hit on missing key returned an artifact")
-	}
-}

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/registry"
 	"repro/tscfp"
 )
 
@@ -24,11 +23,7 @@ import (
 // need to stop the first instance mid-test).
 func newRegistryServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.Server, func()) {
 	t.Helper()
-	reg, err := registry.Open(registry.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Store = reg
+	cfg.Store = openRegistry(t, dir)
 	s := New(cfg)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -374,7 +369,8 @@ func TestSSEKeepAlive(t *testing.T) {
 // serves from the store count as artifact hits and sweep-cell dedupe
 // metrics, exactly like single-run dedupe hits.
 func TestSweepCellHitCounting(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	reg := openRegistry(t, t.TempDir())
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, Store: reg})
 
 	body := `{
 		"benchmark": "n100",
@@ -417,7 +413,7 @@ func TestSweepCellHitCounting(t *testing.T) {
 	for _, c := range manifest.Cells {
 		if c.Deduped {
 			deduped++
-			a, ok := s.store.Lookup(c.Artifact)
+			a, ok := reg.Lookup(c.Artifact)
 			if !ok {
 				t.Fatalf("deduped cell artifact %s missing", c.Artifact)
 			}
@@ -455,7 +451,7 @@ func (w *errWriter) Write([]byte) (int, error) { return 0, errors.New("client go
 // TestWriteJSONErrorCounted: a failed response write is detected and
 // counted instead of silently dropped.
 func TestWriteJSONErrorCounted(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Store: openRegistry(t, t.TempDir())})
 	s.writeJSON(&errWriter{}, http.StatusOK, map[string]int{"x": 1})
 	s.metrics.mu.Lock()
 	n := s.metrics.writeErrors

@@ -9,11 +9,11 @@
 // flags/env, health and readiness live at /healthz and /readyz, metrics at
 // /metrics, and local state is rebuildable, never irreplaceable. The job
 // table is in-memory and GC-bounded (terminal records beyond MaxJobs or
-// older than JobRetention are pruned); the artifact store is pluggable — a
-// disk-backed registry (internal/registry) survives restarts with bounded
-// RAM, the in-memory fallback serves zero-config runs. SIGTERM maps to
-// Drain: readiness flips, admission stops, and in-flight work finishes or
-// is cancelled within a deadline.
+// older than JobRetention are pruned); artifacts live in a disk-backed
+// registry (internal/registry) with bounded RAM and disk, which tscfpd keeps
+// across restarts under -data-dir and in a temporary directory otherwise.
+// SIGTERM maps to Drain: readiness flips, admission stops, and in-flight
+// work finishes or is cancelled within a deadline.
 //
 // REST surface:
 //
@@ -55,8 +55,8 @@ type Config struct {
 	QueueCap int
 	// MaxBodyBytes caps a submission body; <1 selects 8 MiB.
 	MaxBodyBytes int64
-	// Store is the artifact registry. nil selects the ephemeral in-memory
-	// store; pass a *registry.Registry for durable, bounded serving.
+	// Store is the artifact registry, a *registry.Registry outside tests.
+	// It is required: New panics when it is nil.
 	Store Store
 	// MaxJobs bounds the job table: when the table grows past it, terminal
 	// job records are pruned oldest-first (running and queued jobs are
@@ -95,6 +95,9 @@ type Server struct {
 
 // New builds a Server from cfg. Workers do not run until Start.
 func New(cfg Config) *Server {
+	if cfg.Store == nil {
+		panic("server: Config.Store is nil; open a *registry.Registry for it")
+	}
 	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -103,9 +106,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxBodyBytes < 1 {
 		cfg.MaxBodyBytes = 8 << 20
-	}
-	if cfg.Store == nil {
-		cfg.Store = newMemStore()
 	}
 	if cfg.MaxJobs < 1 {
 		cfg.MaxJobs = 4096

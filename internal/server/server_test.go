@@ -32,8 +32,13 @@ var testRunOptions = tscfp.RunOptions{
 	ActivitySamples: 4, MaxDummyGroups: 2,
 }
 
+// newTestServer builds a started server, over a registry in t.TempDir()
+// unless cfg names a Store, plus its HTTP front end; cleanup drains both.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	if cfg.Store == nil {
+		cfg.Store = openRegistry(t, t.TempDir())
+	}
 	s := New(cfg)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -42,6 +47,16 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		ts.Close()
 	})
 	return s, ts
+}
+
+// openRegistry opens a registry rooted at dir with default bounds.
+func openRegistry(t *testing.T, dir string) *registry.Registry {
+	t.Helper()
+	reg, err := registry.Open(registry.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
 }
 
 func submit(t *testing.T, ts *httptest.Server, body string) (JobStatus, *http.Response) {
@@ -504,10 +519,10 @@ func TestTerminalJobsDropDesign(t *testing.T) {
 	}
 }
 
-// panicStore is an in-memory Store whose first Put panics, standing in for
-// any fault that panics on a worker goroutine mid-job.
+// panicStore is a registry whose first Put panics, standing in for any
+// fault that panics on a worker goroutine mid-job.
 type panicStore struct {
-	*memStore
+	*registry.Registry
 	tripped atomic.Bool
 }
 
@@ -515,14 +530,14 @@ func (p *panicStore) Put(id string, data []byte, jobID string, jobSeq uint64) (r
 	if p.tripped.CompareAndSwap(false, true) {
 		panic("injected store fault")
 	}
-	return p.memStore.Put(id, data, jobID, jobSeq)
+	return p.Registry.Put(id, data, jobID, jobSeq)
 }
 
 // TestWorkerPanicFailsJob: a panic on the worker goroutine fails that job
 // with the panic value in its error, counts on /metrics, and leaves the
 // single worker serving — the resubmitted job completes.
 func TestWorkerPanicFailsJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Store: &panicStore{memStore: newMemStore()}})
+	_, ts := newTestServer(t, Config{Workers: 1, Store: &panicStore{Registry: openRegistry(t, t.TempDir())}})
 
 	first, _ := submit(t, ts, testJobBody)
 	waitState(t, ts, first.ID, StateFailed)
@@ -538,6 +553,19 @@ func TestWorkerPanicFailsJob(t *testing.T) {
 
 	second, _ := submit(t, ts, testJobBody)
 	waitState(t, ts, second.ID, StateDone)
+}
+
+// TestNewRequiresStore: a Config without a Store is a caller's bug, and New
+// panics naming the field instead of serving from a store of its own.
+func TestNewRequiresStore(t *testing.T) {
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		New(Config{})
+	}()
+	if msg, _ := got.(string); !strings.Contains(msg, "Config.Store") {
+		t.Fatalf("New(Config{}) panicked with %v, want a message naming Config.Store", got)
+	}
 }
 
 // TestQueueBoundsAndValidation exercises admission control: a full queue
@@ -637,7 +665,7 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 func TestDrain(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	s := New(Config{Workers: 2, QueueCap: 8})
+	s := New(Config{Workers: 2, QueueCap: 8, Store: openRegistry(t, t.TempDir())})
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 

@@ -1,23 +1,18 @@
 package server
 
-import (
-	"sync"
-	"time"
-
-	"repro/internal/registry"
-)
+import "repro/internal/registry"
 
 // Store is the content-addressed artifact registry behind the daemon: every
 // completed Result is an addressable artifact whose ID is the hash of its
 // inputs, so identical submissions collapse onto one computation and every
 // artifact traces back to the job that produced it.
 //
-// Two implementations exist: registry.Registry (disk-backed, durable across
-// restarts, memory- and disk-bounded — the production shape, selected with
-// -data-dir) and the in-process memStore below (ephemeral, for zero-config
-// runs and tests). Either way the store is rebuildable state — losing it
-// costs recomputation, never correctness — which keeps the daemon safe to
-// run as a stateless replicated Deployment.
+// registry.Registry is the one implementation: disk-backed, durable across
+// restarts, and memory- and disk-bounded. Store declares only the methods
+// the server calls, so a test can substitute a fault-injecting fake. The
+// store is rebuildable state — losing it costs recomputation, never
+// correctness — which keeps the daemon safe to run as a stateless
+// replicated Deployment.
 type Store interface {
 	// Put records data under id with lineage to the producing job. The
 	// first writer wins: a concurrent duplicate run keeps the original
@@ -26,96 +21,11 @@ type Store interface {
 	Put(id string, data []byte, jobID string, jobSeq uint64) (registry.Artifact, bool, error)
 	// Hit returns the artifact for id and counts a dedupe hit.
 	Hit(id string) (registry.Artifact, bool)
-	// Lookup returns the artifact for id without counting a hit.
-	Lookup(id string) (registry.Artifact, bool)
 	// Get returns the payload for id.
 	Get(id string) ([]byte, bool)
-	// Len reports the artifact count.
-	Len() int
 	// Stats snapshots the store's observability counters.
 	Stats() registry.Stats
 	// LastJobSeq reports the highest producing-job sequence on record, so a
 	// restarted daemon allocates job IDs above every ID in stored lineage.
 	LastJobSeq() uint64
 }
-
-// memStore is the ephemeral in-memory Store used when no data directory is
-// configured. It is unbounded by design — bounded, durable serving is what
-// registry.Registry is for.
-type memStore struct {
-	mu        sync.Mutex
-	artifacts map[string]*registry.Artifact
-	data      map[string][]byte
-	bytes     int64
-}
-
-func newMemStore() *memStore {
-	return &memStore{
-		artifacts: make(map[string]*registry.Artifact),
-		data:      make(map[string][]byte),
-	}
-}
-
-func (s *memStore) Put(id string, data []byte, jobID string, jobSeq uint64) (registry.Artifact, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if a, ok := s.artifacts[id]; ok {
-		return *a, true, nil
-	}
-	a := &registry.Artifact{
-		ID:      id,
-		JobID:   jobID,
-		JobSeq:  jobSeq,
-		Created: time.Now(),
-		Bytes:   len(data),
-	}
-	s.artifacts[id] = a
-	s.data[id] = data
-	s.bytes += int64(len(data))
-	return *a, false, nil
-}
-
-func (s *memStore) Hit(id string) (registry.Artifact, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a, ok := s.artifacts[id]
-	if !ok {
-		return registry.Artifact{}, false
-	}
-	a.Hits++
-	return *a, true
-}
-
-func (s *memStore) Lookup(id string) (registry.Artifact, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a, ok := s.artifacts[id]
-	if !ok {
-		return registry.Artifact{}, false
-	}
-	return *a, true
-}
-
-func (s *memStore) Get(id string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.data[id]
-	return data, ok
-}
-
-func (s *memStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.artifacts)
-}
-
-// Stats reports the in-memory store's payload bytes as cache bytes: it is
-// all RAM, which is exactly why it is the zero-config shape, not the
-// production one.
-func (s *memStore) Stats() registry.Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return registry.Stats{Artifacts: len(s.artifacts), CacheBytes: s.bytes}
-}
-
-func (s *memStore) LastJobSeq() uint64 { return 0 }

@@ -32,11 +32,6 @@ type FastEstimator struct {
 	workers int
 }
 
-// SetWorkers bounds the goroutines used by the separable convolutions.
-// 0 selects GOMAXPROCS; 1 forces the serial path. Results are identical for
-// every setting.
-func (fe *FastEstimator) SetWorkers(n int) { fe.workers = n }
-
 // CalibrateFast builds a FastEstimator for the given stack configuration by
 // running one detailed impulse solve per die. The stack's currently
 // installed power and TSV maps are not consulted; calibration uses a clean

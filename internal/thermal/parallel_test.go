@@ -79,14 +79,12 @@ func TestParallelBlurMatchesSerial(t *testing.T) {
 
 func TestFastEstimatorWorkersInvariant(t *testing.T) {
 	cfg := DefaultConfig(32, 32, 4000, 4000, 2)
-	fe := CalibrateFast(cfg)
 	power := []*geom.Grid{
 		randomPower(32, 32, 6, rand.New(rand.NewSource(5))),
 		randomPower(32, 32, 4, rand.New(rand.NewSource(6))),
 	}
-	base := fe.Estimate(power)
-	fe.SetWorkers(4)
-	got := fe.Estimate(power)
+	base := CalibrateFastWorkers(cfg, 1).Estimate(power)
+	got := CalibrateFastWorkers(cfg, 4).Estimate(power)
 	for d := range base {
 		for i := range base[d].Data {
 			if base[d].Data[i] != got[d].Data[i] {
@@ -127,8 +125,7 @@ func TestCombineMatchesEstimate(t *testing.T) {
 // byte for byte.
 func TestResponseIntoReusesStorage(t *testing.T) {
 	cfg := DefaultConfig(32, 32, 4000, 4000, 2)
-	fe := CalibrateFast(cfg)
-	fe.SetWorkers(1)
+	fe := CalibrateFastWorkers(cfg, 1)
 	power := []*geom.Grid{
 		randomPower(32, 32, 6, rand.New(rand.NewSource(10))),
 		randomPower(32, 32, 4, rand.New(rand.NewSource(11))),

@@ -151,7 +151,7 @@ func BenchmarkDetailedSolve(b *testing.B) {
 // parallel separable convolution.
 func BenchmarkFastEstimate(b *testing.B) {
 	const n = 64
-	fe := thermal.CalibrateFast(thermal.DefaultConfig(n, n, 4000, 4000, 2))
+	cfg := thermal.DefaultConfig(n, n, 4000, 4000, 2)
 	rng := rand.New(rand.NewSource(2))
 	maps := make([]*geom.Grid, 2)
 	for d := range maps {
@@ -167,9 +167,8 @@ func BenchmarkFastEstimate(b *testing.B) {
 		{"serial", 1},
 		{"parallel", 0},
 	} {
+		fe := thermal.CalibrateFastWorkers(cfg, leg.workers)
 		b.Run(leg.label, func(b *testing.B) {
-			fe.SetWorkers(leg.workers)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fe.Estimate(maps)
 			}

@@ -133,16 +133,6 @@ func ReadResult(r io.Reader) (*Result, error) {
 	return &res, nil
 }
 
-// ReadResultFile is ReadResult over a file.
-func ReadResultFile(path string) (*Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadResult(f)
-}
-
 // Validate checks the result's structural consistency: map sizes, die
 // indices, and that the metric aliases (S1/R1/SVF1/MeanStability1 and their
 // "2" forms) equal the bottom and top dies' per-die metrics exactly.
