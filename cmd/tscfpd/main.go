@@ -25,15 +25,20 @@
 //
 // Every artifact (results, sweep manifests) is written atomically under its
 // content address with a lineage sidecar, into a registry bounded by
-// -max-store-bytes, -max-cache-bytes and -retention. With -data-dir set, a
-// restarted daemon rescans the directory, quarantines corrupt files, and
-// serves prior results as dedupe hits — byte-identical, original lineage, no
-// recompute. Without it the registry lives in a fresh temporary directory
-// that is removed after drain.
+// -max-store-bytes, -max-cache-bytes and -retention. A dedupe hit writes
+// nothing: its hit count and access time stay in memory until the
+// once-a-minute flush (which also runs the retention sweep) or the drain,
+// so a crash loses at most a minute of that access metadata. With -data-dir
+// set, a restarted daemon rescans the directory, quarantines corrupt files,
+// and serves prior results as dedupe hits — byte-identical, original
+// lineage, no recompute. Without it the registry lives in a fresh temporary
+// directory that is removed after drain. Each built-in design is
+// synthesized and hashed once per process, on its first submission by name.
 //
 // SIGTERM/SIGINT trigger graceful drain: /readyz flips to 503, admission
 // stops, in-flight jobs get the drain timeout to finish before their
-// contexts are cancelled, then the listener shuts down.
+// contexts are cancelled, the registry flushes its hit counts, then the
+// listener shuts down.
 //
 // Quick start:
 //
@@ -133,24 +138,30 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Periodic retention sweep, so an idle daemon still ages artifacts and
-	// terminal job records out (Put and register enforce the bounds on every
-	// write; this covers the no-traffic case).
-	if *retention > 0 {
-		go func() {
-			t := time.NewTicker(time.Minute)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					reg.EnforceRetention()
-					srv.GC()
+	// Each minute: the retention sweep, so an idle daemon still ages
+	// artifacts and terminal job records out (Put and register enforce the
+	// bounds on every write; this covers the no-traffic case), then a flush
+	// of the sidecars dedupe hits dirtied. Drain flushes once more. The
+	// ticker exits with ctx and is waited for, so no flush writes into a
+	// temporary registry directory while it is being removed.
+	tickerDone := make(chan struct{})
+	go func() {
+		defer close(tickerDone)
+		t := time.NewTicker(time.Minute)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				reg.EnforceRetention()
+				srv.GC()
+				if err := reg.Flush(); err != nil {
+					log.Printf("flush registry: %v", err)
 				}
 			}
-		}()
-	}
+		}
+	}()
 
 	drained := make(chan struct{})
 	go func() {
@@ -170,6 +181,7 @@ func run() error {
 		return err
 	}
 	<-drained
+	<-tickerDone
 	log.Print("drained, exiting")
 	return nil
 }

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 
 	"repro/internal/netlist"
 )
@@ -158,13 +160,15 @@ func Generate(spec Spec) (*netlist.Design, error) {
 	}
 	powScale := spec.PowerW / powSum
 
-	for i := 0; i < nMod; i++ {
+	// Modules, terminals and nets each come from one backing array.
+	mods := make([]netlist.Module, nMod)
+	for i := range mods {
 		area := raw[i] * areaScale
 		kind := netlist.Soft
-		name := fmt.Sprintf("sb%d", i)
+		name := "sb" + strconv.Itoa(i)
 		if i < spec.HardModules {
 			kind = netlist.Hard
-			name = fmt.Sprintf("hb%d", i)
+			name = "hb" + strconv.Itoa(i)
 		}
 		// Hard blocks get a fixed aspect ratio in [0.5, 2]; soft blocks are
 		// generated square and may be reshaped by the floorplanner.
@@ -174,7 +178,8 @@ func Generate(spec Spec) (*netlist.Design, error) {
 		}
 		h := math.Sqrt(area / aspect)
 		w := area / h
-		m := &netlist.Module{
+		m := &mods[i]
+		*m = netlist.Module{
 			Name: name,
 			Kind: kind,
 			W:    w, H: h,
@@ -186,12 +191,13 @@ func Generate(spec Spec) (*netlist.Design, error) {
 		if kind == netlist.Hard {
 			m.MinAspect, m.MaxAspect = aspect, aspect
 		}
-		d.Modules = append(d.Modules, m)
 	}
+	d.Modules = pointersTo(mods)
 
 	// --- Terminals ----------------------------------------------------------
 	// Spread the chip-level I/O pins around the outline boundary.
-	for t := 0; t < spec.Terminals; t++ {
+	terms := make([]netlist.Terminal, max(spec.Terminals, 0))
+	for t := range terms {
 		perim := 2 * (d.OutlineW + d.OutlineH)
 		pos := perim * float64(t) / float64(spec.Terminals)
 		var x, y float64
@@ -205,10 +211,9 @@ func Generate(spec Spec) (*netlist.Design, error) {
 		default:
 			x, y = 0, perim-pos
 		}
-		d.Terminals = append(d.Terminals, &netlist.Terminal{
-			Name: fmt.Sprintf("p%d", t), X: x, Y: y,
-		})
+		terms[t] = netlist.Terminal{Name: "p" + strconv.Itoa(t), X: x, Y: y}
 	}
+	d.Terminals = pointersTo(terms)
 
 	// --- Nets ----------------------------------------------------------------
 	// Degree distribution follows block-level benchmark practice: dominated
@@ -216,16 +221,16 @@ func Generate(spec Spec) (*netlist.Design, error) {
 	// is seeded from a module and preferentially connects to "nearby"
 	// modules in index space (a cheap proxy for the logical hierarchy the
 	// original netlists encode).
-	termNets := spec.Terminals // one net per terminal keeps all I/O connected
-	if termNets > spec.Nets {
-		termNets = spec.Nets
-	}
-	for ni := 0; ni < spec.Nets; ni++ {
-		n := &netlist.Net{Name: fmt.Sprintf("n%d", ni)}
+	termNets := min(len(terms), spec.Nets) // one net per terminal keeps all I/O connected
+	nets := make([]netlist.Net, spec.Nets)
+	termPins := make([]int, termNets)
+	for ni := range nets {
+		n := &nets[ni]
+		n.Name = "n" + strconv.Itoa(ni)
 		deg := netDegree(rng)
 		root := rng.Intn(nMod)
-		used := map[int]bool{root: true}
-		n.Modules = append(n.Modules, root)
+		n.Modules = make([]int, 1, deg)
+		n.Modules[0] = root
 		window := 1 + nMod/8
 		for len(n.Modules) < deg {
 			var cand int
@@ -235,21 +240,35 @@ func Generate(spec Spec) (*netlist.Design, error) {
 			} else {
 				cand = rng.Intn(nMod)
 			}
-			if !used[cand] {
-				used[cand] = true
+			// A net's degree is at most 12, so a scan beats a set.
+			if !slices.Contains(n.Modules, cand) {
 				n.Modules = append(n.Modules, cand)
 			}
 		}
 		if ni < termNets {
-			n.Terminals = append(n.Terminals, ni)
+			termPins[ni] = ni
+			n.Terminals = termPins[ni : ni+1 : ni+1]
 		}
-		d.Nets = append(d.Nets, n)
 	}
+	d.Nets = pointersTo(nets)
 
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("bench: generated invalid design: %w", err)
 	}
 	return d, nil
+}
+
+// pointersTo returns a pointer to each element of s, or nil when s is
+// empty, as appending nothing would leave the slice.
+func pointersTo[T any](s []T) []*T {
+	if len(s) == 0 {
+		return nil
+	}
+	p := make([]*T, len(s))
+	for i := range s {
+		p[i] = &s[i]
+	}
+	return p
 }
 
 // netDegree draws a net degree: ~60% 2-pin, ~25% 3-pin, thin tail to 12.

@@ -213,3 +213,18 @@ func TestPowerDensitySpread(t *testing.T) {
 		t.Fatalf("power densities too uniform: spread %v", hi/lo)
 	}
 }
+
+// BenchmarkGenerate times one synthesis of ibm01, the largest design the
+// benchmark workloads synthesize, and counts its allocations.
+func BenchmarkGenerate(b *testing.B) {
+	spec, err := ByName("ibm01")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Generate(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -11,8 +11,11 @@
 package netlist
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 )
@@ -90,14 +93,30 @@ type Module struct {
 }
 
 // UnmarshalJSON decodes a module; an absent kind reads as soft, as an
-// empty one does.
+// empty one does, and an unknown key is an error.
 func (m *Module) UnmarshalJSON(data []byte) error {
 	type fields Module // Module's fields without this method
 	f := fields{Kind: Soft}
-	if err := json.Unmarshal(data, &f); err != nil {
+	if err := DecodeStrict(data, &f); err != nil {
 		return fmt.Errorf("netlist: module %q: %w", f.Name, err)
 	}
 	*m = Module(f)
+	return nil
+}
+
+// DecodeStrict is json.Unmarshal with unknown object keys rejected. A
+// custom UnmarshalJSON receives its value's bytes alone, so a caller's
+// Decoder.DisallowUnknownFields does not reach inside it: each of the
+// wire schema's decoders calls this instead.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("json: data after the top-level value")
+	}
 	return nil
 }
 

@@ -391,3 +391,28 @@ func TestDesignJSON(t *testing.T) {
 		t.Error("kind 7 encoded")
 	}
 }
+
+// TestDecodeStrict: DecodeStrict decodes what json.Unmarshal does, but an
+// unknown key, on a module decoded alone as on one inside a design, and
+// data after the value are errors.
+func TestDecodeStrict(t *testing.T) {
+	var m Module
+	if err := DecodeStrict([]byte(` {"name":"m","power_w":2} `), &m); err != nil || m.Power != 2 || m.Kind != Soft {
+		t.Fatalf("decoded %+v (error %v), want a 2 W soft module", m, err)
+	}
+	for doc, want := range map[string]string{
+		`{"name":"m","power":2}`: `module "m": json: unknown field "power"`,
+		`{"name":"m"} {}`:        "after the top-level value",
+		`{"name":"m"`:            "unexpected EOF",
+	} {
+		var m Module
+		if err := m.UnmarshalJSON([]byte(doc)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", doc, err, want)
+		}
+	}
+	var d Design
+	err := json.Unmarshal([]byte(`{"name":"d","modules":[{"name":"m","powr_w":1}]}`), &d)
+	if err == nil || !strings.Contains(err.Error(), `unknown field "powr_w"`) {
+		t.Errorf("module key inside a design: error %v, want one naming powr_w", err)
+	}
+}

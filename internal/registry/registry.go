@@ -14,6 +14,13 @@
 // unreadable sidecars) are quarantined — moved aside into quarantine/ and
 // counted, never fatal — so one rotten artifact cannot take the daemon down.
 //
+// Access contract: a dedupe hit (Hit) bumps the artifact's hit count and
+// last-access time in memory only and marks its sidecar dirty; Flush writes
+// the dirty sidecars, atomically like every other write (tscfpd flushes each
+// minute and at drain). The read path thus does no disk I/O, and a crash
+// loses at most the access metadata since the last Flush, which only orders
+// eviction.
+//
 // Memory contract: the index holds metadata only (O(artifact count), small);
 // payload bytes live on disk and pass through a size-bounded LRU cache, so
 // in-RAM payload bytes never exceed MaxCacheBytes. On-disk growth is bounded
@@ -94,11 +101,13 @@ type Config struct {
 
 // entry is one indexed artifact: metadata always, payload bytes only while
 // cached (elem marks its LRU position; both are nil when evicted to disk).
+// dirty marks a hit count or access time newer than the sidecar on disk.
 type entry struct {
-	meta meta
-	stem string // payload filename under artifacts/
-	data []byte
-	elem *list.Element
+	meta  meta
+	stem  string // payload filename under artifacts/
+	data  []byte
+	elem  *list.Element
+	dirty bool
 }
 
 // Registry is the disk-backed store. All methods are safe for concurrent
@@ -256,9 +265,10 @@ func (r *Registry) Put(id string, data []byte, jobID string, jobSeq uint64) (Art
 }
 
 // Hit returns the artifact for id and counts a dedupe hit. The bumped hit
-// count and access time are flushed to the sidecar so they survive restarts;
-// a flush failure is ignored — hit counts are advisory, the payload's
-// durability does not depend on them.
+// count and access time stay in memory, marking the sidecar dirty, until
+// Flush writes them: hit counts and access times are advisory (they order
+// eviction; the payload's durability does not depend on them), so a hit
+// does no disk I/O.
 func (r *Registry) Hit(id string) (Artifact, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -268,8 +278,31 @@ func (r *Registry) Hit(id string) (Artifact, bool) {
 	}
 	e.meta.Hits++
 	e.meta.LastAccess = r.cfg.Now()
-	_ = r.flushMetaLocked(e.stem, e.meta)
+	e.dirty = true
 	return e.meta.Artifact, true
+}
+
+// Flush writes the sidecar of every artifact Hit has dirtied, atomically as
+// Put writes one, so hit counts and access times survive a restart. A
+// sidecar that fails to write stays dirty for the next Flush; the first
+// failure is returned. An artifact evicted while dirty is not written back.
+func (r *Registry) Flush() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var first error
+	for _, e := range r.arts {
+		if !e.dirty {
+			continue
+		}
+		if err := r.flushMetaLocked(e.stem, e.meta); err != nil {
+			if first == nil {
+				first = err
+			}
+			continue
+		}
+		e.dirty = false
+	}
+	return first
 }
 
 // Lookup returns the artifact for id without counting a hit.

@@ -99,9 +99,9 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 // TestReopenRebuildsIndex is the durability core: a reopened registry
-// serves every artifact byte-identically with lineage, hit counts, and the
-// job-sequence high-water intact, without putting payloads back in RAM
-// until they are asked for.
+// serves every artifact byte-identically with lineage, flushed hit counts,
+// and the job-sequence high-water intact, without putting payloads back in
+// RAM until they are asked for.
 func TestReopenRebuildsIndex(t *testing.T) {
 	dir := t.TempDir()
 	r := mustOpen(t, Config{Dir: dir})
@@ -117,6 +117,9 @@ func TestReopenRebuildsIndex(t *testing.T) {
 	}
 	if _, ok := r.Hit(testID("c3")); !ok {
 		t.Fatal("hit missed")
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
 	}
 
 	r2 := mustOpen(t, Config{Dir: dir})
@@ -407,5 +410,121 @@ func TestTmpCleanup(t *testing.T) {
 	}
 	if st := r.Stats(); st.Artifacts != 0 || st.Quarantined != 0 {
 		t.Fatalf("stats = %+v, want empty clean registry", st)
+	}
+}
+
+// TestHitWritesNothing: a dedupe hit changes the sidecar on disk only at
+// Flush. Before it the sidecar's bytes and mtime are unchanged and tmp/
+// holds no staging file; after it the sidecar carries the hits, and a second
+// Flush with nothing dirty writes nothing.
+func TestHitWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	r := mustOpen(t, Config{Dir: dir})
+	id := testID("f7")
+	mustPut(t, r, id, []byte("payload"), "j-000001", 1)
+	sidecar := filepath.Join(dir, "artifacts", strings.TrimPrefix(id, "sha256:")+metaSuffix)
+	old := time.Unix(1_600_000_000, 0)
+	if err := os.Chtimes(sidecar, old, old); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(sidecar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(when string) {
+		t.Helper()
+		data, err := os.ReadFile(sidecar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(sidecar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, before) || !fi.ModTime().Equal(old) {
+			t.Fatalf("%s: sidecar rewritten (mtime %v, want %v)", when, fi.ModTime(), old)
+		}
+		if tmp, err := os.ReadDir(filepath.Join(dir, "tmp")); err != nil || len(tmp) != 0 {
+			t.Fatalf("%s: tmp/ = %v %v, want empty", when, tmp, err)
+		}
+	}
+
+	for i := 0; i < 3; i++ {
+		if _, ok := r.Hit(id); !ok {
+			t.Fatal("hit missed")
+		}
+	}
+	unchanged("after 3 hits")
+	if a, _ := r.Lookup(id); a.Hits != 3 {
+		t.Fatalf("in-memory hits = %d, want 3", a.Hits)
+	}
+
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := readMeta(sidecar)
+	if err != nil || m.Hits != 3 {
+		t.Fatalf("flushed sidecar = %+v/%v, want 3 hits", m, err)
+	}
+	before, err = os.ReadFile(sidecar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(sidecar, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("after a clean Flush")
+}
+
+// TestFlushFailureKeepsDirty: a sidecar that cannot be written is reported
+// and stays dirty, so the next Flush that can write it does.
+func TestFlushFailureKeepsDirty(t *testing.T) {
+	dir := t.TempDir()
+	r := mustOpen(t, Config{Dir: dir})
+	id := testID("d9")
+	mustPut(t, r, id, []byte("payload"), "j-000001", 1)
+	r.Hit(id)
+	tmp := filepath.Join(dir, "tmp")
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Flush(); err == nil {
+		t.Fatal("Flush without a staging directory succeeded")
+	}
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if a, ok := mustOpen(t, Config{Dir: dir}).Lookup(id); !ok || a.Hits != 1 {
+		t.Fatalf("reopened artifact = %+v/%v, want the retried hit", a, ok)
+	}
+}
+
+// TestEvictDirtyWritesNothing: an artifact evicted between its hit and the
+// next Flush is not written back, so no sidecar outlives its payload.
+func TestEvictDirtyWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Unix(1_700_000_000, 0)
+	r := mustOpen(t, Config{Dir: dir, MaxAge: time.Hour, Now: func() time.Time { return now }})
+	id := testID("e1")
+	mustPut(t, r, id, []byte("payload"), "j-000001", 1)
+	if _, ok := r.Hit(id); !ok {
+		t.Fatal("hit missed")
+	}
+	now = now.Add(2 * time.Hour)
+	r.EnforceRetention()
+	if _, ok := r.Lookup(id); ok {
+		t.Fatal("idle artifact survived retention")
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if left, err := os.ReadDir(filepath.Join(dir, "artifacts")); err != nil || len(left) != 0 {
+		t.Fatalf("artifacts/ after evict and Flush = %v %v, want empty", left, err)
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -63,18 +65,20 @@ type JobRequest struct {
 // normalize resolves the request's design, validates the options and
 // canonicalizes them in place through RunOptions.Canonical, then builds the
 // flow with NewFlow, so a bad submission is a 400 at admission instead of a
-// failed job later.
-func (r *JobRequest) normalize() (*tscfp.Design, error) {
+// failed job later. A built-in design comes from the builtins table; an
+// inline one is hashed into its content-address prefix here, once per job.
+func (r *JobRequest) normalize() (*keyedDesign, error) {
 	if r.Benchmark != "" && r.Design != nil {
 		return nil, errors.New("benchmark and design are mutually exclusive")
 	}
+	var kd *keyedDesign
 	design := r.Design
 	if r.Benchmark != "" {
-		d, err := tscfp.Benchmark(r.Benchmark)
-		if err != nil {
+		var err error
+		if kd, err = builtins.get(r.Benchmark); err != nil {
 			return nil, err
 		}
-		design = d
+		design = kd.Design
 	}
 	if design == nil {
 		return nil, errors.New("job needs a benchmark name or an inline design")
@@ -103,33 +107,120 @@ func (r *JobRequest) normalize() (*tscfp.Design, error) {
 	if _, err := tscfp.NewFlow(design, flowOpts...); err != nil {
 		return nil, err
 	}
-	return design, nil
+	if kd == nil {
+		return newKeyedDesign(design)
+	}
+	return kd, nil
+}
+
+// keyedDesign is a resolved design with the SHA-256 state of its content
+// address after the design's bytes, that is after
+// `{"design":<design JSON>,"options":`. contentKey finishes a copy of the
+// state, so a design is serialized once per job, and a built-in one once per
+// process.
+type keyedDesign struct {
+	*tscfp.Design
+	prefix []byte // the sha256 digest's MarshalBinary state
+}
+
+// newKeyedDesign hashes design's content-address prefix. Here and in
+// contentKey only encoding errors are checked: a hash.Hash's Write never
+// returns one.
+func newKeyedDesign(design *tscfp.Design) (*keyedDesign, error) {
+	h := sha256.New()
+	io.WriteString(h, `{"design":`)
+	// The netlist's encoding is the design's (Design.MarshalJSON is
+	// json.Marshal of it); an Encoder streams it into the hash from its
+	// pooled buffer instead of returning a copy.
+	if err := json.NewEncoder(dropNewline{h}).Encode(design.Netlist()); err != nil {
+		return nil, err
+	}
+	io.WriteString(h, `,"options":`)
+	prefix, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	return &keyedDesign{Design: design, prefix: prefix}, nil
+}
+
+// dropNewline forwards a json.Encoder's output without the newline that
+// ends each value: compact JSON holds no other raw newline.
+type dropNewline struct{ w io.Writer }
+
+func (d dropNewline) Write(p []byte) (int, error) {
+	if _, err := d.w.Write(bytes.TrimSuffix(p, []byte("\n"))); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
 // contentKey derives the content address of a submission: the SHA-256 of
-// the canonical JSON of (design netlist, canonical options, sweep axes).
-// A benchmark-by-name submission and the equivalent inline design hash
-// identically because the design is serialized after synthesis either way;
-// knobs that cannot change the result (parallelism, sweep worker count) are
-// excluded.
-func contentKey(design *tscfp.Design, opts tscfp.RunOptions, sweep *SweepSpec) (string, error) {
+// the canonical JSON of (design netlist, canonical options, sweep axes),
+// `{"design":...,"options":...,"sweep":...}` and a newline, resumed from
+// the design's prefix state. A benchmark-by-name submission and the
+// equivalent inline design hash identically because the design is
+// serialized after synthesis either way; knobs that cannot change the
+// result (parallelism, sweep worker count) are excluded.
+func contentKey(design *keyedDesign, opts tscfp.RunOptions, sweep *SweepSpec) (string, error) {
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(design.prefix); err != nil {
+		return "", err
+	}
+	enc := json.NewEncoder(dropNewline{h})
 	opts.Parallelism = 0
+	if err := enc.Encode(&opts); err != nil {
+		return "", err
+	}
 	if sweep != nil {
 		s := *sweep
 		s.Workers = 0
-		sweep = &s
+		io.WriteString(h, `,"sweep":`)
+		if err := enc.Encode(&s); err != nil {
+			return "", err
+		}
 	}
-	payload := struct {
-		Design  *tscfp.Design    `json:"design"`
-		Options tscfp.RunOptions `json:"options"`
-		Sweep   *SweepSpec       `json:"sweep,omitempty"`
-	}{design, opts, sweep}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(&payload); err != nil {
-		return "", err
+	io.WriteString(h, "}\n")
+	var sum [sha256.Size]byte
+	return "sha256:" + hex.EncodeToString(h.Sum(sum[:0])), nil
+}
+
+// builtins is the process's one table of Table-1 designs: each is
+// synthesized and hashed into its content-address prefix on its first
+// submission by name, then shared by every later job, so it pins at most
+// the six built-in designs.
+var builtins = newDesignTable()
+
+// designTable maps each built-in design name to its lazily built entry.
+// The map is fixed at construction, so lookups need no lock.
+type designTable map[string]*builtinDesign
+
+type builtinDesign struct {
+	once sync.Once
+	kd   *keyedDesign
+	err  error
+}
+
+func newDesignTable() designTable {
+	t := make(designTable)
+	for _, name := range tscfp.Benchmarks() {
+		t[name] = new(builtinDesign)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
+	return t
+}
+
+// get returns the named built-in design, building it on first use.
+func (t designTable) get(name string) (*keyedDesign, error) {
+	b, ok := t[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown benchmark %q", name)
+	}
+	b.once.Do(func() {
+		var design *tscfp.Design
+		if design, b.err = tscfp.Benchmark(name); b.err == nil {
+			b.kd, b.err = newKeyedDesign(design)
+		}
+	})
+	return b.kd, b.err
 }
 
 // job is one submission moving through the queue and worker pool. The
@@ -140,12 +231,14 @@ type job struct {
 	seq      uint64
 	priority int
 	// req is the normalized submission with its Design dropped, and design
-	// the resolved design, held only while the job can still run: the
-	// worker or a queued cancel clears it (under mu) when the record turns
-	// terminal, so a retained record pins no decoded or synthesized
-	// netlist. designName outlives it for JobStatus.
+	// the resolved design with its content-address prefix, held only while
+	// the job can still run: the worker or a queued cancel clears it (under
+	// mu) when the record turns terminal, so a retained record pins no
+	// decoded netlist. A built-in design stays pinned by the builtins
+	// table, which holds at most the six Table-1 designs. designName
+	// outlives it for JobStatus.
 	req        JobRequest
-	design     *tscfp.Design
+	design     *keyedDesign
 	designName string
 	key        string
 	events     *broadcaster

@@ -165,10 +165,16 @@ func (s *Server) Start() {
 // work gets timeout to finish. Whatever is still in flight at the deadline
 // is cancelled through its per-job context (tscfp.Flow.Run honors it down
 // to annealing moves and solver sweeps). Drain returns once every worker
-// has exited; the caller still owns http.Server.Shutdown for the listener.
+// has exited and the store has flushed the hit counts and access times of
+// dedupe hits; the caller still owns http.Server.Shutdown for the listener.
 func (s *Server) Drain(timeout time.Duration) {
 	s.draining.Store(true)
 	s.queue.close()
+	defer func() {
+		if err := s.store.Flush(); err != nil {
+			log.Printf("drain: flush store: %v", err)
+		}
+	}()
 	if !s.started.Load() {
 		s.cancelAll()
 		return
@@ -431,7 +437,7 @@ func (s *Server) runSingle(j *job) (string, error) {
 		timer.observe(ev.Stage)
 		j.events.publish("progress", "progress:"+string(ev.Stage), ev)
 	}))
-	res, err := tscfp.Run(j.ctx, j.design, opts...)
+	res, err := tscfp.Run(j.ctx, j.design.Design, opts...)
 	if err != nil {
 		return "", err
 	}
@@ -473,7 +479,7 @@ type sweepManifest struct {
 func (s *Server) runSweep(j *job) (string, error) {
 	spec := j.req.Sweep
 	grid := tscfp.Grid{
-		Design:     j.design,
+		Design:     j.design.Design,
 		Seeds:      spec.Seeds,
 		Modes:      spec.Modes,
 		GridNs:     spec.GridNs,

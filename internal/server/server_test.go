@@ -50,7 +50,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // openRegistry opens a registry rooted at dir with default bounds.
-func openRegistry(t *testing.T, dir string) *registry.Registry {
+func openRegistry(t testing.TB, dir string) *registry.Registry {
 	t.Helper()
 	reg, err := registry.Open(registry.Config{Dir: dir})
 	if err != nil {

@@ -19,8 +19,12 @@ type Store interface {
 	// producer's lineage, and the bool reports whether the artifact already
 	// existed. An error means the payload could not be stored.
 	Put(id string, data []byte, jobID string, jobSeq uint64) (registry.Artifact, bool, error)
-	// Hit returns the artifact for id and counts a dedupe hit.
+	// Hit returns the artifact for id and counts a dedupe hit. The count and
+	// access time are kept in memory until Flush: a hit writes nothing.
 	Hit(id string) (registry.Artifact, bool)
+	// Flush persists the hit counts and access times Hit changed. Drain
+	// calls it, and tscfpd also does each minute.
+	Flush() error
 	// Get returns the payload for id.
 	Get(id string) ([]byte, bool)
 	// Stats snapshots the store's observability counters.

@@ -189,12 +189,14 @@ func (d *Design) MarshalJSON() ([]byte, error) {
 	return json.Marshal(d.d)
 }
 
-// UnmarshalJSON decodes and validates a design written by MarshalJSON. An
-// empty list decodes as an absent one, so "nets": [] and no nets at all
-// re-encode alike and content-address as one design.
+// UnmarshalJSON decodes and validates a design written by MarshalJSON. A
+// key the schema does not declare, on the design or on any module, net or
+// terminal, is an error. An empty list decodes as an absent one, so
+// "nets": [] and no nets at all re-encode alike and content-address as one
+// design.
 func (d *Design) UnmarshalJSON(data []byte) error {
 	var des netlist.Design
-	if err := json.Unmarshal(data, &des); err != nil {
+	if err := netlist.DecodeStrict(data, &des); err != nil {
 		return fmt.Errorf("tscfp: decode design: %w", err)
 	}
 	if err := des.Validate(); err != nil {

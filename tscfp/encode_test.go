@@ -67,6 +67,36 @@ func TestDesignDecodeInvalid(t *testing.T) {
 	}
 }
 
+// TestDesignDecodeUnknownKeys: a key the schema does not declare is an
+// error naming it, on the design and on a module, net or terminal alike,
+// rather than a silently dropped field (a module that spells "power" for
+// "power_w" would otherwise decode at 0 W). Data after the design is an
+// error too, as json.Unmarshal makes it.
+func TestDesignDecodeUnknownKeys(t *testing.T) {
+	const doc = `{"name":"x","dies":2,"outline_w_um":100,"outline_h_um":100,` +
+		`"modules":[{"name":"a","kind":"hard","w_um":10,"h_um":10,"power_w":1},` +
+		`{"name":"b","kind":"hard","w_um":10,"h_um":10,"power_w":1}],` +
+		`"nets":[{"name":"n0","modules":[0,1]}],"terminals":[{"name":"p","x_um":0,"y_um":5}]}`
+	var d Design
+	if err := d.UnmarshalJSON([]byte(doc)); err != nil {
+		t.Fatalf("the unmodified design is rejected: %v", err)
+	}
+	for key, bad := range map[string]string{
+		"power":  strings.Replace(doc, `"power_w":1}]`, `"power":1}]`, 1),
+		"layers": strings.Replace(doc, `"dies":2,`, `"dies":2,"layers":2,`, 1),
+		"weight": strings.Replace(doc, `"name":"n0",`, `"name":"n0","weight":3,`, 1),
+		"die":    strings.Replace(doc, `"y_um":5}`, `"y_um":5,"die":1}`, 1),
+	} {
+		var d Design
+		if err := json.Unmarshal([]byte(bad), &d); err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
+			t.Errorf("unknown key %q: decode error %v, want one naming it", key, err)
+		}
+	}
+	if err := new(Design).UnmarshalJSON([]byte(doc + ` {}`)); err == nil {
+		t.Error("data after the design decoded without error")
+	}
+}
+
 // TestDesignDecodeDefaults: an absent or empty module kind decodes as soft,
 // and an empty list decodes as an absent one, so each group's spellings
 // re-encode to the same bytes and content-address as one design.
