@@ -1,8 +1,13 @@
-// Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation. Each benchmark prints the rows/series the paper
-// reports; run with
+// Benchmark harness for the paper artifacts that need an annealing budget:
+// Table 1, Table 2, Fig. 4, the ablations and the monolithic contrast. Each
+// benchmark prints the rows/series the paper reports; run with
 //
 //	go test -bench=. -benchmem -benchtime=1x
+//
+// The artifacts that need no annealing budget print from one home each:
+// Fig. 1 from examples/timescales, Fig. 2 / Sec. 3 from cmd/thermalmap, the
+// Sec. 1 noise-injection contrast from examples/countermeasures, and the
+// Sec. 5 attacks from cmd/attacksim.
 //
 // Environment knobs (defaults hold the full sweep under ~15 min on a
 // laptop; raise them to approach the paper's 50-run averages):
@@ -18,21 +23,16 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/activity"
-	"repro/internal/attack"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/leakage"
-	"repro/internal/noiseinject"
 	"repro/internal/thermal"
-	"repro/internal/tsv"
 )
 
 func envInt(name string, def int) int {
@@ -71,95 +71,6 @@ func BenchmarkTable1Benchmarks(b *testing.B) {
 				d.Name, d.HardCount(), d.SoftCount(), spec.ScaleFactor,
 				len(d.Nets), len(d.Terminals), d.OutlineW*d.OutlineH/1e6, d.TotalPower())
 		}
-	}
-}
-
-// --- E1: Figure 1 — time scales of power vs temperature ----------------------
-
-func BenchmarkFigure1TimeScales(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		const n = 16
-		cfg := thermal.DefaultConfig(n, n, 4000, 4000, 2)
-		stack := thermal.NewStack(cfg)
-		p := geom.NewGrid(n, n)
-		p.Fill(10.0 / (n * n))
-		stack.SetDiePower(0, p)
-		steady, _ := stack.SolveSteady(nil, thermal.SolverOpts{})
-		rise := steady.Peak() - cfg.Ambient
-
-		traj := stack.SolveTransient(nil, 1e-3, 400, 1, nil)
-		tau := math.NaN()
-		for k, sol := range traj {
-			if sol.Peak()-cfg.Ambient >= 0.63*rise {
-				tau = float64(k+1) * 1e-3
-				break
-			}
-		}
-		base := traj[len(traj)-1]
-		tog := stack.SolveTransient(base, 1e-4, 200, 1, func(s int) float64 {
-			if s%2 == 0 {
-				return 2
-			}
-			return 0
-		})
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, sol := range tog[20:] {
-			pk := sol.Peak()
-			lo = math.Min(lo, pk)
-			hi = math.Max(hi, pk)
-		}
-		fmt.Printf("\nFigure 1: thermal tau=%.0f ms vs activity period 0.2 ms; "+
-			"ripple %.3f K = %.1f%% of %.1f K steady rise\n",
-			tau*1e3, hi-lo, 100*(hi-lo)/rise, rise)
-		b.ReportMetric(tau*1e3, "tau_ms")
-		b.ReportMetric(100*(hi-lo)/rise, "ripple_%")
-	}
-}
-
-// --- E2: Figure 2 / Sec. 3 — power x TSV exploration --------------------------
-
-func BenchmarkFigure2Exploration(b *testing.B) {
-	const n, die = 32, 4000.0
-	const seeds = 3
-	for i := 0; i < b.N; i++ {
-		fmt.Printf("\nFigure 2: bottom-die correlation, averaged over %d seeds\n", seeds)
-		fmt.Printf("%-20s", "power \\ TSV")
-		for _, tp := range tsv.AllPatterns() {
-			fmt.Printf(" %18s", tp)
-		}
-		fmt.Println()
-		avgByTSV := map[tsv.Pattern]float64{}
-		for _, pp := range activity.AllPowerPatterns() {
-			fmt.Printf("%-20s", pp)
-			for _, tp := range tsv.AllPatterns() {
-				sum := 0.0
-				for s := int64(0); s < seeds; s++ {
-					rng := rand.New(rand.NewSource(100 + s))
-					p0 := activity.GeneratePowerMap(pp, n, n, 4, rng)
-					p1 := activity.GeneratePowerMap(pp, n, n, 4, rng)
-					plan := tsv.GeneratePattern(tp, die, die, rng)
-					stack := thermal.NewStack(thermal.DefaultConfig(n, n, die, die, 2))
-					stack.SetDiePower(0, p0)
-					stack.SetDiePower(1, p1)
-					if len(plan.TSVs) > 0 {
-						stack.SetTSVMap(plan.CuFractionMap(n, n))
-					}
-					sol, _ := stack.SolveSteady(nil, thermal.SolverOpts{})
-					sum += leakage.Pearson(p0, sol.DieTemp(0))
-				}
-				r := sum / seeds
-				fmt.Printf(" %18.3f", r)
-				if pp != activity.GloballyUniform {
-					avgByTSV[tp] += r / float64(len(activity.AllPowerPatterns())-1)
-				}
-			}
-			fmt.Println()
-		}
-		fmt.Printf("%-20s", "avg (non-uniform)")
-		for _, tp := range tsv.AllPatterns() {
-			fmt.Printf(" %18.3f", avgByTSV[tp])
-		}
-		fmt.Println()
 	}
 }
 
@@ -372,31 +283,6 @@ func BenchmarkMonolithicFlavor(b *testing.B) {
 	}
 }
 
-// --- Prior art: noise injection (Gu et al.), the paper's Sec.-1 critique ------
-
-// BenchmarkPriorArtNoiseInjection reproduces the paper's argument against
-// runtime thermal-noise injection: meaningful mitigation requires injection
-// rates whose power cost dwarfs the TSC-aware floorplan's few percent.
-func BenchmarkPriorArtNoiseInjection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pa := cachedRun(b, "n100", core.PowerAware, 1)
-		ts := cachedRun(b, "n100", core.TSCAware, 1)
-		ctl := noiseinject.Controller{}
-		alphas := []float64{0, 0.1, 0.25, 0.5, 1.0}
-		fmt.Printf("\nPrior art (noise injection on the PA floorplan) vs TSC-aware floorplanning:\n")
-		fmt.Printf("%-28s %8s %10s %10s\n", "countermeasure", "r1", "power[W]", "peak[K]")
-		basePower := pa.Metrics.PowerW
-		for _, r := range ctl.Sweep(pa, alphas) {
-			fmt.Printf("inject alpha=%-17.2f %8.3f %10.3f %10.2f\n",
-				r.Alpha, math.Abs(r.R[0]), basePower+r.InjectedW, r.PeakTempK)
-		}
-		fmt.Printf("%-28s %8.3f %10.3f %10.2f\n",
-			"TSC-aware floorplan", math.Abs(ts.Metrics.R1), ts.Metrics.PowerW, ts.Metrics.PeakTempK)
-		fmt.Printf("(paper: injection only mitigates at the highest rates; our flow pays %.1f%% power)\n",
-			100*(ts.Metrics.PowerW-basePower)/basePower)
-	}
-}
-
 // --- Ablations: isolate the contribution of each design choice ---------------
 
 // BenchmarkAblationDesignRule reproduces the paper's Sec. 7.2 observation:
@@ -472,38 +358,5 @@ func BenchmarkAblationPostProcessing(b *testing.B) {
 		fmt.Printf("\nAblation (dummy TSVs, n100 TSC): with r1 %.3f (%d vias) | without r1 %.3f\n",
 			with.R1, with.DummyTSVs, without.R1)
 		b.ReportMetric(without.R1-with.R1, "r1_delta")
-	}
-}
-
-// --- E7: Sec. 5 attacks — localization PA vs TSC ------------------------------
-
-func BenchmarkAttackLocalization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fmt.Printf("\nSec. 5 attacks on n100 (8 hottest modules):\n")
-		sensors := attack.DefaultSensors()
-		var paErr, tscErr float64
-		for _, mode := range []core.Mode{core.PowerAware, core.TSCAware} {
-			res := cachedRun(b, "n100", mode, 1)
-			order := make([]int, len(res.Design.Modules))
-			for k := range order {
-				order[k] = k
-			}
-			sort.Slice(order, func(x, y int) bool {
-				return res.Design.Modules[order[x]].Power > res.Design.Modules[order[y]].Power
-			})
-			dev := attack.NewDevice(res, sensors, 1)
-			st := attack.LocalizeAll(dev, order[:8], attack.LocalizeOptions{})
-			rng := rand.New(rand.NewSource(2))
-			ch := attack.Characterize(dev, order[:8], 4, rng)
-			fmt.Printf("  %-12s hit %.2f  die %.2f  err %6.0f um  charR2 %.3f\n",
-				mode, st.HitRate, st.DieRate, st.MeanError, ch.R2)
-			if mode == core.PowerAware {
-				paErr = st.MeanError
-			} else {
-				tscErr = st.MeanError
-			}
-			dev.Reset()
-		}
-		b.ReportMetric(tscErr-paErr, "err_delta_um")
 	}
 }

@@ -154,8 +154,8 @@ func TestAttackPipelineOnFlowResult(t *testing.T) {
 // TestNoiseInjectionOnFlowResult checks the prior-art baseline integrates.
 func TestNoiseInjectionOnFlowResult(t *testing.T) {
 	res := integResults(t)[core.PowerAware]
-	rs := noiseinject.Controller{}.Sweep(res, []float64{0, 0.5})
-	if rs[1].PeakTempK <= rs[0].PeakTempK {
+	ctl := noiseinject.Controller{}
+	if ctl.Smooth(res, 0.5).PeakTempK <= ctl.Smooth(res, 0).PeakTempK {
 		t.Fatal("injection must heat the stack")
 	}
 }

@@ -40,20 +40,6 @@ func (s *Sampler) Sample(rng *rand.Rand) []float64 {
 	return out
 }
 
-// SampleN draws n patterns.
-func (s *Sampler) SampleN(rng *rand.Rand, n int) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = s.Sample(rng)
-	}
-	return out
-}
-
-// Nominal returns a copy of the nominal powers.
-func (s *Sampler) Nominal() []float64 {
-	return append([]float64(nil), s.nominal...)
-}
-
 // --- Figure 2 power-distribution scenarios -----------------------------------
 
 // PowerPattern names the five power-density scenarios of the paper's

@@ -49,24 +49,6 @@ func TestSampleNonNegative(t *testing.T) {
 	}
 }
 
-func TestSampleN(t *testing.T) {
-	s := NewSamplerFromPowers([]float64{1, 2}, 0.1)
-	rng := rand.New(rand.NewSource(3))
-	ps := s.SampleN(rng, 100)
-	if len(ps) != 100 || len(ps[0]) != 2 {
-		t.Fatal("dims")
-	}
-}
-
-func TestNominalIsCopy(t *testing.T) {
-	s := NewSamplerFromPowers([]float64{1, 2}, 0.1)
-	n := s.Nominal()
-	n[0] = 99
-	if s.Nominal()[0] == 99 {
-		t.Fatal("Nominal must return a copy")
-	}
-}
-
 func TestSamplerDeterministicWithSeed(t *testing.T) {
 	s := NewSamplerFromPowers([]float64{1, 2, 3}, 0.1)
 	a := s.Sample(rand.New(rand.NewSource(7)))

@@ -111,12 +111,6 @@ func newPass(a *Analyzer, pkg *Package) *Pass {
 // contentless mute.
 func (p *Pass) Reportf(pos token.Pos, key string, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	// The invariants gate production code. Tests pin exact values, use
-	// wall-clock deadlines, and write to buffers on purpose, so findings
-	// positioned in test files are dropped.
-	if strings.HasSuffix(position.Filename, "_test.go") {
-		return
-	}
 	hint := ""
 	for _, line := range []int{position.Line, position.Line - 1} {
 		for _, an := range p.annotations[annotKey{position.Filename, line}] {

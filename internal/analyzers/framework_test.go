@@ -1,7 +1,6 @@
 package analyzers
 
 import (
-	"go/token"
 	"os"
 	"path/filepath"
 	"testing"
@@ -68,20 +67,6 @@ func TestRunStableDiagnosticOrder(t *testing.T) {
 		if !d.Pos.IsValid() {
 			t.Errorf("invalid position on %+v", d)
 		}
-	}
-}
-
-func TestReportfDropsTestFilePositions(t *testing.T) {
-	fset := token.NewFileSet()
-	f := fset.AddFile("x_test.go", -1, 100)
-	p := &Pass{
-		Analyzer:    &Analyzer{Name: "t"},
-		Fset:        fset,
-		annotations: map[annotKey][]annotation{},
-	}
-	p.Reportf(f.Pos(0), "key", "should vanish")
-	if len(p.diags) != 0 {
-		t.Fatalf("finding in _test.go survived: %+v", p.diags)
 	}
 }
 

@@ -660,25 +660,6 @@ func (l *Layout) ModulesOnDie(d int) []int {
 	return out
 }
 
-// Deadspace returns the fraction of die d's outline not covered by modules
-// (whitespace). Modules overhanging the outline contribute only their
-// inside portion.
-func (l *Layout) Deadspace(d int) float64 {
-	out := l.Outline()
-	covered := 0.0
-	for mi, r := range l.Rects {
-		if l.DieOf[mi] != d {
-			continue
-		}
-		covered += r.OverlapArea(out)
-	}
-	area := out.Area()
-	if area <= 0 {
-		return 0
-	}
-	return 1 - covered/area
-}
-
 // AdjacencyScratch recycles the working memory of AdjacentModulesInto
 // across calls. The zero value is ready to use; the returned adjacency
 // aliases the scratch and is overwritten by the next call with the same

@@ -145,30 +145,3 @@ func TestOpStrings(t *testing.T) {
 		}
 	}
 }
-
-func TestDeadspace(t *testing.T) {
-	d := &netlist.Design{
-		Name: "ds",
-		Modules: []*netlist.Module{
-			{Name: "a", Kind: netlist.Hard, W: 50, H: 100, Power: 1},
-		},
-		Nets:      []*netlist.Net{{Name: "n", Modules: []int{0}, Terminals: []int{0}}},
-		Terminals: []*netlist.Terminal{{Name: "p", X: 0, Y: 0}},
-		OutlineW:  100, OutlineH: 100, Dies: 1,
-	}
-	l := New(d).Pack()
-	if got := l.Deadspace(0); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("deadspace %v, want 0.5", got)
-	}
-}
-
-func TestDeadspaceEmptyDie(t *testing.T) {
-	d := tinyDesign()
-	l := New(d).Pack()
-	for mi := range l.DieOf {
-		l.DieOf[mi] = 0
-	}
-	if got := l.Deadspace(1); got != 1 {
-		t.Fatalf("empty die deadspace %v, want 1", got)
-	}
-}

@@ -29,23 +29,10 @@ func (p Point) Euclid(q Point) float64 {
 }
 
 // Rect is an axis-aligned rectangle identified by its lower-left corner and
-// its extent. Width and Height are always non-negative for rectangles
-// produced by the constructors in this package.
+// its non-negative extent.
 type Rect struct {
 	X, Y float64 // lower-left corner
 	W, H float64 // extent
-}
-
-// NewRect builds a rectangle from a lower-left corner and extent, normalizing
-// negative extents so that W, H >= 0.
-func NewRect(x, y, w, h float64) Rect {
-	if w < 0 {
-		x, w = x+w, -w
-	}
-	if h < 0 {
-		y, h = y+h, -h
-	}
-	return Rect{x, y, w, h}
 }
 
 // Area returns the rectangle area in um^2.
@@ -65,11 +52,6 @@ func (r Rect) MaxY() float64 { return r.Y + r.H }
 // ownership).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.X && p.X < r.MaxX() && p.Y >= r.Y && p.Y < r.MaxY()
-}
-
-// ContainsRect reports whether q lies entirely within r (closed comparison).
-func (r Rect) ContainsRect(q Rect) bool {
-	return q.X >= r.X && q.Y >= r.Y && q.MaxX() <= r.MaxX() && q.MaxY() <= r.MaxY()
 }
 
 // Intersect returns the overlap of r and q and whether it is non-empty.
@@ -111,11 +93,6 @@ func (r Rect) Adjacent(q Rect) bool {
 		return true
 	}
 	return false
-}
-
-// Translate returns r shifted by (dx, dy).
-func (r Rect) Translate(dx, dy float64) Rect {
-	return Rect{r.X + dx, r.Y + dy, r.W, r.H}
 }
 
 func (r Rect) String() string {

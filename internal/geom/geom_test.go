@@ -7,13 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestNewRectNormalizes(t *testing.T) {
-	r := NewRect(10, 10, -4, -6)
-	if r.X != 6 || r.Y != 4 || r.W != 4 || r.H != 6 {
-		t.Fatalf("got %+v", r)
-	}
-}
-
 func TestRectArea(t *testing.T) {
 	if got := (Rect{0, 0, 3, 4}).Area(); got != 12 {
 		t.Fatalf("area = %v", got)
@@ -90,16 +83,6 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestContainsRect(t *testing.T) {
-	outer := Rect{0, 0, 10, 10}
-	if !outer.ContainsRect(Rect{0, 0, 10, 10}) {
-		t.Fatal("rect should contain itself")
-	}
-	if outer.ContainsRect(Rect{5, 5, 6, 2}) {
-		t.Fatal("overhanging rect should not be contained")
-	}
-}
-
 func TestManhattanEuclid(t *testing.T) {
 	p, q := Point{0, 0}, Point{3, 4}
 	if p.Euclid(q) != 5 {
@@ -109,14 +92,16 @@ func TestManhattanEuclid(t *testing.T) {
 
 func TestPropertyIntersectionWithinBoth(t *testing.T) {
 	f := func(ax, ay, aw, ah, bx, by, bw, bh float64) bool {
-		a := NewRect(mod(ax, 100), mod(ay, 100), mod(aw, 50)+0.1, mod(ah, 50)+0.1)
-		b := NewRect(mod(bx, 100), mod(by, 100), mod(bw, 50)+0.1, mod(bh, 50)+0.1)
+		a := Rect{mod(ax, 100), mod(ay, 100), mod(aw, 50) + 0.1, mod(ah, 50) + 0.1}
+		b := Rect{mod(bx, 100), mod(by, 100), mod(bw, 50) + 0.1, mod(bh, 50) + 0.1}
 		o, ok := a.Intersect(b)
 		if !ok {
 			return true
 		}
-		return o.Area() <= a.Area()+1e-9 && o.Area() <= b.Area()+1e-9 &&
-			a.ContainsRect(o) && b.ContainsRect(o)
+		within := func(r Rect) bool {
+			return o.X >= r.X && o.Y >= r.Y && o.MaxX() <= r.MaxX() && o.MaxY() <= r.MaxY()
+		}
+		return o.Area() <= a.Area()+1e-9 && o.Area() <= b.Area()+1e-9 && within(a) && within(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -273,7 +258,7 @@ func TestPropertyRasterizeDensityConserves(t *testing.T) {
 	extent := Rect{0, 0, 100, 100}
 	for trial := 0; trial < 200; trial++ {
 		g := NewGrid(8+rng.Intn(8), 8+rng.Intn(8))
-		r := NewRect(rng.Float64()*80, rng.Float64()*80, rng.Float64()*19+1, rng.Float64()*19+1)
+		r := Rect{rng.Float64() * 80, rng.Float64() * 80, rng.Float64()*19 + 1, rng.Float64()*19 + 1}
 		total := rng.Float64() * 10
 		g.RasterizeDensity(extent, r, total)
 		// The rect is fully inside the extent, so all mass must land.

@@ -44,13 +44,3 @@ func gridDistance(a, b *geom.Grid) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// SVFPerDie evaluates SVF separately for each die's sample series.
-// powers[d][k] and temps[d][k] index die d, sample k.
-func SVFPerDie(powers, temps [][]*geom.Grid) []float64 {
-	out := make([]float64, len(powers))
-	for d := range powers {
-		out[d] = SVF(powers[d], temps[d])
-	}
-	return out
-}

@@ -81,27 +81,6 @@ func TestSVFTooFewSamples(t *testing.T) {
 	}
 }
 
-func TestSVFPerDie(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	p0 := randomMaps(rng, 10, 4, 4)
-	t0 := make([]*geom.Grid, len(p0))
-	for k, p := range p0 {
-		t0[k] = p.Clone() // perfect channel on die 0
-	}
-	p1 := randomMaps(rng, 10, 4, 4)
-	t1 := randomMaps(rng, 10, 4, 4) // broken channel on die 1
-	out := SVFPerDie([][]*geom.Grid{p0, p1}, [][]*geom.Grid{t0, t1})
-	if len(out) != 2 {
-		t.Fatal("dies")
-	}
-	if out[0] < 0.999 {
-		t.Fatalf("die 0 should be perfect: %v", out[0])
-	}
-	if math.Abs(out[1]) > 0.4 {
-		t.Fatalf("die 1 should be near 0: %v", out[1])
-	}
-}
-
 func TestGridDistance(t *testing.T) {
 	a := geom.NewGrid(2, 1)
 	b := geom.NewGrid(2, 1)

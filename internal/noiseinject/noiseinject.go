@@ -4,16 +4,14 @@
 // "inject dummy activities" to smooth the thermal profile and hinder
 // thermal profiling of module activity.
 //
-// The paper's critique, which this package lets you reproduce
-// (BenchmarkPriorArtNoiseInjection): (1) the injection principle costs
-// extra power — prohibitive for thermally-constrained 3D ICs — and (2) the
-// best leakage-mitigation rates are only achievable for the highest
-// injection rates, whereas TSC-aware floorplanning achieves its mitigation
-// at design time for a few percent of power.
+// The paper's critique: (1) the injection principle costs extra power —
+// prohibitive for thermally-constrained 3D ICs — and (2) the best
+// leakage-mitigation rates are only achievable for the highest injection
+// rates. examples/countermeasures prints injection's |r1|, power and peak
+// next to a TSC-aware floorplan's.
 package noiseinject
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -126,26 +124,4 @@ func (c Controller) injectionMap(temp, power *geom.Grid, budget float64) *geom.G
 		out.Data[bins[k].idx] = budget * weights[k] / wsum
 	}
 	return out
-}
-
-// Sweep evaluates injection rates and returns one Result per alpha —
-// the prior art's mitigation-vs-power trade-off curve.
-func (c Controller) Sweep(res *core.Result, alphas []float64) []Result {
-	out := make([]Result, 0, len(alphas))
-	for _, a := range alphas {
-		out = append(out, c.Smooth(res, a))
-	}
-	return out
-}
-
-// MeanAbsR averages |R| over dies.
-func (r Result) MeanAbsR() float64 {
-	if len(r.R) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range r.R {
-		s += math.Abs(v)
-	}
-	return s / float64(len(r.R))
 }

@@ -46,11 +46,13 @@ func TestZeroInjectionIsBaseline(t *testing.T) {
 func TestInjectionReducesCorrelation(t *testing.T) {
 	res := result(t)
 	ctl := Controller{}
-	low := ctl.Smooth(res, 0.1)
-	high := ctl.Smooth(res, 0.8)
-	if high.MeanAbsR() >= low.MeanAbsR() {
-		t.Fatalf("more injection must decorrelate more: %.3f (0.8) vs %.3f (0.1)",
-			high.MeanAbsR(), low.MeanAbsR())
+	meanAbsR := func(r Result) float64 {
+		return (math.Abs(r.R[0]) + math.Abs(r.R[1])) / 2
+	}
+	low := meanAbsR(ctl.Smooth(res, 0.1))
+	high := meanAbsR(ctl.Smooth(res, 0.8))
+	if high >= low {
+		t.Fatalf("more injection must decorrelate more: %.3f (0.8) vs %.3f (0.1)", high, low)
 	}
 }
 
@@ -70,14 +72,13 @@ func TestInjectionCostsPowerAndHeat(t *testing.T) {
 
 func TestSweepMonotoneBudget(t *testing.T) {
 	res := result(t)
-	rs := Controller{}.Sweep(res, []float64{0, 0.2, 0.4})
-	if len(rs) != 3 {
-		t.Fatal("sweep length")
-	}
-	for i := 1; i < len(rs); i++ {
-		if rs[i].InjectedW <= rs[i-1].InjectedW {
-			t.Fatal("budget must grow with alpha")
+	prev := -1.0
+	for _, alpha := range []float64{0, 0.2, 0.4} {
+		r := Controller{}.Smooth(res, alpha)
+		if r.InjectedW <= prev {
+			t.Fatalf("alpha %v injects %v W, not above %v W: budget must grow with alpha", alpha, r.InjectedW, prev)
 		}
+		prev = r.InjectedW
 	}
 }
 

@@ -305,17 +305,6 @@ func (r *Registry) Flush() error {
 	return first
 }
 
-// Lookup returns the artifact for id without counting a hit.
-func (r *Registry) Lookup(id string) (Artifact, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.arts[id]
-	if !ok {
-		return Artifact{}, false
-	}
-	return e.meta.Artifact, true
-}
-
 // Get returns the payload for id, from the cache when hot, from disk
 // otherwise. A payload that fails its checksum on read (the file rotted or
 // was truncated underneath a running daemon) is quarantined and reported as

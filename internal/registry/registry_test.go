@@ -36,6 +36,21 @@ func testID(tag string) string {
 	return "sha256:" + strings.Repeat("0", 64-len(tag)) + tag
 }
 
+// sidecar reads id's durable record, the <hex>.meta.json file that Put and
+// Flush write; ok is false when no sidecar exists under artifacts/.
+func sidecar(t *testing.T, dir, id string) (Artifact, bool) {
+	t.Helper()
+	path := filepath.Join(dir, "artifacts", fileStem(id)+metaSuffix)
+	if _, err := os.Stat(path); os.IsNotExist(err) {
+		return Artifact{}, false
+	}
+	m, err := readMeta(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Artifact, true
+}
+
 // diskPayloadBytes sums payload file sizes under artifacts/ (sidecars
 // excluded), for checking the on-disk bound against the actual filesystem.
 func diskPayloadBytes(t *testing.T, dir string) int64 {
@@ -133,9 +148,9 @@ func TestReopenRebuildsIndex(t *testing.T) {
 	if r2.LastJobSeq() != 5 {
 		t.Fatalf("LastJobSeq = %d, want 5", r2.LastJobSeq())
 	}
-	a, ok := r2.Lookup(testID("c3"))
-	if !ok || a.Hits != 2 || a.JobID != "j-000003" {
-		t.Fatalf("reopened artifact = %+v/%v, want 2 persisted hits + lineage", a, ok)
+	a, ok := r2.Hit(testID("c3"))
+	if !ok || a.Hits != 3 || a.JobID != "j-000003" {
+		t.Fatalf("reopened artifact = %+v/%v, want 2 persisted hits + this one, and lineage", a, ok)
 	}
 	for id, want := range payloads {
 		got, ok := r2.Get(id)
@@ -193,8 +208,8 @@ func TestRescanQuarantinesCorruption(t *testing.T) {
 		t.Fatalf("healthy artifact lost: %q/%v", got, ok)
 	}
 	for _, id := range ids[:4] {
-		if _, ok := r2.Lookup(id); ok {
-			t.Fatalf("corrupt artifact %s still indexed", id)
+		if _, ok := r2.Get(id); ok {
+			t.Fatalf("corrupt artifact %s still served", id)
 		}
 	}
 	q, err := os.ReadDir(filepath.Join(dir, "quarantine"))
@@ -222,8 +237,8 @@ func TestGetQuarantinesRuntimeRot(t *testing.T) {
 	if data, ok := r.Get(id); ok {
 		t.Fatalf("served rotten payload %q", data)
 	}
-	if _, ok := r.Lookup(id); ok {
-		t.Fatal("rotten artifact still indexed")
+	if st := r.Stats(); st.Artifacts != 0 {
+		t.Fatalf("rotten artifact still indexed: %d artifacts", st.Artifacts)
 	}
 	if st := r.Stats(); st.Quarantined != 1 {
 		t.Fatalf("quarantined = %d, want 1", st.Quarantined)
@@ -310,7 +325,7 @@ func TestDiskRetentionChurn(t *testing.T) {
 	if _, ok := r.Get(testID(fmt.Sprintf("b%d", n-1))); !ok {
 		t.Fatal("newest artifact evicted")
 	}
-	if _, ok := r.Lookup(testID("b0")); ok {
+	if _, ok := sidecar(t, dir, testID("b0")); ok {
 		t.Fatal("oldest artifact survived past the bound")
 	}
 	if _, ok := r.Get(testID("b0")); ok {
@@ -335,10 +350,10 @@ func TestAgeRetention(t *testing.T) {
 	mustPut(t, r, testID("new1"), []byte("new"), "j-000002", 2)
 	now = now.Add(45 * time.Minute) // old1 idle 75m, new1 idle 45m
 	r.EnforceRetention()
-	if _, ok := r.Lookup(testID("old1")); ok {
+	if _, ok := sidecar(t, dir, testID("old1")); ok {
 		t.Fatal("aged artifact survived retention")
 	}
-	if _, ok := r.Lookup(testID("new1")); !ok {
+	if _, ok := sidecar(t, dir, testID("new1")); !ok {
 		t.Fatal("fresh artifact evicted")
 	}
 	if st := r.Stats(); st.Evictions != 1 {
@@ -350,7 +365,7 @@ func TestAgeRetention(t *testing.T) {
 	}
 	now = now.Add(50 * time.Minute) // idle only 50m since the hit
 	r.EnforceRetention()
-	if _, ok := r.Lookup(testID("new1")); !ok {
+	if _, ok := sidecar(t, dir, testID("new1")); !ok {
 		t.Fatal("recently-hit artifact aged out")
 	}
 }
@@ -449,15 +464,13 @@ func TestHitWritesNothing(t *testing.T) {
 		}
 	}
 
-	for i := 0; i < 3; i++ {
-		if _, ok := r.Hit(id); !ok {
-			t.Fatal("hit missed")
+	for i := 1; i <= 3; i++ {
+		a, ok := r.Hit(id)
+		if !ok || a.Hits != i {
+			t.Fatalf("hit %d = %+v/%v, want %d in-memory hits", i, a, ok, i)
 		}
 	}
 	unchanged("after 3 hits")
-	if a, _ := r.Lookup(id); a.Hits != 3 {
-		t.Fatalf("in-memory hits = %d, want 3", a.Hits)
-	}
 
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
@@ -500,8 +513,8 @@ func TestFlushFailureKeepsDirty(t *testing.T) {
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if a, ok := mustOpen(t, Config{Dir: dir}).Lookup(id); !ok || a.Hits != 1 {
-		t.Fatalf("reopened artifact = %+v/%v, want the retried hit", a, ok)
+	if a, ok := sidecar(t, dir, id); !ok || a.Hits != 1 {
+		t.Fatalf("flushed sidecar = %+v/%v, want the retried hit", a, ok)
 	}
 }
 
@@ -518,7 +531,7 @@ func TestEvictDirtyWritesNothing(t *testing.T) {
 	}
 	now = now.Add(2 * time.Hour)
 	r.EnforceRetention()
-	if _, ok := r.Lookup(id); ok {
+	if _, ok := sidecar(t, dir, id); ok {
 		t.Fatal("idle artifact survived retention")
 	}
 	if err := r.Flush(); err != nil {

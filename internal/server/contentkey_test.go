@@ -241,7 +241,8 @@ func TestContentKeyMatchesOneShot(t *testing.T) {
 // by name and inline, is served from the store without running a flow,
 // and each cell names its one-shot key and counts one hit on it.
 func TestSweepPrescanMatchesOneShot(t *testing.T) {
-	reg := openRegistry(t, t.TempDir())
+	dir := t.TempDir()
+	reg := openRegistry(t, dir)
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, Store: reg})
 	const (
 		options = `"options": {"mode": "pa", "seed": 3, "iterations": 50, "grid_n": 12, "parallelism": 2}`
@@ -284,11 +285,14 @@ func TestSweepPrescanMatchesOneShot(t *testing.T) {
 		if len(manifest.Cells) != len(want) {
 			t.Fatalf("%s: manifest has %d cells, want %d", name, len(manifest.Cells), len(want))
 		}
+		if err := reg.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		for i, c := range manifest.Cells {
 			if c.Artifact != want[i] || !c.Deduped {
 				t.Errorf("%s: cell %d = %+v, want deduped onto one-shot key %s", name, i, c, want[i])
 			}
-			if a, _ := reg.Lookup(want[i]); a.Hits != 1 {
+			if a, _ := storedArtifact(t, dir, want[i]); a.Hits != 1 {
 				t.Errorf("%s: cell %d artifact has %d hits, want 1", name, i, a.Hits)
 			}
 		}

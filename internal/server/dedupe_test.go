@@ -36,8 +36,8 @@ func seedDedupe(t testing.TB, store Store, body string) string {
 }
 
 // TestDedupeHitCountsSurviveDrain: dedupe hits write nothing to disk until
-// Drain flushes them, and a registry reopened on the same directory, as a
-// restarted daemon's is, reads the counts back.
+// Drain flushes them into the artifact's sidecar, from which a restarted
+// daemon's registry reads them back (registry's TestReopenRebuildsIndex).
 func TestDedupeHitCountsSurviveDrain(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, stop := newRegistryServer(t, dir, Config{Workers: 1, QueueCap: 8})
@@ -49,12 +49,12 @@ func TestDedupeHitCountsSurviveDrain(t *testing.T) {
 			t.Fatalf("submission %d: status %d, %+v; want a dedupe hit on %s", i, resp.StatusCode, st, key)
 		}
 	}
-	if a, _ := openRegistry(t, dir).Lookup(key); a.Hits != 0 {
+	if a, _ := storedArtifact(t, dir, key); a.Hits != 0 {
 		t.Fatalf("hits on disk before drain = %d, want 0 (a hit writes nothing)", a.Hits)
 	}
 	stop()
-	if a, ok := openRegistry(t, dir).Lookup(key); !ok || a.Hits != 3 {
-		t.Fatalf("artifact after drain and reopen = %+v/%v, want 3 hits", a, ok)
+	if a, ok := storedArtifact(t, dir, key); !ok || a.Hits != 3 {
+		t.Fatalf("sidecar after drain = %+v/%v, want 3 hits", a, ok)
 	}
 }
 
@@ -63,7 +63,8 @@ func TestDedupeHitCountsSurviveDrain(t *testing.T) {
 // each design is synthesized once, and every submission is a dedupe hit on
 // the address the one-shot oracle derives.
 func TestConcurrentFirstSubmissionsByName(t *testing.T) {
-	reg := openRegistry(t, t.TempDir())
+	dir := t.TempDir()
+	reg := openRegistry(t, dir)
 	bodies := map[string]string{}
 	keys := map[string]string{}
 	for _, name := range []string{"n100", "n200"} {
@@ -105,8 +106,11 @@ func TestConcurrentFirstSubmissionsByName(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	if err := reg.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	for name, key := range keys {
-		if a, _ := reg.Lookup(key); a.Hits != perName {
+		if a, _ := storedArtifact(t, dir, key); a.Hits != perName {
 			t.Errorf("%s: %d hits, want %d", name, a.Hits, perName)
 		}
 		first, _ := builtins.get(name)

@@ -369,7 +369,8 @@ func TestSSEKeepAlive(t *testing.T) {
 // serves from the store count as artifact hits and sweep-cell dedupe
 // metrics, exactly like single-run dedupe hits.
 func TestSweepCellHitCounting(t *testing.T) {
-	reg := openRegistry(t, t.TempDir())
+	dir := t.TempDir()
+	reg := openRegistry(t, dir)
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, Store: reg})
 
 	body := `{
@@ -409,11 +410,14 @@ func TestSweepCellHitCounting(t *testing.T) {
 	if err := json.NewDecoder(respM.Body).Decode(&manifest); err != nil {
 		t.Fatal(err)
 	}
+	if err := reg.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	deduped := 0
 	for _, c := range manifest.Cells {
 		if c.Deduped {
 			deduped++
-			a, ok := reg.Lookup(c.Artifact)
+			a, ok := storedArtifact(t, dir, c.Artifact)
 			if !ok {
 				t.Fatalf("deduped cell artifact %s missing", c.Artifact)
 			}

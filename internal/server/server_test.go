@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -57,6 +59,24 @@ func openRegistry(t testing.TB, dir string) *registry.Registry {
 		t.Fatal(err)
 	}
 	return reg
+}
+
+// storedArtifact reads id's durable record in the registry rooted at dir:
+// its <hex>.meta.json sidecar, as Put and Flush last wrote it. ok is false
+// when no sidecar exists.
+func storedArtifact(t testing.TB, dir, id string) (a registry.Artifact, ok bool) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "artifacts", strings.TrimPrefix(id, "sha256:")+".meta.json"))
+	if os.IsNotExist(err) {
+		return a, false
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &a); err != nil {
+		t.Fatal(err)
+	}
+	return a, true
 }
 
 func submit(t *testing.T, ts *httptest.Server, body string) (JobStatus, *http.Response) {

@@ -130,17 +130,13 @@ func (fe *FastEstimator) ResponseInto(power *geom.Grid, s int, out []*geom.Grid,
 	return out
 }
 
-// Combine sums per-source responses (as returned by ResponseInto, indexed
-// resp[source][target]) plus the ambient offset into per-die temperature
-// maps. Estimate(power) == Combine over each source's ResponseInto — byte for
-// byte, which is what lets cached and freshly-computed responses mix.
-func (fe *FastEstimator) Combine(resp [][]*geom.Grid) []*geom.Grid {
-	return fe.CombineInto(resp, nil)
-}
-
-// CombineInto is Combine reusing a previously returned output slice (nil
-// allocates a fresh one) — the annealing loop calls it once per move, so
-// the per-die grids are worth recycling.
+// CombineInto sums per-source responses (as returned by ResponseInto,
+// indexed resp[source][target]) plus the ambient offset into per-die
+// temperature maps. Estimate(power) == CombineInto over each source's
+// ResponseInto — byte for byte, which is what lets cached and
+// freshly-computed responses mix. It reuses a previously returned output
+// slice (nil allocates a fresh one): the annealing loop calls it once per
+// move, so the per-die grids are worth recycling.
 func (fe *FastEstimator) CombineInto(resp [][]*geom.Grid, out []*geom.Grid) []*geom.Grid {
 	if len(resp) != fe.dies {
 		panic("thermal: response count must equal die count")
@@ -174,7 +170,7 @@ func (fe *FastEstimator) Estimate(power []*geom.Grid) []*geom.Grid {
 	for s := range resp {
 		resp[s] = fe.ResponseInto(power[s], s, nil, scratch)
 	}
-	return fe.Combine(resp)
+	return fe.CombineInto(resp, nil)
 }
 
 // Adjoint applies the transpose of the estimator's linear operator to a set

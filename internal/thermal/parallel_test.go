@@ -95,7 +95,8 @@ func TestFastEstimatorWorkersInvariant(t *testing.T) {
 }
 
 // TestCombineMatchesEstimate pins the cache contract used by the incremental
-// cost evaluator: summing per-source ResponseInto grids must reproduce
+// cost evaluator: summing per-source ResponseInto grids with CombineInto,
+// into output grids that last held another estimate, must reproduce
 // Estimate byte for byte.
 func TestCombineMatchesEstimate(t *testing.T) {
 	cfg := DefaultConfig(24, 24, 4000, 4000, 2)
@@ -109,11 +110,12 @@ func TestCombineMatchesEstimate(t *testing.T) {
 	for s := 0; s < fe.Dies(); s++ {
 		resp[s] = fe.ResponseInto(power[s], s, nil, nil)
 	}
-	got := fe.Combine(resp)
+	stale := fe.Estimate([]*geom.Grid{power[1], power[0]})
+	got := fe.CombineInto(resp, stale)
 	for d := range want {
 		for i := range want[d].Data {
 			if want[d].Data[i] != got[d].Data[i] {
-				t.Fatalf("die %d cell %d: Combine(ResponseInto) != Estimate", d, i)
+				t.Fatalf("die %d cell %d: CombineInto(ResponseInto) != Estimate", d, i)
 			}
 		}
 	}

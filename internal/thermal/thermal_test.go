@@ -211,15 +211,32 @@ func TestTransientMonotonicHeating(t *testing.T) {
 	}
 }
 
+// TestTransientLowPassesActivity asserts Figure 1's time-scale ordering at
+// an 8x8 grid: the thermal step response's tau63 is at least 100x the
+// 0.2 ms period of an activity toggle, and the toggle's temperature ripple
+// is at most 5% of the steady rise. Measured at this grid: tau63 = 41 ms
+// and a ripple of 1.74%; examples/timescales prints 41 ms and 1.8% at
+// grid 16.
 func TestTransientLowPassesActivity(t *testing.T) {
-	// Figure 1: activity toggling much faster than the thermal time constant
-	// must produce temperature ripple far smaller than the power swing.
+	const period = 2e-4 // power toggles 0/2x every 100 us
 	s := NewStack(testConfig(8, 8))
 	s.SetDiePower(0, uniformPower(8, 8, 10))
-	warmup := s.SolveTransient(nil, 1e-3, 400, 0, nil)
-	base := warmup[len(warmup)-1]
-	// Toggle power 0/2x every 100 us for 20 ms.
-	traj := s.SolveTransient(base, 1e-4, 200, 1, func(step int) float64 {
+	steady, _ := s.SolveSteady(nil, SolverOpts{})
+	rise := steady.Peak() - s.Cfg.Ambient
+
+	warmup := s.SolveTransient(nil, 1e-3, 400, 1, nil)
+	tau := math.Inf(1)
+	for k, sol := range warmup {
+		if sol.Peak()-s.Cfg.Ambient >= 0.63*rise {
+			tau = float64(k+1) * 1e-3
+			break
+		}
+	}
+	if tau < 100*period {
+		t.Errorf("tau63 %.1f ms is not 100x the %.1f ms toggle period", tau*1e3, period*1e3)
+	}
+
+	traj := s.SolveTransient(warmup[len(warmup)-1], 1e-4, 200, 1, func(step int) float64 {
 		if step%2 == 0 {
 			return 2
 		}
@@ -227,18 +244,11 @@ func TestTransientLowPassesActivity(t *testing.T) {
 	})
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, sol := range traj[20:] {
-		p := sol.Peak()
-		if p < lo {
-			lo = p
-		}
-		if p > hi {
-			hi = p
-		}
+		lo = math.Min(lo, sol.Peak())
+		hi = math.Max(hi, sol.Peak())
 	}
-	rise := base.Peak() - s.Cfg.Ambient
-	ripple := hi - lo
-	if ripple > 0.5*rise {
-		t.Fatalf("thermal ripple %v should be far below steady rise %v", ripple, rise)
+	if ripple := hi - lo; ripple > 0.05*rise {
+		t.Errorf("thermal ripple %.3f K exceeds 5%% of the %.2f K steady rise", ripple, rise)
 	}
 }
 

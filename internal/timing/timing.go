@@ -162,11 +162,6 @@ func (a *Analysis) PathThrough(m int) float64 {
 	return a.ModuleDelay[m] + math.Max(a.Arrive[m], a.Depart[m])
 }
 
-// Slack returns module m's slack against a target clock period in ns.
-func (a *Analysis) Slack(m int, target float64) float64 {
-	return target - a.PathThrough(m)
-}
-
 // NetElmore returns net ni's Elmore delay in ns for the given layout.
 // The model: a driver of resistance RDriver charges the net's distributed
 // RC (length = half-perimeter wirelength plus the vertical detour for

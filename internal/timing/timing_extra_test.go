@@ -27,8 +27,7 @@ func TestDefaultParamsPlausible(t *testing.T) {
 		OutlineW: 2000, OutlineH: 2000, Dies: 1,
 	}
 	l := floorplan.New(d).Pack()
-	l.Rects[0] = l.Rects[0].Translate(0, 0)
-	l.Rects[1] = l.Rects[1].Translate(1000, 0)
+	l.Rects[1].X += 1000
 	got := NetElmore(l, 0, p)
 	if got < 0.01 || got > 2 {
 		t.Fatalf("1mm net delay %v ns implausible", got)
@@ -50,7 +49,7 @@ func TestElmoreQuadraticInLength(t *testing.T) {
 	p := DefaultParams()
 	at := func(dist float64) float64 {
 		l := floorplan.New(d).Pack()
-		l.Rects[1] = floorplan.New(d).Pack().Rects[1].Translate(dist, 0)
+		l.Rects[1].X += dist
 		return NetElmore(l, 0, p)
 	}
 	base := at(0)
@@ -73,10 +72,10 @@ func TestSlackHelperSigns(t *testing.T) {
 	}
 	l := floorplan.New(d).Pack()
 	a := Analyze(l, nil, DefaultParams())
-	if a.Slack(0, a.Critical) < -1e-12 {
+	if a.Critical-a.PathThrough(0) < -1e-12 {
 		t.Fatal("slack against the critical itself must be non-negative for all modules")
 	}
-	if a.Slack(0, a.Critical*0.5) >= 0 {
+	if a.Critical*0.5-a.PathThrough(0) >= 0 {
 		t.Fatal("slack must go negative for an infeasible target")
 	}
 }

@@ -65,7 +65,7 @@ func TestCuFractionMapGapFilters(t *testing.T) {
 func TestAddDummyGapBookkeeping(t *testing.T) {
 	p := &Plan{Geometry: DefaultGeometry(), OutlineW: 100, OutlineH: 100}
 	p.AddDummyGap(1, geom.Point{X: 50, Y: 50}, 3)
-	p.AddDummy(geom.Point{X: 20, Y: 20}, 2) // defaults to gap 0
+	p.AddDummyGap(0, geom.Point{X: 20, Y: 20}, 2)
 	if p.DummyCount() != 5 {
 		t.Fatalf("dummy count %d", p.DummyCount())
 	}

@@ -64,9 +64,6 @@ func (g Geometry) CuAreaPerVia() float64 {
 	return math.Pi * r * r
 }
 
-// FootprintPerVia returns the occupied area (via + keep-out) in um^2.
-func (g Geometry) FootprintPerVia() float64 { return g.Pitch * g.Pitch }
-
 // Plan holds all TSVs of a floorplan.
 type Plan struct {
 	TSVs     []TSV
@@ -205,13 +202,9 @@ func netCenter(l *floorplan.Layout, ni int) geom.Point {
 	return geom.Point{X: clampF((minX+maxX)/2, 0, l.OutlineW), Y: clampF((minY+maxY)/2, 0, l.OutlineH)}
 }
 
-// AddDummy appends a dummy thermal TSV group (count vias) at the given bin
-// center, in gap 0 (the only gap of a two-die stack).
-func (p *Plan) AddDummy(pos geom.Point, count int) {
-	p.AddDummyGap(0, pos, count)
-}
-
-// AddDummyGap appends a dummy thermal TSV group in a specific inter-die gap.
+// AddDummyGap appends a dummy thermal TSV group (count vias) at the given
+// bin center, in inter-die gap gap (gap 0 is the only gap of a two-die
+// stack).
 func (p *Plan) AddDummyGap(gap int, pos geom.Point, count int) {
 	p.TSVs = append(p.TSVs, TSV{Kind: Dummy, Pos: pos, Net: -1, Count: count, Gap: gap})
 }
@@ -271,27 +264,6 @@ func (p *Plan) cuMap(nx, ny, gap int) *geom.Grid {
 		}
 	}
 	return g
-}
-
-// DensityMap rasterizes via counts (not copper fractions) for reporting.
-func (p *Plan) DensityMap(nx, ny int) *geom.Grid {
-	g := geom.NewGrid(nx, ny)
-	for _, t := range p.TSVs {
-		i := clampI(int(t.Pos.X/p.OutlineW*float64(nx)), 0, nx-1)
-		j := clampI(int(t.Pos.Y/p.OutlineH*float64(ny)), 0, ny-1)
-		g.Add(i, j, float64(t.Count))
-	}
-	return g
-}
-
-// OccupiedArea returns the total bond-layer area consumed (vias plus
-// keep-out) in um^2.
-func (p *Plan) OccupiedArea() float64 {
-	n := 0
-	for _, t := range p.TSVs {
-		n += t.Count
-	}
-	return float64(n) * p.Geometry.FootprintPerVia()
 }
 
 // Clone returns a deep copy.

@@ -60,7 +60,7 @@ func TestIslandsClusterPositions(t *testing.T) {
 func TestAddDummy(t *testing.T) {
 	l := layoutN100(t)
 	p := PlanSignals(l, Options{})
-	p.AddDummy(geom.Point{X: 100, Y: 100}, 4)
+	p.AddDummyGap(0, geom.Point{X: 100, Y: 100}, 4)
 	if p.DummyCount() != 4 {
 		t.Fatalf("dummy count %d", p.DummyCount())
 	}
@@ -82,50 +82,31 @@ func TestCuFractionMapBounds(t *testing.T) {
 
 func TestCuFractionScalesWithCount(t *testing.T) {
 	p := &Plan{Geometry: DefaultGeometry(), OutlineW: 1000, OutlineH: 1000}
-	p.AddDummy(geom.Point{X: 500, Y: 500}, 1)
+	p.AddDummyGap(0, geom.Point{X: 500, Y: 500}, 1)
 	g1 := p.CuFractionMap(10, 10)
 	p2 := &Plan{Geometry: DefaultGeometry(), OutlineW: 1000, OutlineH: 1000}
-	p2.AddDummy(geom.Point{X: 500, Y: 500}, 3)
+	p2.AddDummyGap(0, geom.Point{X: 500, Y: 500}, 3)
 	g3 := p2.CuFractionMap(10, 10)
 	if math.Abs(g3.Sum()-3*g1.Sum()) > 1e-12 {
 		t.Fatalf("copper should scale with via count: %v vs 3*%v", g3.Sum(), g1.Sum())
 	}
 }
 
-func TestDensityMapCountsVias(t *testing.T) {
-	p := &Plan{Geometry: DefaultGeometry(), OutlineW: 100, OutlineH: 100}
-	p.AddDummy(geom.Point{X: 10, Y: 10}, 2)
-	p.AddDummy(geom.Point{X: 90, Y: 90}, 3)
-	g := p.DensityMap(10, 10)
-	if g.Sum() != 5 {
-		t.Fatalf("density sum %v", g.Sum())
-	}
-}
-
-func TestOccupiedArea(t *testing.T) {
-	p := &Plan{Geometry: DefaultGeometry(), OutlineW: 100, OutlineH: 100}
-	p.AddDummy(geom.Point{X: 10, Y: 10}, 4)
-	want := 4 * p.Geometry.FootprintPerVia()
-	if p.OccupiedArea() != want {
-		t.Fatalf("area %v want %v", p.OccupiedArea(), want)
-	}
-}
-
 func TestGeometryAreas(t *testing.T) {
 	g := DefaultGeometry()
-	if g.CuAreaPerVia() <= 0 || g.FootprintPerVia() <= 0 {
-		t.Fatal("areas must be positive")
+	if g.CuAreaPerVia() <= 0 {
+		t.Fatal("copper area must be positive")
 	}
-	if g.CuAreaPerVia() >= g.FootprintPerVia() {
-		t.Fatal("copper body must be smaller than footprint with keep-out")
+	if g.CuAreaPerVia() >= g.Pitch*g.Pitch {
+		t.Fatal("copper body must be smaller than its pitch cell with keep-out")
 	}
 }
 
 func TestCloneIndependent(t *testing.T) {
 	p := &Plan{Geometry: DefaultGeometry(), OutlineW: 100, OutlineH: 100}
-	p.AddDummy(geom.Point{X: 1, Y: 1}, 1)
+	p.AddDummyGap(0, geom.Point{X: 1, Y: 1}, 1)
 	c := p.Clone()
-	c.AddDummy(geom.Point{X: 2, Y: 2}, 1)
+	c.AddDummyGap(0, geom.Point{X: 2, Y: 2}, 1)
 	if len(p.TSVs) != 1 {
 		t.Fatal("clone aliases source")
 	}
@@ -170,7 +151,7 @@ func TestMaxDensityCoversDie(t *testing.T) {
 
 func TestIslandsAreDense(t *testing.T) {
 	plan := GeneratePattern(PatternIslands, 4000, 4000, rand.New(rand.NewSource(4)))
-	g := plan.DensityMap(16, 16)
+	g := plan.CuFractionMap(16, 16)
 	// Islands: few cells hold many vias.
 	nonzero := 0
 	for _, v := range g.Data {

@@ -20,8 +20,6 @@
 package tscfp
 
 import (
-	"sort"
-
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/netlist"
@@ -133,22 +131,6 @@ func (d *Design) SensitiveModules() []int {
 		}
 	}
 	return out
-}
-
-// HottestModules returns the indices of the n highest-power modules,
-// hottest first (ties broken by index for determinism).
-func (d *Design) HottestModules(n int) []int {
-	order := make([]int, len(d.d.Modules))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return d.d.Modules[order[a]].Power > d.d.Modules[order[b]].Power
-	})
-	if n > len(order) {
-		n = len(order)
-	}
-	return order[:n]
 }
 
 // Netlist exposes the underlying design for in-repo tooling built on the
