@@ -123,14 +123,15 @@ func InvertPower(fe *thermal.FastEstimator, obs []*geom.Grid, truePower []*geom.
 }
 
 // InvertDevice runs the inversion attack end-to-end against a Device: the
-// attacker reads the nominal steady state through the sensors, calibrates a
-// fast model of the same stack configuration, and reconstructs the power
+// attacker reads the nominal steady state through the sensors, takes the
+// fast model of the same stack configuration (calibrated already by the
+// device's flow, when it ran in this process), and reconstructs the power
 // maps. Returns the reconstruction scored against the device's true
 // (voltage-scaled) power maps.
 func InvertDevice(d *Device, opts InversionOptions) InversionResult {
 	obs := d.Respond(d.ones())
 	cfg := thermal.DefaultConfig(d.gridN, d.gridN, d.res.Layout.OutlineW, d.res.Layout.OutlineH, d.Dies())
-	fe := thermal.CalibrateFast(cfg)
+	fe := thermal.Fast(cfg, 0)
 	truth := make([]*geom.Grid, d.Dies())
 	for die := 0; die < d.Dies(); die++ {
 		truth[die] = d.res.PowerMaps[die]

@@ -11,7 +11,7 @@ import (
 func TestAdjointIdentity(t *testing.T) {
 	// <F(P), R> must equal <P, F^T(R)> for the linear (rise) part.
 	cfg := thermal.DefaultConfig(16, 16, 4000, 4000, 2)
-	fe := thermal.CalibrateFast(cfg)
+	fe := thermal.Fast(cfg, 0)
 	p := []*geom.Grid{geom.NewGrid(16, 16), geom.NewGrid(16, 16)}
 	r := []*geom.Grid{geom.NewGrid(16, 16), geom.NewGrid(16, 16)}
 	p[0].Set(3, 4, 2)
@@ -37,7 +37,7 @@ func TestInvertRecoverssSyntheticPower(t *testing.T) {
 	// Forward-model consistency: data generated BY the fast model must be
 	// inverted back to a power map strongly correlated with the truth.
 	cfg := thermal.DefaultConfig(24, 24, 4000, 4000, 2)
-	fe := thermal.CalibrateFast(cfg)
+	fe := thermal.Fast(cfg, 0)
 	truth := []*geom.Grid{geom.NewGrid(24, 24), geom.NewGrid(24, 24)}
 	for j := 4; j < 9; j++ {
 		for i := 4; i < 9; i++ {
@@ -60,7 +60,7 @@ func TestInvertRecoverssSyntheticPower(t *testing.T) {
 
 func TestInvertNonNegative(t *testing.T) {
 	cfg := thermal.DefaultConfig(16, 16, 4000, 4000, 2)
-	fe := thermal.CalibrateFast(cfg)
+	fe := thermal.Fast(cfg, 0)
 	obs := []*geom.Grid{geom.NewGrid(16, 16), geom.NewGrid(16, 16)}
 	obs[0].Fill(cfg.Ambient - 5) // below-ambient observations
 	obs[1].Fill(cfg.Ambient - 5)

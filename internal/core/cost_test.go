@@ -16,7 +16,7 @@ func newEvaluator(t *testing.T, mode Mode, seed int64) *evaluator {
 	des := bench.MustGenerate("n100")
 	cfg := Config{Mode: mode, GridN: 16, Seed: seed}
 	cfg.defaults()
-	fast := thermal.CalibrateFast(thermal.DefaultConfig(16, 16, des.OutlineW, des.OutlineH, des.Dies))
+	fast := thermal.Fast(thermal.DefaultConfig(16, 16, des.OutlineW, des.OutlineH, des.Dies), 0)
 	rng := rand.New(rand.NewSource(seed))
 	return &evaluator{fp: floorplan.NewRandom(des, rng), cfg: &cfg, fast: fast}
 }
@@ -103,7 +103,7 @@ func TestDesignRuleTermTracksDieAssignment(t *testing.T) {
 	des := bench.MustGenerate("n100")
 	cfg := Config{Mode: PowerAware, GridN: 16}
 	cfg.defaults()
-	fast := thermal.CalibrateFast(thermal.DefaultConfig(16, 16, des.OutlineW, des.OutlineH, des.Dies))
+	fast := thermal.Fast(thermal.DefaultConfig(16, 16, des.OutlineW, des.OutlineH, des.Dies), 0)
 	ev := &evaluator{fp: floorplan.New(des), cfg: &cfg, fast: fast}
 	terms := ev.terms(ev.fp.Pack())
 	if terms.rule < 0.2 || terms.rule > 0.8 {

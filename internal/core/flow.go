@@ -43,9 +43,10 @@ func RunContext(ctx context.Context, des *netlist.Design, cfg Config) (*Result, 
 	started := time.Now()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Fast-analysis calibration (one impulse solve per die).
+	// The fast analysis, calibrated (one impulse solve per die) on the
+	// stack's first flow in the process.
 	thermCfg := thermal.DefaultConfig(cfg.GridN, cfg.GridN, des.OutlineW, des.OutlineH, des.Dies)
-	fast := thermal.CalibrateFastWorkers(thermCfg, cfg.Parallelism)
+	fast := thermal.Fast(thermCfg, cfg.Parallelism)
 
 	// Annealing with the fast thermal analysis in the loop.
 	best, evStats, err := runAnneal(ctx, des, &cfg, rng, fast)

@@ -20,7 +20,7 @@ func makeEval(t *testing.T, mode Mode, incremental bool, seed int64) *evaluator 
 	des := bench.MustGenerate("n100")
 	cfg := Config{Mode: mode, GridN: 16, Seed: seed}
 	cfg.defaults()
-	fast := thermal.CalibrateFast(thermal.DefaultConfig(16, 16, des.OutlineW, des.OutlineH, des.Dies))
+	fast := thermal.Fast(thermal.DefaultConfig(16, 16, des.OutlineW, des.OutlineH, des.Dies), 0)
 	rng := rand.New(rand.NewSource(seed))
 	ev := &evaluator{fp: floorplan.NewRandom(des, rng), cfg: &cfg, fast: fast}
 	if incremental {
@@ -227,7 +227,7 @@ func TestDegenerateNetsAgreeAcrossEvaluators(t *testing.T) {
 	build := func(incremental bool) *evaluator {
 		cfg := Config{Mode: TSCAware, GridN: 16, Seed: 1}
 		cfg.defaults()
-		fast := thermal.CalibrateFast(thermal.DefaultConfig(16, 16, des.OutlineW, des.OutlineH, des.Dies))
+		fast := thermal.Fast(thermal.DefaultConfig(16, 16, des.OutlineW, des.OutlineH, des.Dies), 0)
 		rng := rand.New(rand.NewSource(1))
 		ev := &evaluator{fp: floorplan.NewRandom(des, rng), cfg: &cfg, fast: fast}
 		if incremental {
@@ -282,7 +282,7 @@ func TestIncrementalMoveAllocations(t *testing.T) {
 		des := bench.MustGenerate(name)
 		cfg := Config{Mode: TSCAware, GridN: gridN, Seed: 1, VoltEvery: 1 << 30}
 		cfg.defaults()
-		fast := thermal.CalibrateFastWorkers(thermal.DefaultConfig(gridN, gridN, des.OutlineW, des.OutlineH, des.Dies), 1)
+		fast := thermal.Fast(thermal.DefaultConfig(gridN, gridN, des.OutlineW, des.OutlineH, des.Dies), 1)
 		rng := rand.New(rand.NewSource(1))
 		ev := &evaluator{fp: floorplan.NewRandom(des, rng), cfg: &cfg, fast: fast, incr: newIncrState()}
 		move := func(i int) {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 )
 
 // ModuleKind distinguishes hard macros (fixed footprint, may only rotate)
@@ -71,8 +70,8 @@ type Module struct {
 	Name string     `json:"name"`
 	Kind ModuleKind `json:"kind"`
 
-	// W, H is the footprint in um. For soft modules this is the current
-	// (resizable) footprint; Area() stays constant across resizes.
+	// W, H is the footprint in um. For a soft module it is the nominal
+	// footprint: the floorplanner picks the aspect ratio, keeping Area().
 	W float64 `json:"w_um"`
 	H float64 `json:"h_um"`
 
@@ -130,41 +129,6 @@ func (m *Module) PowerDensity() float64 {
 		return 0
 	}
 	return m.Power / a
-}
-
-// Resize sets a soft module's footprint to the given aspect ratio (W/H),
-// preserving area and clamping the ratio to [MinAspect, MaxAspect]. It is a
-// no-op for hard modules.
-func (m *Module) Resize(aspect float64) {
-	if m.Kind != Soft {
-		return
-	}
-	if aspect < m.MinAspect {
-		aspect = m.MinAspect
-	}
-	if aspect > m.MaxAspect {
-		aspect = m.MaxAspect
-	}
-	area := m.Area()
-	m.H = sqrtPos(area / aspect)
-	m.W = area / m.H
-}
-
-// Rotate swaps the module footprint (legal for hard and soft modules).
-func (m *Module) Rotate() { m.W, m.H = m.H, m.W }
-
-func sqrtPos(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	// Newton's iteration rather than math.Sqrt: every soft-module resize
-	// goes through it, so a swap could move the last bit of the pinned
-	// golden floorplans and needs a golden check of its own.
-	x := v
-	for i := 0; i < 40; i++ {
-		x = 0.5 * (x + v/x)
-	}
-	return x
 }
 
 // Terminal is a chip-level I/O pin fixed on the die outline.
@@ -255,51 +219,6 @@ func (d *Design) HardCount() int {
 
 // SoftCount returns the number of soft modules.
 func (d *Design) SoftCount() int { return len(d.Modules) - d.HardCount() }
-
-// ModuleIndex returns the index of the named module, or -1.
-func (d *Design) ModuleIndex(name string) int {
-	for i, m := range d.Modules {
-		if m.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// NetsOfModule returns the indices of all nets touching module mi, in order.
-func (d *Design) NetsOfModule(mi int) []int {
-	var out []int
-	for ni, n := range d.Nets {
-		for _, m := range n.Modules {
-			if m == mi {
-				out = append(out, ni)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// AdjacencyCount returns, for each module pair connected by at least one
-// net, the number of shared nets. Keys are [2]int with i < j.
-func (d *Design) AdjacencyCount() map[[2]int]int {
-	adj := make(map[[2]int]int)
-	for _, n := range d.Nets {
-		for a := 0; a < len(n.Modules); a++ {
-			for b := a + 1; b < len(n.Modules); b++ {
-				i, j := n.Modules[a], n.Modules[b]
-				if i == j {
-					continue
-				}
-				if i > j {
-					i, j = j, i
-				}
-				adj[[2]int{i, j}]++
-			}
-		}
-	}
-	return adj
-}
 
 // maxModulePower bounds a module's nominal power in watts. The largest
 // built-in module draws 0.61 W. The leakage metrics multiply and square
@@ -419,17 +338,6 @@ func (d *Design) DegreeHistogram() map[int]int {
 		h[n.Degree()]++
 	}
 	return h
-}
-
-// SortedModuleNames returns all module names sorted lexicographically
-// (useful for deterministic reporting).
-func (d *Design) SortedModuleNames() []string {
-	out := make([]string, len(d.Modules))
-	for i, m := range d.Modules {
-		out[i] = m.Name
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Clone returns a deep copy of the design. Modules are copied by value, so

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func smallDesign() *Design {
@@ -84,48 +83,6 @@ func TestModuleAreaAndDensity(t *testing.T) {
 	}
 }
 
-func TestSoftResizePreservesArea(t *testing.T) {
-	m := &Module{Name: "s", Kind: Soft, W: 10, H: 10, MinAspect: 0.25, MaxAspect: 4}
-	area := m.Area()
-	for _, ar := range []float64{0.25, 0.5, 1, 2, 4} {
-		m.Resize(ar)
-		if math.Abs(m.Area()-area) > 1e-6 {
-			t.Fatalf("aspect %v: area drifted to %v", ar, m.Area())
-		}
-		if math.Abs(m.W/m.H-ar) > 1e-6 {
-			t.Fatalf("aspect %v: got ratio %v", ar, m.W/m.H)
-		}
-	}
-}
-
-func TestSoftResizeClamps(t *testing.T) {
-	m := &Module{Name: "s", Kind: Soft, W: 10, H: 10, MinAspect: 0.5, MaxAspect: 2}
-	m.Resize(100)
-	if math.Abs(m.W/m.H-2) > 1e-9 {
-		t.Fatalf("ratio %v not clamped to 2", m.W/m.H)
-	}
-	m.Resize(0.001)
-	if math.Abs(m.W/m.H-0.5) > 1e-9 {
-		t.Fatalf("ratio %v not clamped to 0.5", m.W/m.H)
-	}
-}
-
-func TestHardResizeIsNoop(t *testing.T) {
-	m := &Module{Name: "h", Kind: Hard, W: 10, H: 20}
-	m.Resize(1)
-	if m.W != 10 || m.H != 20 {
-		t.Fatal("hard module must not resize")
-	}
-}
-
-func TestRotate(t *testing.T) {
-	m := &Module{Name: "h", Kind: Hard, W: 10, H: 20}
-	m.Rotate()
-	if m.W != 20 || m.H != 10 {
-		t.Fatal("rotate failed")
-	}
-}
-
 func TestDesignAggregates(t *testing.T) {
 	d := smallDesign()
 	if math.Abs(d.TotalPower()-1.75) > 1e-12 {
@@ -142,38 +99,6 @@ func TestDesignAggregates(t *testing.T) {
 	}
 	if d.HardCount() != 1 || d.SoftCount() != 2 {
 		t.Fatal("hard/soft counts")
-	}
-}
-
-func TestModuleIndex(t *testing.T) {
-	d := smallDesign()
-	if d.ModuleIndex("b") != 1 {
-		t.Fatal("index of b")
-	}
-	if d.ModuleIndex("zz") != -1 {
-		t.Fatal("missing module should be -1")
-	}
-}
-
-func TestNetsOfModule(t *testing.T) {
-	d := smallDesign()
-	nets := d.NetsOfModule(0)
-	if len(nets) != 2 || nets[0] != 0 || nets[1] != 1 {
-		t.Fatalf("got %v", nets)
-	}
-	if got := d.NetsOfModule(2); len(got) != 2 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestAdjacencyCount(t *testing.T) {
-	d := smallDesign()
-	adj := d.AdjacencyCount()
-	if adj[[2]int{0, 1}] != 2 {
-		t.Fatalf("pair (0,1): %d", adj[[2]int{0, 1}])
-	}
-	if adj[[2]int{0, 2}] != 1 || adj[[2]int{1, 2}] != 1 {
-		t.Fatal("pairs with c")
 	}
 }
 
@@ -195,32 +120,6 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal("clone aliases source")
 	}
 	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSortedModuleNames(t *testing.T) {
-	d := smallDesign()
-	names := d.SortedModuleNames()
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Fatalf("got %v", names)
-	}
-}
-
-func TestPropertyResizeAreaInvariant(t *testing.T) {
-	f := func(w, h, aspect float64) bool {
-		w = 1 + math.Mod(math.Abs(w), 100)
-		h = 1 + math.Mod(math.Abs(h), 100)
-		aspect = 0.1 + math.Mod(math.Abs(aspect), 10)
-		if math.IsNaN(w) || math.IsNaN(h) || math.IsNaN(aspect) {
-			return true
-		}
-		m := &Module{Name: "s", Kind: Soft, W: w, H: h, MinAspect: 0.1, MaxAspect: 10.1}
-		before := m.Area()
-		m.Resize(aspect)
-		return math.Abs(m.Area()-before) < 1e-6*before
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

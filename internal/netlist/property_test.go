@@ -88,66 +88,3 @@ func TestPropertyDegreeHistogramSums(t *testing.T) {
 		}
 	}
 }
-
-func TestPropertyAdjacencyConsistentWithNets(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 30; trial++ {
-		d := randomDesign(rng)
-		adj := d.AdjacencyCount()
-		for pair, cnt := range adj {
-			if cnt <= 0 {
-				t.Fatal("non-positive adjacency count")
-			}
-			if pair[0] >= pair[1] {
-				t.Fatal("pair keys must be ordered")
-			}
-			// Verify by brute force.
-			shared := 0
-			for _, net := range d.Nets {
-				hasA, hasB := false, false
-				for _, m := range net.Modules {
-					if m == pair[0] {
-						hasA = true
-					}
-					if m == pair[1] {
-						hasB = true
-					}
-				}
-				if hasA && hasB {
-					shared++
-				}
-			}
-			if shared != cnt {
-				t.Fatalf("pair %v: adjacency %d, brute force %d", pair, cnt, shared)
-			}
-		}
-	}
-}
-
-func TestPropertyNetsOfModuleComplete(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := randomDesign(rng)
-	for mi := range d.Modules {
-		nets := d.NetsOfModule(mi)
-		seen := map[int]bool{}
-		for _, ni := range nets {
-			seen[ni] = true
-			found := false
-			for _, m := range d.Nets[ni].Modules {
-				if m == mi {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("net %d reported for module %d but lacks the pin", ni, mi)
-			}
-		}
-		for ni, n := range d.Nets {
-			for _, m := range n.Modules {
-				if m == mi && !seen[ni] {
-					t.Fatalf("net %d touching module %d missing from NetsOfModule", ni, mi)
-				}
-			}
-		}
-	}
-}

@@ -1,14 +1,17 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/par"
 )
 
 // FastEstimator is the in-loop thermal analysis: per (source die, target
-// die) Gaussian impulse-response masks calibrated once against the detailed
+// die) Gaussian impulse-response masks calibrated against the detailed
 // solver, then applied by separable convolution over the power maps. This
 // mirrors Corblivar's "power blurring" analysis, which the paper describes
 // as fast but "inferior to the detailed analysis of HotSpot, especially for
@@ -18,13 +21,9 @@ type FastEstimator struct {
 	nx, ny  int
 	dies    int
 	ambient float64
-	// amp[s][t] is the peak response (K per W) on target die t for a unit
-	// impulse on source die s, and kernel[s][t] the normalized Gaussian of
-	// that response's spatial spread sigma[s][t] (in cells), computed once
-	// at calibration. Both are read-only afterwards, so goroutines may share
-	// one estimator.
-	amp    [][]float64
-	kernel [][][]float64
+	// calibration is shared read-only by every estimator of the same stack
+	// (see Fast), so goroutines may share it too.
+	calibration
 	// workers bounds the goroutines fanned out per convolution pass;
 	// 0 selects GOMAXPROCS, 1 forces the serial path. Blur outputs are
 	// byte-identical for every worker count (each output cell is computed
@@ -32,31 +31,93 @@ type FastEstimator struct {
 	workers int
 }
 
-// CalibrateFast builds a FastEstimator for the given stack configuration by
-// running one detailed impulse solve per die. The stack's currently
-// installed power and TSV maps are not consulted; calibration uses a clean
-// TSV-free stack of the same configuration. The impulse solves use the
-// default worker fan-out; use CalibrateFastWorkers to bound it.
-func CalibrateFast(cfg Config) *FastEstimator {
-	return CalibrateFastWorkers(cfg, 0)
+// calibration is what the impulse solves measure: amp[s][t] is the peak
+// response (K per W) on target die t for a unit impulse on source die s,
+// and kernel[s][t] the normalized Gaussian of that response's spatial
+// spread (in cells). Neither is written after calibrate returns.
+type calibration struct {
+	amp    [][]float64
+	kernel [][][]float64
 }
 
-// CalibrateFastWorkers is CalibrateFast with the calibration solves (and the
-// returned estimator's convolutions) bounded to `workers` goroutines —
-// 0 selects GOMAXPROCS, 1 forces the serial path. Results are identical for
-// every setting.
-func CalibrateFastWorkers(cfg Config, workers int) *FastEstimator {
-	fe := &FastEstimator{
-		nx: cfg.NX, ny: cfg.NY, dies: cfg.Dies, ambient: cfg.Ambient,
-		amp:     make([][]float64, cfg.Dies),
-		kernel:  make([][][]float64, cfg.Dies),
-		workers: workers,
+// Fast returns an estimator for the given stack configuration, with its
+// convolutions bounded to `workers` goroutines — 0 selects GOMAXPROCS,
+// 1 forces the serial path. The calibration (one detailed impulse solve
+// per die, on a clean TSV-free stack) runs on the configuration's first
+// request in the process and is shared by every later one: each caller
+// gets its own estimator over it, so one calibration serves every worker
+// count. Outputs are identical for every setting.
+func Fast(cfg Config, workers int) *FastEstimator {
+	return newFast(cfg, fastEstimators.get(cfg, workers), workers)
+}
+
+func newFast(cfg Config, c calibration, workers int) *FastEstimator {
+	return &FastEstimator{nx: cfg.NX, ny: cfg.NY, dies: cfg.Dies, ambient: cfg.Ambient, calibration: c, workers: workers}
+}
+
+// fastTableBound caps the calibrations the process keeps. A key is the
+// whole stack, outline included, so every inline tscfpd design is its own
+// entry; the cap keeps them from growing the table without limit.
+const fastTableBound = 32
+
+// fastEstimators is the process's one table of calibrations.
+var fastEstimators = newFastTable(fastTableBound)
+
+// fastTable maps each stack configuration to its calibration, filled once
+// per key and evicting the oldest key beyond its bound.
+type fastTable struct {
+	bound int
+
+	mu      sync.Mutex
+	entries map[string]func() calibration
+	order   []string // keys in insertion order, oldest first
+
+	calibrations atomic.Int64 // fills run; read by tests
+}
+
+func newFastTable(bound int) *fastTable {
+	return &fastTable{bound: bound, entries: make(map[string]func() calibration, bound)}
+}
+
+// get returns cfg's calibration, running it on the key's first request;
+// concurrent first requests share one run. The key is cfg's Go-syntax
+// text, which spells out every field calibration reads — the grid, the
+// outline, the die count, ambient, both resistances and each layer — and
+// round-trips every float, so two configurations share an entry only when
+// they are equal field by field.
+func (t *fastTable) get(cfg Config, workers int) calibration {
+	key := fmt.Sprintf("%#v", cfg)
+	t.mu.Lock()
+	fill, ok := t.entries[key]
+	if !ok {
+		fill = sync.OnceValue(func() calibration {
+			t.calibrations.Add(1)
+			return calibrate(cfg, workers)
+		})
+		if len(t.order) == t.bound {
+			delete(t.entries, t.order[0])
+			t.order = append(t.order[:0], t.order[1:]...)
+		}
+		t.entries[key] = fill
+		t.order = append(t.order, key)
+	}
+	t.mu.Unlock()
+	return fill()
+}
+
+// calibrate runs one detailed impulse solve per die on a clean TSV-free
+// stack of the given configuration (bounded to `workers` goroutines, which
+// does not change the result).
+func calibrate(cfg Config, workers int) calibration {
+	c := calibration{
+		amp:    make([][]float64, cfg.Dies),
+		kernel: make([][][]float64, cfg.Dies),
 	}
 	stack := NewStack(cfg)
 	ci, cj := cfg.NX/2, cfg.NY/2
 	for src := 0; src < cfg.Dies; src++ {
-		fe.amp[src] = make([]float64, cfg.Dies)
-		fe.kernel[src] = make([][]float64, cfg.Dies)
+		c.amp[src] = make([]float64, cfg.Dies)
+		c.kernel[src] = make([][]float64, cfg.Dies)
 		// Unit impulse: 1 W in the center cell of the source die.
 		for d := 0; d < cfg.Dies; d++ {
 			stack.SetDiePower(d, geom.NewGrid(cfg.NX, cfg.NY))
@@ -93,11 +154,11 @@ func CalibrateFastWorkers(cfg Config, workers int) *FastEstimator {
 			if sig < 0.5 {
 				sig = 0.5
 			}
-			fe.amp[src][tgt] = peak
-			fe.kernel[src][tgt] = gaussianKernel(sig)
+			c.amp[src][tgt] = peak
+			c.kernel[src][tgt] = gaussianKernel(sig)
 		}
 	}
-	return fe
+	return c
 }
 
 // ResponseInto returns source die s's scaled contribution to every target

@@ -77,14 +77,18 @@ func TestParallelBlurMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestFastEstimatorWorkersInvariant pins what lets one table entry serve
+// every worker count: a calibration and its blurs at 4 workers reproduce
+// the serial ones byte for byte. It calibrates afresh at each count, since
+// the table would hand both estimators one calibration.
 func TestFastEstimatorWorkersInvariant(t *testing.T) {
 	cfg := DefaultConfig(32, 32, 4000, 4000, 2)
 	power := []*geom.Grid{
 		randomPower(32, 32, 6, rand.New(rand.NewSource(5))),
 		randomPower(32, 32, 4, rand.New(rand.NewSource(6))),
 	}
-	base := CalibrateFastWorkers(cfg, 1).Estimate(power)
-	got := CalibrateFastWorkers(cfg, 4).Estimate(power)
+	base := freshFast(cfg, 1).Estimate(power)
+	got := freshFast(cfg, 4).Estimate(power)
 	for d := range base {
 		for i := range base[d].Data {
 			if base[d].Data[i] != got[d].Data[i] {
@@ -100,7 +104,7 @@ func TestFastEstimatorWorkersInvariant(t *testing.T) {
 // Estimate byte for byte.
 func TestCombineMatchesEstimate(t *testing.T) {
 	cfg := DefaultConfig(24, 24, 4000, 4000, 2)
-	fe := CalibrateFast(cfg)
+	fe := Fast(cfg, 0)
 	power := []*geom.Grid{
 		randomPower(24, 24, 6, rand.New(rand.NewSource(8))),
 		randomPower(24, 24, 4, rand.New(rand.NewSource(9))),
@@ -124,10 +128,12 @@ func TestCombineMatchesEstimate(t *testing.T) {
 // TestResponseIntoReusesStorage pins the blur's allocation diet: a
 // ResponseInto over storage that last held another source's response
 // allocates nothing on the serial blur and reproduces a fresh response
-// byte for byte.
+// byte for byte, while a 4-worker estimator of the same stack shares its
+// calibration.
 func TestResponseIntoReusesStorage(t *testing.T) {
 	cfg := DefaultConfig(32, 32, 4000, 4000, 2)
-	fe := CalibrateFastWorkers(cfg, 1)
+	fe := Fast(cfg, 1)
+	wide := Fast(cfg, 4)
 	power := []*geom.Grid{
 		randomPower(32, 32, 6, rand.New(rand.NewSource(10))),
 		randomPower(32, 32, 4, rand.New(rand.NewSource(11))),
@@ -145,5 +151,16 @@ func TestResponseIntoReusesStorage(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, func() { out = fe.ResponseInto(power[0], 0, out, scratch) }); n != 0 {
 		t.Fatalf("warmed ResponseInto allocates %v times per call, want 0", n)
+	}
+	if wide.workers != 4 || &wide.kernel[0][0][0] != &fe.kernel[0][0][0] {
+		t.Fatalf("the 4-worker estimator (workers %d) does not share the serial one's calibration", wide.workers)
+	}
+	wideOut := wide.ResponseInto(power[0], 0, nil, nil)
+	for tgt := range want {
+		for i := range want[tgt].Data {
+			if wideOut[tgt].Data[i] != want[tgt].Data[i] {
+				t.Fatalf("target %d cell %d: 4-worker response %v != serial %v", tgt, i, wideOut[tgt].Data[i], want[tgt].Data[i])
+			}
+		}
 	}
 }

@@ -158,7 +158,7 @@ func TestNumCells(t *testing.T) {
 }
 
 func TestFastEstimatorDiesAccessor(t *testing.T) {
-	fe := CalibrateFast(testConfig(8, 8))
+	fe := Fast(testConfig(8, 8), 0)
 	if fe.Dies() != 2 {
 		t.Fatalf("dies %d", fe.Dies())
 	}

@@ -10,6 +10,12 @@
 //     reproduce the time-scale separation of Figure 1;
 //   - a fast power-blurring estimator calibrated against the detailed
 //     solver, mirroring Corblivar's in-loop thermal analysis (fast.go).
+//     Calibration depends only on the Config, so Fast keeps one
+//     process-wide table of calibrations. Its key is the whole Config
+//     (grid, outline, dies, ambient, both resistances and every layer);
+//     each entry is filled once, by the key's first request, and the
+//     table holds at most fastTableBound entries, evicting the oldest.
+//     Every caller gets its own estimator with its own blur worker bound.
 //
 // TSVs enter the model exactly as the paper describes them ("heat-pipes
 // between stacked dies"): each cell of the inter-die bond layer carries a

@@ -303,7 +303,7 @@ func TestFastEstimatorTracksDetailed(t *testing.T) {
 	}
 	nx := 32
 	cfg := testConfig(nx, nx)
-	fe := CalibrateFast(cfg)
+	fe := Fast(cfg, 0)
 
 	// A two-blob power pattern.
 	p0 := geom.NewGrid(nx, nx)

@@ -167,7 +167,7 @@ func BenchmarkFastEstimate(b *testing.B) {
 		{"serial", 1},
 		{"parallel", 0},
 	} {
-		fe := thermal.CalibrateFastWorkers(cfg, leg.workers)
+		fe := thermal.Fast(cfg, leg.workers)
 		b.Run(leg.label, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fe.Estimate(maps)
