@@ -53,9 +53,8 @@ func main() {
 		absR1, power, peak float64
 	}
 	rows := []row{{"none (power-aware baseline)", math.Abs(pa.Metrics.R1), pa.Metrics.PowerW, pa.Metrics.PeakTempK}}
-	ctl := noiseinject.Controller{}
 	for _, alpha := range []float64{0.1, 0.25, 0.5, 1.0} {
-		r := ctl.Smooth(pa.Core(), alpha)
+		r := noiseinject.Smooth(pa.Core(), alpha)
 		rows = append(rows, row{fmt.Sprintf("noise injection alpha=%.2f", alpha),
 			math.Abs(r.R[0]), pa.Metrics.PowerW + r.InjectedW, r.PeakTempK})
 	}

@@ -32,7 +32,7 @@ func main() {
 
 	// Heating step response: time to reach 63% / 95% of the steady rise.
 	dt := 1e-3
-	traj := stack.SolveTransient(nil, dt, 600, 1, nil)
+	traj := stack.SolveTransient(nil, dt, 600, 1, nil, thermal.SolverOpts{})
 	t63, t95 := -1.0, -1.0
 	for i, sol := range traj {
 		r := sol.Peak() - cfg.Ambient
@@ -53,7 +53,7 @@ func main() {
 			return 2.0 // full activity
 		}
 		return 0.0 // idle
-	})
+	}, thermal.SolverOpts{})
 	lo, hi := toggled[50].Peak(), toggled[50].Peak()
 	for _, sol := range toggled[50:] {
 		p := sol.Peak()

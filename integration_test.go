@@ -103,7 +103,7 @@ func TestFlowMetricsMatchIndependentRecomputation(t *testing.T) {
 // checks the repaired critical delay is reported faithfully.
 func TestFlowTimingHonoured(t *testing.T) {
 	res := integResults(t)[core.PowerAware]
-	sta := timing.Analyze(res.Layout, res.Assignment.DelayScale, timing.DefaultParams())
+	sta := timing.Analyze(res.Layout, res.Assignment.DelayScale)
 	if math.Abs(sta.Critical-res.Metrics.CriticalNS) > 1e-9 {
 		t.Fatalf("critical %v vs reported %v", sta.Critical, res.Metrics.CriticalNS)
 	}
@@ -154,8 +154,7 @@ func TestAttackPipelineOnFlowResult(t *testing.T) {
 // TestNoiseInjectionOnFlowResult checks the prior-art baseline integrates.
 func TestNoiseInjectionOnFlowResult(t *testing.T) {
 	res := integResults(t)[core.PowerAware]
-	ctl := noiseinject.Controller{}
-	if ctl.Smooth(res, 0.5).PeakTempK <= ctl.Smooth(res, 0).PeakTempK {
+	if noiseinject.Smooth(res, 0.5).PeakTempK <= noiseinject.Smooth(res, 0).PeakTempK {
 		t.Fatal("injection must heat the stack")
 	}
 }

@@ -103,7 +103,7 @@ func CovertChannel(res *core.Result, tx, rx int, opts CovertOptions, rng *rand.R
 	sol, _ := stack.SolveSteady(nil, thermal.SolverOpts{Tol: 1e-4})
 	for b, bit := range bits {
 		setTx(bit)
-		traj := stack.SolveTransient(sol, opts.DT, stepsPerBit, 0, nil)
+		traj := stack.SolveTransient(sol, opts.DT, stepsPerBit, 0, nil, thermal.SolverOpts{})
 		sol = traj[len(traj)-1]
 		readings[b] = sol.DieTemp(rxDie).At(rxI, rxJ) + rng.NormFloat64()*opts.SensorNoiseK
 	}

@@ -104,7 +104,7 @@ func (e *evaluator) finishCost(l *floorplan.Layout, terms *normTerms) float64 {
 // refresh followed by the geometry- and scale-derived terms.
 func (e *evaluator) terms(l *floorplan.Layout) *normTerms {
 	e.refreshVoltage(l, func() *timing.Analysis {
-		return timing.Analyze(l, nil, timing.DefaultParams())
+		return timing.Analyze(l, nil)
 	})
 	return e.staticTerms(l)
 }
@@ -123,7 +123,7 @@ func (e *evaluator) refreshVoltage(l *floorplan.Layout, ref func() *timing.Analy
 		if e.incr != nil {
 			asg = e.incr.refreshVoltAssignment(e, ref())
 		} else {
-			asg = volt.Assign(l, ref(), e.cfg.voltConfig())
+			asg = volt.Assign(l, ref(), e.cfg.voltMode())
 		}
 		e.powerScale = asg.PowerScale
 		e.delayScale = asg.DelayScale
@@ -147,9 +147,8 @@ func (e *evaluator) refreshVoltage(l *floorplan.Layout, ref func() *timing.Analy
 func (e *evaluator) staticTerms(l *floorplan.Layout) *normTerms {
 	t := &normTerms{}
 	t.viol = l.OutlineViolation()
-	tp := timing.DefaultParams()
-	t.wl = l.HPWL(tp.VertLen)
-	sta := timing.Analyze(l, e.delayScale, tp)
+	t.wl = l.HPWL(timing.VertLen)
+	sta := timing.Analyze(l, e.delayScale)
 	t.delay = sta.Critical
 	t.power = e.scaledPower
 	t.volumes = float64(e.nVolumes)
@@ -206,14 +205,14 @@ func designRuleTerm(l *floorplan.Layout, powers []float64) float64 {
 	return away / total
 }
 
-// voltConfig is the flow's one voltage-assignment configuration: the mode's
-// objective, with volt's defaults for everything else. The evaluator's held
-// Assigner, the full path's one-shot volt.Assign and finalize all use it.
-func (c *Config) voltConfig() volt.Config {
+// voltMode maps the flow's mode to the voltage assignment's objective. The
+// evaluator's held Assigner, the full path's one-shot volt.Assign and
+// finalize all use it.
+func (c *Config) voltMode() volt.Mode {
 	if c.Mode == TSCAware {
-		return volt.Config{Mode: volt.TSCAware}
+		return volt.TSCAware
 	}
-	return volt.Config{Mode: volt.PowerAware}
+	return volt.PowerAware
 }
 
 // Perturb applies one floorplan move; voltage scales stay valid because the

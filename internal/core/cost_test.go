@@ -8,7 +8,6 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/netlist"
 	"repro/internal/thermal"
-	"repro/internal/timing"
 )
 
 func newEvaluator(t *testing.T, mode Mode, seed int64) *evaluator {
@@ -144,7 +143,6 @@ func TestScaledPowers(t *testing.T) {
 			t.Fatal("nil scale must be nominal")
 		}
 	}
-	_ = timing.DefaultParams() // keep import for the helper's signature stability
 }
 
 // TestDesignRuleTermEdgeCases: the design-rule term is the power-weighted

@@ -83,13 +83,12 @@ func finalize(ctx context.Context, res *Result, cfg *Config, rng *rand.Rand) err
 	cfg.emit(ProgressEvent{Stage: StageFinalize})
 
 	// Signal TSVs for every cross-die net.
-	plan := tsv.PlanSignals(l, tsv.Options{})
+	plan := tsv.PlanSignals(l)
 	res.TSVs = plan
 
 	// Final voltage assignment with timing repair.
-	tp, vcfg := timing.DefaultParams(), cfg.voltConfig()
-	asg := volt.Assign(l, timing.Analyze(l, nil, tp), vcfg)
-	sta := volt.Repair(l, asg, tp, vcfg)
+	asg := volt.Assign(l, timing.Analyze(l, nil), cfg.voltMode())
+	sta := volt.Repair(l, asg)
 	res.Assignment = asg
 
 	// Detailed thermal verification with all TSVs applied.
@@ -124,7 +123,7 @@ func finalize(ctx context.Context, res *Result, cfg *Config, rng *rand.Rand) err
 	syncDieAliases(m)
 	m.PowerW = asg.TotalPower
 	m.CriticalNS = sta.Critical
-	m.WirelengthM = l.HPWL(tp.VertLen) * 1e-6 // um -> m
+	m.WirelengthM = l.HPWL(timing.VertLen) * 1e-6 // um -> m
 	m.PeakTempK = sol.Peak()
 	m.SignalTSVs = plan.SignalCount()
 	m.VoltageVolumes = len(asg.Volumes)

@@ -509,15 +509,14 @@ func (ic *incrState) refreshNet(ni int, n *netlist.Net) {
 			break
 		}
 	}
-	p := timing.DefaultParams()
 	wl := ln
 	if cross {
-		wl = ln + p.VertLen
+		wl = ln + timing.VertLen
 	}
 	ic.netLen[ni] = ln
 	ic.netCross[ni] = cross
 	ic.netWL[ni] = wl
-	ic.netDelay[ni] = timing.ElmoreDelay(ln, cross, n.Degree(), p)
+	ic.netDelay[ni] = timing.ElmoreDelay(ln, cross, n.Degree())
 }
 
 // applyMove repacks the dies the pending move touched through the
@@ -682,7 +681,7 @@ func (ic *incrState) dieEntropy(e *evaluator, d int) float64 {
 // regrown and the adjacency as re-swept.
 func (ic *incrState) refreshVoltAssignment(e *evaluator, ref *timing.Analysis) *volt.Assignment {
 	if ic.vasg == nil {
-		ic.vasg = volt.NewAssigner(e.cfg.voltConfig())
+		ic.vasg = volt.NewAssigner(e.cfg.voltMode())
 	}
 	e.stats.VoltCandidatesRegrown += len(ic.lay.Design.Modules)
 	e.stats.AdjBulkFallbacks++

@@ -204,18 +204,6 @@ func TestRasterizeClipsOutside(t *testing.T) {
 	}
 }
 
-func TestRasterizeFractionalCoverage(t *testing.T) {
-	extent := Rect{0, 0, 10, 10}
-	g := NewGrid(10, 10) // 1x1 cells
-	g.Rasterize(extent, Rect{0.5, 0.5, 1, 1}, 1.0)
-	// Each of the 4 touched cells covered 25%.
-	for _, c := range [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}} {
-		if math.Abs(g.At(c[0], c[1])-0.25) > 1e-12 {
-			t.Fatalf("cell %v = %v", c, g.At(c[0], c[1]))
-		}
-	}
-}
-
 func TestCellCenterAndCellAtRoundTrip(t *testing.T) {
 	extent := Rect{0, 0, 64, 32}
 	g := NewGrid(16, 8)

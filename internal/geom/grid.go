@@ -153,55 +153,13 @@ func (g *Grid) Quantile(q float64) float64 {
 	return s[idx]
 }
 
-// Rasterize distributes a rectangle's value onto the grid by exact
-// area-weighted coverage: the grid spans `extent` (a rectangle in um) and
-// each cell receives value*overlapFraction, where overlapFraction is the
-// fraction of the cell covered by r.
-func (g *Grid) Rasterize(extent Rect, r Rect, value float64) {
-	if extent.W <= 0 || extent.H <= 0 {
-		return
-	}
-	cw := extent.W / float64(g.NX)
-	ch := extent.H / float64(g.NY)
-	i0 := int(math.Floor((r.X - extent.X) / cw))
-	i1 := int(math.Ceil((r.MaxX() - extent.X) / cw))
-	j0 := int(math.Floor((r.Y - extent.Y) / ch))
-	j1 := int(math.Ceil((r.MaxY() - extent.Y) / ch))
-	if i0 < 0 {
-		i0 = 0
-	}
-	if j0 < 0 {
-		j0 = 0
-	}
-	if i1 > g.NX {
-		i1 = g.NX
-	}
-	if j1 > g.NY {
-		j1 = g.NY
-	}
-	for j := j0; j < j1; j++ {
-		for i := i0; i < i1; i++ {
-			cell := Rect{
-				X: extent.X + float64(i)*cw,
-				Y: extent.Y + float64(j)*ch,
-				W: cw, H: ch,
-			}
-			frac := r.OverlapArea(cell) / cell.Area()
-			if frac > 0 {
-				g.Add(i, j, value*frac)
-			}
-		}
-	}
-}
-
 // RasterizeDensity distributes a rectangle carrying total quantity `total`
-// (e.g. Watts) as a density onto the grid: each covered cell gains
-// total * overlapArea / r.Area().
+// (e.g. Watts) as a density onto the grid, which spans `extent` (a rectangle
+// in um): each covered cell gains total * overlapArea / r.Area().
 func (g *Grid) RasterizeDensity(extent Rect, r Rect, total float64) {
 	if r.Area() <= 0 {
 		return
 	}
-	g.Rasterize(extent, r, 0) // no-op guard for extent validity
 	cw := extent.W / float64(g.NX)
 	ch := extent.H / float64(g.NY)
 	i0 := clampInt(int(math.Floor((r.X-extent.X)/cw)), 0, g.NX)

@@ -34,21 +34,14 @@ type Result struct {
 	PeakTempK float64
 }
 
-// Controller is the runtime noise injector: it reads the thermal map (as
-// the on-chip controllers of the prior art do via sensors), finds the cool
-// regions, and injects dummy activity there to flatten the profile.
-type Controller struct {
-	// Granularity is the number of coolest bins targeted per die.
-	// Defaults to a quarter of the bins.
-	Granularity int
-}
-
-// Smooth runs the injection against a floorplanned result: dummy power
-// totalling alpha * (design power) is spread over the coolest bins of each
-// die (proportionally to each die's share of the budget), the steady state
-// is re-solved, and the remaining leakage is measured against the original
-// secret power maps.
-func (c Controller) Smooth(res *core.Result, alpha float64) Result {
+// Smooth runs the runtime noise injector against a floorplanned result. Like
+// the on-chip controllers of the prior art, it reads the thermal map (they
+// do so via sensors), finds the cool regions and injects dummy activity
+// there to flatten the profile: dummy power totalling alpha * (design power)
+// is spread over the coolest quarter of each die's bins (proportionally to
+// each die's share of the budget), the steady state is re-solved, and the
+// remaining leakage is measured against the original secret power maps.
+func Smooth(res *core.Result, alpha float64) Result {
 	dies := res.Layout.Dies
 	out := Result{Alpha: alpha, R: make([]float64, dies)}
 
@@ -65,7 +58,7 @@ func (c Controller) Smooth(res *core.Result, alpha float64) Result {
 	for d := 0; d < dies; d++ {
 		budget := alpha * dieP[d]
 		out.InjectedW += budget
-		injected[d] = c.injectionMap(res.TempMaps[d], res.PowerMaps[d], budget)
+		injected[d] = injectionMap(res.TempMaps[d], budget)
 	}
 
 	// Re-solve with secret + dummy power.
@@ -85,14 +78,11 @@ func (c Controller) Smooth(res *core.Result, alpha float64) Result {
 }
 
 // injectionMap builds the dummy-power map: the budget is spread over the
-// coolest bins, weighted by how far below the die's hottest bin they sit —
-// the flattening heuristic of the runtime controllers.
-func (c Controller) injectionMap(temp, power *geom.Grid, budget float64) *geom.Grid {
+// coolest quarter of the bins, weighted by how far below the die's hottest
+// bin they sit — the flattening heuristic of the runtime controllers.
+func injectionMap(temp *geom.Grid, budget float64) *geom.Grid {
 	n := temp.NX * temp.NY
-	gran := c.Granularity
-	if gran <= 0 {
-		gran = n / 4
-	}
+	gran := n / 4
 	type bin struct {
 		idx int
 		t   float64
@@ -102,9 +92,6 @@ func (c Controller) injectionMap(temp, power *geom.Grid, budget float64) *geom.G
 		bins[i] = bin{i, temp.Data[i]}
 	}
 	sort.Slice(bins, func(a, b int) bool { return bins[a].t < bins[b].t })
-	if gran > n {
-		gran = n
-	}
 	hottest := temp.Max()
 	weights := make([]float64, gran)
 	wsum := 0.0

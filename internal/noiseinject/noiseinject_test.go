@@ -33,7 +33,7 @@ func result(t *testing.T) *core.Result {
 
 func TestZeroInjectionIsBaseline(t *testing.T) {
 	res := result(t)
-	r := Controller{}.Smooth(res, 0)
+	r := Smooth(res, 0)
 	if r.InjectedW != 0 {
 		t.Fatalf("injected %v at alpha 0", r.InjectedW)
 	}
@@ -45,12 +45,11 @@ func TestZeroInjectionIsBaseline(t *testing.T) {
 
 func TestInjectionReducesCorrelation(t *testing.T) {
 	res := result(t)
-	ctl := Controller{}
 	meanAbsR := func(r Result) float64 {
 		return (math.Abs(r.R[0]) + math.Abs(r.R[1])) / 2
 	}
-	low := meanAbsR(ctl.Smooth(res, 0.1))
-	high := meanAbsR(ctl.Smooth(res, 0.8))
+	low := meanAbsR(Smooth(res, 0.1))
+	high := meanAbsR(Smooth(res, 0.8))
 	if high >= low {
 		t.Fatalf("more injection must decorrelate more: %.3f (0.8) vs %.3f (0.1)", high, low)
 	}
@@ -58,9 +57,8 @@ func TestInjectionReducesCorrelation(t *testing.T) {
 
 func TestInjectionCostsPowerAndHeat(t *testing.T) {
 	res := result(t)
-	ctl := Controller{}
-	none := ctl.Smooth(res, 0)
-	lots := ctl.Smooth(res, 0.5)
+	none := Smooth(res, 0)
+	lots := Smooth(res, 0.5)
 	wantInjected := 0.5 * (res.PowerMaps[0].Sum() + res.PowerMaps[1].Sum())
 	if math.Abs(lots.InjectedW-wantInjected) > 1e-9 {
 		t.Fatalf("injected %v, want %v", lots.InjectedW, wantInjected)
@@ -74,7 +72,7 @@ func TestSweepMonotoneBudget(t *testing.T) {
 	res := result(t)
 	prev := -1.0
 	for _, alpha := range []float64{0, 0.2, 0.4} {
-		r := Controller{}.Smooth(res, alpha)
+		r := Smooth(res, alpha)
 		if r.InjectedW <= prev {
 			t.Fatalf("alpha %v injects %v W, not above %v W: budget must grow with alpha", alpha, r.InjectedW, prev)
 		}
@@ -84,7 +82,6 @@ func TestSweepMonotoneBudget(t *testing.T) {
 
 func TestInjectionMapTargetsCoolBins(t *testing.T) {
 	temp := geom.NewGrid(4, 4)
-	power := geom.NewGrid(4, 4)
 	// Hot top row, cool bottom row.
 	for i := 0; i < 4; i++ {
 		temp.Set(i, 3, 400)
@@ -92,7 +89,8 @@ func TestInjectionMapTargetsCoolBins(t *testing.T) {
 		temp.Set(i, 1, 310)
 		temp.Set(i, 2, 390)
 	}
-	m := Controller{Granularity: 4}.injectionMap(temp, power, 1.0)
+	// The coolest quarter of the 16 bins is 4 bins.
+	m := injectionMap(temp, 1.0)
 	if math.Abs(m.Sum()-1.0) > 1e-9 {
 		t.Fatalf("budget not conserved: %v", m.Sum())
 	}
@@ -109,7 +107,7 @@ func TestInjectionMapTargetsCoolBins(t *testing.T) {
 
 func TestInjectionMapZeroBudget(t *testing.T) {
 	temp := geom.NewGrid(4, 4)
-	m := Controller{}.injectionMap(temp, geom.NewGrid(4, 4), 0)
+	m := injectionMap(temp, 0)
 	if m.Sum() != 0 {
 		t.Fatal("zero budget must inject nothing")
 	}

@@ -38,7 +38,7 @@ func TestHeatmapConstant(t *testing.T) {
 
 func TestHeatmapWithTSVs(t *testing.T) {
 	g := geom.NewGrid(8, 8)
-	plan := &tsv.Plan{Geometry: tsv.DefaultGeometry(), OutlineW: 800, OutlineH: 800}
+	plan := &tsv.Plan{OutlineW: 800, OutlineH: 800}
 	plan.AddDummyGap(0, geom.Point{X: 50, Y: 50}, 4)   // cell (0,0) -> bottom-left
 	plan.AddDummyGap(0, geom.Point{X: 750, Y: 750}, 1) // cell (7,7) -> top-right
 	h := HeatmapWithTSVs(g, plan)

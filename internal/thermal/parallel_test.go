@@ -51,7 +51,7 @@ func TestParallelTransientMatchesSerial(t *testing.T) {
 	run := func(workers int) []float64 {
 		s := NewStack(cfg)
 		s.SetDiePower(0, randomPower(48, 48, 10, rand.New(rand.NewSource(3))))
-		traj := s.SolveTransientOpts(nil, 1e-3, 5, 0, nil,
+		traj := s.SolveTransient(nil, 1e-3, 5, 0, nil,
 			SolverOpts{Tol: 1e-5, MaxSweeps: 4000, Workers: workers})
 		return traj[len(traj)-1].T
 	}

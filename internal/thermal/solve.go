@@ -23,38 +23,41 @@ type Stats struct {
 	Converged bool
 }
 
-// SolverOpts tunes the iterative solvers.
+// SolverOpts tunes the iterative solvers. The SOR relaxation factor is not
+// an option: both solvers take sorOmega's value for the grid.
 type SolverOpts struct {
 	Tol       float64 // max per-sweep update in K; default 1e-5
-	MaxSweeps int     // default 20000
-	Omega     float64 // SOR relaxation; 0 selects an automatic value
+	MaxSweeps int     // default 20000; 4000 per step in SolveTransient
 	// Workers bounds the goroutines fanned out per red-black half-sweep.
 	// 0 selects GOMAXPROCS; 1 forces the serial path. The solve result is
 	// byte-identical for every worker count: red-black ordering makes each
 	// half-sweep's updates independent of execution order.
 	Workers int
-	// Ctx, when non-nil, is polled between sweeps; on cancellation the
-	// solver returns its current iterate with Stats.Converged false. Callers
-	// that thread a context must check it after the solve.
+	// Ctx, when non-nil, is polled between SolveSteady's sweeps; on
+	// cancellation the solver returns its current iterate with
+	// Stats.Converged false. Callers that thread a context must check it
+	// after the solve.
 	Ctx context.Context
 }
 
-func (o *SolverOpts) defaults(nx, ny int) {
+func (o *SolverOpts) defaults() {
 	if o.Tol == 0 {
 		o.Tol = 1e-5
 	}
 	if o.MaxSweeps == 0 {
 		o.MaxSweeps = 20000
 	}
-	if o.Omega == 0 {
-		// Optimal SOR factor for a Poisson-like problem on the lateral grid;
-		// the ambient sink term only improves conditioning.
-		n := nx
-		if ny > n {
-			n = ny
-		}
-		o.Omega = 2.0 / (1.0 + math.Sin(math.Pi/float64(n)))
+}
+
+// sorOmega is the SOR relaxation factor for an nx x ny lateral grid: the
+// optimal factor for a Poisson-like problem on the larger side; the ambient
+// sink term only improves conditioning.
+func sorOmega(nx, ny int) float64 {
+	n := nx
+	if ny > n {
+		n = ny
 	}
+	return 2.0 / (1.0 + math.Sin(math.Pi/float64(n)))
 }
 
 // SolveSteady solves the steady-state heat equation. A previous solution may
@@ -63,7 +66,7 @@ func (s *Stack) SolveSteady(prev *Solution, opts SolverOpts) (*Solution, Stats) 
 	if s.dirty {
 		s.rebuild()
 	}
-	opts.defaults(s.nx, s.ny)
+	opts.defaults()
 	n := s.NumCells()
 	T := make([]float64, n)
 	if prev != nil && len(prev.T) == n {
@@ -85,12 +88,13 @@ func (s *Stack) sor(T []float64, opts SolverOpts) Stats {
 		rhs[id] = s.power[id] + s.gAmb[id]*amb
 	}
 	workers := s.solveWorkers(opts.Workers)
+	omega := sorOmega(s.nx, s.ny)
 	var st Stats
 	for sweep := 0; sweep < opts.MaxSweeps; sweep++ {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			return st
 		}
-		maxUpd := s.rbSweep(T, rhs, nil, opts.Omega, workers)
+		maxUpd := s.rbSweep(T, rhs, nil, omega, workers)
 		st.Sweeps = sweep + 1
 		st.Residual = maxUpd
 		if maxUpd < opts.Tol {
@@ -184,13 +188,9 @@ func (s *Stack) rbSweep(T, rhs, extraDiag []float64, w float64, workers int) flo
 // step index and must return a multiplier applied to the installed power
 // maps); nil keeps power constant. Returns the trajectory of solutions
 // sampled every `sample` steps (sample<=0 records only the final state).
-func (s *Stack) SolveTransient(init *Solution, dt float64, steps, sample int, powerAt func(step int) float64) []*Solution {
-	return s.SolveTransientOpts(init, dt, steps, sample, powerAt, SolverOpts{Tol: 1e-5, MaxSweeps: 4000})
-}
-
-// SolveTransientOpts is SolveTransient with explicit solver options
-// (tolerance, sweep cap, relaxation, worker count).
-func (s *Stack) SolveTransientOpts(init *Solution, dt float64, steps, sample int, powerAt func(step int) float64, opts SolverOpts) []*Solution {
+// opts bounds each step's SOR iteration; its zero MaxSweeps is 4000 per
+// step, and its Ctx is not polled.
+func (s *Stack) SolveTransient(init *Solution, dt float64, steps, sample int, powerAt func(step int) float64, opts SolverOpts) []*Solution {
 	if s.dirty {
 		s.rebuild()
 	}
@@ -217,14 +217,12 @@ func (s *Stack) SolveTransientOpts(init *Solution, dt float64, steps, sample int
 	defer copy(s.power, basePower)
 
 	var out []*Solution
-	if opts.Tol == 0 {
-		opts.Tol = 1e-5
-	}
 	if opts.MaxSweeps == 0 {
 		opts.MaxSweeps = 4000
 	}
-	opts.defaults(s.nx, s.ny)
+	opts.defaults()
 	workers := s.solveWorkers(opts.Workers)
+	omega := sorOmega(s.nx, s.ny)
 	amb := s.Cfg.Ambient
 	rhs := make([]float64, n)
 	for step := 0; step < steps; step++ {
@@ -238,7 +236,7 @@ func (s *Stack) SolveTransientOpts(init *Solution, dt float64, steps, sample int
 			rhs[id] = basePower[id]*scale + s.gAmb[id]*amb + cOverDT[id]*T[id]
 		}
 		for sweep := 0; sweep < opts.MaxSweeps; sweep++ {
-			if s.rbSweep(T, rhs, cOverDT, opts.Omega, workers) < opts.Tol {
+			if s.rbSweep(T, rhs, cOverDT, omega, workers) < opts.Tol {
 				break
 			}
 		}

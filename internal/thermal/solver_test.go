@@ -9,18 +9,20 @@ import (
 
 func TestSolverOptsDefaults(t *testing.T) {
 	var o SolverOpts
-	o.defaults(64, 64)
+	o.defaults()
 	if o.Tol != 1e-5 || o.MaxSweeps != 20000 {
 		t.Fatalf("defaults: %+v", o)
 	}
-	if o.Omega <= 1 || o.Omega >= 2 {
-		t.Fatalf("omega %v out of (1,2)", o.Omega)
+	w := sorOmega(64, 64)
+	if w <= 1 || w >= 2 {
+		t.Fatalf("omega %v out of (1,2)", w)
 	}
-	// Larger grids want omega closer to 2.
-	var o2 SolverOpts
-	o2.defaults(256, 256)
-	if o2.Omega <= o.Omega {
+	// Larger grids want omega closer to 2; the larger side sets it.
+	if sorOmega(256, 256) <= w {
 		t.Fatal("omega must grow with grid size")
+	}
+	if sorOmega(16, 64) != w || sorOmega(64, 16) != w {
+		t.Fatal("omega must follow the larger grid side")
 	}
 }
 

@@ -193,7 +193,7 @@ func TestTransientApproachesSteadyState(t *testing.T) {
 	steady, _ := s.SolveSteady(nil, SolverOpts{Tol: 1e-7})
 	// March 2000 x 1 ms = 2 s of heating; thermal time constants of this
 	// stack are tens of ms, so we should be at steady state.
-	traj := s.SolveTransient(nil, 1e-3, 2000, 0, nil)
+	traj := s.SolveTransient(nil, 1e-3, 2000, 0, nil, SolverOpts{})
 	final := traj[len(traj)-1]
 	if math.Abs(final.Peak()-steady.Peak()) > 0.05*(steady.Peak()-s.Cfg.Ambient) {
 		t.Fatalf("transient end %v differs from steady %v", final.Peak(), steady.Peak())
@@ -203,7 +203,7 @@ func TestTransientApproachesSteadyState(t *testing.T) {
 func TestTransientMonotonicHeating(t *testing.T) {
 	s := NewStack(testConfig(12, 12))
 	s.SetDiePower(0, uniformPower(12, 12, 5))
-	traj := s.SolveTransient(nil, 1e-3, 40, 10, nil)
+	traj := s.SolveTransient(nil, 1e-3, 40, 10, nil, SolverOpts{})
 	for i := 1; i < len(traj); i++ {
 		if traj[i].Peak() < traj[i-1].Peak()-1e-9 {
 			t.Fatalf("heating must be monotonic: step %d %v < %v", i, traj[i].Peak(), traj[i-1].Peak())
@@ -224,7 +224,7 @@ func TestTransientLowPassesActivity(t *testing.T) {
 	steady, _ := s.SolveSteady(nil, SolverOpts{})
 	rise := steady.Peak() - s.Cfg.Ambient
 
-	warmup := s.SolveTransient(nil, 1e-3, 400, 1, nil)
+	warmup := s.SolveTransient(nil, 1e-3, 400, 1, nil, SolverOpts{})
 	tau := math.Inf(1)
 	for k, sol := range warmup {
 		if sol.Peak()-s.Cfg.Ambient >= 0.63*rise {
@@ -241,7 +241,7 @@ func TestTransientLowPassesActivity(t *testing.T) {
 			return 2
 		}
 		return 0
-	})
+	}, SolverOpts{})
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, sol := range traj[20:] {
 		lo = math.Min(lo, sol.Peak())

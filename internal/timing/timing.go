@@ -12,6 +12,10 @@
 // the standard floorplan-stage model for black-box IP (the paper's Sec. 2.2
 // threat model: only basic module properties are known) and it lands the
 // critical delays in the paper's reported range (Table 2: 0.78 - 3.8 ns).
+//
+// The interconnect parasitics are fixed 90 nm-class values, the node of the
+// paper's voltage-scaling data (Sec. 6.1); the paper names no wire or TSV
+// parasitics, so these are this repo's choice, and the flow uses no other.
 package timing
 
 import (
@@ -21,31 +25,21 @@ import (
 	"repro/internal/netlist"
 )
 
-// Params holds the interconnect parasitics. Units: resistance kOhm,
-// capacitance fF, lengths um; kOhm*fF = ps. Defaults model a 90 nm node,
-// matching the paper's voltage-scaling data point.
-type Params struct {
-	RWire   float64 // kOhm per um
-	CWire   float64 // fF per um
-	RDriver float64 // kOhm, driving-point resistance
-	CPin    float64 // fF per sink pin
-	RTSV    float64 // kOhm per TSV
-	CTSV    float64 // fF per TSV
-	VertLen float64 // um, wirelength detour charged to a cross-die net
-}
+// Interconnect parasitics at 90 nm. Units: resistance kOhm, capacitance fF,
+// lengths um; kOhm*fF = ps.
+const (
+	rWire   = 0.08e-3 // kOhm per um (0.08 Ohm/um)
+	cWire   = 0.2     // fF per um
+	rDriver = 1.0     // kOhm, driving-point resistance
+	cPin    = 2.0     // fF per sink pin
+	rTSV    = 0.05e-3 // kOhm per TSV (50 mOhm)
+	cTSV    = 50.0    // fF per TSV
 
-// DefaultParams returns 90 nm-class parasitics.
-func DefaultParams() Params {
-	return Params{
-		RWire:   0.08e-3, // 0.08 Ohm/um
-		CWire:   0.2,     // 0.2 fF/um
-		RDriver: 1.0,     // 1 kOhm
-		CPin:    2.0,     // 2 fF
-		RTSV:    0.05e-3, // 50 mOhm
-		CTSV:    50.0,    // 50 fF
-		VertLen: 50.0,    // um through the bond layer
-	}
-}
+	// VertLen is the wirelength detour in um charged to a cross-die net
+	// through the bond layer, in its Elmore delay and in the flow's
+	// wirelength (floorplan.Layout.HPWL).
+	VertLen = 50.0
+)
 
 // Analysis is the result of one STA pass over a layout.
 type Analysis struct {
@@ -66,10 +60,10 @@ type Analysis struct {
 // Analyze runs Elmore estimation and single-hop STA over the layout.
 // delayScale[m] multiplies module m's intrinsic delay (nil = all 1.0, the
 // 1.0 V reference).
-func Analyze(l *floorplan.Layout, delayScale []float64, p Params) *Analysis {
+func Analyze(l *floorplan.Layout, delayScale []float64) *Analysis {
 	netDelay := make([]float64, len(l.Design.Nets))
 	for ni := range l.Design.Nets {
-		netDelay[ni] = NetElmore(l, ni, p)
+		netDelay[ni] = NetElmore(l, ni)
 	}
 	// Hand the just-built slice in as the copy destination too, so the
 	// Into form's defensive copy degenerates to a no-op self-copy.
@@ -163,11 +157,11 @@ func (a *Analysis) PathThrough(m int) float64 {
 }
 
 // NetElmore returns net ni's Elmore delay in ns for the given layout.
-// The model: a driver of resistance RDriver charges the net's distributed
+// The model: a driver of resistance rDriver charges the net's distributed
 // RC (length = half-perimeter wirelength plus the vertical detour for
 // cross-die nets) and the sink pin loads; TSVs on cross-die nets add their
 // lumped resistance and capacitance.
-func NetElmore(l *floorplan.Layout, ni int, p Params) float64 {
+func NetElmore(l *floorplan.Layout, ni int) float64 {
 	n := l.Design.Nets[ni]
 	length := l.NetHPWL(n, 0)
 	crossDie := false
@@ -180,7 +174,7 @@ func NetElmore(l *floorplan.Layout, ni int, p Params) float64 {
 			break
 		}
 	}
-	return ElmoreDelay(length, crossDie, n.Degree(), p)
+	return ElmoreDelay(length, crossDie, n.Degree())
 }
 
 // ElmoreDelay returns the Elmore delay (ns) of a net from its geometric
@@ -194,22 +188,22 @@ func NetElmore(l *floorplan.Layout, ni int, p Params) float64 {
 // sinkPins = -1 would yield a negative capacitance and a negative delay,
 // which the STA pass skips but the evaluators' cached WL/delay terms would
 // absorb.
-func ElmoreDelay(length float64, crossDie bool, degree int, p Params) float64 {
+func ElmoreDelay(length float64, crossDie bool, degree int) float64 {
 	if degree < 2 {
 		return 0
 	}
 	tsvs := 0
 	if crossDie {
 		tsvs = 1
-		length += p.VertLen
+		length += VertLen
 	}
 	sinkPins := float64(degree - 1)
-	cTotal := p.CWire*length + p.CPin*sinkPins + p.CTSV*float64(tsvs)
+	cTotal := cWire*length + cPin*sinkPins + cTSV*float64(tsvs)
 	// Driver sees the full load; the distributed wire adds R*C/2; the TSV
 	// adds its lumped RC charging the downstream half of the load.
-	ps := p.RDriver*cTotal +
-		0.5*p.RWire*length*(p.CWire*length+p.CPin*sinkPins) +
-		p.RTSV*float64(tsvs)*cTotal/2
+	ps := rDriver*cTotal +
+		0.5*rWire*length*(cWire*length+cPin*sinkPins) +
+		rTSV*float64(tsvs)*cTotal/2
 	return ps * 1e-3 // ps -> ns
 }
 

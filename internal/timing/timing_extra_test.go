@@ -8,32 +8,6 @@ import (
 	"repro/internal/netlist"
 )
 
-func TestDefaultParamsPlausible(t *testing.T) {
-	p := DefaultParams()
-	if p.RWire <= 0 || p.CWire <= 0 || p.RDriver <= 0 || p.CPin <= 0 {
-		t.Fatalf("non-positive parasitics: %+v", p)
-	}
-	if p.RTSV <= 0 || p.CTSV <= 0 || p.VertLen <= 0 {
-		t.Fatalf("non-positive TSV parasitics: %+v", p)
-	}
-	// A 1 mm 2-pin net should land in the tens-to-hundreds of ps.
-	d := &netlist.Design{
-		Name: "mm",
-		Modules: []*netlist.Module{
-			{Name: "a", Kind: netlist.Hard, W: 10, H: 10, Power: 1, IntrinsicDelay: 0.1},
-			{Name: "b", Kind: netlist.Hard, W: 10, H: 10, Power: 1, IntrinsicDelay: 0.1},
-		},
-		Nets:     []*netlist.Net{{Name: "n", Modules: []int{0, 1}}},
-		OutlineW: 2000, OutlineH: 2000, Dies: 1,
-	}
-	l := floorplan.New(d).Pack()
-	l.Rects[1].X += 1000
-	got := NetElmore(l, 0, p)
-	if got < 0.01 || got > 2 {
-		t.Fatalf("1mm net delay %v ns implausible", got)
-	}
-}
-
 func TestElmoreQuadraticInLength(t *testing.T) {
 	// The distributed-RC term grows quadratically: delay(2L) - delay(0)
 	// should exceed 2*(delay(L) - delay(0)).
@@ -46,11 +20,10 @@ func TestElmoreQuadraticInLength(t *testing.T) {
 		Nets:     []*netlist.Net{{Name: "n", Modules: []int{0, 1}}},
 		OutlineW: 20000, OutlineH: 20000, Dies: 1,
 	}
-	p := DefaultParams()
 	at := func(dist float64) float64 {
 		l := floorplan.New(d).Pack()
 		l.Rects[1].X += dist
-		return NetElmore(l, 0, p)
+		return NetElmore(l, 0)
 	}
 	base := at(0)
 	one := at(4000)
@@ -71,7 +44,7 @@ func TestSlackHelperSigns(t *testing.T) {
 		OutlineW: 100, OutlineH: 100, Dies: 1,
 	}
 	l := floorplan.New(d).Pack()
-	a := Analyze(l, nil, DefaultParams())
+	a := Analyze(l, nil)
 	if a.Critical-a.PathThrough(0) < -1e-12 {
 		t.Fatal("slack against the critical itself must be non-negative for all modules")
 	}
@@ -93,7 +66,7 @@ func TestTerminalOnlyNetsIgnoredBySTA(t *testing.T) {
 		OutlineW:  100, OutlineH: 100, Dies: 1,
 	}
 	l := floorplan.New(d).Pack()
-	a := Analyze(l, nil, DefaultParams())
+	a := Analyze(l, nil)
 	if a.Arrive[0] != 0 || a.Depart[0] != 0 {
 		t.Fatal("terminal nets must not create module hops")
 	}
@@ -137,15 +110,14 @@ func TestAnalysisDoesNotAliasNetDelay(t *testing.T) {
 // net with fewer than two pins has no wire and zero delay. Without the
 // guard a zero-pin net yielded a NEGATIVE delay (sinkPins = -1).
 func TestElmoreDelayDegenerateNetsZero(t *testing.T) {
-	p := DefaultParams()
 	for degree := 0; degree < 2; degree++ {
 		for _, cross := range []bool{false, true} {
-			if d := ElmoreDelay(500, cross, degree, p); d != 0 {
+			if d := ElmoreDelay(500, cross, degree); d != 0 {
 				t.Fatalf("degree-%d net (cross=%v) has delay %v, want 0", degree, cross, d)
 			}
 		}
 	}
-	if d := ElmoreDelay(500, false, 2, p); d <= 0 {
+	if d := ElmoreDelay(500, false, 2); d <= 0 {
 		t.Fatalf("real net delay %v must stay positive", d)
 	}
 }
@@ -161,7 +133,7 @@ func TestWorstPathsZeroK(t *testing.T) {
 		OutlineW: 100, OutlineH: 100, Dies: 1,
 	}
 	l := floorplan.New(d).Pack()
-	a := Analyze(l, nil, DefaultParams())
+	a := Analyze(l, nil)
 	if got := a.WorstPaths(0); len(got) != 0 {
 		t.Fatalf("k=0 should be empty, got %v", got)
 	}

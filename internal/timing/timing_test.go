@@ -30,7 +30,7 @@ func chainDesign() *netlist.Design {
 func analyzeChain(t *testing.T, scale []float64) (*floorplan.Layout, *Analysis) {
 	t.Helper()
 	l := floorplan.New(chainDesign()).Pack()
-	return l, Analyze(l, scale, DefaultParams())
+	return l, Analyze(l, scale)
 }
 
 func TestCriticalIsWorstHop(t *testing.T) {
@@ -92,16 +92,21 @@ func TestNetElmorePositiveAndGrowsWithLength(t *testing.T) {
 	d := chainDesign()
 	d.OutlineW, d.OutlineH = 5000, 5000
 	l := floorplan.New(d).Pack()
-	p := DefaultParams()
-	short := NetElmore(l, 0, p)
+	short := NetElmore(l, 0)
 	if short <= 0 {
 		t.Fatal("net delay must be positive")
+	}
+	// A 1 mm 2-pin net lands in the tens to hundreds of ps.
+	mm := l.Clone()
+	mm.Rects[1].X += 1000
+	if got := NetElmore(mm, 0); got < 0.01 || got > 2 {
+		t.Fatalf("1mm net delay %v ns implausible", got)
 	}
 	// Move module 1 far away; its net delay must grow.
 	l2 := l.Clone()
 	l2.Rects[1].X += 4000
 	l2.Rects[1].Y += 4000
-	long := NetElmore(l2, 0, p)
+	long := NetElmore(l2, 0)
 	if long <= short {
 		t.Fatalf("longer net must be slower: %v vs %v", long, short)
 	}
@@ -112,14 +117,13 @@ func TestCrossDieNetPaysTSVPenalty(t *testing.T) {
 	d.Dies = 2
 	fp := floorplan.New(d) // round-robin: a,c on die 0; b on die 1
 	l := fp.Pack()
-	p := DefaultParams()
 	dSame := *d.Clone()
 	dSame.Dies = 1
 	lSame := floorplan.New(&dSame).Pack()
 	// Align positions so only the TSV term differs: copy rects.
 	copy(lSame.Rects, l.Rects)
-	cross := NetElmore(l, 0, p)
-	same := NetElmore(lSame, 0, p)
+	cross := NetElmore(l, 0)
+	same := NetElmore(lSame, 0)
 	if cross <= same {
 		t.Fatalf("cross-die net must be slower: %v vs %v", cross, same)
 	}
@@ -129,9 +133,8 @@ func TestHigherFanoutSlower(t *testing.T) {
 	d := chainDesign()
 	d.Nets = append(d.Nets, &netlist.Net{Name: "big", Modules: []int{0, 1, 2}})
 	l := floorplan.New(d).Pack()
-	p := DefaultParams()
-	two := NetElmore(l, 0, p)   // 2-pin a-b
-	three := NetElmore(l, 2, p) // 3-pin a-b-c
+	two := NetElmore(l, 0)   // 2-pin a-b
+	three := NetElmore(l, 2) // 3-pin a-b-c
 	if three <= two {
 		t.Fatalf("3-pin net should be slower than 2-pin subnet: %v vs %v", three, two)
 	}
@@ -140,7 +143,7 @@ func TestHigherFanoutSlower(t *testing.T) {
 func TestWorstPathsOrdering(t *testing.T) {
 	des := bench.MustGenerate("n100")
 	l := floorplan.NewRandom(des, rand.New(rand.NewSource(1))).Pack()
-	a := Analyze(l, nil, DefaultParams())
+	a := Analyze(l, nil)
 	worst := a.WorstPaths(10)
 	if len(worst) != 10 {
 		t.Fatalf("got %d", len(worst))
@@ -160,7 +163,7 @@ func TestCriticalInPlausibleRange(t *testing.T) {
 	// benchmarks; our synthetic stand-ins should land in the same decade.
 	des := bench.MustGenerate("n100")
 	l := floorplan.NewRandom(des, rand.New(rand.NewSource(2))).Pack()
-	a := Analyze(l, nil, DefaultParams())
+	a := Analyze(l, nil)
 	if a.Critical < 0.1 || a.Critical > 50 {
 		t.Fatalf("critical %v ns implausible", a.Critical)
 	}
@@ -169,8 +172,8 @@ func TestCriticalInPlausibleRange(t *testing.T) {
 func TestDeterministicAnalysis(t *testing.T) {
 	des := bench.MustGenerate("n100")
 	l := floorplan.NewRandom(des, rand.New(rand.NewSource(3))).Pack()
-	a1 := Analyze(l, nil, DefaultParams())
-	a2 := Analyze(l, nil, DefaultParams())
+	a1 := Analyze(l, nil)
+	a2 := Analyze(l, nil)
 	if a1.Critical != a2.Critical {
 		t.Fatal("analysis must be deterministic")
 	}

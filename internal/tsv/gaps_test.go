@@ -29,7 +29,7 @@ func threeDieDesign() *netlist.Design {
 
 func TestPlanSignalsPerGap(t *testing.T) {
 	l := floorplan.New(threeDieDesign()).Pack()
-	p := PlanSignals(l, Options{})
+	p := PlanSignals(l)
 	// Net ac needs vias in gaps 0 and 1; net ab only in gap 0.
 	byGapNet := map[[2]int]int{}
 	for _, v := range p.TSVs {
@@ -48,7 +48,7 @@ func TestPlanSignalsPerGap(t *testing.T) {
 
 func TestCuFractionMapGapFilters(t *testing.T) {
 	l := floorplan.New(threeDieDesign()).Pack()
-	p := PlanSignals(l, Options{})
+	p := PlanSignals(l)
 	g0 := p.CuFractionMapGap(0, 10, 10)
 	g1 := p.CuFractionMapGap(1, 10, 10)
 	all := p.CuFractionMap(10, 10)
@@ -63,7 +63,7 @@ func TestCuFractionMapGapFilters(t *testing.T) {
 }
 
 func TestAddDummyGapBookkeeping(t *testing.T) {
-	p := &Plan{Geometry: DefaultGeometry(), OutlineW: 100, OutlineH: 100}
+	p := &Plan{OutlineW: 100, OutlineH: 100}
 	p.AddDummyGap(1, geom.Point{X: 50, Y: 50}, 3)
 	p.AddDummyGap(0, geom.Point{X: 20, Y: 20}, 2)
 	if p.DummyCount() != 5 {
@@ -74,22 +74,6 @@ func TestAddDummyGapBookkeeping(t *testing.T) {
 	}
 	if p.CuFractionMapGap(0, 4, 4).Sum() <= 0 {
 		t.Fatal("gap 0 map empty")
-	}
-}
-
-func TestIslandsSpanGaps(t *testing.T) {
-	d := threeDieDesign()
-	l := floorplan.New(d).Pack()
-	p := PlanSignals(l, Options{IslandCapacity: 4, IslandGridN: 2})
-	gaps := map[int]bool{}
-	for _, v := range p.TSVs {
-		gaps[v.Gap] = true
-	}
-	if !gaps[0] || !gaps[1] {
-		t.Fatalf("island planning lost a gap: %v", gaps)
-	}
-	if p.SignalCount() != 3 {
-		t.Fatalf("island planning changed via count: %d", p.SignalCount())
 	}
 }
 

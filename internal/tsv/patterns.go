@@ -53,16 +53,15 @@ func AllPatterns() []Pattern {
 // die of outlineW x outlineH um. The rng drives irregular placements;
 // regular placements are deterministic.
 func GeneratePattern(p Pattern, outlineW, outlineH float64, rng *rand.Rand) *Plan {
-	plan := &Plan{Geometry: DefaultGeometry(), OutlineW: outlineW, OutlineH: outlineH}
+	plan := &Plan{OutlineW: outlineW, OutlineH: outlineH}
 	switch p {
 	case PatternNone:
 		// empty plan
 	case PatternMaxDensity:
 		// 100% of the area covered by vias and keep-out zones: one via per
 		// pitch cell.
-		pitch := plan.Geometry.Pitch
-		for y := pitch / 2; y < outlineH; y += pitch {
-			for x := pitch / 2; x < outlineW; x += pitch {
+		for y := viaPitch / 2; y < outlineH; y += viaPitch {
+			for x := viaPitch / 2; x < outlineW; x += viaPitch {
 				plan.TSVs = append(plan.TSVs, TSV{Kind: Signal, Pos: geom.Point{X: x, Y: y}, Net: -1, Count: 1})
 			}
 		}

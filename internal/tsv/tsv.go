@@ -1,16 +1,29 @@
-// Package tsv plans through-silicon vias for two-die 3D floorplans: signal
-// TSVs for every cross-die net (optionally clustered into TSV islands),
-// keep-out-zone accounting, the rasterized copper-fraction maps the thermal
-// solver consumes, and the dummy thermal TSVs the paper's post-processing
-// inserts at the most correlation-stable bins (Sec. 6.2).
+// Package tsv plans through-silicon vias for two-die 3D floorplans: one
+// signal TSV per cross-die net and traversed gap, keep-out-zone accounting,
+// the rasterized copper-fraction maps the thermal solver consumes, and the
+// dummy thermal TSVs the paper's post-processing inserts at the most
+// correlation-stable bins (Sec. 6.2).
+//
+// Every via has one geometry, the Corblivar/HotSpot default the paper takes:
+// a 5 um copper body on a 10 um pitch that includes the keep-out zone.
 package tsv
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/floorplan"
 	"repro/internal/geom"
+)
+
+// The via geometry (Corblivar/HotSpot defaults).
+const (
+	viaDiameter = 5.0  // um, copper body
+	viaPitch    = 10.0 // um, center-to-center including the keep-out zone
+
+	// cuAreaPerVia is one via's copper cross-section in um^2. The folded
+	// constant has the bits of the run-time product math.Pi * r * r
+	// (TestGeometryAreas).
+	cuAreaPerVia = math.Pi * (viaDiameter / 2) * (viaDiameter / 2)
 )
 
 // Kind distinguishes the TSV roles.
@@ -39,74 +52,28 @@ type TSV struct {
 	Pos geom.Point
 	// Net is the index of the net served (-1 for dummy TSVs).
 	Net int
-	// Count is the number of physical vias at this spot (islands > 1).
+	// Count is the number of physical vias at this spot (> 1 for a dummy
+	// group or a synthetic pattern's island).
 	Count int
 	// Gap is the inter-die gap the via traverses (gap g sits between die g
 	// and die g+1); 0 in two-die stacks.
 	Gap int
 }
 
-// Geometry describes the physical via: the paper takes Corblivar/HotSpot
-// defaults; a 5 um via with a 10 um pitch including keep-out.
-type Geometry struct {
-	Diameter float64 // um, copper body
-	Pitch    float64 // um, center-to-center including keep-out zone
-}
-
-// DefaultGeometry returns the Corblivar-style default via.
-func DefaultGeometry() Geometry {
-	return Geometry{Diameter: 5, Pitch: 10}
-}
-
-// CuAreaPerVia returns the copper cross-section of one via in um^2.
-func (g Geometry) CuAreaPerVia() float64 {
-	r := g.Diameter / 2
-	return math.Pi * r * r
-}
-
 // Plan holds all TSVs of a floorplan.
 type Plan struct {
 	TSVs     []TSV
-	Geometry Geometry
 	OutlineW float64
 	OutlineH float64
 }
 
-// Options controls signal-TSV planning.
-type Options struct {
-	Geometry Geometry
-	// IslandCapacity > 1 clusters nearby cross-die nets into shared TSV
-	// islands of up to that many vias; 0/1 places one TSV per net at its
-	// own position.
-	IslandCapacity int
-	// IslandGridN partitions the die into IslandGridN x IslandGridN
-	// clustering buckets when islands are enabled. Default 8.
-	IslandGridN int
-}
-
-func (o *Options) defaults() {
-	if o.Geometry == (Geometry{}) {
-		o.Geometry = DefaultGeometry()
-	}
-	if o.IslandGridN == 0 {
-		o.IslandGridN = 8
-	}
-}
-
 // PlanSignals places signal TSVs for every cross-die net of the layout, at
-// the net's pin bounding-box center (the wirelength-optimal stitch point),
-// optionally clustered into islands. A net spanning dies [lo, hi] receives
-// one via per traversed gap (hi - lo vias), so taller stacks are planned
-// correctly.
-func PlanSignals(l *floorplan.Layout, opts Options) *Plan {
-	opts.defaults()
-	p := &Plan{Geometry: opts.Geometry, OutlineW: l.OutlineW, OutlineH: l.OutlineH}
-	cross := l.CrossDieNets()
-	if opts.IslandCapacity > 1 {
-		p.planIslands(l, cross, opts)
-		return p
-	}
-	for _, ni := range cross {
+// the net's pin bounding-box center (the wirelength-optimal stitch point).
+// A net spanning dies [lo, hi] receives one via per traversed gap (hi - lo
+// vias), so taller stacks are planned correctly.
+func PlanSignals(l *floorplan.Layout) *Plan {
+	p := &Plan{OutlineW: l.OutlineW, OutlineH: l.OutlineH}
+	for _, ni := range l.CrossDieNets() {
 		lo, hi := netDieSpan(l, ni)
 		for g := lo; g < hi; g++ {
 			p.TSVs = append(p.TSVs, TSV{
@@ -135,57 +102,6 @@ func netDieSpan(l *floorplan.Layout, ni int) (lo, hi int) {
 		}
 	}
 	return lo, hi
-}
-
-// planIslands buckets cross-die nets into a coarse grid and merges each
-// bucket's nets into islands of up to IslandCapacity vias placed at the
-// bucket's net centroid.
-func (p *Plan) planIslands(l *floorplan.Layout, cross []int, opts Options) {
-	ng := opts.IslandGridN
-	type bucket struct {
-		nets []int
-		cx   float64
-		cy   float64
-	}
-	buckets := make(map[int]*bucket)
-	for _, ni := range cross {
-		c := netCenter(l, ni)
-		bi := clampI(int(c.X/l.OutlineW*float64(ng)), 0, ng-1)
-		bj := clampI(int(c.Y/l.OutlineH*float64(ng)), 0, ng-1)
-		key := bj*ng + bi
-		b := buckets[key]
-		if b == nil {
-			b = &bucket{}
-			buckets[key] = b
-		}
-		b.nets = append(b.nets, ni)
-		b.cx += c.X
-		b.cy += c.Y
-	}
-	keys := make([]int, 0, len(buckets))
-	for k := range buckets {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		b := buckets[k]
-		center := geom.Point{X: b.cx / float64(len(b.nets)), Y: b.cy / float64(len(b.nets))}
-		for start := 0; start < len(b.nets); start += opts.IslandCapacity {
-			end := start + opts.IslandCapacity
-			if end > len(b.nets) {
-				end = len(b.nets)
-			}
-			// The island's vias serve nets[start:end]; record one TSV entry
-			// per net and traversed gap so bookkeeping stays exact, sharing
-			// the position.
-			for _, ni := range b.nets[start:end] {
-				lo, hi := netDieSpan(l, ni)
-				for g := lo; g < hi; g++ {
-					p.TSVs = append(p.TSVs, TSV{Kind: Signal, Pos: center, Net: ni, Count: 1, Gap: g})
-				}
-			}
-		}
-	}
 }
 
 func netCenter(l *floorplan.Layout, ni int) geom.Point {
@@ -248,14 +164,13 @@ func (p *Plan) CuFractionMapGap(gap, nx, ny int) *geom.Grid {
 func (p *Plan) cuMap(nx, ny, gap int) *geom.Grid {
 	g := geom.NewGrid(nx, ny)
 	cellArea := (p.OutlineW / float64(nx)) * (p.OutlineH / float64(ny))
-	cu := p.Geometry.CuAreaPerVia()
 	for _, t := range p.TSVs {
 		if gap >= 0 && t.Gap != gap {
 			continue
 		}
 		i := clampI(int(t.Pos.X/p.OutlineW*float64(nx)), 0, nx-1)
 		j := clampI(int(t.Pos.Y/p.OutlineH*float64(ny)), 0, ny-1)
-		g.Add(i, j, cu*float64(t.Count)/cellArea)
+		g.Add(i, j, cuAreaPerVia*float64(t.Count)/cellArea)
 	}
 	// Fractions cannot exceed full coverage.
 	for i, v := range g.Data {

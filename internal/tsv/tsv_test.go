@@ -18,7 +18,7 @@ func layoutN100(t *testing.T) *floorplan.Layout {
 
 func TestPlanSignalsOnePerCrossDieNet(t *testing.T) {
 	l := layoutN100(t)
-	p := PlanSignals(l, Options{})
+	p := PlanSignals(l)
 	if got, want := p.SignalCount(), len(l.CrossDieNets()); got != want {
 		t.Fatalf("signal TSVs %d, want %d", got, want)
 	}
@@ -29,7 +29,7 @@ func TestPlanSignalsOnePerCrossDieNet(t *testing.T) {
 
 func TestSignalTSVsInsideOutline(t *testing.T) {
 	l := layoutN100(t)
-	p := PlanSignals(l, Options{})
+	p := PlanSignals(l)
 	for _, v := range p.TSVs {
 		if v.Pos.X < 0 || v.Pos.X > l.OutlineW || v.Pos.Y < 0 || v.Pos.Y > l.OutlineH {
 			t.Fatalf("TSV at %+v outside outline", v.Pos)
@@ -37,29 +37,43 @@ func TestSignalTSVsInsideOutline(t *testing.T) {
 	}
 }
 
-func TestIslandsClusterPositions(t *testing.T) {
+func TestSignalTSVsClampedToOutline(t *testing.T) {
 	l := layoutN100(t)
-	single := PlanSignals(l, Options{})
-	island := PlanSignals(l, Options{IslandCapacity: 16, IslandGridN: 4})
-	if island.SignalCount() != single.SignalCount() {
-		t.Fatalf("island planning changed via count: %d vs %d",
-			island.SignalCount(), single.SignalCount())
+	// Every module far left of and below the outline: the stitch points
+	// clamp onto its corner.
+	for i := range l.Rects {
+		l.Rects[i].X -= 1e6
+		l.Rects[i].Y -= 1e6
 	}
-	distinct := func(p *Plan) int {
-		seen := map[geom.Point]bool{}
-		for _, v := range p.TSVs {
-			seen[v.Pos] = true
+	p := PlanSignals(l)
+	if len(p.TSVs) == 0 {
+		t.Fatal("no signal TSVs planned")
+	}
+	for _, v := range p.TSVs {
+		if v.Pos != (geom.Point{}) {
+			t.Fatalf("TSV at %+v, want the outline corner", v.Pos)
 		}
-		return len(seen)
 	}
-	if distinct(island) >= distinct(single) {
-		t.Fatalf("islands should share positions: %d vs %d", distinct(island), distinct(single))
+}
+
+func TestCuFractionMapSaturatesAndClamps(t *testing.T) {
+	p := &Plan{OutlineW: 100, OutlineH: 100}
+	// 1000 vias in one 10x10 um cell carry about 200x its area in copper,
+	// and a via left of the outline lands in the first column.
+	p.AddDummyGap(0, geom.Point{X: 5, Y: 5}, 1000)
+	p.AddDummyGap(0, geom.Point{X: -15, Y: 55}, 1)
+	g := p.CuFractionMap(10, 10)
+	if g.At(0, 0) != 1 {
+		t.Fatalf("saturated cell holds %v, want 1", g.At(0, 0))
+	}
+	if g.At(0, 5) <= 0 {
+		t.Fatal("a via left of the outline must land in the first column")
 	}
 }
 
 func TestAddDummy(t *testing.T) {
 	l := layoutN100(t)
-	p := PlanSignals(l, Options{})
+	p := PlanSignals(l)
 	p.AddDummyGap(0, geom.Point{X: 100, Y: 100}, 4)
 	if p.DummyCount() != 4 {
 		t.Fatalf("dummy count %d", p.DummyCount())
@@ -68,7 +82,7 @@ func TestAddDummy(t *testing.T) {
 
 func TestCuFractionMapBounds(t *testing.T) {
 	l := layoutN100(t)
-	p := PlanSignals(l, Options{})
+	p := PlanSignals(l)
 	g := p.CuFractionMap(64, 64)
 	for _, v := range g.Data {
 		if v < 0 || v > 1 {
@@ -81,10 +95,10 @@ func TestCuFractionMapBounds(t *testing.T) {
 }
 
 func TestCuFractionScalesWithCount(t *testing.T) {
-	p := &Plan{Geometry: DefaultGeometry(), OutlineW: 1000, OutlineH: 1000}
+	p := &Plan{OutlineW: 1000, OutlineH: 1000}
 	p.AddDummyGap(0, geom.Point{X: 500, Y: 500}, 1)
 	g1 := p.CuFractionMap(10, 10)
-	p2 := &Plan{Geometry: DefaultGeometry(), OutlineW: 1000, OutlineH: 1000}
+	p2 := &Plan{OutlineW: 1000, OutlineH: 1000}
 	p2.AddDummyGap(0, geom.Point{X: 500, Y: 500}, 3)
 	g3 := p2.CuFractionMap(10, 10)
 	if math.Abs(g3.Sum()-3*g1.Sum()) > 1e-12 {
@@ -93,17 +107,23 @@ func TestCuFractionScalesWithCount(t *testing.T) {
 }
 
 func TestGeometryAreas(t *testing.T) {
-	g := DefaultGeometry()
-	if g.CuAreaPerVia() <= 0 {
+	// The folded constant must carry the bits of the run-time product it
+	// replaced, or every copper-fraction map would move.
+	r := float64(viaDiameter)
+	r /= 2
+	if got, want := math.Float64bits(cuAreaPerVia), math.Float64bits(math.Pi*r*r); got != want {
+		t.Fatalf("folded copper area %#x, run-time product %#x", got, want)
+	}
+	if cuAreaPerVia <= 0 {
 		t.Fatal("copper area must be positive")
 	}
-	if g.CuAreaPerVia() >= g.Pitch*g.Pitch {
+	if cuAreaPerVia >= viaPitch*viaPitch {
 		t.Fatal("copper body must be smaller than its pitch cell with keep-out")
 	}
 }
 
 func TestCloneIndependent(t *testing.T) {
-	p := &Plan{Geometry: DefaultGeometry(), OutlineW: 100, OutlineH: 100}
+	p := &Plan{OutlineW: 100, OutlineH: 100}
 	p.AddDummyGap(0, geom.Point{X: 1, Y: 1}, 1)
 	c := p.Clone()
 	c.AddDummyGap(0, geom.Point{X: 2, Y: 2}, 1)
@@ -182,6 +202,9 @@ func TestPatternStrings(t *testing.T) {
 		if p.String() == "pattern?" {
 			t.Fatalf("pattern %d missing name", p)
 		}
+	}
+	if Pattern(NumPatterns).String() != "pattern?" {
+		t.Fatal("an unknown pattern must read pattern?")
 	}
 	if Signal.String() != "signal" || Dummy.String() != "dummy" {
 		t.Fatal("kind strings")

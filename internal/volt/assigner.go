@@ -1,7 +1,6 @@
 package volt
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -27,19 +26,18 @@ import (
 //
 // An Assigner is NOT safe for concurrent use.
 type Assigner struct {
-	cfg Config
-	n   int
+	mode Mode
+	n    int
 
 	// Inputs of candidate growth. Feasible-level sets are bitmasks (bit k =
-	// cfg.Levels[k] feasible): the growth frontier screens thousands of
+	// levels90nm[k] feasible): the growth frontier screens thousands of
 	// (intersection, candidate-mask) pairs per call, and a single AND plus
 	// the precomputed lowPS table replaces the historical per-level scans
 	// exactly. adj aliases sweep, the scratch each call sweeps the layout
 	// into.
 	adj        [][]int
 	sweep      floorplan.AdjacencyScratch
-	feasible   []uint32  // per-module feasible-level masks
-	lowPS      []float64 // lowPS[mask] = lowest PowerScale among mask's levels (1 for empty)
+	feasible   []uint32 // per-module feasible-level masks
 	densities  []float64
 	power      []float64
 	globalMean float64
@@ -64,24 +62,15 @@ type candTree struct {
 	score   float64
 }
 
-// NewAssigner returns an engine with no storage yet; the first Assign sizes
-// it.
-func NewAssigner(cfg Config) *Assigner {
-	cfg.defaults()
-	if len(cfg.Levels) > 16 {
-		// The feasible sets are uint32 bitmasks with a 2^levels side table;
-		// realistic level menus are a handful of options (the paper uses 3).
-		panic(fmt.Sprintf("volt: %d voltage levels exceed the 16 the assigner supports", len(cfg.Levels)))
-	}
-	a := &Assigner{cfg: cfg}
-	// lowPS[mask] mirrors the historical per-candidate scan exactly: levels
-	// in ascending index order, strictly-lower PowerScale wins. The empty
-	// mask maps to 1.0 so the power-saving formula yields the historical 0.
-	a.lowPS = make([]float64, 1<<len(cfg.Levels))
-	for mask := range a.lowPS {
+// lowPS[mask] is the lowest PowerScale among the mask's levels, 1 for the
+// empty mask. It mirrors the historical per-candidate scan exactly: levels
+// in ascending index order, strictly-lower PowerScale wins; the empty mask
+// maps to 1.0 so the power-saving formula yields the historical 0.
+var lowPS = func() (t [1 << len(levels90nm)]float64) {
+	for mask := range t {
 		ps := 1.0
 		found := false
-		for k, lv := range cfg.Levels {
+		for k, lv := range levels90nm {
 			if mask&(1<<k) == 0 {
 				continue
 			}
@@ -90,9 +79,15 @@ func NewAssigner(cfg Config) *Assigner {
 				found = true
 			}
 		}
-		a.lowPS[mask] = ps
+		t[mask] = ps
 	}
-	return a
+	return t
+}()
+
+// NewAssigner returns an engine for the mode's objective with no storage
+// yet; the first Assign sizes it.
+func NewAssigner(mode Mode) *Assigner {
+	return &Assigner{mode: mode}
 }
 
 // Assign computes the voltage assignment for (l, ref) from scratch, reusing
@@ -111,7 +106,7 @@ func (a *Assigner) Assign(l *floorplan.Layout, ref *timing.Analysis) *Assignment
 		a.assigned = make([]bool, n)
 		a.stamp = 0
 	}
-	a.target = ref.Critical * a.cfg.TargetFactor
+	a.target = ref.Critical * targetFactor
 	for m, mod := range l.Design.Modules {
 		a.densities[m] = mod.PowerDensity()
 		a.power[m] = mod.Power
@@ -124,7 +119,7 @@ func (a *Assigner) Assign(l *floorplan.Layout, ref *timing.Analysis) *Assignment
 		members, inter := a.grow(root, nil)
 		c.modules = append(c.modules[:0], members...)
 		c.levels = inter
-		c.score = scoreVolume(c.modules, c.levels, a.cfg, a.densities, a.globalMean, a.power)
+		c.score = scoreVolume(c.modules, c.levels, a.mode, a.densities, a.globalMean, a.power)
 	}
 	return a.partition(l)
 }
@@ -136,7 +131,7 @@ func (a *Assigner) Assign(l *floorplan.Layout, ref *timing.Analysis) *Assignment
 func (a *Assigner) feasibleMask(m int, ref *timing.Analysis) uint32 {
 	base := math.Max(ref.Arrive[m], ref.Depart[m])
 	var mask uint32
-	for k, lv := range a.cfg.Levels {
+	for k, lv := range levels90nm {
 		if base+ref.ModuleDelay[m]*lv.DelayScale <= a.target || lv.DelayScale == 1.0 {
 			mask |= 1 << k
 		}
@@ -179,7 +174,7 @@ func (a *Assigner) grow(root int, blocked []bool) ([]int, uint32) {
 	for _, nb := range a.adj[root] {
 		push(nb)
 	}
-	for len(members) < a.cfg.MaxVolumeSize && len(frontier) > 0 {
+	for len(members) < maxVolumeSize && len(frontier) > 0 {
 		bestIdx := -1
 		bestKey := math.Inf(1)
 		volDens := meanDensity(members, a.densities)
@@ -192,12 +187,12 @@ func (a *Assigner) grow(root int, blocked []bool) ([]int, uint32) {
 				continue // the intersection only shrinks: evict
 			}
 			var key float64
-			if a.cfg.Mode == TSCAware {
+			if a.mode == TSCAware {
 				key = math.Abs(a.densities[cand] - volDens)
 				// Refuse neighbours that would break the volume's
 				// power-density uniformity — but keep them in the frontier;
 				// the volume mean may drift back within tolerance.
-				if key > a.cfg.DensityTolerance*a.globalMean {
+				if key > densityTolerance*a.globalMean {
 					frontier[w] = cand
 					w++
 					continue
@@ -205,7 +200,7 @@ func (a *Assigner) grow(root int, blocked []bool) ([]int, uint32) {
 			} else {
 				// Power-aware: prefer modules that allow the lowest voltage
 				// (largest power saving).
-				key = -(a.power[cand] * (1 - a.lowPS[inter&a.feasible[cand]]))
+				key = -(a.power[cand] * (1 - lowPS[inter&a.feasible[cand]]))
 			}
 			if key < bestKey {
 				bestKey, bestIdx = key, w
@@ -257,7 +252,7 @@ func (a *Assigner) partition(l *floorplan.Layout) *Assignment {
 		assigned[i] = false
 	}
 	addVolume := func(mods []int, levels uint32) {
-		lv := pickLevel(mods, levels, a.cfg, a.densities, a.globalMean)
+		lv := pickLevel(mods, levels, a.mode, a.densities, a.globalMean)
 		vol := Volume{Level: lv}
 		for _, m := range mods {
 			vol.Modules = append(vol.Modules, m)

@@ -7,9 +7,11 @@
 // (power-aware mode) or for uniform power densities within and across
 // volumes (TSC-aware mode).
 //
-// The three voltage options and their scalings are the paper's 90 nm values:
-// 0.8 V (0.817x power, 1.56x delay), 1.0 V (reference), and 1.2 V
-// (1.496x power, 0.83x delay).
+// The engine's settings are constants. Sec. 6.1 fixes the three 90 nm
+// voltage levels and one timing target for all volumes; the target's 15%
+// slack, the volume-size cap and the TSC-aware density tolerance are this
+// repo's values for the growth that section describes. The mode is the only
+// choice a caller makes.
 package volt
 
 import (
@@ -26,14 +28,37 @@ type Level struct {
 	DelayScale float64
 }
 
-// Levels90nm are the paper's simulated options for the 90 nm node.
-func Levels90nm() []Level {
-	return []Level{
-		{V: 0.8, PowerScale: 0.817, DelayScale: 1.56},
-		{V: 1.0, PowerScale: 1.0, DelayScale: 1.0},
-		{V: 1.2, PowerScale: 1.496, DelayScale: 0.83},
-	}
+// levels90nm are the voltage options the paper simulates at 90 nm (Sec. 6.1):
+// 0.8 V (0.817x power, 1.56x delay), 1.0 V (the reference) and 1.2 V
+// (1.496x power, 0.83x delay). Feasible-level sets are bitmasks over this
+// array (bit k = levels90nm[k]).
+var levels90nm = [...]Level{
+	{V: 0.8, PowerScale: 0.817, DelayScale: 1.56},
+	{V: 1.0, PowerScale: 1.0, DelayScale: 1.0},
+	{V: 1.2, PowerScale: 1.496, DelayScale: 0.83},
 }
+
+// refLevel returns the 1.0 V reference level: the delay basis of the
+// reference STA, feasible for every module, and the level Repair restores.
+func refLevel() Level { return levels90nm[1] }
+
+const (
+	// targetFactor relaxes the timing target: target = critical(1.0 V) *
+	// targetFactor, so modules with slack may be slowed for power or
+	// uniformity. Sec. 6.1 sets one timing constraint for all volumes; the
+	// 15% slack is this repo's value.
+	targetFactor = 1.15
+	// maxVolumeSize caps BFS growth, keeping volumes local: Sec. 6.1 grows
+	// volumes over spatially adjacent modules; the cap is this repo's.
+	maxVolumeSize = 24
+	// densityTolerance bounds, in TSC-aware mode, how far (relative to the
+	// design's mean power density) a neighbour's density may sit from the
+	// growing volume's mean before it is refused. Uniform volumes are
+	// Sec. 6.1's objective (i), the tolerance is this repo's; the refusal
+	// fragments the partition, which is why TSC-aware floorplanning ends up
+	// with many more volumes (Table 2: +87%).
+	densityTolerance = 0.5
+)
 
 // Mode selects the volume-selection objective.
 type Mode int
@@ -46,40 +71,6 @@ const (
 	// of power densities within and across volumes (setup (ii)).
 	TSCAware
 )
-
-// Config tunes the assignment.
-type Config struct {
-	Levels []Level
-	Mode   Mode
-	// TargetFactor relaxes the timing target: target = critical(1.0V) *
-	// TargetFactor. Default 1.15 — modules with slack may be slowed for
-	// power or uniformity.
-	TargetFactor float64
-	// MaxVolumeSize caps BFS growth (keeps volumes local; default 24).
-	MaxVolumeSize int
-	// DensityTolerance bounds, in TSC-aware mode, how far (relative to the
-	// design's mean power density) a neighbour's density may sit from the
-	// growing volume's mean before it is refused. Uniform volumes are the
-	// paper's objective (i); the refusal fragments the partition, which is
-	// why TSC-aware floorplanning ends up with many more volumes
-	// (Table 2: +87%). Default 0.5.
-	DensityTolerance float64
-}
-
-func (c *Config) defaults() {
-	if c.Levels == nil {
-		c.Levels = Levels90nm()
-	}
-	if c.TargetFactor == 0 {
-		c.TargetFactor = 1.15
-	}
-	if c.MaxVolumeSize == 0 {
-		c.MaxVolumeSize = 24
-	}
-	if c.DensityTolerance == 0 {
-		c.DensityTolerance = 0.5
-	}
-}
 
 // Volume is one selected voltage volume.
 type Volume struct {
@@ -101,22 +92,23 @@ type Assignment struct {
 	Target float64
 }
 
-// Assign computes voltage volumes for a placed layout. The timing analysis
-// must have been produced at the 1.0 V reference (delayScale nil).
+// Assign computes voltage volumes for a placed layout under the mode's
+// objective. The timing analysis must have been produced at the 1.0 V
+// reference (delayScale nil).
 //
 // Assign is the one-shot form of the engine: a throwaway Assigner. Callers
 // that assign repeatedly (the annealing loop) hold one Assigner instead, so
 // its storage is reused across calls.
-func Assign(l *floorplan.Layout, ref *timing.Analysis, cfg Config) *Assignment {
-	return NewAssigner(cfg).Assign(l, ref)
+func Assign(l *floorplan.Layout, ref *timing.Analysis, mode Mode) *Assignment {
+	return NewAssigner(mode).Assign(l, ref)
 }
 
 // scoreVolume ranks a candidate for the greedy partition. levels is the
 // candidate's feasible-level bitmask; power holds the per-module nominal
 // powers in W.
-func scoreVolume(mods []int, levels uint32, cfg Config, dens []float64, globalMean float64, power []float64) float64 {
+func scoreVolume(mods []int, levels uint32, mode Mode, dens []float64, globalMean float64, power []float64) float64 {
 	size := float64(len(mods))
-	switch cfg.Mode {
+	switch mode {
 	case TSCAware:
 		// Prefer larger volumes of uniform density (low intra-volume
 		// spread), weighted toward the global mean (low inter-volume
@@ -128,7 +120,7 @@ func scoreVolume(mods []int, levels uint32, cfg Config, dens []float64, globalMe
 		// Power-aware: prefer volumes that can run at low voltage and are
 		// large (fewer volumes overall).
 		saving := 0.0
-		lv := lowestLevel(levels, cfg.Levels)
+		lv := lowestLevel(levels)
 		if lv != nil {
 			for _, m := range mods {
 				saving += power[m] * (1 - lv.PowerScale)
@@ -139,19 +131,11 @@ func scoreVolume(mods []int, levels uint32, cfg Config, dens []float64, globalMe
 }
 
 // pickLevel selects the volume's voltage from its feasible set (a level
-// bitmask).
-func pickLevel(mods []int, levels uint32, cfg Config, dens []float64, globalMean float64) Level {
-	feas := feasibleLevels(levels, cfg.Levels)
-	if len(feas) == 0 {
-		// Fall back to the reference level.
-		for _, lv := range cfg.Levels {
-			if lv.DelayScale == 1.0 {
-				return lv
-			}
-		}
-		return cfg.Levels[0]
-	}
-	if cfg.Mode == PowerAware {
+// bitmask). The set is never empty: every module's mask holds the reference
+// level (feasibleMask), so every intersection of masks does too.
+func pickLevel(mods []int, levels uint32, mode Mode, dens []float64, globalMean float64) Level {
+	feas := feasibleLevels(levels)
+	if mode == PowerAware {
 		// Minimal power: lowest feasible voltage.
 		best := feas[0]
 		for _, lv := range feas[1:] {
@@ -187,18 +171,18 @@ func pickLevel(mods []int, levels uint32, cfg Config, dens []float64, globalMean
 // Verify recomputes timing with the assignment applied and reports whether
 // the scaled critical delay meets the target. Callers should bump volumes
 // to the reference level and re-verify on failure; Repair does this.
-func Verify(l *floorplan.Layout, asg *Assignment, p timing.Params) (*timing.Analysis, bool) {
-	a := timing.Analyze(l, asg.DelayScale, p)
+func Verify(l *floorplan.Layout, asg *Assignment) (*timing.Analysis, bool) {
+	a := timing.Analyze(l, asg.DelayScale)
 	return a, a.Critical <= asg.Target+1e-9
 }
 
 // Repair raises volumes to the 1.0 V reference, slowest-hop first, until the
-// scaled timing meets the target. Returns the final analysis.
-func Repair(l *floorplan.Layout, asg *Assignment, p timing.Params, cfg Config) *timing.Analysis {
-	cfg.defaults()
-	ref := refLevel(cfg.Levels)
+// scaled timing meets the target. Returns the final analysis. Repair is the
+// same in both modes: it only ever restores the reference level.
+func Repair(l *floorplan.Layout, asg *Assignment) *timing.Analysis {
+	ref := refLevel()
 	for iter := 0; iter <= len(asg.Volumes); iter++ {
-		a, ok := Verify(l, asg, p)
+		a, ok := Verify(l, asg)
 		if ok {
 			return a
 		}
@@ -229,7 +213,7 @@ func Repair(l *floorplan.Layout, asg *Assignment, p timing.Params, cfg Config) *
 			return a
 		}
 	}
-	a, _ := Verify(l, asg, p)
+	a, _ := Verify(l, asg)
 	return a
 }
 
@@ -281,13 +265,13 @@ func (asg *Assignment) InterVolumeDensityStdDev(l *floorplan.Layout) float64 {
 
 // --- helpers -----------------------------------------------------------------
 
-// feasibleLevels expands a level bitmask (bit k = levels[k] feasible) into
-// the corresponding levels, in level order.
-func feasibleLevels(mask uint32, levels []Level) []Level {
+// feasibleLevels expands a level bitmask (bit k = levels90nm[k] feasible)
+// into the corresponding levels, in level order.
+func feasibleLevels(mask uint32) []Level {
 	var out []Level
-	for i := range levels {
+	for i, lv := range levels90nm {
 		if mask&(1<<i) != 0 {
-			out = append(out, levels[i])
+			out = append(out, lv)
 		}
 	}
 	return out
@@ -295,27 +279,18 @@ func feasibleLevels(mask uint32, levels []Level) []Level {
 
 // lowestLevel returns the mask's level with the lowest power scale (nil for
 // an empty mask); earlier levels win ties.
-func lowestLevel(mask uint32, levels []Level) *Level {
+func lowestLevel(mask uint32) *Level {
 	var best *Level
-	for i := range levels {
+	for i := range levels90nm {
 		if mask&(1<<i) == 0 {
 			continue
 		}
-		if best == nil || levels[i].PowerScale < best.PowerScale {
-			lv := levels[i]
+		if best == nil || levels90nm[i].PowerScale < best.PowerScale {
+			lv := levels90nm[i]
 			best = &lv
 		}
 	}
 	return best
-}
-
-func refLevel(levels []Level) Level {
-	for _, lv := range levels {
-		if lv.DelayScale == 1.0 {
-			return lv
-		}
-	}
-	return levels[0]
 }
 
 func meanDensity(mods []int, dens []float64) float64 {
